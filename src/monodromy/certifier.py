@@ -333,7 +333,8 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
                 continue
             x = ((sigma.array - eye) @ z) % p
             basis_rows = np.stack([x, y, z])
-            if _rref(basis_rows, p)[0][:3].shape[0] < 3 or len(_rref(basis_rows, p)[1]) < 3:
+            _, pivots = _rref(basis_rows, p)
+            if len(pivots) < 3:
                 continue
             comm = rho @ sigma @ rho @ sigma.inv()
             order = element_order(comm)

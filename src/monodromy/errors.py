@@ -22,7 +22,7 @@ class PrecedenceViolation(MonodromyError):
 
 
 class ResourceLimit(MonodromyError):
-    """Orbit storage exceeded the configured cap."""
+    """Orbit storage exceeded the configured cap, or p^n does not fit in 64 bits."""
 
 
 class OrderOverflow(MonodromyError):

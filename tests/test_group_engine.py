@@ -1,5 +1,8 @@
 """Group orders, irreducibility, element orders, derived containment."""
 
+import sys
+import threading
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -14,6 +17,7 @@ from monodromy.classical_groups import (
     transvection,
 )
 from monodromy.errors import ResourceLimit
+from monodromy.families import hyperelliptic_system
 from monodromy.ff_linalg import Matrix, invariant_forms, random_invertible
 from monodromy.group_engine import (
     GeneratedGroup,
@@ -24,6 +28,7 @@ from monodromy.group_engine import (
     is_irreducible,
     naive_closure,
 )
+from schreier_sims_reference import ReferenceGroup
 
 SL2 = lambda p: [Matrix([[1, 1], [0, 1]], p), Matrix([[1, 0], [1, 1]], p)]
 
@@ -264,3 +269,154 @@ class TestContainsDerived:
         space = FormSpace.dot(3, 5)
         refls = [reflection(space, r) for r in anisotropic_vectors(space, 30)]
         assert contains_derived(GeneratedGroup(refls), space)
+
+
+def _random_generators(rng: Random, p: int, n: int) -> list[Matrix]:
+    """Generators of assorted shapes: general, classical, cyclic, reducible."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [random_invertible(n, p, rng) for _ in range(2)]
+    if kind == 1:
+        space = FormSpace.symplectic(n, p) if n % 2 == 0 else FormSpace.dot(n, p)
+        return [random_isometry(space, rng) for _ in range(rng.randrange(1, 4))]
+    if kind == 2:
+        return [random_invertible(n, p, rng)]
+    gens = []
+    for _ in range(2):
+        a = random_invertible(n, p, rng).array.copy()
+        a[1:, 0] = 0  # fixes the line of e_0
+        if a[0, 0] == 0:
+            a[0, 0] = 1
+        gens.append(Matrix(a, p) if Matrix(a, p).det() else Matrix.identity(n, p))
+    return gens
+
+
+class TestEngineOracle:
+    """The batched engine against the vector-at-a-time one and the closure."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_orders_and_membership_match_reference(self, p):
+        rng = Random(100 + p)
+        for trial in range(20):
+            n = rng.randrange(2, 5) if p < 7 else rng.randrange(2, 4 if trial % 3 else 5)
+            gens = _random_generators(rng, p, n)
+            group = GeneratedGroup(gens)
+            reference = ReferenceGroup(gens)
+            assert group.order() == reference.order(), (p, n, trial)
+            word = Matrix.identity(n, p)
+            for _ in range(6):
+                word = word @ gens[rng.randrange(len(gens))]
+                other = random_invertible(n, p, rng)
+                for cand in (word, other, word @ other):
+                    assert group.contains_array(cand.array) == reference.contains_array(
+                        cand.array
+                    )
+                assert group.contains_array(word.array)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_orders_and_membership_match_closure(self, p):
+        rng = Random(200 + p)
+        checked = 0
+        for trial in range(15):
+            n = rng.randrange(2, 5)
+            gens = _random_generators(rng, p, n)
+            try:
+                closure = naive_closure(gens, limit=20_000)
+            except ResourceLimit:
+                continue
+            checked += 1
+            group = GeneratedGroup(gens)
+            assert group.order() == len(closure), (p, n, trial)
+            for _ in range(5):
+                cand = random_invertible(n, p, rng)
+                assert group.contains_array(cand.array) == (cand in closure)
+        assert checked >= 4
+
+    def test_sorted_code_index_matches_dense(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        rng = Random(7)
+        cases = [(p, rng.randrange(2, 5)) for p in (3, 5, 7) for _ in range(3)]
+        groups = [_random_generators(rng, p, min(n, 3)) for p, n in cases]
+        dense = [GeneratedGroup(gens).order() for gens in groups]
+        monkeypatch.setattr(engine, "_DENSE_CODES", 0)
+        assert [GeneratedGroup(gens).order() for gens in groups] == dense
+        assert [ReferenceGroup(gens).order() for gens in groups] == dense
+        assert GeneratedGroup(SL2(7)).order() == 336
+        assert Matrix([[2, 0], [0, 4]], 7) in GeneratedGroup(SL2(7))
+        assert Matrix([[2, 0], [0, 1]], 7) not in GeneratedGroup(SL2(7))
+
+    def test_derived_containment_batch_matches_one_by_one(self):
+        rng = Random(11)
+        for space in (FormSpace.symplectic(4, 3), FormSpace.dot(3, 5), FormSpace.hyperbolic(4, 5)):
+            dgens = derived_subgroup_generators(space)
+            for length in (1, 2, 6):
+                gens = [random_isometry(space, rng, length=length) for _ in range(2)]
+                reference = ReferenceGroup(gens)
+                expected = all(reference.contains_array(d.array) for d in dgens)
+                assert contains_derived(GeneratedGroup(gens), space) == expected
+
+
+class TestChainRobustness:
+    def test_concurrent_first_queries_are_exact(self):
+        system = hyperelliptic_system(2, 5)
+        gens = system.generators
+        member = gens[0] @ gens[1] @ gens[2]
+        outsider = Matrix.scalar(2, 4, 5)  # det 1 but not symplectic: 2^2 != 1
+        group = GeneratedGroup(gens)
+        barrier = threading.Barrier(4)
+        results: list = []
+
+        def query():
+            barrier.wait(timeout=30)
+            results.append(
+                (group.order(), group.contains_array(member.array), outsider in group)
+            )
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=query) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [(9360000, True, False)] * 4
+
+    def test_cap_is_checked_while_the_orbit_grows(self):
+        system = hyperelliptic_system(3, 5)  # Sp(6,5): root orbit of 15624 vectors
+        group = GeneratedGroup(system.generators, limit=1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                group.order()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 15624 root-orbit vectors alone take 750 kB, their transversal 9 MB
+        assert peak < 700_000
+        # a failed build publishes nothing: asking again fails again
+        with pytest.raises(ResourceLimit):
+            group.order()
+
+    def test_vector_codes_must_fit_in_int64(self):
+        def shear(n):
+            a = np.eye(n, dtype=np.int64)
+            a[0, 1] = 1
+            return Matrix(a, 3)
+
+        assert 3**39 < 2**63 <= 3**40
+        assert GeneratedGroup([shear(39)]).order() == 3
+        group = GeneratedGroup([shear(40)])
+        with pytest.raises(ResourceLimit):
+            group.order()
+        with pytest.raises(ResourceLimit):
+            group.contains_array(shear(40).array)
+        # a group of identities has an empty chain and computes no code
+        trivial = GeneratedGroup([Matrix(np.eye(40, dtype=np.int64), 3)])
+        assert trivial.order() == 1
+        assert trivial.contains_array(np.eye(40, dtype=np.int64))
+        assert not trivial.contains_array(shear(40).array)
