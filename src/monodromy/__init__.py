@@ -49,7 +49,6 @@ from .group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
     contains_derived,
-    derived_subgroup_generators,
     element_order,
     group_order,
     is_irreducible,

@@ -15,7 +15,7 @@ failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,15 +29,14 @@ from .classical_groups import (
     classify_element,
     is_isometry,
     isometry_group_orders,
-    subgroup_class,
 )
 from .errors import Inconclusive, NotAnIsometry, OrderOverflow
 from .ff_linalg import Matrix, _kernel_basis, _rref
 from .group_engine import (
     GeneratedGroup,
-    contains_derived,
     element_order,
     is_irreducible,
+    _derived_containment,
 )
 from .families import MonodromySystem
 
@@ -117,14 +116,15 @@ def certify(
     h: Hypotheses,
     seed: int = 0,
     limit: int = 10**7,
-    derived_established: bool = False,
 ) -> Certificate:
     """Evaluate the generator criterion and return the certificate.
 
     Witness elements are only searched among the generators themselves,
     never among products; the packaged families always expose them as
     inertia generators, and a missing witness comes back as
-    NotCertified(no-witness) rather than a group search.
+    NotCertified(no-witness) rather than a group search.  An orthogonal
+    certificate is left "unrefined"; ``cross_validate`` fills in the exact
+    subgroup class.
     """
     space = h.space
     checks: list[CheckResult] = []
@@ -208,12 +208,7 @@ def certify(
     if failed:
         conclusion = Conclusion("NotCertified", reason=failed[0].name)
     elif symmetric:
-        refinement = (
-            subgroup_class(h.generators, space, derived_verified=True)
-            if derived_established
-            else "unrefined"
-        )
-        conclusion = Conclusion("OrthogonalBig", refinement=refinement)
+        conclusion = Conclusion("OrthogonalBig", refinement="unrefined")
     else:
         conclusion = Conclusion("FullSp")
     return Certificate(tuple(checks), conclusion)
@@ -240,11 +235,10 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     """
     group = GeneratedGroup(h.generators, seed=seed, limit=limit)
     exact_order = group.order()
-    derived = contains_derived(group, h.space)
-    exact_class = None
-    if h.space.parity == "symmetric" and derived:
-        exact_class = subgroup_class(h.generators, h.space, derived_verified=True)
-    cert = certify(h, seed=seed, limit=limit, derived_established=derived)
+    derived, exact_class = _derived_containment(group, h.space)
+    cert = certify(h, seed=seed, limit=limit)
+    if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
+        cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))
 
     agreement = True
     if cert.certified:

@@ -200,27 +200,11 @@ def square_class(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _anisotropic_candidates(space: FormSpace):
-    """Deterministic stream of vectors v with <v,v> != 0."""
-    n, p = space.dim, space.p
-    eye = np.eye(n, dtype=np.int64)
-    for i in range(n):
-        yield eye[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in range(1, p):
-                yield (eye[i] + c * eye[j]) % p
-    # exhaustive fallback (tiny spaces only reach this)
-    for idx in range(1, p**n):
-        v = np.array([(idx // p**k) % p for k in range(n)], dtype=np.int64)
-        yield v
-
-
 def anisotropic_vectors(space: FormSpace, count: int) -> list[np.ndarray]:
     """The first ``count`` anisotropic vectors in a fixed scan order."""
     out = []
     seen = set()
-    for v in _anisotropic_candidates(space):
+    for v in _vector_stream(space.dim, space.p):
         if space.q(v) == 0:
             continue
         key = v.tobytes()
@@ -423,6 +407,7 @@ def isometry_group_orders(space: FormSpace) -> GroupOrders:
     return GroupOrders(full, full // 4, 4)
 
 
+# the five subgroups of {+-1} x {+-1}, so every (det, theta) image has a class
 _CLASS_BY_IMAGE = {
     frozenset({(1, 1)}): "Omega",
     frozenset({(1, 1), (-1, 1)}): "KerSpinor",
@@ -432,23 +417,8 @@ _CLASS_BY_IMAGE = {
 }
 
 
-def subgroup_class(
-    gens: Sequence[Matrix], space: FormSpace, derived_verified: bool = False
-) -> str:
-    """Which of the overgroups of the derived subgroup <gens> is.
-
-    Computes the image of (determinant, spinor norm) on the generators in
-    {+-1} x {+-1}; because both maps are homomorphisms this determines the
-    subgroup once the derived subgroup is known to be contained, which the
-    caller must have verified separately (see group_engine.contains_derived).
-    """
-    if not derived_verified:
-        raise PrecedenceViolation(
-            "subgroup_class requires the caller to have verified containment "
-            "of the derived subgroup first"
-        )
-    if space.parity != "symmetric":
-        raise ValueError("subgroup_class applies to orthogonal spaces")
+def _det_spinor_image(gens: Sequence[Matrix], space: FormSpace) -> frozenset:
+    """The subgroup of {+-1} x {+-1} generated by (determinant, spinor norm) of ``gens``."""
     p = space.p
     image = {(1, 1)}
     for g in gens:
@@ -461,4 +431,25 @@ def subgroup_class(
         # close the image under the group law of {+-1} x {+-1}
         new = {(a * pair[0], b * pair[1]) for a, b in image}
         image |= new
-    return _CLASS_BY_IMAGE.get(frozenset(image), "Other")
+    return frozenset(image)
+
+
+def subgroup_class(
+    gens: Sequence[Matrix], space: FormSpace, derived_verified: bool = False
+) -> str:
+    """Which of the overgroups of the derived subgroup <gens> is.
+
+    Looks up the image of (determinant, spinor norm) on the generators, a
+    subgroup of {+-1} x {+-1}; because both maps are homomorphisms this
+    determines the subgroup once the derived subgroup is known to be
+    contained, which the caller must have verified separately (see
+    group_engine.contains_derived, which decides it from the same image).
+    """
+    if not derived_verified:
+        raise PrecedenceViolation(
+            "subgroup_class requires the caller to have verified containment "
+            "of the derived subgroup first"
+        )
+    if space.parity != "symmetric":
+        raise ValueError("subgroup_class applies to orthogonal spaces")
+    return _CLASS_BY_IMAGE[_det_spinor_image(gens, space)]

@@ -18,7 +18,14 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateQuotient, NotInCategory
-from .ff_linalg import JordanData, Matrix, _kernel_basis, _rref, jordan_type
+from .ff_linalg import (
+    JordanData,
+    Matrix,
+    _echelon_reduce,
+    _kernel_basis,
+    _rref,
+    jordan_type,
+)
 
 __all__ = [
     "Label",
@@ -263,26 +270,15 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     # invariance of the junk space under every B_k (theorem; cheap guard)
     for b in blocks:
         for row in junk_basis:
-            img = (b @ row) % p
-            for jrow, piv in zip(junk_basis, pivots):
-                if img[piv]:
-                    img = (img - img[piv] * jrow) % p
-            if img.any():
+            if _echelon_reduce(b @ row, junk_basis, pivots, p).any():
                 raise DegenerateQuotient("quotient subspace is not invariant")
 
     pivot_set = set(pivots)
     coords = [j for j in range(big) if j not in pivot_set]
 
-    def project(vec: np.ndarray) -> np.ndarray:
-        v = vec % p
-        for jrow, piv in zip(junk_basis, pivots):
-            if v[piv]:
-                v = (v - v[piv] * jrow) % p
-        return v[coords]
-
     out_mats = []
     for b in blocks:
-        cols = [project((b[:, c]) % p) for c in coords]
+        cols = [_echelon_reduce(b[:, c], junk_basis, pivots, p)[coords] for c in coords]
         out_mats.append(Matrix(np.stack(cols, axis=1), p))
 
     try:

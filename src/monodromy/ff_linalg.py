@@ -78,6 +78,21 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return r, tuple(pivots)
 
 
+def _echelon_reduce(
+    vec: np.ndarray, rows: Sequence[np.ndarray], pivots: Sequence[int], p: int
+) -> np.ndarray:
+    """Residue of ``vec`` mod ``p`` after clearing each pivot of a reduced echelon basis.
+
+    Row k of ``rows`` has a 1 in column ``pivots[k]`` and every other row a 0
+    there, so one pass subtracts the projection on their span.
+    """
+    v = np.asarray(vec, dtype=np.int64) % p
+    for row, piv in zip(rows, pivots):
+        if v[piv]:
+            v = (v - v[piv] * row) % p
+    return v
+
+
 def _rank(a: np.ndarray, p: int) -> int:
     return len(_rref(a, p)[1])
 
@@ -287,7 +302,7 @@ class Matrix:
 class Subspace:
     """A subspace of F_p^n stored as an RREF row basis (canonical form)."""
 
-    __slots__ = ("ambient", "p", "basis")
+    __slots__ = ("ambient", "p", "basis", "pivots")
 
     def __init__(self, basis, ambient: int, p: int):
         p = _check_modulus(p)
@@ -298,6 +313,7 @@ class Subspace:
         object.__setattr__(self, "ambient", int(ambient))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "basis", reduced)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -316,12 +332,7 @@ class Subspace:
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Residue of ``vec`` after subtracting its projection on the basis."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for row in self.basis:
-            lead = int(np.nonzero(row)[0][0])
-            if v[lead]:
-                v = (v - v[lead] * row) % self.p
-        return v
+        return _echelon_reduce(vec, self.basis, self.pivots, self.p)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()

@@ -6,10 +6,13 @@ size.  Vectors are handled as integer codes sum(v_i p^i): each level keeps
 its orbit as an array of points with a code-to-row index, grown a whole
 frontier at a time, and stores every transversal element together with its
 inverse, both built by batched products.  Schreier generators are formed
-and sifted through the chain in blocks.  Irreducibility is decided by
-exhaustive line spinning on small spaces and by a meataxe-style search with
-Norton's certificate above that.  Everything is exact; randomized searches
-take an explicit seed.
+and sifted through the chain in blocks.  Containment of the derived
+subgroup of the isometry group is decided from the group order alone, with
+the image of (determinant, spinor norm) in the orthogonal case; no derived
+generators are built.  Irreducibility is decided by exhaustive line
+spinning on small spaces and by a meataxe-style search with Norton's
+certificate above that.  Everything is exact; randomized searches take an
+explicit seed.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import numpy as np
 
 from .classical_groups import (
     FormSpace,
-    anisotropic_vectors,
+    is_isometry,
     isometry_group_orders,
-    reflection,
-    transvection,
+    _CLASS_BY_IMAGE,
+    _det_spinor_image,
 )
 from .errors import (
     Inconclusive,
@@ -36,7 +39,7 @@ from .errors import (
     OrderOverflow,
     ResourceLimit,
 )
-from .ff_linalg import Matrix, Subspace, jordan_type, _kernel_basis, _inv
+from .ff_linalg import Matrix, Subspace, jordan_type, _echelon_reduce, _kernel_basis, _inv
 
 __all__ = [
     "GeneratedGroup",
@@ -45,7 +48,6 @@ __all__ = [
     "is_irreducible",
     "element_order",
     "contains_derived",
-    "derived_subgroup_generators",
     "naive_closure",
 ]
 
@@ -385,10 +387,6 @@ class GeneratedGroup:
     def contains_array(self, a: np.ndarray) -> bool:
         return bool(self._ensure_chain().contains(np.asarray(a)[None])[0])
 
-    def _contains_all(self, arrays: Sequence[np.ndarray]) -> bool:
-        """Whether every matrix in ``arrays`` lies in the group, sifted as one batch."""
-        return bool(self._ensure_chain().contains(np.stack(arrays)).all())
-
     def __contains__(self, m: Matrix) -> bool:
         if m.p != self.p or m.n != self.dim:
             return False
@@ -445,15 +443,8 @@ class _SpinBasis:
         self.rows: list[np.ndarray] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                v = (v - v[piv] * row) % self.p
-        return v
-
     def add(self, vec: np.ndarray) -> bool:
-        v = self.reduce(vec)
+        v = _echelon_reduce(vec, self.rows, self.pivots, self.p)
         nz = np.nonzero(v)[0]
         if nz.size == 0:
             return False
@@ -638,87 +629,41 @@ def element_order(a: Matrix, cap: int = 10**7) -> int:
 # derived subgroup
 
 
-_DERIVED_CACHE: dict[tuple, list[Matrix]] = {}
+def _derived_containment(
+    group: GeneratedGroup, space: FormSpace
+) -> tuple[bool, Optional[str]]:
+    """``contains_derived``, with the subgroup class of an orthogonal group.
 
-
-def derived_subgroup_generators(space: FormSpace) -> list[Matrix]:
-    """Generators of the derived subgroup of the full isometry group.
-
-    Alternating case: symplectic transvections in enough directions to
-    generate Sp(V).  Symmetric case: commutators of reflections, closed
-    under conjugation.  Either way the construction is accepted only once
-    its Schreier-Sims order matches the known derived order, so correctness
-    does not rest on the generating-set recipe.
+    The class is looked up from the same (det, theta) image that decides
+    containment; it is None for symplectic groups and for groups that do
+    not contain the derived subgroup.
     """
-    key = (space.parity, space.p, space.dim, space.gram.array.tobytes())
-    cached = _DERIVED_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+    for g in group.gens:
+        if g.p != space.p or g.n != space.dim or not is_isometry(g, space):
+            raise NotAnIsometry("group does not act on the given space by isometries")
     orders = isometry_group_orders(space)
-    target = orders.derived_order
-    n, p = space.dim, space.p
-    eye = np.eye(n, dtype=np.int64)
-
     if space.parity == "alternating":
-        directions = [eye[i] for i in range(n)]
-        directions += [(eye[i] + eye[j]) % p for i in range(n) for j in range(i + 1, n)]
-        gens = [transvection(space, v) for v in directions]
-        for _ in range(6):
-            if GeneratedGroup(gens).order() == target:
-                _DERIVED_CACHE[key] = gens
-                return gens
-            new_dirs = [
-                (g.array @ v) % p for g in gens[: 4 * n] for v in directions
-            ]
-            directions += new_dirs
-            gens = gens + [transvection(space, v) for v in new_dirs]
-        raise AssertionError("transvection closure did not reach the symplectic group")
-
-    # grow the reflection pool until it generates the full orthogonal group
-    count = max(8, 4 * n)
-    while True:
-        refls = [reflection(space, r) for r in anisotropic_vectors(space, count)]
-        if GeneratedGroup(refls).order() == orders.full_order:
-            break
-        if count > p**n:
-            raise AssertionError("reflections failed to generate the orthogonal group")
-        count *= 2
-
-    gens: list[Matrix] = []
-    seen: set[Matrix] = set()
-    for i in range(min(len(refls), 12)):
-        for j in range(i + 1, min(len(refls), 12)):
-            c = refls[i] @ refls[j] @ refls[i] @ refls[j]
-            if not c.is_identity() and c not in seen:
-                seen.add(c)
-                gens.append(c)
-    for _ in range(8):
-        order = GeneratedGroup(gens).order()
-        if order == target:
-            _DERIVED_CACHE[key] = gens
-            return gens
-        if order > target:
-            raise AssertionError("derived construction overshot the target order")
-        extra = []
-        for r in refls:
-            for g in gens:
-                c = r @ g @ r.inv()
-                if c not in seen:
-                    seen.add(c)
-                    extra.append(c)
-        gens = gens + extra
-    raise AssertionError("derived subgroup construction did not converge")
+        return group.order() == orders.full_order, None
+    image = _det_spinor_image(group.gens, space)
+    if group.order() != orders.derived_order * len(image):
+        return False, None
+    return True, _CLASS_BY_IMAGE[image]
 
 
 def contains_derived(group: GeneratedGroup, space: FormSpace) -> bool:
     """Whether the group contains the derived subgroup of the isometry group.
 
-    Equivalent to adjoining the derived generators leaving the group order
-    unchanged; realized as exact membership of each derived generator.
+    Decided by orders alone.  In the orthogonal case the derived subgroup is
+    Omega = ker(det, theta), of index 4 in O(V) (index 2 in O(1), where it
+    is trivial), with theta the spinor norm.  The quotient of G by its
+    intersection with Omega is the image of (det, theta) on G, which the
+    images of the generators generate, so G contains Omega exactly when
+    |G| = |Omega| * |image|.  In the symplectic case the
+    derived subgroup is taken to be Sp(V) itself, so the test is
+    |G| = |Sp(V)|.  See Taylor, The Geometry of the Classical Groups (1992),
+    ch. 11, and Kleidman-Liebeck, The Subgroup Structure of the Finite
+    Classical Groups (1990), 2.5-2.6.  The identity holds only inside the
+    isometry group, so a generator that is not an isometry raises
+    NotAnIsometry.
     """
-    for g in group.gens:
-        if g.p != space.p or g.n != space.dim:
-            raise NotAnIsometry("group does not act on the given space")
-    dgens = derived_subgroup_generators(space)
-    return group._contains_all([d.array for d in dgens])
+    return _derived_containment(group, space)[0]

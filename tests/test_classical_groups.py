@@ -28,7 +28,8 @@ from monodromy.classical_groups import (
 )
 from monodromy.errors import NotAnIsometry, PrecedenceViolation
 from monodromy.ff_linalg import Matrix
-from monodromy.group_engine import derived_subgroup_generators, naive_closure
+from monodromy.group_engine import naive_closure
+from derived_reference import derived_subgroup_generators
 
 
 def brute_force_isometries(space, chunk=200_000):

@@ -14,20 +14,21 @@ from monodromy.classical_groups import (
     isometry_group_orders,
     random_isometry,
     reflection,
+    subgroup_class,
     transvection,
 )
-from monodromy.errors import ResourceLimit
+from monodromy.errors import NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system
 from monodromy.ff_linalg import Matrix, invariant_forms, random_invertible
 from monodromy.group_engine import (
     GeneratedGroup,
     contains_derived,
-    derived_subgroup_generators,
     element_order,
     group_order,
     is_irreducible,
     naive_closure,
 )
+from derived_reference import derived_subgroup_generators
 from schreier_sims_reference import ReferenceGroup
 
 SL2 = lambda p: [Matrix([[1, 1], [0, 1]], p), Matrix([[1, 0], [1, 1]], p)]
@@ -269,6 +270,68 @@ class TestContainsDerived:
         space = FormSpace.dot(3, 5)
         refls = [reflection(space, r) for r in anisotropic_vectors(space, 30)]
         assert contains_derived(GeneratedGroup(refls), space)
+
+    @pytest.mark.parametrize("gram", [[[1]], [[2]]])
+    def test_one_dimensional_orthogonal_space(self, gram):
+        # Omega(1) is trivial, so every subgroup of O(1) = <-1> contains it
+        space = FormSpace.from_gram(Matrix(gram, 5))
+        assert contains_derived(GeneratedGroup([Matrix.scalar(-1, 1, 5)]), space)
+        assert contains_derived(GeneratedGroup([Matrix.identity(1, 5)]), space)
+
+    def test_non_isometry_raises(self):
+        space = FormSpace.dot(2, 5)
+        shear = Matrix([[1, 1], [0, 1]], 5)
+        with pytest.raises(NotAnIsometry):
+            contains_derived(GeneratedGroup([reflection(space, np.array([1, 0])), shear]), space)
+        with pytest.raises(NotAnIsometry):
+            contains_derived(GeneratedGroup([Matrix.identity(3, 5)]), space)
+
+    def test_order_identity_matches_derived_generators(self):
+        """The order identity against membership of the explicit derived generators.
+
+        Positives add 0-2 random isometries to the derived generators, so
+        together they reach every image of (det, theta); negatives are plain
+        random isometry groups, decided by sifting in the reference engine.
+        """
+        rng = Random(12)
+        classes = set()
+        for space in (
+            FormSpace.symplectic(2, 3),
+            FormSpace.symplectic(4, 3),
+            FormSpace.symplectic(2, 5),
+            FormSpace.dot(2, 5),
+            FormSpace.hyperbolic(2, 5),
+            FormSpace.from_gram(Matrix.diagonal([1, 2], 5)),  # O2-(5)
+            FormSpace.dot(3, 3),
+            FormSpace.dot(3, 7),
+            FormSpace.dot(4, 5),
+            FormSpace.hyperbolic(4, 5),
+            FormSpace.from_gram(Matrix.diagonal([1, 1, 1, 2], 5)),  # O4-(5)
+            FormSpace.hyperbolic(4, 3),
+            FormSpace.dot(5, 5),
+        ):
+            dgens = derived_subgroup_generators(space)
+
+            def isometries(count):
+                return [
+                    random_isometry(space, rng, length=rng.randrange(1, 7))
+                    for _ in range(count)
+                ]
+
+            # the oracle's generators lie in every positive group by construction
+            for gens in [dgens + isometries(k) for k in (0, 1, 1, 2, 2)]:
+                assert contains_derived(GeneratedGroup(gens), space), space
+                if space.parity == "symmetric":
+                    classes.add(subgroup_class(gens, space, derived_verified=True))
+            answers = []
+            for _ in range(4):
+                gens = isometries(rng.randrange(1, 3))
+                reference = ReferenceGroup(gens)
+                expected = all(reference.contains_array(d.array) for d in dgens)
+                assert contains_derived(GeneratedGroup(gens), space) == expected, space
+                answers.append(expected)
+            assert not all(answers), space
+        assert classes == {"Omega", "SO", "KerSpinor", "KerSpinorDet", "FullO"}
 
 
 def _random_generators(rng: Random, p: int, n: int) -> list[Matrix]:
