@@ -9,7 +9,6 @@ from .errors import (
     BadLocus,
     DegenerateQuotient,
     Inconclusive,
-    InternalFactorizationFailure,
     MonodromyError,
     NegativeDimension,
     NonSplitSpectrum,

@@ -273,16 +273,19 @@ class ProbeWitness:
     restrictions: dict
 
 
-def _solve_in_span(rows: np.ndarray, vec: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Coordinates of ``vec`` in the row span, or None if outside."""
-    system = np.concatenate([rows.T, vec.reshape(-1, 1)], axis=1) % p
-    reduced, pivots = _rref(system, p)
+def _solve_in_span(rows: np.ndarray, rhs: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """Coordinates of each column of ``rhs`` in the row span of ``rows``.
+
+    Column j of the k x m result expresses column j of ``rhs`` in the k rows
+    (0 on rows that depend on earlier ones); None when any column lies
+    outside the span.
+    """
     k = rows.shape[0]
-    if k in pivots:
+    reduced, pivots = _rref(np.concatenate([rows.T, rhs], axis=1), p)
+    if any(piv >= k for piv in pivots):
         return None
-    coords = np.zeros(k, dtype=np.int64)
-    for i, piv in enumerate(pivots):
-        coords[piv] = reduced[i, -1]
+    coords = np.zeros((k, rhs.shape[1]), dtype=np.int64)
+    coords[list(pivots)] = reduced[: len(pivots), k:]
     return coords
 
 
@@ -319,9 +322,9 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
             y = None
             for cand in _kernel_basis((sigma.array - eye) % p, p):
                 img = (rho_shift @ cand) % p
-                coeffs = _solve_in_span(root_rows, img, p)
-                if coeffs is not None and coeffs[0] % p:
-                    y = (cand * pow(int(coeffs[0]), -1, p)) % p
+                coeffs = _solve_in_span(root_rows, img.reshape(-1, 1), p)
+                if coeffs is not None and coeffs[0, 0]:
+                    y = (cand * pow(int(coeffs[0, 0]), -1, p)) % p
                     break
             if y is None:
                 continue
@@ -335,26 +338,19 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
             if order < p:
                 continue
             restrictions = {}
-            good = True
             for name, m in (("reflection", rho), ("shear", sigma), ("commutator", comm)):
-                cols = []
-                for b in basis_rows:
-                    coords = _solve_in_span(basis_rows, (m.array @ b) % p, p)
-                    if coords is None:
-                        good = False
-                        break
-                    cols.append(coords)
-                if not good:
+                # column b holds the coordinates of m applied to basis row b
+                coords = _solve_in_span(basis_rows, (m.array @ basis_rows.T) % p, p)
+                if coords is None:
                     break
-                restrictions[name] = Matrix(np.stack(cols, axis=1), p)
-            if not good:
-                continue
-            return ProbeWitness(
-                reflection_index=i,
-                shear_index=j,
-                commutator=comm,
-                order=order,
-                basis=Matrix(basis_rows, p),
-                restrictions=restrictions,
-            )
+                restrictions[name] = Matrix(coords, p)
+            else:
+                return ProbeWitness(
+                    reflection_index=i,
+                    shear_index=j,
+                    commutator=comm,
+                    order=order,
+                    basis=Matrix(basis_rows, p),
+                    restrictions=restrictions,
+                )
     return None

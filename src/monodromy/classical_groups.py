@@ -4,8 +4,9 @@ An isometry of a non-degenerate pairing is classified by its drop (the
 codimension of its fixed space): drop-1 elements are reflections
 (determinant -1) or transvections (determinant +1), and a non-trivial
 unipotent element with (g-1)^2 = 0 is an isotropic shear.  The module also
-computes spinor norms by constructive reflection factorization and the
-standard orders of the finite symplectic and orthogonal groups.
+computes spinor norms as the discriminant of Wall's form on the image of
+1 - g, and the standard orders of the finite symplectic and orthogonal
+groups.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalFactorizationFailure, NotAnIsometry, PrecedenceViolation
-from .ff_linalg import BilinearForm, Matrix, _rank, _rref
+from .errors import NotAnIsometry, PrecedenceViolation
+from .ff_linalg import BilinearForm, Matrix, _det, _rref
 
 __all__ = [
     "IDENTITY",
@@ -219,10 +220,8 @@ def anisotropic_vectors(space: FormSpace, count: int) -> list[np.ndarray]:
 
 def isotropic_vectors(space: FormSpace, count: int) -> list[np.ndarray]:
     """The first ``count`` nonzero isotropic vectors in a fixed scan order."""
-    n, p = space.dim, space.p
     out = []
-    for idx in range(1, p**n):
-        v = np.array([(idx // p**k) % p for k in range(n)], dtype=np.int64)
+    for v in _nonzero_vectors(space.dim, space.p):
         if space.q(v) == 0:
             out.append(v)
             if len(out) == count:
@@ -240,22 +239,21 @@ def reflection(space: FormSpace, root: np.ndarray) -> Matrix:
     if qr == 0:
         raise ValueError("root must be anisotropic")
     c = (2 * pow(qr, -1, p)) % p
-    m = (np.eye(space.dim, dtype=np.int64) - c * np.outer(r, space.gram.array @ r)) % p
+    row = (c * ((space.gram.array @ r) % p)) % p
+    m = (np.eye(space.dim, dtype=np.int64) - np.outer(r, row)) % p
     return Matrix(m, p)
 
 
 def transvection(space: FormSpace, v: np.ndarray, c: int = 1) -> Matrix:
-    """The symplectic transvection x -> x + c <x,v> v."""
+    """The symplectic transvection x -> x + c <v,x> v."""
     if space.parity != "alternating":
         raise ValueError("transvections live in symplectic groups")
     p = space.p
     v = np.asarray(v, dtype=np.int64) % p
     if not v.any():
         raise ValueError("direction must be nonzero")
-    m = (
-        np.eye(space.dim, dtype=np.int64)
-        + (c % p) * np.outer(v, space.gram.array.T @ v)
-    ) % p
+    row = ((c % p) * ((space.gram.array.T @ v) % p)) % p
+    m = (np.eye(space.dim, dtype=np.int64) + np.outer(v, row)) % p
     return Matrix(m, p)
 
 
@@ -271,7 +269,11 @@ def siegel_shear(space: FormSpace, u: np.ndarray, w: np.ndarray) -> Matrix:
     if space.q(u) or space.q(w) or space.pair(u, w):
         raise ValueError("u and w must span a totally isotropic plane")
     gt = space.gram.array.T
-    m = (np.eye(space.dim, dtype=np.int64) + np.outer(w, gt @ u) - np.outer(u, gt @ w)) % p
+    m = (
+        np.eye(space.dim, dtype=np.int64)
+        + np.outer(w, (gt @ u) % p)
+        - np.outer(u, (gt @ w) % p)
+    ) % p
     return Matrix(m, p)
 
 
@@ -296,56 +298,23 @@ def random_isometry(space: FormSpace, rng, length: int = 6) -> Matrix:
 def spinor_norm(g: Matrix, space: FormSpace) -> int:
     """Spinor norm of an orthogonal isometry, valued in {+1, -1}.
 
-    Factors g into reflections constructively: each round pins one
-    anisotropic vector v (orthogonal to the previously pinned ones) by
-    reflecting in g v - v when that displacement is anisotropic, and
-    otherwise in g v + v followed by v (one of the two is always
-    anisotropic since their norms sum to 4<v,v>).  At most 2*dim
-    reflections are used; the norm is the product of the square classes of
-    <r,r> over the roots, independent of the factorization found.
+    The discriminant of Wall's form (Zassenhaus, "On the spinor norm",
+    Arch. Math. 13 (1962)): on the image of 1 - g, chi((1-g)u, (1-g)v) =
+    <u, (1-g)v> is a well-defined non-degenerate bilinear form.  The
+    columns J of 1 - g at its pivots span that image, so the Gram matrix of
+    chi in that basis is (G (1-g))[J, J], and theta(g) is the square class
+    of 2^d det chi with d = rank(1 - g).  The factor 2^d matches the
+    convention that the reflection in r has norm the square class of <r,r>.
     """
     if space.parity != "symmetric":
         raise ValueError("spinor norm is defined on orthogonal groups")
     _require_isometry(g, space)
     p = space.p
-    n = space.dim
-    one = Matrix.identity(n, p)
-    gram = space.gram.array
-    residue = g
-    norm = 1
-    pinned: list[np.ndarray] = []
-    reflections_used = 0
-    while residue != one:
-        if reflections_used >= 2 * n:
-            raise InternalFactorizationFailure(
-                f"no reflection factorization within {2 * n} reflections"
-            )
-        v = None
-        for cand in _vector_stream(n, p):
-            if space.q(cand) == 0:
-                continue
-            if any((cand @ gram @ u) % p for u in pinned):
-                continue
-            if (residue.apply(cand) != cand).any():
-                v = cand
-                break
-        if v is None:
-            raise InternalFactorizationFailure(
-                "residue is not the identity but fixes every candidate vector"
-            )
-        image = residue.apply(v)
-        diff = (image - v) % p
-        if space.q(diff) != 0:
-            norm *= square_class(space.q(diff), p)
-            residue = reflection(space, diff) @ residue
-            reflections_used += 1
-        else:
-            total = (image + v) % p
-            norm *= square_class(space.q(total), p) * square_class(space.q(v), p)
-            residue = reflection(space, v) @ reflection(space, total) @ residue
-            reflections_used += 2
-        pinned.append(v)
-    return norm
+    shift = (np.eye(space.dim, dtype=np.int64) - g.array) % p
+    pivots = list(_rref(shift, p)[1])
+    wall = (space.gram.array @ shift) % p
+    chi = wall[pivots][:, pivots]
+    return square_class(pow(2, len(pivots), p) * _det(chi, p), p)
 
 
 def _vector_stream(n: int, p: int):
@@ -357,6 +326,11 @@ def _vector_stream(n: int, p: int):
         for j in range(i + 1, n):
             for c in range(1, p):
                 yield (eye[i] + c * eye[j]) % p
+    yield from _nonzero_vectors(n, p)
+
+
+def _nonzero_vectors(n: int, p: int):
+    """Every nonzero vector of F_p^n in counting order, coordinate 0 fastest."""
     for idx in range(1, p**n):
         yield np.array([(idx // p**k) % p for k in range(n)], dtype=np.int64)
 
@@ -419,15 +393,11 @@ _CLASS_BY_IMAGE = {
 
 def _det_spinor_image(gens: Sequence[Matrix], space: FormSpace) -> frozenset:
     """The subgroup of {+-1} x {+-1} generated by (determinant, spinor norm) of ``gens``."""
-    p = space.p
     image = {(1, 1)}
     for g in gens:
-        _require_isometry(g, space)
-        det = g.det()
-        d = 1 if det == 1 else -1
-        if det not in (1, p - 1):
-            raise NotAnIsometry("isometry with determinant != +-1")
-        pair = (d, spinor_norm(g, space))
+        # spinor_norm rejects non-isometries, whose determinant may not be +-1
+        theta = spinor_norm(g, space)
+        pair = (1 if g.det() == 1 else -1, theta)
         # close the image under the group law of {+-1} x {+-1}
         new = {(a * pair[0], b * pair[1]) for a, b in image}
         image |= new

@@ -37,7 +37,7 @@ from .convolution import (
 )
 from .errors import MonodromyError
 from .families import (
-    discover_pairing,
+    _pairing_from_basis,
     hyperelliptic_system,
     twist_family_system,
 )
@@ -145,10 +145,6 @@ def _parse_labels(csv: str) -> list[Label]:
     return [_parse_label(tok.strip()) for tok in csv.split(",") if tok.strip()]
 
 
-def _discovered_space(t: PuncturedTuple) -> FormSpace:
-    return FormSpace(discover_pairing(t))
-
-
 def _certification_space(t: PuncturedTuple) -> FormSpace:
     """The space used by certify/cross-validate.
 
@@ -161,7 +157,7 @@ def _certification_space(t: PuncturedTuple) -> FormSpace:
     if not basis:
         raise TupleFileError("the tuple has no nonzero invariant pairing")
     if len(basis) == 1:
-        return _discovered_space(t)
+        return FormSpace(_pairing_from_basis(basis))
     p = t.p
     for i in range(len(basis)):
         for j in range(i, len(basis)):
@@ -205,7 +201,7 @@ def _cmd_classify(args, stdin, stdout) -> int:
     forms = invariant_forms(t.matrices)
     space = None
     if len(forms) == 1 and forms[0].det() != 0:
-        space = _discovered_space(t)
+        space = FormSpace(_pairing_from_basis(forms))
         print(f"PAIRING: {space.parity}", file=stdout)
     else:
         print(f"PAIRING: none (invariant-form space has dimension {len(forms)})", file=stdout)

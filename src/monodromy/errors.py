@@ -13,10 +13,6 @@ class NotAnIsometry(MonodromyError):
     """A matrix does not preserve the bilinear form it was checked against."""
 
 
-class InternalFactorizationFailure(MonodromyError):
-    """The reflection factorization did not terminate within its iteration cap."""
-
-
 class PrecedenceViolation(MonodromyError):
     """An operation was called without its required precondition flag."""
 

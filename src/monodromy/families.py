@@ -67,7 +67,11 @@ def discover_pairing(t: PuncturedTuple) -> BilinearForm:
     Raises ValueError when the space of invariant forms is not
     one-dimensional or its generator is degenerate.
     """
-    basis = invariant_forms(t.matrices)
+    return _pairing_from_basis(invariant_forms(t.matrices))
+
+
+def _pairing_from_basis(basis: Sequence[Matrix]) -> BilinearForm:
+    """``discover_pairing`` on an already computed basis of invariant forms."""
     if len(basis) != 1:
         raise ValueError(
             f"invariant-form space has dimension {len(basis)}, expected 1"

@@ -158,7 +158,8 @@ class Matrix:
 
     Entries are reduced into [0, p).  Arithmetic (``@``, ``+``, ``-``,
     integer ``*``, ``**``) stays exact; ``**`` accepts negative exponents
-    for invertible matrices.
+    for invertible matrices.  A product sums up to max(rows, cols) terms
+    of size (p-1)^2 in int64, so larger moduli are rejected.
     """
 
     __slots__ = ("array", "p")
@@ -168,6 +169,10 @@ class Matrix:
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix entries must be two-dimensional")
+        if max(arr.shape) * (p - 1) ** 2 >= 2**63:
+            raise ValueError(
+                f"modulus {p} is too large for exact int64 products of size {max(arr.shape)}"
+            )
         arr = arr % p
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
@@ -398,9 +403,10 @@ class BilinearForm:
         return self.gram.rows
 
     def evaluate(self, u, v) -> int:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        return int((u @ self.gram.array @ v) % self.p)
+        p = self.p
+        u = np.asarray(u, dtype=np.int64) % p
+        v = np.asarray(v, dtype=np.int64) % p
+        return int((((u @ self.gram.array) % p) @ v) % p)
 
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0

@@ -18,6 +18,7 @@ from monodromy.classical_groups import (
     drop,
     is_isometry,
     isometry_group_orders,
+    isotropic_vectors,
     random_isometry,
     reflection,
     siegel_shear,
@@ -27,9 +28,11 @@ from monodromy.classical_groups import (
     transvection,
 )
 from monodromy.errors import NotAnIsometry, PrecedenceViolation
-from monodromy.ff_linalg import Matrix
+from monodromy.ff_linalg import BilinearForm, Matrix, random_invertible
+from monodromy.families import twist_family_system
 from monodromy.group_engine import naive_closure
 from derived_reference import derived_subgroup_generators
+from spinor_reference import reference_spinor_norm
 
 
 def brute_force_isometries(space, chunk=200_000):
@@ -137,7 +140,105 @@ class TestClassify:
         assert ISOTROPIC_SHEAR not in tags  # symmetric shears need dim >= 4
 
 
+# in dimensions 3 and 4 the unreduced builder products (up to n p^4 and
+# n p^3) and the chained pairing (n^2 p^3) overflow int64 at this modulus,
+# while the bound n (p-1)^2 < 2^63 of Matrix holds with room to spare
+LARGE_P = 2_000_003
+
+
+def _random_gram(n, p, rng, parity):
+    """A random non-degenerate symmetric or alternating Gram matrix."""
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j:
+                    g[i][i] = rng.randrange(p) if parity == "symmetric" else 0
+                else:
+                    g[i][j] = rng.randrange(1, p)
+                    g[j][i] = g[i][j] if parity == "symmetric" else (-g[i][j]) % p
+        gram = Matrix(g, p)
+        if gram.det():
+            return FormSpace(BilinearForm(gram, parity)), g
+
+
+def _python_pair(g, p, u, v):
+    n = len(g)
+    return sum(int(u[i]) * g[i][j] * int(v[j]) for i in range(n) for j in range(n)) % p
+
+
+def _python_map(n, p, image):
+    """The matrix whose column j is ``image(e_j)``, in Python integers."""
+    cols = [image([int(i == j) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] % p for j in range(n)] for i in range(n)]
+
+
 class TestBuilders:
+    def test_evaluate_exact_at_large_modulus(self):
+        rng = Random(1)
+        space, g = _random_gram(3, LARGE_P, rng, "symmetric")
+        for _ in range(30):
+            u = [rng.randrange(LARGE_P) for _ in range(3)]
+            v = [rng.randrange(LARGE_P) for _ in range(3)]
+            assert space.pair(u, v) == _python_pair(g, LARGE_P, u, v)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reflection_exact_at_large_modulus(self, n):
+        p = LARGE_P
+        rng = Random(1)
+        space, g = _random_gram(n, p, rng, "symmetric")
+        for _ in range(30):
+            r = [rng.randrange(p) for _ in range(n)]
+            qr = _python_pair(g, p, r, r)
+            if qr == 0:
+                continue
+            c = 2 * pow(qr, -1, p)
+            s = reflection(space, np.array(r))
+            expected = _python_map(
+                n, p, lambda x: [x[i] - c * _python_pair(g, p, r, x) * r[i] for i in range(n)]
+            )
+            assert s.array.tolist() == expected
+            assert is_isometry(s, space)
+
+    def test_transvection_exact_at_large_modulus(self):
+        p = LARGE_P
+        rng = Random(1)
+        space, g = _random_gram(4, p, rng, "alternating")
+        for _ in range(30):
+            v = [rng.randrange(p) for _ in range(4)]
+            c = rng.randrange(1, p)
+            t = transvection(space, np.array(v), c)
+            expected = _python_map(
+                4, p, lambda x: [x[i] + c * _python_pair(g, p, v, x) * v[i] for i in range(4)]
+            )
+            assert t.array.tolist() == expected
+            assert is_isometry(t, space)
+
+    def test_siegel_shear_exact_at_large_modulus(self):
+        # conjugate the hyperbolic form by a random A, so A^-1 e1 and A^-1 e2
+        # span a totally isotropic plane of a non-diagonal Gram matrix
+        p = LARGE_P
+        rng = Random(1)
+        hyp = FormSpace.hyperbolic(4, p).gram
+        for _ in range(10):
+            a = random_invertible(4, p, rng)
+            gram = a.T @ hyp @ a
+            space = FormSpace.from_gram(gram)
+            g = gram.array.tolist()
+            a_inv = a.inv().array
+            u, w = a_inv[:, 0].tolist(), a_inv[:, 1].tolist()
+            s = siegel_shear(space, np.array(u), np.array(w))
+            expected = _python_map(
+                4,
+                p,
+                lambda x: [
+                    x[i] + _python_pair(g, p, u, x) * w[i] - _python_pair(g, p, w, x) * u[i]
+                    for i in range(4)
+                ],
+            )
+            assert s.array.tolist() == expected
+            assert is_isometry(s, space)
+
     def test_reflection_is_involution_fixing_perp(self):
         space = FormSpace.dot(3, 5)
         for r in anisotropic_vectors(space, 10):
@@ -165,6 +266,15 @@ class TestBuilders:
         s = siegel_shear(space, e1, e2)
         assert is_isometry(s, space)
         assert classify_element(s, space).tag == ISOTROPIC_SHEAR
+
+    def test_isotropic_vectors_in_counting_order(self):
+        # coordinate 0 is the fastest digit, as in idx = sum v_k p^k
+        space = FormSpace.hyperbolic(4, 3)
+        counting = (np.array(t[::-1]) for t in itertools.product(range(3), repeat=4))
+        expected = [v for v in counting if v.any() and space.q(v) == 0]
+        assert len(expected) == 32
+        found = isotropic_vectors(space, 100)
+        assert [v.tolist() for v in found] == [v.tolist() for v in expected]
 
     def test_random_isometry_is_isometry(self):
         rng = Random(1)
@@ -203,7 +313,16 @@ class TestSpinorNorm:
 
     @pytest.mark.parametrize(
         "space",
-        [FormSpace.dot(3, 5), FormSpace.dot(4, 5), FormSpace.hyperbolic(4, 7)],
+        [
+            FormSpace.dot(3, 5),
+            FormSpace.dot(4, 5),
+            FormSpace.hyperbolic(4, 7),
+            # the twist family's own non-diagonal Gram matrices, O(8,5) included
+            twist_family_system([2], 5).space,
+            twist_family_system([2, 3], 5).space,
+            twist_family_system([2, 3], 7).space,
+            twist_family_system([2, 3, 4], 5).space,
+        ],
     )
     def test_agrees_with_random_factorizations(self, space):
         # oracle: build gamma as an explicit product of reflections with
@@ -229,6 +348,43 @@ class TestSpinorNorm:
             assert spinor_norm(a @ b, space) == spinor_norm(a, space) * spinor_norm(
                 b, space
             )
+
+    @pytest.mark.parametrize(
+        "kind, arg, p",
+        [("dot", n, p) for n in range(1, 7) for p in (3, 5, 7, 11)]
+        + [("hyperbolic", n, p) for n in (2, 4, 6) for p in (3, 5, 7)]
+        + [("twist", roots, p) for roots in ((2,), (2, 3)) for p in (5, 7)],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_matches_reflection_factorization_reference(self, kind, arg, p):
+        # oracle: the factorization search spinor_norm used before it took
+        # the discriminant of Wall's form, on random isometries of length
+        # 0-9, on -1, and on Siegel shears alone and times an isometry
+        if kind == "twist":
+            space = twist_family_system(list(arg), p).space
+        else:
+            space = getattr(FormSpace, kind)(arg, p)
+        rng = Random(4)
+        elements = [random_isometry(space, rng, length) for length in range(10) for _ in range(3)]
+        elements.append(Matrix.scalar(-1, space.dim, space.p))
+        shears = _siegel_shears(space, 4)
+        elements += shears + [s @ random_isometry(space, rng, 3) for s in shears]
+        for g in elements:
+            assert spinor_norm(g, space) == reference_spinor_norm(g, space)
+
+
+def _siegel_shears(space, count):
+    """Up to ``count`` Siegel shears on isotropic planes found by scanning."""
+    iso = isotropic_vectors(space, 40)
+    out = []
+    for i, u in enumerate(iso):
+        for w in iso[i + 1:]:
+            independent = Matrix(np.stack([u, w]), space.p).rank() == 2
+            if independent and space.pair(u, w) == 0:
+                out.append(siegel_shear(space, u, w))
+                if len(out) == count:
+                    return out
+    return out
 
 
 class TestGroupOrders:

@@ -110,6 +110,25 @@ class TestSubcommands:
         assert "AT 0 CLASS Transvection DROP 1 JORDAN (1,2)" in out
         assert "AT infinity" in out
 
+    @pytest.mark.parametrize("command", [["classify"], ["certify", "--r", "2"]])
+    def test_invariant_forms_solved_once(self, command, monkeypatch):
+        import monodromy.cli as cli
+        import monodromy.families as families
+
+        rc, tuple_text = run_cli(["twist-family", "--roots", "2,3", "--prime", "5"])
+        solve = families.invariant_forms
+        calls = []
+
+        def counted(gens):
+            calls.append(len(gens))
+            return solve(gens)
+
+        monkeypatch.setattr(cli, "invariant_forms", counted)
+        monkeypatch.setattr(families, "invariant_forms", counted)
+        rc, out = run_cli(command, tuple_text)
+        assert rc == 0 and "symmetric" in out
+        assert len(calls) == 1
+
     def test_order(self):
         rc, tuple_text = run_cli(["hyperelliptic", "--genus", "1", "--prime", "3"])
         rc, out = run_cli(["order"], tuple_text)

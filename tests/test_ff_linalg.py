@@ -1,10 +1,14 @@
 """Exact linear algebra over F_p: kernels, Jordan data, invariant forms."""
 
+import functools
 import itertools
+import math
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodromy.errors import NonSplitSpectrum
 from monodromy.ff_linalg import (
@@ -25,12 +29,74 @@ def all_vectors(n, p):
         yield np.array(entries, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def prime_under_int64_bound(n):
+    """The largest prime p with n (p-1)^2 < 2^63, and the next prime above it."""
+    top = math.isqrt((2**63 - 1) // n) + 1
+    below = next(q for q in range(top, 2, -1) if is_prime(q))
+    above = next(q for q in range(top + 1, 2 * top) if is_prime(q))
+    return below, above
+
+
+def python_matmul(a, b, p):
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def python_det(a, p):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total % p
+
+
 class TestMatrix:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             Matrix([[1]], 4)
         with pytest.raises(ValueError):
             Matrix([[1]], 2)
+
+    def test_rejects_modulus_too_large_for_int64(self):
+        # at 2^31 - 1 a 3x3 product needs 3 (p-1)^2 > 2^63
+        with pytest.raises(ValueError, match="too large"):
+            Matrix(np.ones((3, 3), dtype=np.int64), 2**31 - 1)
+        Matrix([[5]], 2**31 - 1)
+        for n in (1, 2, 3, 4):
+            below, above = prime_under_int64_bound(n)
+            Matrix(np.ones((n, n), dtype=np.int64), below)
+            with pytest.raises(ValueError, match="too large"):
+                Matrix(np.ones((n, n), dtype=np.int64), above)
+            # a non-square matrix is bounded by its longer side
+            with pytest.raises(ValueError, match="too large"):
+                Matrix(np.ones((1, n + 1), dtype=np.int64), below)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_just_under_int64_bound(self, data):
+        n = data.draw(st.integers(1, 4))
+        p, _ = prime_under_int64_bound(n)
+        square = st.lists(
+            st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+        a, b = data.draw(square), data.draw(square)
+        ma, mb = Matrix(a, p), Matrix(b, p)
+        assert (ma @ mb).array.tolist() == python_matmul(a, b, p)
+        det = python_det(a, p)
+        assert ma.det() == det
+        if det:
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert python_matmul(a, ma.inv().array.tolist(), p) == identity
+        else:
+            with pytest.raises(ValueError):
+                ma.inv()
 
     def test_entries_reduced(self):
         m = Matrix([[7, -1], [5, 3]], 5)
