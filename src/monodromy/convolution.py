@@ -21,6 +21,7 @@ from .errors import DegenerateQuotient, NotInCategory
 from .ff_linalg import (
     JordanData,
     Matrix,
+    _check_products,
     _echelon_reduce,
     _kernel_basis,
     _rref,
@@ -196,7 +197,8 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     j = k, and A_j - 1 for j > k), then quotients by the blockwise kernels
     of A_k - 1 and the common fixed space of the B_k.  The quotient
     dimension is checked against the local rank formula; a mismatch raises
-    DegenerateQuotient.
+    DegenerateQuotient.  Products on the r*n-dimensional space sum r*n terms
+    of size (p-1)^2 in int64, so larger moduli raise ValueError.
     """
     p = t.p
     lam = int(lam) % p
@@ -209,6 +211,7 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
             "rank-1 tuples need at least two nontrivial finite punctures"
         )
     big = r * n
+    _check_products(big, p)
     eye_n = np.eye(n, dtype=np.int64)
     arrays = [m.array for m in t.matrices]
 
@@ -227,13 +230,9 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
         blocks.append(b)
 
     # blockwise kernels of A_k - 1, embedded in the k-th block
-    kernel_rows = []
-    for k in range(r):
-        kb = _kernel_basis((arrays[k] - eye_n) % p, p)
-        for v in kb:
-            row = np.zeros(big, dtype=np.int64)
-            row[k * n : (k + 1) * n] = v
-            kernel_rows.append(row)
+    kernels = [_kernel_basis((a - eye_n) % p, p) for a in arrays]
+    unit = np.eye(r, dtype=np.int64)
+    kernel_rows = [np.kron(unit[k], v) for k, kb in enumerate(kernels) for v in kb]
 
     # common fixed space of the B_k
     stacked = np.concatenate([(b - np.eye(big, dtype=np.int64)) % p for b in blocks])
@@ -256,7 +255,7 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     if lam == 1:
         expected = n
     else:
-        expected = sum(n - _kernel_basis((a - eye_n) % p, p).shape[0] for a in arrays)
+        expected = sum(n - kb.shape[0] for kb in kernels)
         inf_shift = (pow(lam, -1, p) * t.infinity_matrix.array - eye_n) % p
         expected -= _kernel_basis(inf_shift, p).shape[0]
     out_dim = big - junk_basis.shape[0]
@@ -267,19 +266,16 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     if out_dim == 0:
         raise NotInCategory("convolution output collapses to rank 0")
 
-    # invariance of the junk space under every B_k (theorem; cheap guard)
-    for b in blocks:
-        for row in junk_basis:
-            if _echelon_reduce(b @ row, junk_basis, pivots, p).any():
-                raise DegenerateQuotient("quotient subspace is not invariant")
-
     pivot_set = set(pivots)
     coords = [j for j in range(big) if j not in pivot_set]
 
     out_mats = []
     for b in blocks:
-        cols = [_echelon_reduce(b[:, c], junk_basis, pivots, p)[coords] for c in coords]
-        out_mats.append(Matrix(np.stack(cols, axis=1), p))
+        # invariance of the junk space under B_k (theorem; cheap guard)
+        if _echelon_reduce(junk_basis @ b.T, junk_basis, pivots, p).any():
+            raise DegenerateQuotient("quotient subspace is not invariant")
+        cols = _echelon_reduce(b[:, coords].T, junk_basis, pivots, p)
+        out_mats.append(Matrix(cols[:, coords].T, p))
 
     try:
         return PuncturedTuple(t.punctures, out_mats)

@@ -49,6 +49,12 @@ def _check_modulus(p: int) -> int:
     return p
 
 
+def _check_products(size: int, p: int) -> None:
+    """Reject a modulus whose int64 products of ``size`` terms could overflow."""
+    if size * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"modulus {p} is too large for exact int64 products of size {size}")
+
+
 # ---------------------------------------------------------------------------
 # array-level routines (int64 arrays, entries reduced mod p)
 
@@ -79,18 +85,16 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _echelon_reduce(
-    vec: np.ndarray, rows: Sequence[np.ndarray], pivots: Sequence[int], p: int
+    vecs: np.ndarray, rows: np.ndarray, pivots: Sequence[int], p: int
 ) -> np.ndarray:
-    """Residue of ``vec`` mod ``p`` after clearing each pivot of a reduced echelon basis.
+    """Residues mod ``p`` of the vectors (last axis) of ``vecs``, pivots cleared.
 
-    Row k of ``rows`` has a 1 in column ``pivots[k]`` and every other row a 0
-    there, so one pass subtracts the projection on their span.
+    ``rows`` is a reduced echelon basis: row k has a 1 in column ``pivots[k]``
+    and every other row a 0 there, so one product, of len(pivots) terms of
+    size (p-1)^2, subtracts the projection on their span.
     """
-    v = np.asarray(vec, dtype=np.int64) % p
-    for row, piv in zip(rows, pivots):
-        if v[piv]:
-            v = (v - v[piv] * row) % p
-    return v
+    v = np.asarray(vecs, dtype=np.int64) % p
+    return (v - v[..., pivots] @ rows) % p
 
 
 def _rank(a: np.ndarray, p: int) -> int:
@@ -169,10 +173,7 @@ class Matrix:
         arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix entries must be two-dimensional")
-        if max(arr.shape) * (p - 1) ** 2 >= 2**63:
-            raise ValueError(
-                f"modulus {p} is too large for exact int64 products of size {max(arr.shape)}"
-            )
+        _check_products(max(arr.shape), p)
         arr = arr % p
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
@@ -311,6 +312,7 @@ class Subspace:
 
     def __init__(self, basis, ambient: int, p: int):
         p = _check_modulus(p)
+        _check_products(ambient, p)
         arr = np.asarray(basis, dtype=np.int64).reshape(-1, ambient) % p
         reduced, pivots = _rref(arr, p)
         reduced = reduced[: len(pivots)]
@@ -335,15 +337,15 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Residue of ``vec`` after subtracting its projection on the basis."""
-        return _echelon_reduce(vec, self.basis, self.pivots, self.p)
+    def reduce(self, vecs: np.ndarray) -> np.ndarray:
+        """Residues of the vectors (last axis) after subtracting their projection."""
+        return _echelon_reduce(vecs, self.basis, self.pivots, self.p)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return self.contains(other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if (other.ambient, other.p) != (self.ambient, self.p):

@@ -1,18 +1,18 @@
 """Exact computation with finitely generated matrix groups over F_p.
 
 Group orders come from a deterministic Schreier-Sims stabilizer chain
-acting on (column) vectors, with base points chosen greedily by orbit
-size.  Vectors are handled as integer codes sum(v_i p^i): each level keeps
-its orbit as an array of points with a code-to-row index, grown a whole
-frontier at a time, and stores every transversal element together with its
-inverse, both built by batched products.  Schreier generators are formed
-and sifted through the chain in blocks.  Containment of the derived
-subgroup of the isometry group is decided from the group order alone, with
-the image of (determinant, spinor norm) in the orthogonal case; no derived
-generators are built.  Irreducibility is decided by exhaustive line
-spinning on small spaces and by a meataxe-style search with Norton's
-certificate above that.  Everything is exact; randomized searches take an
-explicit seed.
+acting on (column) vectors, each base point the first standard basis
+vector that the level's generators move.  Vectors are handled as integer
+codes sum(v_i p^i): each level keeps its orbit as an array of points with a
+code-to-row index, grown a whole frontier at a time, and stores every
+transversal element together with its inverse, both built by batched
+products.  Schreier generators are formed and sifted through the chain in
+blocks.  Containment of the derived subgroup of the isometry group is
+decided from the group order alone, with the image of (determinant, spinor
+norm) in the orthogonal case; no derived generators are built.
+Irreducibility is decided by exhaustive line spinning on small spaces and
+by a meataxe-style search with Norton's certificate above that.  Everything
+is exact; randomized searches take an explicit seed.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class _Chain:
 
     Vectors are handled as integer codes sum(v_i p^i).  Orbits grow by whole
     frontiers, transversal elements and their inverses are built by batched
-    products, and Schreier generators are sifted a block at a time.
+    products, and Schreier generators are sifted a block at a time.  Any base
+    gives a valid chain; each level takes the first basis vector it moves.
     """
 
     def __init__(self, gens: np.ndarray, p: int, n: int, limit: int):
@@ -210,19 +211,11 @@ class _Chain:
         return np.concatenate(chunks), index, steps
 
     def _pick_base(self, gens: np.ndarray) -> int:
-        """The standard basis vector with the largest orbit under ``gens``."""
-        best = None
-        best_size = 0
-        sizing_cap = min(self.limit, 200_000)
-        for col in range(self.n):
-            if np.all(gens[:, :, col] == self.eye[col]):
-                continue
-            size = min(len(self._orbit(gens, col, sizing_cap)[0]), sizing_cap)
-            if size > best_size:
-                best, best_size = col, size
-        if best is None:
+        """The first standard basis vector that some generator in ``gens`` moves."""
+        moved = np.flatnonzero((gens != self.eye).any(axis=(0, 1)))
+        if not moved.size:
             raise ValueError("generators act trivially on all basis vectors")
-        return best
+        return int(moved[0])
 
     def _inverse(self, g: np.ndarray) -> np.ndarray:
         key = g.tobytes()
@@ -435,13 +428,16 @@ class IrreducibilityReport:
 
 
 class _SpinBasis:
-    """Row space under incremental echelon reduction."""
+    """Row space under incremental echelon reduction, its rows and pivots
+    kept in preallocated arrays and cleared in place."""
 
     def __init__(self, ambient: int, p: int):
         self.ambient = ambient
         self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self._store = np.zeros((ambient, ambient), dtype=np.int64)
+        self._pivot_store = np.zeros(ambient, dtype=np.intp)
+        self.rows = self._store[:0]
+        self.pivots = self._pivot_store[:0]
 
     def add(self, vec: np.ndarray) -> bool:
         v = _echelon_reduce(vec, self.rows, self.pivots, self.p)
@@ -450,21 +446,19 @@ class _SpinBasis:
             return False
         piv = int(nz[0])
         v = (v * pow(int(v[piv]), -1, self.p)) % self.p
-        for i, row in enumerate(self.rows):
-            if row[piv]:
-                self.rows[i] = (row - row[piv] * v) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
+        self.rows -= self.rows[:, piv, None] * v
+        self.rows %= self.p
+        dim = self.dim
+        self._store[dim], self._pivot_store[dim] = v, piv
+        self.rows, self.pivots = self._store[: dim + 1], self._pivot_store[: dim + 1]
         return True
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def subspace(self) -> Subspace:
-        if not self.rows:
-            return Subspace.zero(self.ambient, self.p)
-        return Subspace(np.stack(self.rows), self.ambient, self.p)
+        return Subspace(self.rows, self.ambient, self.p)
 
 
 def _spin(seed_vec: np.ndarray, gens: Sequence[np.ndarray], p: int) -> _SpinBasis:
@@ -472,13 +466,13 @@ def _spin(seed_vec: np.ndarray, gens: Sequence[np.ndarray], p: int) -> _SpinBasi
     n = seed_vec.shape[0]
     basis = _SpinBasis(n, p)
     basis.add(seed_vec)
-    queue = list(basis.rows)
+    # copies: the basis clears its rows in place as it grows
+    queue = list(basis.rows.copy())
     while queue and basis.dim < n:
         v = queue.pop()
         for g in gens:
-            w = (g @ v) % p
-            if basis.add(w):
-                queue.append(basis.rows[-1])
+            if basis.add(g @ v):
+                queue.append(basis.rows[-1].copy())
     return basis
 
 
@@ -548,7 +542,7 @@ def is_irreducible(
                 tbasis = _spin(conull[0], gens_t, p)
                 if tbasis.dim == n:
                     return IrreducibilityReport(True, None, "meataxe-norton", trial)
-                ann = _kernel_basis(np.stack(tbasis.rows), p)
+                ann = _kernel_basis(tbasis.rows, p)
                 return IrreducibilityReport(
                     False, Subspace(ann, n, p), "meataxe-dual", trial
                 )

@@ -98,6 +98,12 @@ class TestKummerConvolution:
         with pytest.raises(ValueError):
             middle_convolve(kummer([0, 1], 5), 0)
 
+    def test_modulus_too_large_for_the_block_space_rejected(self):
+        # the 1x1 inputs pass Matrix's bound, but products on the
+        # 3-dimensional block space sum 3 (p-1)^2 > 2^63
+        with pytest.raises(ValueError, match="too large"):
+            middle_convolve(kummer([0, 1, 2], 2**31 - 1), -1)
+
     def test_output_product_identity(self):
         out = middle_convolve(kummer([0, 1, 2, 3], 5), -1)
         assert product_is_identity(out)

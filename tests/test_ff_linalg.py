@@ -16,6 +16,7 @@ from monodromy.ff_linalg import (
     JordanData,
     Matrix,
     Subspace,
+    _echelon_reduce,
     invariant_forms,
     is_prime,
     jordan_type,
@@ -36,6 +37,27 @@ def prime_under_int64_bound(n):
     below = next(q for q in range(top, 2, -1) if is_prime(q))
     above = next(q for q in range(top + 1, 2 * top) if is_prime(q))
     return below, above
+
+
+def echelon_reduce_reference(vec, rows, pivots, p):
+    """The per-pivot loop that ``_echelon_reduce`` replaced: one pivot at a time."""
+    v = np.asarray(vec, dtype=np.int64) % p
+    for row, piv in zip(rows, pivots):
+        if v[piv]:
+            v = (v - v[piv] * row) % p
+    return v
+
+
+def random_rref(rng, n, p):
+    """A random reduced echelon basis of a subspace of F_p^n, and its pivots."""
+    pivots = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+    rows = np.zeros((len(pivots), n), dtype=np.int64)
+    for i, piv in enumerate(pivots):
+        rows[i, piv] = 1
+        for j in range(piv + 1, n):
+            if j not in pivots:
+                rows[i, j] = rng.randrange(p)
+    return rows, pivots
 
 
 def python_matmul(a, b, p):
@@ -190,6 +212,34 @@ class TestSubspace:
         assert s.dim == 2
         assert s.contains([3, 4, 0])
         assert not s.contains([0, 0, 1])
+        assert s.contains_space(a) and s.contains_space(Subspace.zero(3, 5))
+        assert not a.contains_space(s)
+
+    def test_rejects_modulus_too_large_for_int64(self):
+        below, above = prime_under_int64_bound(3)
+        Subspace(np.ones((1, 3), dtype=np.int64), 3, below)
+        with pytest.raises(ValueError, match="too large"):
+            Subspace(np.ones((1, 3), dtype=np.int64), 3, above)
+
+    @pytest.mark.parametrize("small_p", [3, 5, 7, 11, None])
+    def test_echelon_reduce_matches_per_pivot_loop(self, small_p):
+        # None: the largest prime under the int64 bound for each n
+        rng = Random(small_p or 0)
+        for _ in range(200):
+            n = rng.randrange(1, 5)
+            p = small_p or prime_under_int64_bound(n)[0]
+            rows, pivots = random_rref(rng, n, p)
+            coeffs = [rng.randrange(p) for _ in rows]
+            inside = [sum(c * int(r[j]) for c, r in zip(coeffs, rows)) % p for j in range(n)]
+            stack = np.array(
+                [inside] + [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(4))],
+                dtype=np.int64,
+            )
+            expected = np.stack([echelon_reduce_reference(v, rows, pivots, p) for v in stack])
+            assert not expected[0].any()
+            assert np.array_equal(_echelon_reduce(stack, rows, pivots, p), expected)
+            for v, want in zip(stack, expected):
+                assert np.array_equal(_echelon_reduce(v, rows, pivots, p), want)
 
 
 class TestJordanType:
@@ -318,6 +368,24 @@ class TestInvariantForms:
             for m in invariant_forms(gens):
                 for g in gens:
                     assert g.T @ m @ g == m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_at_int64_bound(self, n):
+        p, _ = prime_under_int64_bound(n)
+        if n == 2:  # SL_2, which fixes one alternating form
+            gens = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+        else:  # signed cyclic permutations, which fix the dot form alone
+            gens = [[[p - 1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
+        # conjugating spreads the fixed form over entries of size p
+        h = random_invertible(n, p, Random(n))
+        gens = [h @ Matrix(g, p) @ h.inv() for g in gens]
+        forms = invariant_forms(gens)
+        assert len(forms) == 1
+        m = forms[0].array.tolist()
+        for g in gens:
+            a = g.array.tolist()
+            at = [list(col) for col in zip(*a)]
+            assert python_matmul(python_matmul(at, m, p), a, p) == m
 
 
 class TestBilinearForm:
