@@ -149,9 +149,11 @@ def _certification_space(t: PuncturedTuple) -> FormSpace:
     """The space used by certify/cross-validate.
 
     The discovered pairing when the invariant-form space is a line;
-    otherwise the first non-degenerate symmetric or alternating form found
-    among small combinations of the basis (the degenerate-input path, e.g.
-    an identity-only tuple, where any invariant pairing does).
+    otherwise the first non-degenerate symmetric or alternating form
+    B_i + b B_j over pairs of basis forms (the degenerate-input path, e.g.
+    an identity-only tuple, where any invariant pairing does).  A nonzero
+    multiple of a form is non-degenerate, and of definite parity, exactly
+    when the form is, so no other combinations need trying.
     """
     basis = invariant_forms(t.matrices)
     if not basis:
@@ -161,13 +163,12 @@ def _certification_space(t: PuncturedTuple) -> FormSpace:
     p = t.p
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            for a in range(1, p):
-                for b in range(p):
-                    cand = a * basis[i] + b * basis[j]
-                    if cand.det() == 0:
-                        continue
-                    if cand.T == cand or cand.T == -cand:
-                        return FormSpace.from_gram(cand)
+            for b in range(p):
+                cand = basis[i] + b * basis[j]
+                if cand.det() == 0:
+                    continue
+                if cand.T == cand or cand.T == -cand:
+                    return FormSpace.from_gram(cand)
     raise TupleFileError("no non-degenerate invariant pairing of definite parity")
 
 

@@ -10,9 +10,10 @@ products.  Schreier generators are formed and sifted through the chain in
 blocks.  Containment of the derived subgroup of the isometry group is
 decided from the group order alone, with the image of (determinant, spinor
 norm) in the orthogonal case; no derived generators are built.
-Irreducibility is decided by exhaustive line spinning on small spaces and
-by a meataxe-style search with Norton's certificate above that.  Everything
-is exact; randomized searches take an explicit seed.
+Irreducibility is decided on small spaces by spinning one line per G-orbit
+on lines (spans held as ``Subspace``, orbits grown a frontier of lines at a
+time) and above that by a meataxe-style search with Norton's certificate.
+Everything is exact; randomized searches take an explicit seed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     OrderOverflow,
     ResourceLimit,
 )
-from .ff_linalg import Matrix, Subspace, jordan_type, _echelon_reduce, _kernel_basis, _inv
+from .ff_linalg import Matrix, Subspace, jordan_type, _kernel_basis, _inv
 
 __all__ = [
     "GeneratedGroup",
@@ -109,6 +110,48 @@ class _SortedIndex:
         self.runs.append((codes[order], positions[order]))
 
 
+def _orbit(gens: np.ndarray, start: np.ndarray, p: int, cap: int):
+    """Orbit of the distinct vectors ``start`` (rows), frontier by frontier.
+
+    Each generator in the stack ``gens`` maps a batch of frontier points at
+    once; its images are distinct, so only codes already in the index are
+    dropped.  Stops once at least ``cap`` points are stored, keeping at most
+    one batch of images past the cap.  Returns the points (``start`` first),
+    their code index and the steps (first row, parent rows, generator) that
+    reached the others.
+    """
+    n = start.shape[1]
+    powers = p ** np.arange(n, dtype=np.int64)
+    batch = max(1, _BLOCK_ENTRIES // n)
+    index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
+    index.add(start @ powers, np.arange(len(start)))
+    chunks = [start]
+    steps = []
+    total = len(start)
+    frontier, first = start, 0
+    while total < cap:
+        round_start, round_chunks = total, len(chunks)
+        for a in range(0, len(frontier), batch):
+            block = frontier[a : a + batch]
+            for j, g in enumerate(gens):
+                images = (block @ g.T) % p
+                codes = images @ powers
+                fresh = np.flatnonzero(index.find(codes) < 0)
+                if fresh.size:
+                    index.add(codes[fresh], np.arange(total, total + fresh.size))
+                    chunks.append(images[fresh])
+                    steps.append((total, first + a + fresh, j))
+                    total += fresh.size
+                if total >= cap:
+                    break
+            if total >= cap:
+                break
+        if len(chunks) == round_chunks:
+            break
+        frontier, first = np.concatenate(chunks[round_chunks:]), round_start
+    return np.concatenate(chunks), index, steps
+
+
 class _Level:
     """One level of the chain: a base point, strong generators and its orbit.
 
@@ -166,50 +209,6 @@ class _Chain:
     def _codes(self, vectors: np.ndarray) -> np.ndarray:
         return vectors @ self.powers
 
-    def _new_index(self):
-        size = self.p**self.n
-        return _DenseIndex(size) if size <= _DENSE_CODES else _SortedIndex()
-
-    def _orbit(self, gens: np.ndarray, col: int, cap: int):
-        """Orbit of ``e_col``, enumerated frontier by frontier.
-
-        Each generator maps a batch of frontier points at once; its images
-        are distinct, so only codes already in the index are dropped.
-        Stops once at least ``cap`` points are stored, keeping at most one
-        batch of images past the cap.  Returns the points, their index and
-        the steps (first row, parent rows, generator) that reached them.
-        """
-        p = self.p
-        batch = max(1, _BLOCK_ENTRIES // self.n)
-        start = self.eye[col : col + 1]
-        index = self._new_index()
-        index.add(self._codes(start), np.zeros(1, dtype=np.int64))
-        chunks = [start]
-        steps = []
-        total = 1
-        frontier, first = start, 0
-        while total < cap:
-            round_start, round_chunks = total, len(chunks)
-            for a in range(0, len(frontier), batch):
-                block = frontier[a : a + batch]
-                for j, g in enumerate(gens):
-                    images = (block @ g.T) % p
-                    codes = self._codes(images)
-                    fresh = np.flatnonzero(index.find(codes) < 0)
-                    if fresh.size:
-                        index.add(codes[fresh], np.arange(total, total + fresh.size))
-                        chunks.append(images[fresh])
-                        steps.append((total, first + a + fresh, j))
-                        total += fresh.size
-                    if total >= cap:
-                        break
-                if total >= cap:
-                    break
-            if len(chunks) == round_chunks:
-                break
-            frontier, first = np.concatenate(chunks[round_chunks:]), round_start
-        return np.concatenate(chunks), index, steps
-
     def _pick_base(self, gens: np.ndarray) -> int:
         """The first standard basis vector that some generator in ``gens`` moves."""
         moved = np.flatnonzero((gens != self.eye).any(axis=(0, 1)))
@@ -230,7 +229,9 @@ class _Chain:
         budget = self.limit - sum(
             len(other.points) for k, other in enumerate(self.levels) if k != idx
         )
-        points, index, steps = self._orbit(lvl.gens, lvl.col, budget + 1)
+        points, index, steps = _orbit(
+            lvl.gens, self.eye[lvl.col : lvl.col + 1], self.p, budget + 1
+        )
         if len(points) > budget:
             raise ResourceLimit(
                 f"orbit storage exceeded the configured cap of {self.limit} vectors"
@@ -427,71 +428,37 @@ class IrreducibilityReport:
     trials: int = 0
 
 
-class _SpinBasis:
-    """Row space under incremental echelon reduction, its rows and pivots
-    kept in preallocated arrays and cleared in place."""
+def _spin(seed: np.ndarray, gens: np.ndarray, p: int) -> Subspace:
+    """Smallest subspace containing the rows of ``seed`` and closed under ``gens``.
 
-    def __init__(self, ambient: int, p: int):
-        self.ambient = ambient
-        self.p = p
-        self._store = np.zeros((ambient, ambient), dtype=np.int64)
-        self._pivot_store = np.zeros(ambient, dtype=np.intp)
-        self.rows = self._store[:0]
-        self.pivots = self._pivot_store[:0]
-
-    def add(self, vec: np.ndarray) -> bool:
-        v = _echelon_reduce(vec, self.rows, self.pivots, self.p)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), -1, self.p)) % self.p
-        self.rows -= self.rows[:, piv, None] * v
-        self.rows %= self.p
-        dim = self.dim
-        self._store[dim], self._pivot_store[dim] = v, piv
-        self.rows, self.pivots = self._store[: dim + 1], self._pivot_store[: dim + 1]
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.rows, self.ambient, self.p)
+    Each round maps the basis rows added by the last round by every
+    generator at once and adds the images that leave the span.
+    """
+    n = seed.shape[-1]
+    space = Subspace(seed, n, p)
+    frontier = space.basis
+    while len(frontier) and space.dim < n:
+        images = space.reduce(frontier @ gens.transpose(0, 2, 1)).reshape(-1, n)
+        grown = Subspace(np.concatenate([space.basis, images]), n, p)
+        frontier = grown.basis[~np.isin(grown.pivots, space.pivots)]
+        space = grown
+    return space
 
 
-def _spin(seed_vec: np.ndarray, gens: Sequence[np.ndarray], p: int) -> _SpinBasis:
-    """Smallest subspace containing the seed and closed under the generators."""
-    n = seed_vec.shape[0]
-    basis = _SpinBasis(n, p)
-    basis.add(seed_vec)
-    # copies: the basis clears its rows in place as it grows
-    queue = list(basis.rows.copy())
-    while queue and basis.dim < n:
-        v = queue.pop()
-        for g in gens:
-            if basis.add(g @ v):
-                queue.append(basis.rows[-1].copy())
-    return basis
+def _line_positions(vecs: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray:
+    """Place of the line of each nonzero vector (rows) in the order of lines.
 
-
-def _lines(n: int, p: int):
-    """One representative per line of F_p^n (leading coefficient 1)."""
-    for lead in range(n):
-        tail = n - lead - 1
-        for idx in range(p**tail):
-            v = np.zeros(n, dtype=np.int64)
-            v[lead] = 1
-            rest = idx
-            for k in range(tail):
-                v[lead + 1 + k] = rest % p
-                rest //= p
-            yield v
-
-
-def _line_count(n: int, p: int) -> int:
-    return (p**n - 1) // (p - 1)
+    Lines are ordered by the codes p^k + p^(k+1) i of their representatives
+    with leading coefficient 1 (first by k, then by i); ``inverse[c]`` is the
+    inverse of c mod p.  Orbits are grown on lines, not vectors: an orbit
+    of lines is never larger than the number of lines, while its vectors
+    can be p - 1 times as many.
+    """
+    n = vecs.shape[1]
+    lead = (vecs != 0).argmax(axis=1)
+    scale = inverse[vecs[np.arange(len(vecs)), lead]]
+    codes = ((vecs * scale[:, None]) % p) @ p ** np.arange(n)
+    return (p**n - p ** (n - lead)) // (p - 1) + codes // p ** (lead + 1)
 
 
 def is_irreducible(
@@ -501,27 +468,46 @@ def is_irreducible(
 ) -> IrreducibilityReport:
     """Decide whether the natural module is irreducible.
 
-    Small spaces (at most ``exhaustive_cap`` lines) are settled by spinning
-    every line, which is unconditional.  Larger spaces use the standard
-    meataxe search: spin kernel vectors of singular elements of the group
-    algebra, with Norton's criterion giving an unconditional certificate
-    when a nullity-one element is found.  Raises Inconclusive if the trial
-    budget runs out without a verdict.
+    Small spaces (at most ``exhaustive_cap`` lines) are settled exactly.
+    Lines are walked in the order of ``_line_positions``, and one line per
+    G-orbit on lines is spun: a line spins to V exactly when every line of
+    its orbit does (Holt-Rees, Testing modules for irreducibility, 1994).
+    So the first line that spans a proper subspace, the witness, is the one
+    a walk spinning every line would find.  Larger spaces use the meataxe
+    search: spin kernel vectors of singular elements of the group algebra,
+    with Norton's criterion giving an unconditional certificate when a
+    nullity-one element is found.  Raises Inconclusive if the trial budget
+    runs out without a verdict.
     """
     n, p = group.dim, group.p
-    gens = [np.array(g.array, dtype=np.int64) for g in group.gens]
+    gens = np.array([g.array for g in group.gens], dtype=np.int64)
+    gens_t = gens.transpose(0, 2, 1)
     if n == 1:
         return IrreducibilityReport(True, None, "dimension-one")
 
-    if _line_count(n, p) <= exhaustive_cap:
-        for v in _lines(n, p):
-            basis = _spin(v, gens, p)
-            if 0 < basis.dim < n:
-                return IrreducibilityReport(False, basis.subspace(), "exhaustive")
+    if (p**n - 1) // (p - 1) <= exhaustive_cap:
+        codes = np.concatenate(
+            [p**k + p ** (k + 1) * np.arange(p ** (n - k - 1)) for k in range(n)]
+        )
+        lines = (codes[:, None] // p ** np.arange(n)) % p
+        inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)])
+        marked = np.zeros(len(lines), dtype=bool)
+        while not marked.all():
+            i = int(np.argmin(marked))
+            space = _spin(lines[i : i + 1], gens, p)
+            if space.dim < n:
+                return IrreducibilityReport(False, space, "exhaustive")
+            marked[i] = True
+            frontier = lines[i : i + 1]
+            while len(frontier):
+                images = (frontier @ gens_t).reshape(-1, n) % p
+                fresh = np.unique(_line_positions(images, p, inverse))
+                fresh = fresh[~marked[fresh]]
+                marked[fresh] = True
+                frontier = lines[fresh]
         return IrreducibilityReport(True, None, "exhaustive")
 
     rng = Random(group.seed)
-    gens_t = [g.T.copy() for g in gens]
     for trial in range(1, max_trials + 1):
         theta = _random_algebra_element(gens, p, rng)
         for a in range(p):
@@ -531,18 +517,16 @@ def is_irreducible(
             if nullity == 0 or nullity == n:
                 continue
             for v in nullspace:
-                basis = _spin(v, gens, p)
-                if basis.dim < n:
-                    return IrreducibilityReport(
-                        False, basis.subspace(), "meataxe", trial
-                    )
+                space = _spin(v, gens, p)
+                if space.dim < n:
+                    return IrreducibilityReport(False, space, "meataxe", trial)
             if nullity == 1:
                 # Norton: the kernel vector spins to V; check the transpose side
                 conull = _kernel_basis(shifted.T, p)
-                tbasis = _spin(conull[0], gens_t, p)
-                if tbasis.dim == n:
+                tspace = _spin(conull[0], gens_t, p)
+                if tspace.dim == n:
                     return IrreducibilityReport(True, None, "meataxe-norton", trial)
-                ann = _kernel_basis(tbasis.rows, p)
+                ann = _kernel_basis(tspace.basis, p)
                 return IrreducibilityReport(
                     False, Subspace(ann, n, p), "meataxe-dual", trial
                 )

@@ -102,6 +102,14 @@ class TestSubcommands:
         assert rc == 1
         assert "CONCLUSION: NotCertified" in report
 
+    def test_certify_identity_tuple_at_large_prime(self):
+        # a 4-dimensional space of invariant forms, searched once per pair
+        text = "MODULUS 1009 RANK 2 PUNCTURES 1\nAT 0\n1 0\n0 1\n"
+        rc, report = run_cli(["certify", "--r", "1"], text)
+        assert rc == 1
+        assert "PARITY: symmetric" in report
+        assert "CONCLUSION: NotCertified(irreducibility)" in report
+
     def test_classify(self):
         rc, tuple_text = run_cli(["hyperelliptic", "--genus", "1", "--prime", "5"])
         rc, out = run_cli(["classify"], tuple_text)

@@ -14,11 +14,12 @@ from monodromy.classical_groups import (
     isometry_group_orders,
     random_isometry,
     reflection,
+    siegel_shear,
     subgroup_class,
     transvection,
 )
 from monodromy.errors import NotAnIsometry, ResourceLimit
-from monodromy.families import hyperelliptic_system
+from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, invariant_forms, random_invertible
 from monodromy.group_engine import (
     GeneratedGroup,
@@ -29,6 +30,7 @@ from monodromy.group_engine import (
     naive_closure,
 )
 from derived_reference import derived_subgroup_generators
+from irreducibility_reference import exhaustive_irreducibility
 from schreier_sims_reference import ReferenceGroup
 
 SL2 = lambda p: [Matrix([[1, 1], [0, 1]], p), Matrix([[1, 0], [1, 1]], p)]
@@ -177,6 +179,163 @@ class TestIrreducibility:
 
 def _collinear(a, b, p):
     return all((a[i] * b[j] - a[j] * b[i]) % p == 0 for i in range(len(a)) for j in range(len(a)))
+
+
+def _assert_invariant_witness(report, gens, n, p):
+    w = report.witness
+    assert 0 < w.dim < n
+    for g in gens:
+        assert w.contains((w.basis @ g.array.T) % p)
+
+
+def _isometry_generators(rng: Random, p: int, n: int) -> list[Matrix]:
+    """Random isometries with a reflection, transvection or isotropic shear."""
+    if n % 2 == 0 and rng.randrange(2):
+        space = FormSpace.symplectic(n, p)
+        v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+        v[rng.randrange(n)] = 1
+        gens = [transvection(space, v, rng.randrange(1, p))]
+    else:
+        space = FormSpace.hyperbolic(n, p) if n % 2 == 0 else FormSpace.dot(n, p)
+        pool = anisotropic_vectors(space, 4 * n)
+        gens = [reflection(space, pool[rng.randrange(len(pool))])]
+    if n >= 4 and n % 2 == 0 and rng.randrange(2):
+        e = np.eye(n, dtype=np.int64)
+        gens.append(siegel_shear(space, e[0], e[1]))
+    return gens + [random_isometry(space, rng) for _ in range(rng.randrange(0, 3))]
+
+
+def _block_triangular_generators(rng: Random, p: int, n: int) -> list[Matrix]:
+    """Generators fixing a random subspace: block triangular, then conjugated."""
+    k = rng.randrange(1, n)
+    conj = random_invertible(n, p, rng)
+    gens = []
+    for _ in range(rng.randrange(1, 3)):
+        a = random_invertible(n, p, rng).array.copy()
+        a[k:, :k] = 0
+        m = Matrix(a, p)
+        if m.det() == 0:
+            m = Matrix.identity(n, p)
+        gens.append(conj @ m @ conj.inv())
+    return gens
+
+
+def _line_orbit_count(gens: list[Matrix], n: int, p: int) -> int:
+    """G-orbits on the lines of F_p^n by breadth-first search over tuples."""
+
+    def normalized(v):
+        lead = next(x for x in v if x % p)
+        scale = pow(int(lead), -1, p)
+        return tuple(int(x * scale % p) for x in v)
+
+    arrays = [g.array for g in gens]
+    unseen = {normalized(v) for v in np.ndindex(*(p,) * n) if any(v)}
+    orbits = 0
+    while unseen:
+        orbits += 1
+        frontier = [unseen.pop()]
+        while frontier:
+            v = np.array(frontier.pop())
+            for g in arrays:
+                image = normalized((g @ v) % p)
+                if image in unseen:
+                    unseen.remove(image)
+                    frontier.append(image)
+    return orbits
+
+
+class TestIrreducibilityOracle:
+    """Spinning one line per G-orbit against spinning every line."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_spinning_every_line(self, p):
+        rng = Random(p)
+        kinds = {True: 0, False: 0}
+        for n in range(1, 6):
+            if (p**n - 1) // (p - 1) > 3000:
+                continue
+            builders = [
+                lambda: [random_invertible(n, p, rng) for _ in range(rng.randrange(1, 3))],
+                lambda: [Matrix.identity(n, p)],
+                lambda: _isometry_generators(rng, p, n),
+                lambda: _isometry_generators(rng, p, n),
+            ]
+            if n > 1:
+                builders.append(lambda: _block_triangular_generators(rng, p, n))
+            for build in builders:
+                group = GeneratedGroup(build())
+                report = is_irreducible(group)
+                expected = exhaustive_irreducibility(group)
+                assert report == expected, (p, n, group.gens)
+                kinds[report.irreducible] += 1
+        assert kinds[True] and kinds[False]
+
+    def test_matches_at_a_large_prime(self):
+        # 2000 lines of F_1999^2, each carrying 1998 nonzero vectors
+        p = 1999
+        rng = Random(p)
+        cases = [SL2(p), _block_triangular_generators(rng, p, 2)]
+        cases += [[random_invertible(2, p, rng)] for _ in range(4)]
+        verdicts = set()
+        for gens in cases:
+            group = GeneratedGroup(gens)
+            report = is_irreducible(group)
+            assert report == exhaustive_irreducibility(group), gens
+            verdicts.add(report.irreducible)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: twist_family_system([2, 3], 5),
+            lambda: twist_family_system([2], 7),
+            lambda: twist_family_system([2, 3], 7),
+            lambda: hyperelliptic_system(3, 3),
+            lambda: hyperelliptic_system(2, 5),
+        ],
+    )
+    def test_matches_on_families(self, system):
+        group = GeneratedGroup(system().generators)
+        report = is_irreducible(group)
+        assert report == exhaustive_irreducibility(group)
+        assert report.irreducible and report.method == "exhaustive"
+
+    def test_spins_one_line_per_orbit(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        gens = twist_family_system([2], 7).generators
+        spin = engine._spin
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return spin(*args)
+
+        monkeypatch.setattr(engine, "_spin", counted)
+        report = is_irreducible(GeneratedGroup(gens))
+        assert report.irreducible and report.method == "exhaustive"
+        assert len(calls) == _line_orbit_count(gens, 4, 7) < 400
+
+    def test_meataxe_agrees_with_orbits_above_the_cap(self):
+        # F_5^6 has 3906 lines: the meataxe by default, the orbit path at 4000
+        n, p = 6, 5
+        rng = Random(6)
+        cases = [hyperelliptic_system(3, p).generators]
+        cases += [[random_invertible(n, p, rng) for _ in range(2)] for _ in range(2)]
+        cases += [_block_triangular_generators(rng, p, n) for _ in range(3)]
+        cases += [_isometry_generators(rng, p, n) for _ in range(3)]
+        verdicts = set()
+        for gens in cases:
+            group = GeneratedGroup(gens, seed=1)
+            meataxe = is_irreducible(group)
+            exact = is_irreducible(group, exhaustive_cap=4000)
+            assert meataxe.method.startswith("meataxe") and exact.method == "exhaustive"
+            assert meataxe.irreducible == exact.irreducible, gens
+            for report in (meataxe, exact):
+                if not report.irreducible:
+                    _assert_invariant_witness(report, gens, n, p)
+            verdicts.add(exact.irreducible)
+        assert verdicts == {True, False}
 
 
 class TestElementOrder:
