@@ -8,6 +8,7 @@ monodromy with exact cross-validation.
 from .errors import (
     BadLocus,
     DegenerateQuotient,
+    FamilyCheckFailed,
     Inconclusive,
     MonodromyError,
     NegativeDimension,

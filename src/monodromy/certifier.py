@@ -234,8 +234,9 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     criterion is sufficient, not necessary).
     """
     group = GeneratedGroup(h.generators, seed=seed, limit=limit)
-    exact_order = group.order()
+    # builds the chain with the known order bound; the order reads that chain
     derived, exact_class = _derived_containment(group, h.space)
+    exact_order = group.order()
     cert = certify(h, seed=seed, limit=limit)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))

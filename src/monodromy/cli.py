@@ -42,7 +42,7 @@ from .families import (
     twist_family_system,
 )
 from .ff_linalg import Matrix, is_prime, jordan_type, invariant_forms
-from .group_engine import GeneratedGroup
+from .group_engine import GeneratedGroup, _order_bound
 from .errors import NonSplitSpectrum
 
 __all__ = ["main", "parse_tuple", "emit_tuple"]
@@ -195,14 +195,20 @@ def _print_cross(report: CrossReport, space: FormSpace, out: TextIO) -> None:
     print(f"AGREEMENT: {'yes' if report.agreement else 'no'}", file=out)
 
 
+def _pairing_space(forms: Sequence[Matrix]) -> Optional[FormSpace]:
+    """The space of the invariant pairing when ``forms`` is one non-degenerate form."""
+    if len(forms) == 1 and forms[0].det() != 0:
+        return FormSpace(_pairing_from_basis(forms))
+    return None
+
+
 def _cmd_classify(args, stdin, stdout) -> int:
     t = _read_tuple(args, stdin)
     print(f"MODULUS: {t.p}", file=stdout)
     print(f"RANK: {t.rank}", file=stdout)
     forms = invariant_forms(t.matrices)
-    space = None
-    if len(forms) == 1 and forms[0].det() != 0:
-        space = FormSpace(_pairing_from_basis(forms))
+    space = _pairing_space(forms)
+    if space is not None:
         print(f"PAIRING: {space.parity}", file=stdout)
     else:
         print(f"PAIRING: none (invariant-form space has dimension {len(forms)})", file=stdout)
@@ -226,7 +232,14 @@ def _cmd_classify(args, stdin, stdout) -> int:
 def _cmd_order(args, stdin, stdout) -> int:
     t = _read_tuple(args, stdin)
     group = GeneratedGroup(t.matrices, seed=args.seed, limit=args.limit)
-    print(f"ORDER: {group.order()}", file=stdout)
+
+    def bound() -> Optional[int]:
+        # a lone invariant pairing bounds |G| and so lets the chain stop
+        # early; the n^2 x n^2 form system is solved only if a chain is built
+        space = _pairing_space(invariant_forms(t.matrices))
+        return None if space is None else _order_bound(space, t.matrices)[0]
+
+    print(f"ORDER: {group._ensure_chain(bound).order()}", file=stdout)
     return 0
 
 

@@ -47,3 +47,7 @@ class BadLocus(MonodromyError):
 
 class NegativeDimension(MonodromyError):
     """A dimension formula was evaluated outside its valid regime."""
+
+
+class FamilyCheckFailed(MonodromyError):
+    """A packaged family's tuple failed one of the checks that define the family."""

@@ -27,7 +27,7 @@ from .classical_groups import (
     classify_element,
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
-from .errors import BadLocus, NegativeDimension
+from .errors import BadLocus, FamilyCheckFailed, NegativeDimension
 from .ff_linalg import BilinearForm, Matrix, invariant_forms, is_prime
 
 __all__ = [
@@ -118,14 +118,14 @@ def hyperelliptic_system(
     base = kummer_tuple(points, p)
     out = middle_convolve(base, p - 1)
     if out.rank != 2 * genus:
-        raise AssertionError("convolution rank disagrees with 2g")
+        raise FamilyCheckFailed("convolution rank disagrees with 2g")
     pairing = discover_pairing(out)
     if pairing.parity != "alternating":
-        raise AssertionError("hyperelliptic pairing must be alternating")
+        raise FamilyCheckFailed("hyperelliptic pairing must be alternating")
     space = FormSpace(pairing)
     classes = tuple(classify_element(m, space) for m in out.matrices)
     if any(c.tag != TRANSVECTION for c in classes):
-        raise AssertionError("every finite local matrix must be a transvection")
+        raise FamilyCheckFailed("every finite local matrix must be a transvection")
     return MonodromySystem(out, pairing, classes, 2 * genus)
 
 
@@ -153,16 +153,16 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     d = len(roots) + 1
     expected = 2 * d if d % 2 == 0 else 2 * d - 1
     if out.rank != expected:
-        raise AssertionError(f"twist family rank {out.rank} != expected {expected}")
+        raise FamilyCheckFailed(f"twist family rank {out.rank} != expected {expected}")
     pairing = discover_pairing(out)
     if pairing.parity != "symmetric":
-        raise AssertionError("twist-family pairing must be symmetric")
+        raise FamilyCheckFailed("twist-family pairing must be symmetric")
     space = FormSpace(pairing)
     classes = tuple(classify_element(m, space) for m in out.matrices)
     for lab, cls in zip(out.punctures, classes):
         want = REFLECTION if lab in (0, 1) else ISOTROPIC_SHEAR
         if cls.tag != want:
-            raise AssertionError(f"puncture {lab} classified {cls.tag}, wanted {want}")
+            raise FamilyCheckFailed(f"puncture {lab} classified {cls.tag}, wanted {want}")
     return MonodromySystem(out, pairing, classes, expected)
 
 

@@ -7,9 +7,15 @@ codes sum(v_i p^i): each level keeps its orbit as an array of points with a
 code-to-row index, grown a whole frontier at a time, and stores every
 transversal element together with its inverse, both built by batched
 products.  Schreier generators are formed and sifted through the chain in
-blocks.  Containment of the derived subgroup of the isometry group is
-decided from the group order alone, with the image of (determinant, spinor
-norm) in the orthogonal case; no derived generators are built.
+blocks.  When the caller knows an upper bound B on the group order, the
+build stops as soon as the product of the stored orbit lengths reaches B:
+that product never exceeds |G|, so it then equals |G|, every stored orbit
+is a full orbit of its point stabilizer and the chain sifts every element
+of G to the identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
+Containment of the derived subgroup of the isometry group is decided from
+the group order alone, with the image of (determinant, spinor norm) in the
+orthogonal case; no derived generators are built, and the bound
+|Sp(V)|, or |Omega| times the size of that image, stops the build.
 Irreducibility is decided on small spaces by spinning one line per G-orbit
 on lines (spans held as ``Subspace``, orbits grown a frontier of lines at a
 time) and above that by a meataxe-style search with Norton's certificate.
@@ -22,7 +28,7 @@ import math
 import threading
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -171,6 +177,10 @@ class _Level:
         self.index = self.trans = self.trans_inv = None
 
 
+class _Reached(Exception):
+    """Raised inside a chain build once the orbit product reaches the bound."""
+
+
 class _Chain:
     """A deterministic Schreier-Sims stabilizer chain on vectors of F_p^n.
 
@@ -178,12 +188,32 @@ class _Chain:
     frontiers, transversal elements and their inverses are built by batched
     products, and Schreier generators are sifted a block at a time.  Any base
     gives a valid chain; each level takes the first basis vector it moves.
+
+    ``bound``, if given, is called once, only when levels are about to be
+    built, and returns an upper bound on the group order or None; so a
+    costly bound is never computed for a chain that is empty or refused.
+    Each level's generators fix the earlier base points, so its orbit lies
+    in the orbit of the true point stabilizer, and the product of the orbit
+    lengths never exceeds |G|.  Once that product equals the bound after a
+    rebuild, every orbit is a full stabilizer orbit, so the build stops
+    there (``stopped``) with no more sifting: the order and every membership
+    answer are those of the full build.  Levels whose generators grew but
+    were not yet rebuilt keep their older orbits, which are then full too.
     """
 
-    def __init__(self, gens: np.ndarray, p: int, n: int, limit: int):
+    def __init__(
+        self,
+        gens: np.ndarray,
+        p: int,
+        n: int,
+        limit: int,
+        bound: Optional[Callable[[], Optional[int]]] = None,
+    ):
         self.p = p
         self.n = n
         self.limit = limit
+        self.bound: Optional[int] = None
+        self.stopped = False
         self.eye = np.eye(n, dtype=np.int64)
         self.levels: list[_Level] = []
         self._inverses: dict[bytes, np.ndarray] = {}
@@ -192,8 +222,12 @@ class _Chain:
             if p**n >= 2**63:
                 raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
             self.powers = np.array([p**i for i in range(n)], dtype=np.int64)
+            self.bound = bound() if bound is not None else None
             self.levels.append(_Level(self._pick_base(gens), gens))
-            self._complete(0)
+            try:
+                self._complete(0)
+            except _Reached:
+                self.stopped = True
 
     def order(self) -> int:
         return math.prod(len(lvl.points) for lvl in self.levels)
@@ -294,6 +328,8 @@ class _Chain:
     def _complete(self, i: int) -> None:
         """Rebuild level i and sift its Schreier generators through levels > i."""
         self._rebuild(i)
+        if self.order() == self.bound:
+            raise _Reached
         for block in self._schreier_blocks(self.levels[i]):
             residues = block[~self._is_id(block)]
             while residues.size:
@@ -335,6 +371,14 @@ class GeneratedGroup:
     finished chain, so every answer is exact.  A build that fails publishes
     nothing, and the next query tries again.  All returned values are
     deterministic given the seed.
+
+    ``contains_derived`` knows an upper bound on the order before it asks
+    for it (see ``_order_bound``) and passes it to the first build, which
+    then stops as soon as its orbit product reaches the bound; so does the
+    CLI's ``order`` when the tuple has one non-degenerate invariant form,
+    which it solves for only when a chain is to be built.  A stopped chain
+    stores the same orbits and gives the same answers as a full one; a
+    group that never reaches its bound gets the full build.
     """
 
     def __init__(self, gens: Sequence[Matrix], seed: int = 0, limit: int = 10**7):
@@ -356,7 +400,8 @@ class GeneratedGroup:
         self._chain: Optional[_Chain] = None
         self._lock = threading.Lock()
 
-    def _ensure_chain(self) -> _Chain:
+    def _ensure_chain(self, bound: Optional[Callable[[], Optional[int]]] = None) -> _Chain:
+        """The chain, built on first use; ``bound`` (see ``_Chain``) may stop it early."""
         chain = self._chain
         if chain is not None:
             return chain
@@ -370,7 +415,7 @@ class GeneratedGroup:
                         seen.add(key)
                         nontrivial.append(g.array)
                 gens = np.array(nontrivial, dtype=np.int64).reshape(-1, self.dim, self.dim)
-                self._chain = _Chain(gens, self.p, self.dim, self.limit)
+                self._chain = _Chain(gens, self.p, self.dim, self.limit, bound)
             return self._chain
 
     # -- public surface ----------------------------------------------------
@@ -396,24 +441,47 @@ def group_order(group: GeneratedGroup) -> int:
 
 
 def naive_closure(gens: Sequence[Matrix], limit: int = 200_000) -> set[Matrix]:
-    """Brute-force closure of the generated set; the small-order oracle."""
+    """Brute-force closure of the generated set; the small-order oracle.
+
+    Grows the set from the identity a frontier at a time: a block of
+    frontier matrices is multiplied by every generator in one product, and
+    each product is keyed by its flattened entries (as bytes), so new
+    elements are found by sorted search over keys.  Raises ResourceLimit
+    when the group has more than ``limit`` elements; storage passes the
+    limit by at most one block.
+    """
     p = gens[0].p
     n = gens[0].n
-    gen_arrays = [np.array(g.array, dtype=np.int64) for g in gens]
-    eye = np.eye(n, dtype=np.int64)
-    seen = {eye.tobytes(): eye}
-    queue = [eye]
-    while queue:
-        m = queue.pop()
-        for g in gen_arrays:
-            nxt = (m @ g) % p
-            key = nxt.tobytes()
-            if key not in seen:
-                seen[key] = nxt
-                queue.append(nxt)
-                if len(seen) > limit:
-                    raise ResourceLimit(f"closure exceeded {limit} elements")
-    return {Matrix(a, p) for a in seen.values()}
+    stack = np.array([g.array for g in gens], dtype=np.int64)
+    entry = np.min_scalar_type(p - 1)
+    key = np.dtype((np.void, n * n * entry.itemsize))
+
+    def keys(mats: np.ndarray) -> np.ndarray:
+        return mats.reshape(len(mats), -1).astype(entry).view(key).ravel()
+
+    batch = max(1, _BLOCK_ENTRIES // (len(stack) * n * n))
+    frontier = np.eye(n, dtype=np.int64)[None]
+    index = _SortedIndex()
+    index.add(keys(frontier), np.arange(1))
+    found = [frontier]
+    total = 1
+    while True:
+        round_start = len(found)
+        for a in range(0, len(frontier), batch):
+            images = (frontier[a : a + batch, None] @ stack).reshape(-1, n, n) % p
+            codes, first = np.unique(keys(images), return_index=True)
+            fresh = np.flatnonzero(index.find(codes) < 0)
+            if not fresh.size:
+                continue
+            index.add(codes[fresh], np.arange(total, total + fresh.size))
+            found.append(images[first[fresh]])
+            total += fresh.size
+            if total > limit:
+                raise ResourceLimit(f"closure exceeded {limit} elements")
+        if len(found) == round_start:
+            break
+        frontier = np.concatenate(found[round_start:])
+    return {Matrix(a, p) for a in np.concatenate(found)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +544,10 @@ def is_irreducible(
     a walk spinning every line would find.  Larger spaces use the meataxe
     search: spin kernel vectors of singular elements of the group algebra,
     with Norton's criterion giving an unconditional certificate when a
-    nullity-one element is found.  Raises Inconclusive if the trial budget
-    runs out without a verdict.
+    nullity-one element is found; a group of scalars, where that search
+    finds nothing, is reported reducible with the witness span(e_1) before
+    any trial.  Raises Inconclusive if the trial budget runs out without a
+    verdict.
     """
     n, p = group.dim, group.p
     gens = np.array([g.array for g in group.gens], dtype=np.int64)
@@ -507,11 +577,17 @@ def is_irreducible(
                 frontier = lines[fresh]
         return IrreducibilityReport(True, None, "exhaustive")
 
+    eye = np.eye(n, dtype=np.int64)
+    if all(np.array_equal(g, g[0, 0] * eye) for g in gens):
+        # every group-algebra element is then scalar, so the meataxe would
+        # never spin a vector; every line is invariant
+        return IrreducibilityReport(False, Subspace(eye[:1], n, p), "scalar")
+
     rng = Random(group.seed)
     for trial in range(1, max_trials + 1):
         theta = _random_algebra_element(gens, p, rng)
         for a in range(p):
-            shifted = (theta - a * np.eye(n, dtype=np.int64)) % p
+            shifted = (theta - a * eye) % p
             nullspace = _kernel_basis(shifted, p)
             nullity = nullspace.shape[0]
             if nullity == 0 or nullity == n:
@@ -607,6 +683,22 @@ def element_order(a: Matrix, cap: int = 10**7) -> int:
 # derived subgroup
 
 
+def _order_bound(space: FormSpace, gens: Sequence[Matrix]) -> tuple[int, Optional[frozenset]]:
+    """An upper bound on the order of a group of isometries of ``space``.
+
+    |Sp(V)| for an alternating space.  For a symmetric one, |Omega| times the
+    size of the image of (det, theta) on ``gens``, returned as well: G meets
+    Omega = ker(det, theta) in a subgroup of index |image|.  The bound is
+    attained exactly when G contains the derived subgroup.  The caller must
+    know that every generator is an isometry.
+    """
+    orders = isometry_group_orders(space)
+    if space.parity == "alternating":
+        return orders.full_order, None
+    image = _det_spinor_image(gens, space)
+    return orders.derived_order * len(image), image
+
+
 def _derived_containment(
     group: GeneratedGroup, space: FormSpace
 ) -> tuple[bool, Optional[str]]:
@@ -614,18 +706,16 @@ def _derived_containment(
 
     The class is looked up from the same (det, theta) image that decides
     containment; it is None for symplectic groups and for groups that do
-    not contain the derived subgroup.
+    not contain the derived subgroup.  The bound of ``_order_bound`` is
+    passed to the chain, so a group that reaches it stops building early.
     """
     for g in group.gens:
         if g.p != space.p or g.n != space.dim or not is_isometry(g, space):
             raise NotAnIsometry("group does not act on the given space by isometries")
-    orders = isometry_group_orders(space)
-    if space.parity == "alternating":
-        return group.order() == orders.full_order, None
-    image = _det_spinor_image(group.gens, space)
-    if group.order() != orders.derived_order * len(image):
+    bound, image = _order_bound(space, group.gens)
+    if group._ensure_chain(lambda: bound).order() != bound:
         return False, None
-    return True, _CLASS_BY_IMAGE[image]
+    return True, None if image is None else _CLASS_BY_IMAGE[image]
 
 
 def contains_derived(group: GeneratedGroup, space: FormSpace) -> bool:

@@ -9,7 +9,8 @@ import pytest
 from monodromy.cli import emit_tuple, main, parse_tuple, TupleFileError
 from monodromy.convolution import PuncturedTuple
 from monodromy.families import hyperelliptic_system, twist_family_system
-from monodromy.ff_linalg import Matrix
+from monodromy.ff_linalg import Matrix, invariant_forms
+from monodromy.group_engine import GeneratedGroup
 
 
 def run_cli(argv, stdin_text=""):
@@ -172,6 +173,95 @@ class TestSubcommands:
         rc, out = run_cli(["order", str(path)])
         assert rc == 0
         assert out.startswith("ORDER:")
+
+
+def _record_groups(monkeypatch) -> list:
+    """Make the CLI's groups inspectable after a run."""
+    import monodromy.cli as cli
+
+    groups = []
+
+    class Recorded(GeneratedGroup):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            groups.append(self)
+
+    monkeypatch.setattr(cli, "GeneratedGroup", Recorded)
+    return groups
+
+
+class TestOrderBound:
+    """``order`` stops its chain at the bound that a lone invariant pairing gives."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # |Sp(6,5)|, |Sp(8,3)| and |O(5,5)|/2, as printed by full builds
+            (["hyperelliptic", "--genus", "3", "--prime", "5"], "ORDER: 457002000000000\n"),
+            (["hyperelliptic", "--genus", "4", "--prime", "3"], "ORDER: 131569513308979200\n"),
+            (["twist-family", "--roots", "2,3", "--prime", "5"], "ORDER: 9360000\n"),
+        ],
+    )
+    def test_order_is_byte_identical(self, argv, expected, monkeypatch):
+        _, tuple_text = run_cli(argv)
+        groups = _record_groups(monkeypatch)
+        rc, out = run_cli(["order"], tuple_text)
+        assert rc == 0 and out == expected
+        assert groups[0]._chain.stopped
+
+    def test_twist_order_matches_the_full_build(self):
+        _, tuple_text = run_cli(["twist-family", "--roots", "2,3", "--prime", "5"])
+        full = GeneratedGroup(parse_tuple(tuple_text).matrices).order()
+        assert run_cli(["order"], tuple_text) == (0, f"ORDER: {full}\n")
+
+    @pytest.mark.parametrize(
+        "text,forms",
+        [
+            # a generic GL(3, 5) tuple: no invariant form
+            ("MODULUS 5 RANK 3 PUNCTURES 2\nAT 0\n1 2 0\n0 1 3\n1 0 1\n"
+             "AT 1\n2 0 1\n1 1 0\n0 3 2\n", 0),
+            # the identity tuple: every form is invariant
+            ("MODULUS 5 RANK 2 PUNCTURES 2\nAT 0\n1 0\n0 1\nAT 1\n1 0\n0 1\n", 4),
+        ],
+    )
+    def test_order_without_a_lone_form_builds_in_full(self, text, forms, monkeypatch):
+        t = parse_tuple(text)
+        assert len(invariant_forms(t.matrices)) == forms
+        full = GeneratedGroup(t.matrices).order()
+        groups = _record_groups(monkeypatch)
+        assert run_cli(["order"], text) == (0, f"ORDER: {full}\n")
+        assert groups[0]._chain.bound is None and not groups[0]._chain.stopped
+
+    @pytest.mark.parametrize("shear,expected", [(False, (0, "ORDER: 1\n")), (True, (2, ""))])
+    def test_no_form_system_without_a_chain(self, shear, expected, monkeypatch):
+        # at rank 40 over F_3 vector codes overflow int64, so a chain is
+        # refused; a tuple of identities needs none.  Neither solves the
+        # 1600-unknown form system.
+        import monodromy.cli as cli
+
+        calls = []
+
+        def counted(gens):
+            calls.append(len(gens))
+            return []
+
+        monkeypatch.setattr(cli, "invariant_forms", counted)
+        rows = [["0"] * 40 for _ in range(40)]
+        for i in range(40):
+            rows[i][i] = "1"
+        rows[0][1] = "1" if shear else "0"
+        text = "MODULUS 3 RANK 40 PUNCTURES 1\nAT 0\n" + "".join(" ".join(r) + "\n" for r in rows)
+        assert run_cli(["order"], text) == expected
+        assert calls == []
+
+    def test_family_check_failure_exits_2(self, monkeypatch, capsys):
+        import monodromy.families as families
+
+        # a convolution that keeps the input rank fails the rank check
+        monkeypatch.setattr(families, "middle_convolve", lambda t, lam: t)
+        rc, out = run_cli(["hyperelliptic", "--genus", "2", "--prime", "5"])
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == "error: convolution rank disagrees with 2g\n"
 
 
 class TestDeterminism:

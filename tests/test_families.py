@@ -2,8 +2,8 @@
 
 import pytest
 
-from monodromy.classical_groups import ISOTROPIC_SHEAR, REFLECTION, TRANSVECTION
-from monodromy.errors import BadLocus, NegativeDimension
+from monodromy.classical_groups import ElementClass, ISOTROPIC_SHEAR, REFLECTION, TRANSVECTION
+from monodromy.errors import BadLocus, FamilyCheckFailed, MonodromyError, NegativeDimension
 from monodromy.families import (
     dim_formula,
     discover_pairing,
@@ -11,7 +11,7 @@ from monodromy.families import (
     kummer_tuple,
     twist_family_system,
 )
-from monodromy.ff_linalg import Matrix, invariant_forms
+from monodromy.ff_linalg import BilinearForm, Matrix, invariant_forms
 from monodromy.group_engine import GeneratedGroup, is_irreducible
 
 
@@ -185,3 +185,44 @@ class TestDiscoverPairing:
         pairing = discover_pairing(kummer_tuple([0, 1], 5))
         assert pairing.parity == "symmetric"
         assert pairing.dim == 1
+
+
+class TestFamilyChecks:
+    """A family whose output fails a defining check raises a typed error."""
+
+    @pytest.mark.parametrize(
+        "build,name,replacement,message",
+        [
+            (
+                lambda: hyperelliptic_system(2, 5),
+                "middle_convolve",
+                lambda t, lam: t,
+                "convolution rank disagrees with 2g",
+            ),
+            (
+                lambda: hyperelliptic_system(2, 5),
+                "discover_pairing",
+                lambda t: BilinearForm(Matrix.identity(t.rank, t.p), "symmetric"),
+                "hyperelliptic pairing must be alternating",
+            ),
+            (
+                lambda: hyperelliptic_system(2, 5),
+                "classify_element",
+                lambda m, space: ElementClass("Other", 0),
+                "every finite local matrix must be a transvection",
+            ),
+            (
+                lambda: twist_family_system([2, 3], 5),
+                "classify_element",
+                lambda m, space: ElementClass(TRANSVECTION, 1),
+                "puncture 0 classified Transvection, wanted Reflection",
+            ),
+        ],
+    )
+    def test_raises_family_check_failed(self, build, name, replacement, message, monkeypatch):
+        import monodromy.families as families
+
+        monkeypatch.setattr(families, name, replacement)
+        with pytest.raises(FamilyCheckFailed, match=message) as excinfo:
+            build()
+        assert isinstance(excinfo.value, MonodromyError)

@@ -20,15 +20,18 @@ from monodromy.classical_groups import (
 )
 from monodromy.errors import NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system, twist_family_system
-from monodromy.ff_linalg import Matrix, invariant_forms, random_invertible
+from monodromy.ff_linalg import Matrix, Subspace, invariant_forms, random_invertible
 from monodromy.group_engine import (
     GeneratedGroup,
+    IrreducibilityReport,
     contains_derived,
     element_order,
     group_order,
     is_irreducible,
     naive_closure,
+    _order_bound,
 )
+from closure_reference import reference_closure
 from derived_reference import derived_subgroup_generators
 from irreducibility_reference import exhaustive_irreducibility
 from schreier_sims_reference import ReferenceGroup
@@ -95,6 +98,36 @@ class TestGroupOrder:
         a = GeneratedGroup(SL2(5), seed=0).order()
         b = GeneratedGroup(SL2(5), seed=0).order()
         assert a == b == 120
+
+
+class TestNaiveClosure:
+    """The frontier-batched closure against the matrix-at-a-time loop."""
+
+    @pytest.mark.parametrize("entries", [None, 64])
+    def test_matches_reference_closure(self, entries, monkeypatch):
+        import monodromy.group_engine as engine
+
+        if entries is not None:  # a few frontier matrices per block
+            monkeypatch.setattr(engine, "_BLOCK_ENTRIES", entries)
+        rng = Random(21)
+        space = FormSpace.dot(3, 3)
+        cases = [SL2(3), SL2(5), [Matrix.identity(3, 5)], [Matrix.scalar(-1, 4, 5)]]
+        cases.append([reflection(space, r) for r in anisotropic_vectors(space, 12)])
+        cases += [_random_generators(rng, p, n) for p, n in ((3, 2), (3, 3), (5, 2), (7, 2))]
+        for p in (257, 65537):  # keys of two and four bytes per entry
+            cases.append([Matrix([[0, p - 1], [1, 0]], p), Matrix.diagonal([2, 1], p)])
+        for gens in cases:
+            try:
+                expected = reference_closure(gens, limit=20_000)
+            except ResourceLimit:
+                with pytest.raises(ResourceLimit):
+                    naive_closure(gens, limit=20_000)
+                continue
+            assert naive_closure(gens, limit=20_000) == expected, gens
+            assert naive_closure(gens, limit=len(expected)) == expected
+            if len(expected) > 1:
+                with pytest.raises(ResourceLimit):
+                    naive_closure(gens, limit=len(expected) - 1)
 
 
 class TestIrreducibility:
@@ -166,6 +199,22 @@ class TestIrreducibility:
         gens = SL2(5)
         assert is_irreducible(GeneratedGroup(gens)).irreducible
         assert len(invariant_forms(gens)) <= 1
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_scalar_group_above_the_cap_is_reducible(self, c):
+        # F_5^6 has 3906 lines, so the exhaustive branch does not run
+        report = is_irreducible(GeneratedGroup([Matrix.scalar(c, 6, 5)]))
+        line = Subspace(np.eye(6, dtype=np.int64)[:1], 6, 5)
+        assert report == IrreducibilityReport(False, line, "scalar")
+
+    def test_scalars_keep_their_other_reports(self):
+        # within the cap the exhaustive walk finds the same first line
+        report = is_irreducible(GeneratedGroup([Matrix.scalar(2, 3, 5)]))
+        assert report.method == "exhaustive" and report.witness.dim == 1
+        # one non-scalar generator sends the group to the meataxe as before
+        gens = [Matrix.scalar(2, 6, 5)] + list(hyperelliptic_system(3, 5).generators)
+        report = is_irreducible(GeneratedGroup(gens, seed=1))
+        assert report.irreducible and report.method.startswith("meataxe")
 
     def test_inconclusive_when_trials_exhausted(self):
         from monodromy.errors import Inconclusive
@@ -579,6 +628,119 @@ class TestEngineOracle:
                 assert contains_derived(GeneratedGroup(gens), space) == expected
 
 
+# the groups these tuples generate reach the order bound of their pairing
+_BOUNDED_SYSTEMS = {
+    "Sp(6,3)": lambda: hyperelliptic_system(3, 3),
+    "Sp(4,5)": lambda: hyperelliptic_system(2, 5),
+    "O(5,5)": lambda: twist_family_system([2, 3], 5),
+    "O(4,7)": lambda: twist_family_system([2], 7),
+}
+
+
+def _levels(chain) -> list[tuple[int, int]]:
+    return [(lvl.col, len(lvl.points)) for lvl in chain.levels]
+
+
+def _membership_candidates(gens: list[Matrix], rng: Random) -> list[Matrix]:
+    """Ten random words in ``gens``, then twenty random matrices of GL(n, p)."""
+    n, p = gens[0].n, gens[0].p
+    words, others = [], []
+    for _ in range(10):
+        word = Matrix.identity(n, p)
+        for _ in range(rng.randrange(1, 12)):
+            word = word @ gens[rng.randrange(len(gens))]
+        words.append(word)
+        others.append(random_invertible(n, p, rng))
+    return words + others + [w @ o for w, o in zip(words, others)]
+
+
+class TestKnownOrderStop:
+    """Chains stopped at a known order bound against the reference engine."""
+
+    @pytest.mark.parametrize("name", sorted(_BOUNDED_SYSTEMS))
+    def test_stopped_chain_matches_reference(self, name):
+        system = _BOUNDED_SYSTEMS[name]()
+        gens = list(system.generators)
+        bound, _ = _order_bound(FormSpace(system.pairing), gens)
+        group = GeneratedGroup(gens)
+        chain = group._ensure_chain(lambda: bound)
+        assert chain.stopped
+        full = GeneratedGroup(gens)._ensure_chain()
+        assert not full.stopped
+        # the same base and stored orbits as the full build
+        assert _levels(chain) == _levels(full)
+        reference = ReferenceGroup(gens)
+        assert group.order() == reference.order() == bound
+        cands = _membership_candidates(gens, Random(len(gens) * 100 + gens[0].p))
+        answers = [group.contains_array(c.array) for c in cands]
+        assert answers == [reference.contains_array(c.array) for c in cands]
+        assert answers == [True] * 10 + [False] * 20
+
+    def test_no_stop_below_the_bound(self):
+        # proper subgroups and reducible groups never reach the bound
+        sp = hyperelliptic_system(2, 5)
+        o = twist_family_system([2], 7)
+        e = np.eye(4, dtype=np.int64)
+        sym, dot = FormSpace.symplectic(4, 5), FormSpace.dot(4, 5)
+        cases = [
+            (FormSpace(sp.pairing), list(sp.generators[:2])),
+            (FormSpace(sp.pairing), list(sp.generators[1:4])),
+            (FormSpace(o.pairing), list(o.generators[:2])),
+            (sym, [transvection(sym, e[0]), transvection(sym, e[1])]),
+            (dot, [reflection(dot, e[k]) for k in range(3)]),
+        ]
+        reducible = 0
+        for space, gens in cases:
+            bound, _ = _order_bound(space, gens)
+            group = GeneratedGroup(gens)
+            chain = group._ensure_chain(lambda: bound)
+            reference = ReferenceGroup(gens)
+            assert not chain.stopped
+            assert group.order() == reference.order() < bound
+            assert _levels(chain) == _levels(GeneratedGroup(gens)._ensure_chain())
+            cands = _membership_candidates(gens, Random(bound % 101))
+            answers = [group.contains_array(c.array) for c in cands]
+            assert answers == [reference.contains_array(c.array) for c in cands]
+            reducible += not is_irreducible(group).irreducible
+        assert reducible >= 2
+
+    def test_no_stop_without_a_bound(self):
+        group = GeneratedGroup(hyperelliptic_system(2, 5).generators)
+        assert group.order() == 9360000
+        assert group._chain.bound is None and not group._chain.stopped
+
+    def test_derived_containment_passes_the_bound(self):
+        # cross_validate's order then reads the chain that stopped
+        for name in sorted(_BOUNDED_SYSTEMS):
+            system = _BOUNDED_SYSTEMS[name]()
+            group = GeneratedGroup(system.generators)
+            assert contains_derived(group, FormSpace(system.pairing))
+            assert group._chain.stopped, name
+
+
+def _query_concurrently(query, threads: int = 4) -> list:
+    """Run ``query`` in ``threads`` threads released at once; their results."""
+    barrier = threading.Barrier(threads)
+    results: list = []
+
+    def run():
+        barrier.wait(timeout=30)
+        results.append(query())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    return results
+
+
 class TestChainRobustness:
     def test_concurrent_first_queries_are_exact(self):
         system = hyperelliptic_system(2, 5)
@@ -586,27 +748,26 @@ class TestChainRobustness:
         member = gens[0] @ gens[1] @ gens[2]
         outsider = Matrix.scalar(2, 4, 5)  # det 1 but not symplectic: 2^2 != 1
         group = GeneratedGroup(gens)
-        barrier = threading.Barrier(4)
-        results: list = []
 
         def query():
-            barrier.wait(timeout=30)
-            results.append(
-                (group.order(), group.contains_array(member.array), outsider in group)
-            )
+            return group.order(), group.contains_array(member.array), outsider in group
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=query) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [(9360000, True, False)] * 4
+        assert _query_concurrently(query) == [(9360000, True, False)] * 4
+
+    def test_concurrent_first_queries_with_a_bound_are_exact(self):
+        system = hyperelliptic_system(2, 5)
+        gens = system.generators
+        space = FormSpace(system.pairing)
+        member = gens[0] @ gens[1] @ gens[2]
+        outsider = Matrix.scalar(2, 4, 5)
+        group = GeneratedGroup(gens)
+
+        def query():
+            derived = contains_derived(group, space)  # builds with |Sp(4,5)|
+            return derived, group.order(), group.contains_array(member.array), outsider in group
+
+        assert _query_concurrently(query) == [(True, 9360000, True, False)] * 4
+        assert group._chain.stopped
 
     def test_cap_is_checked_while_the_orbit_grows(self):
         system = hyperelliptic_system(3, 5)  # Sp(6,5): root orbit of 15624 vectors
