@@ -54,7 +54,10 @@ class TupleFileError(MonodromyError):
 
 def _parse_label(token: str) -> Label:
     if token.lstrip("-").isdigit():
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # digits int() does not read, e.g. superscripts
+            pass
     return token
 
 
@@ -75,10 +78,14 @@ def parse_tuple(text: str) -> PuncturedTuple:
         p, n, r = int(parts[1]), int(parts[3]), int(parts[5])
     except ValueError:
         raise TupleFileError(f"line {lineno}: non-integer header fields") from None
-    if not is_prime(p) or p < 3:
-        raise TupleFileError(f"line {lineno}: modulus {p} is not an odd prime")
     if n < 1 or r < 1:
         raise TupleFileError(f"line {lineno}: rank and puncture count must be positive")
+    # checked before primality, whose trial division would not end on a
+    # modulus this large
+    if n * (p - 1) ** 2 >= 2**63:
+        raise TupleFileError(f"line {lineno}: modulus {p} is too large for int64 products")
+    if not is_prime(p) or p < 3:
+        raise TupleFileError(f"line {lineno}: modulus {p} is not an odd prime")
     body = lines[1:]
     expected = r * (n + 1)
     if len(body) != expected:
@@ -145,6 +152,17 @@ def _parse_labels(csv: str) -> list[Label]:
     return [_parse_label(tok.strip()) for tok in csv.split(",") if tok.strip()]
 
 
+def _prime(token: str) -> int:
+    """``--prime``: an integer whose int64 products stay exact, checked before primality."""
+    try:
+        p = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+    if (p - 1) ** 2 >= 2**63:
+        raise argparse.ArgumentTypeError(f"modulus {p} is too large for int64 products")
+    return p
+
+
 def _certification_space(t: PuncturedTuple) -> FormSpace:
     """The space used by certify/cross-validate.
 
@@ -153,7 +171,11 @@ def _certification_space(t: PuncturedTuple) -> FormSpace:
     B_i + b B_j over pairs of basis forms (the degenerate-input path, e.g.
     an identity-only tuple, where any invariant pairing does).  A nonzero
     multiple of a form is non-degenerate, and of definite parity, exactly
-    when the form is, so no other combinations need trying.
+    when the form is, so no other pair combinations need trying.  When
+    every basis form has small rank no such pair exists, and a greedy sum
+    of the symmetric parts B + B^T, then of the alternating parts B - B^T,
+    is tried (see ``_greedy_nondegenerate``); a transpose of an invariant
+    form is invariant, so both parts are.
     """
     basis = invariant_forms(t.matrices)
     if not basis:
@@ -169,7 +191,35 @@ def _certification_space(t: PuncturedTuple) -> FormSpace:
                     continue
                 if cand.T == cand or cand.T == -cand:
                     return FormSpace.from_gram(cand)
+    for sign in (1, -1):
+        cand = _greedy_nondegenerate([form + sign * form.T for form in basis])
+        if cand is not None:
+            return FormSpace.from_gram(cand)
     raise TupleFileError("no non-degenerate invariant pairing of definite parity")
+
+
+def _greedy_nondegenerate(forms: Sequence[Matrix]) -> Optional[Matrix]:
+    """A non-degenerate combination of ``forms``, or None if the greedy sum fails.
+
+    Each form is added to the sum so far with the first b in F_p^* that
+    raises its rank.  Only b = 1..n+1 (or all of F_p^* when p <= n + 2) are
+    tried: each minor of the sum plus b times the form is a polynomial of
+    degree at most n in b, so one that vanishes at n + 1 points vanishes
+    for every b.
+    """
+    n, p = forms[0].n, forms[0].p
+    total = Matrix.zeros(n, n, p)
+    rank = 0
+    for form in forms:
+        for b in range(1, min(p, n + 2)):
+            cand = total + b * form
+            cand_rank = cand.rank()
+            if cand_rank > rank:
+                total, rank = cand, cand_rank
+                break
+        if rank == n:
+            return total
+    return None
 
 
 def _print_certificate(cert: Certificate, space: FormSpace, out: TextIO) -> None:
@@ -327,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hyperelliptic", help="hyperelliptic family tuple")
     sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
     sp.add_argument("--points", default=None, help="comma-separated branch points")
     sp.set_defaults(func=_cmd_hyperelliptic)
 
     sp = sub.add_parser("twist-family", help="quadratic twist family tuple")
     sp.add_argument("--roots", required=True, help="comma-separated twist roots")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
     sp.set_defaults(func=_cmd_twist_family)
 
     sp = sub.add_parser("certify", help="evaluate the big-monodromy criterion")

@@ -12,6 +12,18 @@ build stops as soon as the product of the stored orbit lengths reaches B:
 that product never exceeds |G|, so it then equals |G|, every stored orbit
 is a full orbit of its point stabilizer and the chain sifts every element
 of G to the identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
+
+Orbit points, transversal elements and their inverses are stored in the
+narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
+up to 32767, then int32 and int64), n + 2 n^2 entries per orbit vector.  A
+block gathered from them is widened to int64 just before it enters a
+product: each frontier block in ``_orbit``, the parent transversals in
+``_Chain._rebuild``, the transversal inverses in ``_Chain._sift``, and the
+points, transversals and inverses in ``_Chain._schreier_blocks``.  Vector
+codes, strong generators and every product stay int64, so products are
+exact under the guards ``ff_linalg._check_products`` (on every ``Matrix``)
+and p^n < 2^63 (on every chain).
+
 Containment of the derived subgroup of the isometry group is decided from
 the group order alone, with the image of (determinant, spinor norm) in the
 orthogonal case; no derived generators are built, and the bound
@@ -116,36 +128,37 @@ class _SortedIndex:
         self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(gens: np.ndarray, start: np.ndarray, p: int, cap: int):
+def _orbit(gens: np.ndarray, start: np.ndarray, p: int, cap: int, dtype: np.dtype):
     """Orbit of the distinct vectors ``start`` (rows), frontier by frontier.
 
     Each generator in the stack ``gens`` maps a batch of frontier points at
     once; its images are distinct, so only codes already in the index are
-    dropped.  Stops once at least ``cap`` points are stored, keeping at most
-    one batch of images past the cap.  Returns the points (``start`` first),
-    their code index and the steps (first row, parent rows, generator) that
-    reached the others.
+    dropped.  Points are stored in ``dtype`` and each frontier batch is
+    widened to int64 before its products.  Stops once at least ``cap``
+    points are stored, keeping at most one batch of images past the cap.
+    Returns the points (``start`` first), their code index and the steps
+    (first row, parent rows, generator) that reached the others.
     """
     n = start.shape[1]
     powers = p ** np.arange(n, dtype=np.int64)
     batch = max(1, _BLOCK_ENTRIES // n)
     index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
     index.add(start @ powers, np.arange(len(start)))
-    chunks = [start]
+    chunks = [start.astype(dtype)]
     steps = []
     total = len(start)
-    frontier, first = start, 0
+    frontier, first = chunks[0], 0
     while total < cap:
         round_start, round_chunks = total, len(chunks)
         for a in range(0, len(frontier), batch):
-            block = frontier[a : a + batch]
+            block = frontier[a : a + batch].astype(np.int64)
             for j, g in enumerate(gens):
                 images = (block @ g.T) % p
                 codes = images @ powers
                 fresh = np.flatnonzero(index.find(codes) < 0)
                 if fresh.size:
                     index.add(codes[fresh], np.arange(total, total + fresh.size))
-                    chunks.append(images[fresh])
+                    chunks.append(images[fresh].astype(dtype))
                     steps.append((total, first + a + fresh, j))
                     total += fresh.size
                 if total >= cap:
@@ -165,7 +178,10 @@ class _Level:
     the stack of strong generators.  Row k of ``points`` is an orbit vector
     (row 0 the base point), ``index`` maps vector codes to rows,
     ``trans[k]`` maps the base point to ``points[k]`` and ``trans_inv[k]``
-    is its inverse.
+    is its inverse.  ``points``, ``trans`` and ``trans_inv`` hold residues
+    in the chain's storage dtype, the narrowest signed integer type that
+    holds p - 1; ``gens`` stays int64.  A block gathered from them is
+    widened to int64 before it enters a product.
     """
 
     __slots__ = ("col", "gens", "points", "index", "trans", "trans_inv")
@@ -212,6 +228,7 @@ class _Chain:
         self.p = p
         self.n = n
         self.limit = limit
+        self.dtype = np.min_scalar_type(-(p - 1))
         self.bound: Optional[int] = None
         self.stopped = False
         self.eye = np.eye(n, dtype=np.int64)
@@ -264,20 +281,21 @@ class _Chain:
             len(other.points) for k, other in enumerate(self.levels) if k != idx
         )
         points, index, steps = _orbit(
-            lvl.gens, self.eye[lvl.col : lvl.col + 1], self.p, budget + 1
+            lvl.gens, self.eye[lvl.col : lvl.col + 1], self.p, budget + 1, self.dtype
         )
         if len(points) > budget:
             raise ResourceLimit(
                 f"orbit storage exceeded the configured cap of {self.limit} vectors"
             )
         p = self.p
-        trans = np.empty((len(points), self.n, self.n), dtype=np.int64)
+        trans = np.empty((len(points), self.n, self.n), dtype=self.dtype)
         trans_inv = np.empty_like(trans)
         trans[0] = trans_inv[0] = self.eye
         for first, parents, j in steps:
             rows = slice(first, first + parents.size)
-            trans[rows] = (lvl.gens[j] @ trans[parents]) % p
-            trans_inv[rows] = (trans_inv[parents] @ self._inverse(lvl.gens[j])) % p
+            trans[rows] = (lvl.gens[j] @ trans[parents].astype(np.int64)) % p
+            inv = self._inverse(lvl.gens[j])
+            trans_inv[rows] = (trans_inv[parents].astype(np.int64) @ inv) % p
         lvl.points, lvl.index, lvl.trans, lvl.trans_inv = points, index, trans, trans_inv
 
     # -- sifting ----------------------------------------------------------
@@ -304,7 +322,7 @@ class _Chain:
                 stop[live[out]] = idx
                 residues[live[out]] = work[out]
                 live, rows, work = live[~out], rows[~out], work[~out]
-            work = lvl.trans_inv[rows] @ work
+            work = lvl.trans_inv[rows].astype(np.int64) @ work
             np.remainder(work, self.p, out=work)
         residues[live] = work
         return stop
@@ -318,10 +336,12 @@ class _Chain:
             batch = max(1, per_block // len(gens))
             for a in range(0, len(lvl.points), batch):
                 # row i * len(gens) + j of each stack belongs to (v_i, s_j)
-                images = (gens @ lvl.points[a : a + batch].T).transpose(2, 0, 1) % p
+                points = lvl.points[a : a + batch].astype(np.int64)
+                images = (gens @ points.T).transpose(2, 0, 1) % p
                 rows = lvl.index.find(self._codes(images.reshape(-1, n)))
-                moved = (gens[None] @ lvl.trans[a : a + batch, None]) % p
-                block = lvl.trans_inv[rows] @ moved.reshape(-1, n, n)
+                trans = lvl.trans[a : a + batch, None].astype(np.int64)
+                moved = (gens[None] @ trans) % p
+                block = lvl.trans_inv[rows].astype(np.int64) @ moved.reshape(-1, n, n)
                 np.remainder(block, p, out=block)
                 yield block
 
@@ -361,9 +381,13 @@ class GeneratedGroup:
     stored transversal inverses.  ``limit`` caps the number of orbit vectors
     stored over all levels; it is checked after each batch of images, so
     storage never passes it by more than one batch before ``ResourceLimit``
-    is raised.  ``ResourceLimit`` is also raised when a chain is to be built
-    and p^n does not fit in 64 bits, so a vector code can never wrap; a group
-    of identities has an empty chain and computes no code.
+    is raised.  Each stored vector keeps itself and two n x n transversal
+    matrices in the narrowest integer dtype that holds p - 1: n + 2 n^2
+    bytes at p <= 127 (twice that up to p = 32767, four times below 2^31),
+    plus its entry in the code index.  ``ResourceLimit`` is also raised
+    when a chain is to be built and p^n does not fit in 64 bits, so a
+    vector code can never wrap; a group of identities has an empty chain
+    and computes no code.
 
     The chain is built once, on the first query, under a lock, and published
     only when complete.  Concurrent callers of ``order``, ``contains_array``

@@ -1,10 +1,13 @@
 """The command-line front end: formats, pipelines, exit codes."""
 
+import contextlib
 import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodromy.cli import emit_tuple, main, parse_tuple, TupleFileError
 from monodromy.convolution import PuncturedTuple
@@ -102,6 +105,19 @@ class TestSubcommands:
         rc, report = run_cli(["certify", "--r", "1"], text)
         assert rc == 1
         assert "CONCLUSION: NotCertified" in report
+
+    @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])
+    def test_certify_identity_tuple_of_rank_three_and_more(self, p, n):
+        # every basis form is elementary, so no B_i + b B_j is non-degenerate;
+        # the greedy sum of symmetric parts is, and the trivial group is
+        # reducible
+        rows = "".join(" ".join(str(int(i == j)) for j in range(n)) + "\n" for i in range(n))
+        text = f"MODULUS {p} RANK {n} PUNCTURES 1\nAT 0\n" + rows
+        for command in (["certify", "--r", "1"], ["cross-validate", "--r", "1"]):
+            rc, report = run_cli(command, text)
+            assert rc == 1
+            assert f"PARITY: symmetric\nDIM: {n}\n" in report
+            assert "CONCLUSION: NotCertified(irreducibility)" in report
 
     def test_certify_identity_tuple_at_large_prime(self):
         # a 4-dimensional space of invariant forms, searched once per pair
@@ -277,6 +293,128 @@ class TestDeterminism:
         assert a == b
 
 
+# header fields, labels and entries that the format rejects or reads oddly
+_JUNK = st.sampled_from(["", "-", "x", "1.5", "\u00b2", "--5", "+3", "AT", "RANK", "9" * 40])
+_COMMANDS = st.sampled_from(
+    [
+        ["classify"],
+        ["order"],
+        ["predict", "--lambda", "-1"],
+        ["convolve", "--lambda", "-1"],
+        ["convolve", "--lambda", "2"],
+        ["certify", "--r", "1"],
+        ["certify", "--r", "2", "--s0", "0"],
+        ["cross-validate", "--r", "2"],
+    ]
+)
+
+
+@st.composite
+def _tuple_texts(draw) -> str:
+    """Tuple files near the format: random header fields, ranks, residues and
+    labels, junk tokens, comments, and bodies cut short or run long.
+
+    Each text carries at most a few faults, so many of them parse and reach
+    the subcommands.
+    """
+    faults = draw(
+        st.lists(
+            st.sampled_from(["field", "modulus", "size", "label", "entry", "row", "cut"]),
+            max_size=2,
+        )
+    )
+    if "modulus" in faults:
+        p = draw(st.sampled_from([2, 9, 1, 0, -7, 3037000493, 10**18 + 3]))
+    else:
+        p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    if "size" in faults:
+        n, r = draw(st.sampled_from([(0, r), (n, 0), (-1, r), (n, -1)]))
+    fields = ["MODULUS", str(p), "RANK", str(n), "PUNCTURES", str(r)]
+    if "field" in faults:
+        fields[draw(st.integers(0, 5))] = draw(_JUNK)
+    lines = [" ".join(fields)]
+    identity = draw(st.booleans())
+    for k in range(max(r, 0)):
+        label = str(k)
+        if "label" in faults and draw(st.booleans()):
+            label = draw(st.one_of(st.integers(-2, 9).map(str), _JUNK, st.just("infinity")))
+        lines.append(f"AT {label}")
+        for i in range(max(n, 0)):
+            if identity:
+                row = [str(int(i == j)) for j in range(n)]
+            else:
+                row = [str(draw(st.integers(0, max(p - 1, 0)))) for _ in range(n)]
+            if "entry" in faults and draw(st.booleans()):
+                row[-1 if row else 0:] = [draw(st.one_of(_JUNK, st.just(str(p))))]
+            if "row" in faults and draw(st.booleans()):
+                row = row[:-1] if draw(st.booleans()) else row + ["1"]
+            lines.append(" ".join(row))
+        if draw(st.integers(0, 9)) == 9:
+            lines.append("# a comment")
+    if "cut" in faults:
+        cut = draw(st.sampled_from([1, 2, -1]))
+        lines = lines[:-cut] if cut > 0 else lines + ["1"]
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    """Malformed and odd inputs end in a typed error or an exit status, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=_tuple_texts())
+    def test_parse_tuple_raises_only_tuple_file_errors(self, text):
+        try:
+            t = parse_tuple(text)
+        except TupleFileError:
+            return
+        assert parse_tuple(emit_tuple(t)) == t
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=_tuple_texts(), command=_COMMANDS, limit=st.sampled_from([10**7, 5]))
+    def test_main_exits_0_1_or_2(self, text, command, limit):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc, _ = run_cli(["--limit", str(limit)] + command, text)
+            except SystemExit as exc:  # argparse's own usage errors
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["hyperelliptic", "twist-family"]),
+        prime=st.sampled_from(["3", "5", "7", "9", "-5", "x", "1000000000000000003"]),
+        arg=st.sampled_from(["1", "2", "0", "-1", "x", "2,3", "0,1", "2,2"]),
+    )
+    def test_family_commands_exit_0_or_2(self, command, prime, arg):
+        flag = "--genus" if command == "hyperelliptic" else "--roots"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc, _ = run_cli([command, flag, arg, "--prime", prime])
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+
+    def test_huge_modulus_is_rejected_before_the_primality_test(self):
+        text = "MODULUS 1000000000000000003 RANK 1 PUNCTURES 1\nAT 0\n1\n"
+        with pytest.raises(TupleFileError, match="too large"):
+            parse_tuple(text)
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            run_cli(["hyperelliptic", "--genus", "1", "--prime", "1000000000000000003"])
+        assert exc.value.code == 2
+
+    def test_label_of_digits_int_does_not_read(self):
+        # "\u00b2" (superscript two) counts as a digit but is no integer
+        with pytest.raises(TupleFileError, match="bad symbolic label"):
+            parse_tuple("MODULUS 5 RANK 1 PUNCTURES 1\nAT \u00b2\n2\n")
+        assert parse_tuple("MODULUS 5 RANK 1 PUNCTURES 1\nAT --5\n2\n").punctures == ("--5",)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "monodromy.cli", "hyperelliptic", "--genus", "1", "--prime", "3"],
@@ -285,3 +423,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("MODULUS 3 RANK 2 PUNCTURES 2")
+
+
+def test_package_entry_point_matches_the_cli_module():
+    tuple_text = run_cli(["hyperelliptic", "--genus", "1", "--prime", "5"])[1]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "order"],
+            input=tuple_text,
+            capture_output=True,
+            text=True,
+        )
+        for module in ("monodromy", "monodromy.cli")
+    ]
+    assert [proc.returncode for proc in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout == "ORDER: 120\n"

@@ -628,6 +628,56 @@ class TestEngineOracle:
                 assert contains_derived(GeneratedGroup(gens), space) == expected
 
 
+def _diagonal_and_swap(p: int, k: int) -> list[Matrix]:
+    """diag(a, 1) with a of order k mod p, and the swap: the wreath product C_k wr C_2.
+
+    3 is a primitive root modulo the Fermat primes 17, 257 and 65537.
+    """
+    a = pow(3, (p - 1) // k, p)
+    return [Matrix([[a, 0], [0, 1]], p), Matrix([[0, 1], [1, 0]], p)]
+
+
+class TestStorageDtype:
+    """Chains store points and transversals in the narrowest dtype that holds p - 1."""
+
+    @pytest.mark.parametrize(
+        "name,gens,dtype,order",
+        [
+            ("SL2(127)", lambda: hyperelliptic_system(1, 127).generators, np.int8, 127 * (127**2 - 1)),
+            ("SL2(131)", lambda: hyperelliptic_system(1, 131).generators, np.int16, 131 * (131**2 - 1)),
+            # 65537^2 > 2^20 vectors: the sorted code index
+            ("C8 wr C2 mod 65537", lambda: _diagonal_and_swap(65537, 8), np.int32, 8**2 * 2),
+            ("-1 mod 2^31 + 11", lambda: [Matrix([[2**31 + 10]], 2**31 + 11)], np.int64, 2),
+        ],
+    )
+    def test_dtype_order_and_membership_match_reference(self, name, gens, dtype, order):
+        gens = list(gens())
+        group = GeneratedGroup(gens)
+        assert group.order() == order, name
+        for lvl in group._chain.levels:
+            assert lvl.trans.dtype == lvl.trans_inv.dtype == lvl.points.dtype == dtype, name
+        reference = ReferenceGroup(gens)
+        assert reference.order() == order, name
+        cands = _membership_candidates(gens, Random(gens[0].p))
+        answers = [group.contains_array(c.array) for c in cands]
+        assert answers == [reference.contains_array(c.array) for c in cands], name
+        assert answers[:10] == [True] * 10, name
+
+    def test_order_peak_memory(self):
+        # Sp(6,5) stores 19527 orbit vectors over six levels, 6 + 2 * 36 bytes
+        # each in int8 (1.5 MB), next to a 62 kB code table per level; int64
+        # storage would take 12 MB (a traced peak of 13.4 MB)
+        group = GeneratedGroup(hyperelliptic_system(3, 5).generators)
+        tracemalloc.start()
+        try:
+            assert group.order() == 457002000000000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(lvl.points) for lvl in group._chain.levels) == 19527
+        assert peak < 4_000_000
+
+
 # the groups these tuples generate reach the order bound of their pairing
 _BOUNDED_SYSTEMS = {
     "Sp(6,3)": lambda: hyperelliptic_system(3, 3),
@@ -779,7 +829,7 @@ class TestChainRobustness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 15624 root-orbit vectors alone take 750 kB, their transversal 9 MB
+        # the 15624 root-orbit vectors alone take 750 kB, their transversal 1.1 MB
         assert peak < 700_000
         # a failed build publishes nothing: asking again fails again
         with pytest.raises(ResourceLimit):
