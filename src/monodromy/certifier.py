@@ -112,11 +112,7 @@ def _classify_all(h: Hypotheses) -> list[ElementClass]:
     return [classify_element(g, h.space) for g in h.generators]
 
 
-def certify(
-    h: Hypotheses,
-    seed: int = 0,
-    limit: int = 10**7,
-) -> Certificate:
+def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     """Evaluate the generator criterion and return the certificate.
 
     Witness elements are only searched among the generators themselves,
@@ -140,7 +136,7 @@ def certify(
         )
     )
 
-    group = GeneratedGroup(h.generators, seed=seed, limit=limit)
+    group = GeneratedGroup(h.generators, seed=seed)
     try:
         report = is_irreducible(group)
         checks.append(
@@ -237,7 +233,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     # builds the chain with the known order bound; the order reads that chain
     derived, exact_class = _derived_containment(group, h.space)
     exact_order = group.order()
-    cert = certify(h, seed=seed, limit=limit)
+    cert = certify(h, seed=seed)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))
 

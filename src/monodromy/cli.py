@@ -331,7 +331,7 @@ def _hypotheses_from(args, stdin) -> tuple[Hypotheses, FormSpace]:
 
 def _cmd_certify(args, stdin, stdout) -> int:
     h, space = _hypotheses_from(args, stdin)
-    cert = certify(h, seed=args.seed, limit=args.limit)
+    cert = certify(h, seed=args.seed)
     _print_certificate(cert, space, stdout)
     return 0 if cert.certified else 1
 

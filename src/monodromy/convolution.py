@@ -21,10 +21,9 @@ from .errors import DegenerateQuotient, NotInCategory
 from .ff_linalg import (
     JordanData,
     Matrix,
+    Subspace,
     _check_products,
-    _echelon_reduce,
     _kernel_basis,
-    _rref,
     jordan_type,
 )
 
@@ -192,13 +191,17 @@ def map_local_jordan(data: JordanData, lam: int) -> JordanData:
 def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     """The middle convolution MC_lambda of a punctured tuple.
 
-    Builds the block matrices B_k on the r*n-dimensional space (identity
-    off the k-th block row; on it, lambda(A_j - 1) for j < k, lambda A_k at
-    j = k, and A_j - 1 for j > k), then quotients by the blockwise kernels
-    of A_k - 1 and the common fixed space of the B_k.  The quotient
-    dimension is checked against the local rank formula; a mismatch raises
-    DegenerateQuotient.  Products on the r*n-dimensional space sum r*n terms
-    of size (p-1)^2 in int64, so larger moduli raise ValueError.
+    The block matrix B_k on the r*n-dimensional space is the identity off
+    the k-th block row; on it, lambda(A_j - 1) for j < k, lambda A_k at
+    j = k, and A_j - 1 for j > k (Dettweiler-Reiter, An algorithm of Katz
+    and its application to the inverse Galois problem, 2000).  One r*n x r*n
+    matrix holds row block k of each B_k as its row block k, so the common
+    fixed space of the B_k is the kernel of that matrix minus 1.  The
+    quotient is taken by that space plus the blockwise kernels of A_k - 1,
+    held as one ``Subspace``.  The quotient dimension is checked against
+    the local rank formula; a mismatch raises DegenerateQuotient.  Products
+    on the r*n-dimensional space sum r*n terms of size (p-1)^2 in int64, so
+    larger moduli raise ValueError.
     """
     p = t.p
     lam = int(lam) % p
@@ -213,38 +216,21 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     big = r * n
     _check_products(big, p)
     eye_n = np.eye(n, dtype=np.int64)
-    arrays = [m.array for m in t.matrices]
+    eye_big = np.eye(big, dtype=np.int64)
+    shifts = [(m.array - eye_n) % p for m in t.matrices]
 
-    blocks = []
-    for k in range(r):
-        b = np.eye(big, dtype=np.int64)
-        row = slice(k * n, (k + 1) * n)
-        for j in range(r):
-            col = slice(j * n, (j + 1) * n)
-            if j < k:
-                b[row, col] = (lam * (arrays[j] - eye_n)) % p
-            elif j == k:
-                b[row, col] = (lam * arrays[k]) % p
-            else:
-                b[row, col] = (arrays[j] - eye_n) % p
-        blocks.append(b)
+    # row block k of B_k: lambda scales the blocks j <= k, and lambda A_k =
+    # lambda (A_k - 1) + lambda
+    scale = np.kron(np.where(np.tri(r, dtype=bool), lam, 1), np.ones((n, n), dtype=np.int64))
+    rows = (scale * np.tile(np.concatenate(shifts, axis=1), (r, 1)) + lam * eye_big) % p
 
-    # blockwise kernels of A_k - 1, embedded in the k-th block
-    kernels = [_kernel_basis((a - eye_n) % p, p) for a in arrays]
+    # blockwise kernels of A_k - 1, embedded in the k-th block, and the
+    # common fixed space of the B_k
+    kernels = [_kernel_basis(s, p) for s in shifts]
     unit = np.eye(r, dtype=np.int64)
     kernel_rows = [np.kron(unit[k], v) for k, kb in enumerate(kernels) for v in kb]
-
-    # common fixed space of the B_k
-    stacked = np.concatenate([(b - np.eye(big, dtype=np.int64)) % p for b in blocks])
-    fixed_rows = list(_kernel_basis(stacked, p))
-
-    junk = kernel_rows + fixed_rows
-    if junk:
-        junk_basis, pivots = _rref(np.stack(junk), p)
-        junk_basis = junk_basis[: len(pivots)]
-    else:
-        junk_basis = np.zeros((0, big), dtype=np.int64)
-        pivots = ()
+    fixed_rows = list(_kernel_basis((rows - eye_big) % p, p))
+    junk = Subspace(kernel_rows + fixed_rows, big, p)
 
     # the quotient must see exactly the predicted dimension: the input rank
     # for the identity convolution, otherwise the local rank formula.  The
@@ -258,7 +244,7 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
         expected = sum(n - kb.shape[0] for kb in kernels)
         inf_shift = (pow(lam, -1, p) * t.infinity_matrix.array - eye_n) % p
         expected -= _kernel_basis(inf_shift, p).shape[0]
-    out_dim = big - junk_basis.shape[0]
+    out_dim = big - junk.dim
     if out_dim != expected:
         raise DegenerateQuotient(
             f"quotient dimension {out_dim} != predicted rank {expected}"
@@ -266,15 +252,15 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     if out_dim == 0:
         raise NotInCategory("convolution output collapses to rank 0")
 
-    pivot_set = set(pivots)
-    coords = [j for j in range(big) if j not in pivot_set]
-
+    coords = [j for j in range(big) if j not in junk.pivots]
     out_mats = []
-    for b in blocks:
+    for k in range(r):
+        b = eye_big.copy()
+        b[k * n : (k + 1) * n] = rows[k * n : (k + 1) * n]
         # invariance of the junk space under B_k (theorem; cheap guard)
-        if _echelon_reduce(junk_basis @ b.T, junk_basis, pivots, p).any():
+        if junk.reduce(junk.basis @ b.T).any():
             raise DegenerateQuotient("quotient subspace is not invariant")
-        cols = _echelon_reduce(b[:, coords].T, junk_basis, pivots, p)
+        cols = junk.reduce(b[:, coords].T)
         out_mats.append(Matrix(cols[:, coords].T, p))
 
     try:

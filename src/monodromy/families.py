@@ -57,9 +57,6 @@ class MonodromySystem:
     def generators(self) -> tuple[Matrix, ...]:
         return self.tuple.matrices
 
-    def classification_at(self, label: Label) -> ElementClass:
-        return self.classifications[self.tuple.punctures.index(label)]
-
 
 def discover_pairing(t: PuncturedTuple) -> BilinearForm:
     """The invariant pairing of a tuple whose invariant-form space is a line.

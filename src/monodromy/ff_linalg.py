@@ -10,6 +10,7 @@ subspace equality is representation equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +43,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _check_modulus(p: int) -> int:
+    """``p`` as an int, or ValueError; the primality test runs once per modulus."""
     p = int(p)
     if p < 3 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
@@ -150,10 +153,6 @@ def _det(a: np.ndarray, p: int) -> int:
     return det % p
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -258,8 +257,8 @@ class Matrix:
         base = self.array
         while k:
             if k & 1:
-                result = _matmul(result, base, self.p)
-            base = _matmul(base, base, self.p)
+                result = (result @ base) % self.p
+            base = (base @ base) % self.p
             k >>= 1
         return Matrix(result, self.p)
 
@@ -285,9 +284,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not self.array.any()
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.det() != 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -329,10 +325,6 @@ class Subspace:
     def zero(ambient: int, p: int) -> "Subspace":
         return Subspace(np.zeros((0, ambient), dtype=np.int64), ambient, p)
 
-    @staticmethod
-    def full(ambient: int, p: int) -> "Subspace":
-        return Subspace(np.eye(ambient, dtype=np.int64), ambient, p)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -350,8 +342,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if (other.ambient, other.p) != (self.ambient, self.p):
             raise ValueError("mismatched ambient space")
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace(stacked, self.ambient, self.p)
+        return Subspace(np.concatenate([self.basis, other.basis]), self.ambient, self.p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -521,7 +512,7 @@ def jordan_type(a: Matrix) -> JordanData:
         ranks = [n, r1]
         power = b
         while ranks[-1] != ranks[-2]:
-            power = _matmul(power, b, p)
+            power = (power @ b) % p
             ranks.append(_rank(power, p))
         # ranks stabilized; count blocks of each exact size
         for k in range(1, len(ranks) - 1):

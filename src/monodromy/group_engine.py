@@ -20,9 +20,9 @@ block gathered from them is widened to int64 just before it enters a
 product: each frontier block in ``_orbit``, the parent transversals in
 ``_Chain._rebuild``, the transversal inverses in ``_Chain._sift``, and the
 points, transversals and inverses in ``_Chain._schreier_blocks``.  Vector
-codes, strong generators and every product stay int64, so products are
-exact under the guards ``ff_linalg._check_products`` (on every ``Matrix``)
-and p^n < 2^63 (on every chain).
+codes, strong generators, their inverses and every product stay int64, so
+products are exact under the guards ``ff_linalg._check_products`` (on
+every ``Matrix``) and p^n < 2^63 (on every chain).
 
 Containment of the derived subgroup of the isometry group is decided from
 the group order alone, with the image of (determinant, spinor norm) in the
@@ -174,23 +174,31 @@ def _orbit(gens: np.ndarray, start: np.ndarray, p: int, cap: int, dtype: np.dtyp
 class _Level:
     """One level of the chain: a base point, strong generators and its orbit.
 
-    The base point is the standard basis vector ``e_col`` and ``gens`` is
-    the stack of strong generators.  Row k of ``points`` is an orbit vector
-    (row 0 the base point), ``index`` maps vector codes to rows,
+    The base point is the standard basis vector ``e_col``.  ``gens`` is the
+    stack of distinct strong generators and ``gens_inv[k]`` the inverse of
+    ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
+    vector (row 0 the base point), ``index`` maps vector codes to rows,
     ``trans[k]`` maps the base point to ``points[k]`` and ``trans_inv[k]``
     is its inverse.  ``points``, ``trans`` and ``trans_inv`` hold residues
     in the chain's storage dtype, the narrowest signed integer type that
-    holds p - 1; ``gens`` stays int64.  A block gathered from them is
-    widened to int64 before it enters a product.
+    holds p - 1; ``gens`` and ``gens_inv`` stay int64.  A block gathered
+    from the stored residues is widened to int64 before it enters a product.
     """
 
-    __slots__ = ("col", "gens", "points", "index", "trans", "trans_inv")
+    __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv")
 
-    def __init__(self, col: int, gens: np.ndarray):
+    def __init__(self, col: int, n: int):
         self.col = col
-        self.gens = gens
+        self.gens = self.gens_inv = np.zeros((0, n, n), dtype=np.int64)
         self.points = np.zeros((0, 0), dtype=np.int64)
         self.index = self.trans = self.trans_inv = None
+
+    def admit(self, gens: np.ndarray, p: int) -> None:
+        """Append each matrix of the stack ``gens`` not yet a generator, with its inverse."""
+        for g in gens:
+            if not np.all(self.gens == g, axis=(1, 2)).any():
+                self.gens = np.concatenate([self.gens, g[None]])
+                self.gens_inv = np.concatenate([self.gens_inv, _inv(g, p)[None]])
 
 
 class _Reached(Exception):
@@ -202,8 +210,13 @@ class _Chain:
 
     Vectors are handled as integer codes sum(v_i p^i).  Orbits grow by whole
     frontiers, transversal elements and their inverses are built by batched
-    products, and Schreier generators are sifted a block at a time.  Any base
-    gives a valid chain; each level takes the first basis vector it moves.
+    products from the level's generators and their stored inverses, and
+    Schreier generators are sifted a block at a time.  Any base gives a
+    valid chain; each level takes the first basis vector it moves.
+
+    Identity matrices in ``gens`` are dropped before anything else, and
+    repeated ones are admitted once, so a stack of identities gives an
+    empty chain that computes no vector code.
 
     ``bound``, if given, is called once, only when levels are about to be
     built, and returns an upper bound on the group order or None; so a
@@ -233,14 +246,15 @@ class _Chain:
         self.stopped = False
         self.eye = np.eye(n, dtype=np.int64)
         self.levels: list[_Level] = []
-        self._inverses: dict[bytes, np.ndarray] = {}
+        gens = gens[~self._is_id(gens)]
         if len(gens):
-            # with no generators the chain is empty and no code is computed
+            # with only identities the chain is empty and no code is computed
             if p**n >= 2**63:
                 raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
             self.powers = np.array([p**i for i in range(n)], dtype=np.int64)
             self.bound = bound() if bound is not None else None
-            self.levels.append(_Level(self._pick_base(gens), gens))
+            self.levels.append(_Level(self._pick_base(gens), n))
+            self.levels[0].admit(gens, p)
             try:
                 self._complete(0)
             except _Reached:
@@ -267,13 +281,6 @@ class _Chain:
             raise ValueError("generators act trivially on all basis vectors")
         return int(moved[0])
 
-    def _inverse(self, g: np.ndarray) -> np.ndarray:
-        key = g.tobytes()
-        inv = self._inverses.get(key)
-        if inv is None:
-            inv = self._inverses[key] = _inv(g, self.p)
-        return inv
-
     def _rebuild(self, idx: int) -> None:
         """Enumerate the orbit of level ``idx`` with its transversal."""
         lvl = self.levels[idx]
@@ -294,8 +301,7 @@ class _Chain:
         for first, parents, j in steps:
             rows = slice(first, first + parents.size)
             trans[rows] = (lvl.gens[j] @ trans[parents].astype(np.int64)) % p
-            inv = self._inverse(lvl.gens[j])
-            trans_inv[rows] = (trans_inv[parents].astype(np.int64) @ inv) % p
+            trans_inv[rows] = (trans_inv[parents].astype(np.int64) @ lvl.gens_inv[j]) % p
         lvl.points, lvl.index, lvl.trans, lvl.trans_inv = points, index, trans, trans_inv
 
     # -- sifting ----------------------------------------------------------
@@ -366,10 +372,9 @@ class _Chain:
     def _extend(self, h: np.ndarray, i: int, j: int) -> None:
         """Add a sifted residue to levels i+1..j and complete them bottom-up."""
         if j == len(self.levels):
-            self.levels.append(_Level(self._pick_base(h[None]), h[None]))
+            self.levels.append(_Level(self._pick_base(h[None]), self.n))
         for lvl in self.levels[i + 1 : j + 1]:
-            if not np.all(lvl.gens == h, axis=(1, 2)).any():
-                lvl.gens = np.concatenate([lvl.gens, h[None]])
+            lvl.admit(h[None], self.p)
         for idx in range(j, i, -1):
             self._complete(idx)
 
@@ -377,17 +382,19 @@ class _Chain:
 class GeneratedGroup:
     """A matrix group given by generators, with a lazily built stabilizer chain.
 
-    The chain (see ``_Chain``) works on integer-coded vector orbits with
-    stored transversal inverses.  ``limit`` caps the number of orbit vectors
-    stored over all levels; it is checked after each batch of images, so
-    storage never passes it by more than one batch before ``ResourceLimit``
-    is raised.  Each stored vector keeps itself and two n x n transversal
-    matrices in the narrowest integer dtype that holds p - 1: n + 2 n^2
-    bytes at p <= 127 (twice that up to p = 32767, four times below 2^31),
-    plus its entry in the code index.  ``ResourceLimit`` is also raised
-    when a chain is to be built and p^n does not fit in 64 bits, so a
-    vector code can never wrap; a group of identities has an empty chain
-    and computes no code.
+    The chain (see ``_Chain``) works on integer-coded vector orbits and
+    keeps each strong generator and transversal element with its inverse.
+    It is handed the generators as given and drops identities and repeats
+    itself.  ``limit`` caps the number of orbit vectors stored over all
+    levels; it is checked after each batch of images, so storage never
+    passes it by more than one batch before ``ResourceLimit`` is raised.
+    Each stored vector keeps itself and two n x n transversal matrices in
+    the narrowest integer dtype that holds p - 1: n + 2 n^2 bytes at
+    p <= 127 (twice that up to p = 32767, four times below 2^31), plus its
+    entry in the code index.  ``ResourceLimit`` is also raised when a chain
+    is to be built and p^n does not fit in 64 bits, so a vector code can
+    never wrap; a group of identities has an empty chain and computes no
+    code.
 
     The chain is built once, on the first query, under a lock, and published
     only when complete.  Concurrent callers of ``order``, ``contains_array``
@@ -431,14 +438,7 @@ class GeneratedGroup:
             return chain
         with self._lock:
             if self._chain is None:
-                nontrivial = []
-                seen = set()
-                for g in self.gens:
-                    key = g.array.tobytes()
-                    if not g.is_identity() and key not in seen:
-                        seen.add(key)
-                        nontrivial.append(g.array)
-                gens = np.array(nontrivial, dtype=np.int64).reshape(-1, self.dim, self.dim)
+                gens = np.array([g.array for g in self.gens], dtype=np.int64)
                 self._chain = _Chain(gens, self.p, self.dim, self.limit, bound)
             return self._chain
 
@@ -595,9 +595,10 @@ def is_irreducible(
             frontier = lines[i : i + 1]
             while len(frontier):
                 images = (frontier @ gens_t).reshape(-1, n) % p
-                fresh = np.unique(_line_positions(images, p, inverse))
-                fresh = fresh[~marked[fresh]]
-                marked[fresh] = True
+                fresh = np.zeros_like(marked)
+                fresh[_line_positions(images, p, inverse)] = True
+                fresh &= ~marked
+                marked |= fresh
                 frontier = lines[fresh]
         return IrreducibilityReport(True, None, "exhaustive")
 

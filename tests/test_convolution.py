@@ -16,6 +16,7 @@ from monodromy.convolution import (
 from monodromy.errors import NotInCategory
 from monodromy.ff_linalg import JordanData, Matrix, invariant_forms, jordan_type, random_invertible
 from monodromy.group_engine import GeneratedGroup, is_irreducible
+from convolution_reference import reference_middle_convolve
 
 
 def kummer(points, p):
@@ -319,3 +320,36 @@ class TestLocalCalculusContract:
                 got = jordan_type(out.matrix_at(lab)).nontrivial()
                 want = map_local_jordan(jordan_type(t.matrix_at(lab)), lam)
                 assert got == want, (p, n, r, lam, lab)
+
+
+def _outcome(convolve, t, lam):
+    """The emitted tuple, or the class and message of the error raised."""
+    try:
+        return convolve(t, lam)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceOracle:
+    """``middle_convolve`` against the stacked-system construction it replaced."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("lam", [1, -1, 2])
+    def test_matches_reference(self, p, lam):
+        rng = Random(p * 10 + lam)
+        emitted = raised = 0
+        for n in range(1, 5):
+            for r in range(2, 6):
+                t = random_split_tuple(rng, p, n, r)
+                # the same tuple with an identity puncture in front
+                mats = [Matrix.identity(n, p)] + list(t.matrices[1:])
+                for case in (t, PuncturedTuple(t.punctures, mats)):
+                    got = _outcome(middle_convolve, case, lam)
+                    assert got == _outcome(reference_middle_convolve, case, lam), (n, r)
+                    if isinstance(got, tuple):
+                        raised += 1
+                        continue
+                    emitted += 1
+                    again = _outcome(middle_convolve, got, lam)
+                    assert again == _outcome(reference_middle_convolve, got, lam), (n, r)
+        assert emitted and raised

@@ -404,3 +404,22 @@ class TestBilinearForm:
 
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_primality_is_tested_once_per_modulus(monkeypatch):
+    import monodromy.ff_linalg as ff
+
+    calls = []
+    monkeypatch.setattr(ff, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    ff._check_modulus.cache_clear()
+    q = 2**31 - 1
+    for k in range(1, 335):
+        Matrix([[k]], q)
+        Subspace([[k]], 1, q)
+        JordanData([(k, 1)], q)
+    assert calls == [q]
+    # a rejected modulus is not remembered: it is tested and rejected again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="odd prime"):
+            Matrix([[1]], 2**31 - 3)
+    assert calls == [q, 2**31 - 3, 2**31 - 3]

@@ -1,5 +1,6 @@
 """Group orders, irreducibility, element orders, derived containment."""
 
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -135,6 +136,21 @@ class TestIrreducibility:
         report = is_irreducible(GeneratedGroup([Matrix.identity(2, 5)]))
         assert not report.irreducible
         assert report.witness.dim == 1
+
+    def test_line_orbits_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, which every CLI
+        # process would pay for; the line orbits are marked with a mask
+        code = (
+            "import sys\n"
+            "from monodromy.families import twist_family_system\n"
+            "from monodromy.group_engine import GeneratedGroup, is_irreducible\n"
+            "report = is_irreducible(GeneratedGroup(twist_family_system([2], 7).generators))\n"
+            "assert report.irreducible and report.method == 'exhaustive'\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_sl2_f3_irreducible_exhaustively(self):
         # independent oracle: check all 4 lines of F_3^2 by hand
@@ -766,6 +782,40 @@ class TestKnownOrderStop:
             group = GeneratedGroup(system.generators)
             assert contains_derived(group, FormSpace(system.pairing))
             assert group._chain.stopped, name
+
+
+class TestLevelGenerators:
+    """Each level keeps its distinct strong generators beside their inverses."""
+
+    @pytest.mark.parametrize("name", sorted(_BOUNDED_SYSTEMS))
+    def test_stored_inverses(self, name):
+        chain = GeneratedGroup(_BOUNDED_SYSTEMS[name]().generators)._ensure_chain()
+        eye = np.eye(chain.n, dtype=np.int64)
+        for lvl in chain.levels:
+            assert lvl.gens.shape == lvl.gens_inv.shape
+            assert np.all((lvl.gens_inv @ lvl.gens) % chain.p == eye)
+            assert len({g.tobytes() for g in lvl.gens}) == len(lvl.gens)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_repeated_and_identity_generators_change_nothing(self, p):
+        rng = Random(300 + p)
+        for trial in range(8):
+            n = rng.randrange(2, 4)
+            gens = _random_generators(rng, p, n)
+            plain = [
+                g for k, g in enumerate(gens) if not g.is_identity() and g not in gens[:k]
+            ]
+            eye = Matrix.identity(n, p)
+            padded = [eye] + gens + gens[::-1] + [eye]
+            if not plain:
+                assert GeneratedGroup(padded)._ensure_chain().levels == []
+                continue
+            want = GeneratedGroup(plain)._ensure_chain()
+            got = GeneratedGroup(padded)._ensure_chain()
+            assert _levels(got) == _levels(want), (p, n, trial)
+            for a, b in zip(got.levels, want.levels):
+                assert np.array_equal(a.gens, b.gens)
+                assert np.array_equal(a.gens_inv, b.gens_inv)
 
 
 def _query_concurrently(query, threads: int = 4) -> list:
