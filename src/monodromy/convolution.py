@@ -109,9 +109,6 @@ class PuncturedTuple:
             return self.infinity_matrix
         return self.matrices[self.punctures.index(label)]
 
-    def jordan_at(self, label: Label) -> JordanData:
-        return jordan_type(self.matrix_at(label))
-
     def local_data(self) -> dict[Label, JordanData]:
         """Jordan data at every puncture, infinity included."""
         data = {lab: jordan_type(m) for lab, m in zip(self.punctures, self.matrices)}

@@ -6,8 +6,10 @@ vector that the level's generators move.  Vectors are handled as integer
 codes sum(v_i p^i): each level keeps its orbit as an array of points with a
 code-to-row index, grown a whole frontier at a time, and stores every
 transversal element together with its inverse, both built by batched
-products.  Schreier generators are formed and sifted through the chain in
-blocks.  When the caller knows an upper bound B on the group order, the
+products.  When a level gains generators its orbit is extended in place,
+and only the Schreier generators of pairs (point, generator) not sifted
+before are formed; they are sifted through the chain in blocks.  When the
+caller knows an upper bound B on the group order, the
 build stops as soon as the product of the stored orbit lengths reaches B:
 that product never exceeds |G|, so it then equals |G|, every stored orbit
 is a full orbit of its point stabilizer and the chain sifts every element
@@ -18,7 +20,7 @@ narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
 up to 32767, then int32 and int64), n + 2 n^2 entries per orbit vector.  A
 block gathered from them is widened to int64 just before it enters a
 product: each frontier block in ``_orbit``, the parent transversals in
-``_Chain._rebuild``, the transversal inverses in ``_Chain._sift``, and the
+``_Chain._grow``, the transversal inverses in ``_Chain._sift``, and the
 points, transversals and inverses in ``_Chain._schreier_blocks``.  Vector
 codes, strong generators, their inverses and every product stay int64, so
 products are exact under the guards ``ff_linalg._check_products`` (on
@@ -128,37 +130,37 @@ class _SortedIndex:
         self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(gens: np.ndarray, start: np.ndarray, p: int, cap: int, dtype: np.dtype):
-    """Orbit of the distinct vectors ``start`` (rows), frontier by frontier.
+def _orbit(lvl: _Level, p: int, cap: int):
+    """Grow the stored orbit of ``lvl`` to closure under all its generators.
 
-    Each generator in the stack ``gens`` maps a batch of frontier points at
-    once; its images are distinct, so only codes already in the index are
-    dropped.  Points are stored in ``dtype`` and each frontier batch is
-    widened to int64 before its products.  Stops once at least ``cap``
-    points are stored, keeping at most one batch of images past the cap.
-    Returns the points (``start`` first), their code index and the steps
-    (first row, parent rows, generator) that reached the others.
+    The orbit is closed under the first ``lvl.sifted[1]`` generators.  The
+    first round maps every stored point by the generators added since; each
+    later round maps the points the last one found by all of them.  Each
+    generator maps a batch of points at once, widened to int64; its images
+    are distinct, so only codes already in ``lvl.index`` are dropped, and
+    each new code enters the index at the row it will take.  Stops once at
+    least ``cap`` points are stored, keeping at most one batch of images
+    past the cap.  Returns the new points, in chunks of the storage dtype,
+    and the steps (first row, parent rows, generator) that reached them.
     """
-    n = start.shape[1]
+    gens, points, index = lvl.gens, lvl.points, lvl.index
+    n = points.shape[1]
     powers = p ** np.arange(n, dtype=np.int64)
     batch = max(1, _BLOCK_ENTRIES // n)
-    index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
-    index.add(start @ powers, np.arange(len(start)))
-    chunks = [start.astype(dtype)]
-    steps = []
-    total = len(start)
-    frontier, first = chunks[0], 0
+    chunks, steps = [], []
+    total = len(points)
+    frontier, first, movers = points, 0, range(lvl.sifted[1], len(gens))
     while total < cap:
         round_start, round_chunks = total, len(chunks)
         for a in range(0, len(frontier), batch):
             block = frontier[a : a + batch].astype(np.int64)
-            for j, g in enumerate(gens):
-                images = (block @ g.T) % p
+            for j in movers:
+                images = (block @ gens[j].T) % p
                 codes = images @ powers
                 fresh = np.flatnonzero(index.find(codes) < 0)
                 if fresh.size:
                     index.add(codes[fresh], np.arange(total, total + fresh.size))
-                    chunks.append(images[fresh].astype(dtype))
+                    chunks.append(images[fresh].astype(points.dtype))
                     steps.append((total, first + a + fresh, j))
                     total += fresh.size
                 if total >= cap:
@@ -168,7 +170,8 @@ def _orbit(gens: np.ndarray, start: np.ndarray, p: int, cap: int, dtype: np.dtyp
         if len(chunks) == round_chunks:
             break
         frontier, first = np.concatenate(chunks[round_chunks:]), round_start
-    return np.concatenate(chunks), index, steps
+        movers = range(len(gens))
+    return chunks, steps
 
 
 class _Level:
@@ -179,19 +182,28 @@ class _Level:
     ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
     vector (row 0 the base point), ``index`` maps vector codes to rows,
     ``trans[k]`` maps the base point to ``points[k]`` and ``trans_inv[k]``
-    is its inverse.  ``points``, ``trans`` and ``trans_inv`` hold residues
-    in the chain's storage dtype, the narrowest signed integer type that
-    holds p - 1; ``gens`` and ``gens_inv`` stay int64.  A block gathered
-    from the stored residues is widened to int64 before it enters a product.
+    is its inverse.  The orbit only grows: rows keep their place and their
+    transversal elements, and new rows are appended.  ``sifted`` = (m, k)
+    says that the orbit is closed under ``gens[:k]`` and that the Schreier
+    generators of every pair (``points[v]``, ``gens[s]``) with v < m and
+    s < k have been sifted; m is the orbit length at that time.  ``points``,
+    ``trans`` and ``trans_inv`` hold residues in the chain's storage dtype,
+    the narrowest signed integer type that holds p - 1; ``gens`` and
+    ``gens_inv`` stay int64.  A block gathered from the stored residues is
+    widened to int64 before it enters a product.
     """
 
-    __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv")
+    __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "sifted")
 
-    def __init__(self, col: int, n: int):
+    def __init__(self, col: int, n: int, p: int, dtype: np.dtype):
+        eye = np.eye(n, dtype=dtype)
         self.col = col
         self.gens = self.gens_inv = np.zeros((0, n, n), dtype=np.int64)
-        self.points = np.zeros((0, 0), dtype=np.int64)
-        self.index = self.trans = self.trans_inv = None
+        self.points = eye[col : col + 1]
+        self.trans = self.trans_inv = eye[None]
+        self.index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
+        self.index.add(np.array([p**col], dtype=np.int64), np.zeros(1, dtype=np.int64))
+        self.sifted = (1, 0)
 
     def admit(self, gens: np.ndarray, p: int) -> None:
         """Append each matrix of the stack ``gens`` not yet a generator, with its inverse."""
@@ -212,7 +224,8 @@ class _Chain:
     frontiers, transversal elements and their inverses are built by batched
     products from the level's generators and their stored inverses, and
     Schreier generators are sifted a block at a time.  Any base gives a
-    valid chain; each level takes the first basis vector it moves.
+    valid chain; each level takes the first basis vector it moves.  A level
+    that gains generators extends its orbit and sifts only its new pairs.
 
     Identity matrices in ``gens`` are dropped before anything else, and
     repeated ones are admitted once, so a stack of identities gives an
@@ -223,11 +236,11 @@ class _Chain:
     costly bound is never computed for a chain that is empty or refused.
     Each level's generators fix the earlier base points, so its orbit lies
     in the orbit of the true point stabilizer, and the product of the orbit
-    lengths never exceeds |G|.  Once that product equals the bound after a
-    rebuild, every orbit is a full stabilizer orbit, so the build stops
+    lengths never exceeds |G|.  Once that product equals the bound after an
+    orbit grows, every orbit is a full stabilizer orbit, so the build stops
     there (``stopped``) with no more sifting: the order and every membership
     answer are those of the full build.  Levels whose generators grew but
-    were not yet rebuilt keep their older orbits, which are then full too.
+    whose orbits were not yet extended are then full orbits already.
     """
 
     def __init__(
@@ -253,7 +266,7 @@ class _Chain:
                 raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
             self.powers = np.array([p**i for i in range(n)], dtype=np.int64)
             self.bound = bound() if bound is not None else None
-            self.levels.append(_Level(self._pick_base(gens), n))
+            self.levels.append(_Level(self._pick_base(gens), n, p, self.dtype))
             self.levels[0].admit(gens, p)
             try:
                 self._complete(0)
@@ -281,28 +294,29 @@ class _Chain:
             raise ValueError("generators act trivially on all basis vectors")
         return int(moved[0])
 
-    def _rebuild(self, idx: int) -> None:
-        """Enumerate the orbit of level ``idx`` with its transversal."""
+    def _grow(self, idx: int) -> None:
+        """Extend the orbit of level ``idx`` and its transversal to its generators."""
         lvl = self.levels[idx]
         budget = self.limit - sum(
             len(other.points) for k, other in enumerate(self.levels) if k != idx
         )
-        points, index, steps = _orbit(
-            lvl.gens, self.eye[lvl.col : lvl.col + 1], self.p, budget + 1, self.dtype
-        )
-        if len(points) > budget:
+        chunks, steps = _orbit(lvl, self.p, budget + 1)
+        if len(lvl.points) + sum(map(len, chunks)) > budget:
             raise ResourceLimit(
                 f"orbit storage exceeded the configured cap of {self.limit} vectors"
             )
-        p = self.p
+        if not chunks:
+            return
+        p, old = self.p, len(lvl.points)
+        points = np.concatenate([lvl.points, *chunks])
         trans = np.empty((len(points), self.n, self.n), dtype=self.dtype)
         trans_inv = np.empty_like(trans)
-        trans[0] = trans_inv[0] = self.eye
+        trans[:old], trans_inv[:old] = lvl.trans, lvl.trans_inv
         for first, parents, j in steps:
             rows = slice(first, first + parents.size)
             trans[rows] = (lvl.gens[j] @ trans[parents].astype(np.int64)) % p
             trans_inv[rows] = (trans_inv[parents].astype(np.int64) @ lvl.gens_inv[j]) % p
-        lvl.points, lvl.index, lvl.trans, lvl.trans_inv = points, index, trans, trans_inv
+        lvl.points, lvl.trans, lvl.trans_inv = points, trans, trans_inv
 
     # -- sifting ----------------------------------------------------------
 
@@ -334,29 +348,38 @@ class _Chain:
         return stop
 
     def _schreier_blocks(self, lvl: _Level):
-        """Schreier generators u_{sv}^-1 s u_v of a level, a block at a time."""
+        """Schreier generators u_{sv}^-1 s u_v of the pairs outside ``lvl.sifted``.
+
+        Old points with new generators, then new points with all of them, a
+        block at a time.  An old pair keeps its transversal elements, so its
+        element is one that already sifted into <S_{i+1}>.
+        """
         p, n = self.p, self.n
+        m, k = lvl.sifted
         per_block = max(1, _BLOCK_ENTRIES // (n * n))
-        for g0 in range(0, len(lvl.gens), per_block):
-            gens = lvl.gens[g0 : g0 + per_block]
-            batch = max(1, per_block // len(gens))
-            for a in range(0, len(lvl.points), batch):
-                # row i * len(gens) + j of each stack belongs to (v_i, s_j)
-                points = lvl.points[a : a + batch].astype(np.int64)
-                images = (gens @ points.T).transpose(2, 0, 1) % p
-                rows = lvl.index.find(self._codes(images.reshape(-1, n)))
-                trans = lvl.trans[a : a + batch, None].astype(np.int64)
-                moved = (gens[None] @ trans) % p
-                block = lvl.trans_inv[rows].astype(np.int64) @ moved.reshape(-1, n, n)
-                np.remainder(block, p, out=block)
-                yield block
+        for rows, first in ((slice(0, m), k), (slice(m, None), 0)):
+            points, transversal = lvl.points[rows], lvl.trans[rows]
+            for g0 in range(first, len(lvl.gens), per_block):
+                gens = lvl.gens[g0 : g0 + per_block]
+                batch = max(1, per_block // len(gens))
+                for a in range(0, len(points), batch):
+                    # row i * len(gens) + j of each stack belongs to (v_i, s_j)
+                    block = points[a : a + batch].astype(np.int64)
+                    images = (gens @ block.T).transpose(2, 0, 1) % p
+                    found = lvl.index.find(self._codes(images.reshape(-1, n)))
+                    trans = transversal[a : a + batch, None].astype(np.int64)
+                    moved = (gens[None] @ trans) % p
+                    out = lvl.trans_inv[found].astype(np.int64) @ moved.reshape(-1, n, n)
+                    np.remainder(out, p, out=out)
+                    yield out
 
     def _complete(self, i: int) -> None:
-        """Rebuild level i and sift its Schreier generators through levels > i."""
-        self._rebuild(i)
+        """Grow level i and sift its Schreier generators not yet sifted through levels > i."""
+        lvl = self.levels[i]
+        self._grow(i)
         if self.order() == self.bound:
             raise _Reached
-        for block in self._schreier_blocks(self.levels[i]):
+        for block in self._schreier_blocks(lvl):
             residues = block[~self._is_id(block)]
             while residues.size:
                 stop = self._sift(residues, i + 1)
@@ -368,11 +391,12 @@ class _Chain:
                 # the rest stay exact: a residue that sifts to the identity
                 # lies in <S_{i+1}>, and that group only grows
                 residues = residues[alive[1:]]
+        lvl.sifted = (len(lvl.points), len(lvl.gens))
 
     def _extend(self, h: np.ndarray, i: int, j: int) -> None:
         """Add a sifted residue to levels i+1..j and complete them bottom-up."""
         if j == len(self.levels):
-            self.levels.append(_Level(self._pick_base(h[None]), self.n))
+            self.levels.append(_Level(self._pick_base(h[None]), self.n, self.p, self.dtype))
         for lvl in self.levels[i + 1 : j + 1]:
             lvl.admit(h[None], self.p)
         for idx in range(j, i, -1):

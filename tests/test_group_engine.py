@@ -818,6 +818,89 @@ class TestLevelGenerators:
                 assert np.array_equal(a.gens_inv, b.gens_inv)
 
 
+def _incremental_cases() -> list[tuple[str, list[Matrix], object, int]]:
+    """(name, generators, bound or None, order): the bounded systems with and
+    without their bound, random groups over F_3, F_5 and F_7, and a chain on
+    the sorted code index."""
+    cases = []
+    for name in sorted(_BOUNDED_SYSTEMS):
+        system = _BOUNDED_SYSTEMS[name]()
+        gens = list(system.generators)
+        bound, _ = _order_bound(FormSpace(system.pairing), gens)
+        cases += [(name, gens, None, bound), (f"{name} bounded", gens, bound, bound)]
+    for p in (3, 5, 7):
+        rng = Random(400 + p)
+        for trial in range(6):
+            gens = _random_generators(rng, p, rng.randrange(2, 5))
+            cases.append((f"random {p}/{trial}", gens, None, ReferenceGroup(gens).order()))
+    cases.append(("C8 wr C2 mod 65537", _diagonal_and_swap(65537, 8), None, 8**2 * 2))
+    return cases
+
+
+class TestIncrementalChain:
+    """Orbits grow in place, and each Schreier generator is sifted once."""
+
+    def test_level_invariants_after_growth(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        grow = engine._Chain._grow
+        regrown = []
+
+        def checked_grow(chain, idx):
+            lvl = chain.levels[idx]
+            before = lvl.points.copy(), lvl.trans.copy(), lvl.trans_inv.copy()
+            grow(chain, idx)
+            # old rows keep their place, their transversal and their inverse
+            m = len(before[0])
+            for old, new in zip(before, (lvl.points, lvl.trans, lvl.trans_inv)):
+                assert np.array_equal(new[:m], old)
+            regrown.append(1 < m < len(lvl.points))
+
+        monkeypatch.setattr(engine._Chain, "_grow", checked_grow)
+        for name, gens, bound, order in _incremental_cases():
+            group = GeneratedGroup(gens)
+            chain = group._ensure_chain(None if bound is None else lambda: bound)
+            assert chain.order() == order, name
+            p, n = chain.p, chain.n
+            eye = np.eye(n, dtype=np.int64)
+            for lvl in chain.levels:
+                points = lvl.points.astype(np.int64)
+                trans = lvl.trans.astype(np.int64)
+                assert np.array_equal(trans[:, :, lvl.col], points), name
+                assert np.all((lvl.trans_inv.astype(np.int64) @ trans) % p == eye), name
+                codes = points @ chain.powers
+                assert np.array_equal(lvl.index.find(codes), np.arange(len(points))), name
+        assert any(regrown)
+
+    def test_each_pair_is_sifted_once(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        blocks = engine._Chain._schreier_blocks
+        rows = []
+
+        def counted(chain, lvl):
+            for block in blocks(chain, lvl):
+                rows.append(len(block))
+                yield block
+
+        monkeypatch.setattr(engine._Chain, "_schreier_blocks", counted)
+        systems = {name: _BOUNDED_SYSTEMS[name]() for name in ("Sp(6,3)", "O(5,5)")}
+        rng = Random(500)
+        cases = [(name, list(s.generators)) for name, s in systems.items()]
+        cases += [(f"random {k}", _random_generators(rng, (3, 5, 7)[k % 3], 3)) for k in range(8)]
+        for name, gens in cases:
+            rows.clear()
+            chain = GeneratedGroup(gens)._ensure_chain()
+            pairs = sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels)
+            assert sum(rows) == pairs, name
+        for name, system in systems.items():
+            rows.clear()
+            bound, _ = _order_bound(FormSpace(system.pairing), list(system.generators))
+            chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
+            assert chain.stopped, name
+            assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
+
+
 def _query_concurrently(query, threads: int = 4) -> list:
     """Run ``query`` in ``threads`` threads released at once; their results."""
     barrier = threading.Barrier(threads)
