@@ -10,19 +10,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monodromy.ff_linalg as ff
 from monodromy.errors import NonSplitSpectrum
 from monodromy.ff_linalg import (
     BilinearForm,
     JordanData,
     Matrix,
     Subspace,
+    _det,
     _echelon_reduce,
+    _inv,
+    _kernel_basis,
+    _rref,
     invariant_forms,
     is_prime,
     jordan_type,
     kernel,
     random_invertible,
 )
+from ff_linalg_reference import jordan_type_full_scan
+
+# cutoffs that send every elimination to one kernel, and the module's own
+PYTHON_INTS, NUMPY = 10**18, 0
+SMALL_ENTRIES = ff._SMALL_ENTRIES
+
+
+@pytest.fixture(params=[PYTHON_INTS, NUMPY], ids=["python-ints", "numpy"])
+def elimination_path(request, monkeypatch):
+    """Run the test with every ``_rref`` and ``_det`` on one kernel."""
+    monkeypatch.setattr(ff, "_SMALL_ENTRIES", request.param)
 
 
 def all_vectors(n, p):
@@ -65,6 +81,34 @@ def python_matmul(a, b, p):
         [sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def kernel_basis_reference(a, p):
+    """The per-entry loop that filled ``_kernel_basis``'s free columns."""
+    r, pivots = _rref(a, p)
+    cols = a.shape[1]
+    free = [j for j in range(cols) if j not in set(pivots)]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, j in enumerate(free):
+        basis[k, j] = 1
+        for i, pj in enumerate(pivots):
+            basis[k, pj] = (-r[i, j]) % p
+    basis, _ = _rref(basis, p)
+    return basis
+
+
+def on_each_kernel(monkeypatch, fn, *args):
+    """``fn(*args)`` at the module's cutoff, on Python ints, then on numpy."""
+    out = []
+    for cutoff in (SMALL_ENTRIES, PYTHON_INTS, NUMPY):
+        monkeypatch.setattr(ff, "_SMALL_ENTRIES", cutoff)
+        try:
+            out.append(fn(*args))
+        except ValueError as exc:
+            out.append(("ValueError", str(exc)))
+    return out
 
 
 def python_det(a, p):
@@ -159,6 +203,7 @@ class TestMatrix:
         assert a in {Matrix.identity(2, 5)}
 
 
+@pytest.mark.usefixtures("elimination_path")
 class TestKernel:
     def test_zero_matrix(self):
         ker = kernel(Matrix.zeros(2, 2, 3))
@@ -197,7 +242,70 @@ class TestKernel:
             for row in ker.basis:
                 assert not (m.array @ row % p).any()
 
+    def test_kernel_basis_matches_per_entry_loop(self):
+        rng = Random(8)
+        for _ in range(150):
+            p = rng.choice([3, 5, 7, 11])
+            rows, cols = rng.randrange(0, 9), rng.randrange(1, 13)
+            rank = rng.randrange(0, min(rows, cols) + 1)
+            left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(rows)])
+            right = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rank)])
+            a = (left.reshape(rows, rank) @ right.reshape(rank, cols)) % p
+            assert np.array_equal(_kernel_basis(a, p), kernel_basis_reference(a, p))
 
+
+class TestEliminationKernels:
+    """The Python-int and numpy eliminations give the same arrays and values."""
+
+    # both sides of the cutoff: 12x13 has 156 entries, 13x13 has 169
+    SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (1, 6), (6, 1), (3, 7), (7, 3),
+              (2, 2), (4, 4), (5, 5), (4, 8), (12, 13), (13, 13), (5, 40), (20, 20)]
+
+    @staticmethod
+    def _inputs(rng, shape, p):
+        rows, cols = shape
+        yield np.array([[rng.randrange(-2 * p, 2 * p) for _ in range(cols)] for _ in range(rows)],
+                       dtype=np.int64).reshape(shape)
+        if p <= 127:  # the chain's narrow storage: int8, negative entries included
+            yield np.array([[rng.randrange(-128, 128) for _ in range(cols)] for _ in range(rows)],
+                           dtype=np.int8).reshape(shape)
+        if rows >= 2:  # the last row a combination of the first two
+            a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+            c = rng.randrange(p)
+            a[-1] = [(int(x) + c * int(y)) % p for x, y in zip(a[0], a[1])]
+            yield a
+        yield np.eye(rows, cols, dtype=np.int64)
+        yield np.zeros(shape, dtype=np.int64)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 65537, 2**31 - 1])
+    def test_rref_det_and_inv_agree(self, monkeypatch, p):
+        rng = Random(p)
+        dets = set()
+        for shape in self.SHAPES:
+            for a in self._inputs(rng, shape, p):
+                default, ints, numpy = on_each_kernel(monkeypatch, _rref, a, p)
+                assert ints[1] == numpy[1] == default[1]
+                for r, _ in (default, ints):
+                    assert r.dtype == np.int64 and r.shape == a.shape
+                    assert np.array_equal(r, numpy[0])
+                if shape[0] != shape[1]:
+                    continue
+                det, *others = on_each_kernel(monkeypatch, _det, a, p)
+                assert others == [det, det] and type(det) is int
+                if shape[0] <= 4:
+                    assert det == python_det(a.astype(np.int64).tolist(), p)
+                dets.add(det != 0)
+                inv, *others = on_each_kernel(monkeypatch, _inv, a, p)
+                if det:
+                    for other in others:
+                        assert np.array_equal(other, inv)
+                else:
+                    assert inv == ("ValueError", "matrix is singular")
+                    assert others == [inv, inv]
+        assert dets == {True, False}
+
+
+@pytest.mark.usefixtures("elimination_path")
 class TestSubspace:
     def test_canonical_equality(self):
         a = Subspace([[1, 2], [0, 0]], 2, 5)
@@ -242,6 +350,7 @@ class TestSubspace:
                 assert np.array_equal(_echelon_reduce(v, rows, pivots, p), want)
 
 
+@pytest.mark.usefixtures("elimination_path")
 class TestJordanType:
     def test_identity(self):
         jd = jordan_type(Matrix.identity(3, 5))
@@ -283,6 +392,42 @@ class TestJordanType:
             n = rng.randrange(1, 5)
             a = _random_split(n, p, rng)
             assert jordan_type(a).dim == n
+
+    def test_matches_full_scan(self):
+        rng = Random(9)
+        seen = {"split": 0, "non-split": 0}
+        for _ in range(120):
+            p = rng.choice([3, 5, 7, 11])
+            n = rng.randrange(1, 6)
+            a = _random_split(n, p, rng) if rng.random() < 0.5 else random_invertible(n, p, rng)
+            try:
+                want = jordan_type_full_scan(a)
+            except NonSplitSpectrum as exc:
+                seen["non-split"] += 1
+                with pytest.raises(NonSplitSpectrum) as got:
+                    jordan_type(a)
+                assert str(got.value) == str(exc)
+            else:
+                seen["split"] += 1
+                assert jordan_type(a) == want
+        assert min(seen.values()) >= 20
+
+    def test_large_prime_stops_once_blocks_fill_the_space(self, monkeypatch):
+        # a scan of all p - 1 candidates would make a million rank computations
+        rank = ff._rank
+        calls = []
+
+        def counted(b, p):
+            calls.append(p)
+            if len(calls) > 10:
+                raise AssertionError("jordan_type kept scanning")
+            return rank(b, p)
+
+        monkeypatch.setattr(ff, "_rank", counted)
+        p = 1000003
+        assert jordan_type(Matrix([[1, 1], [0, 1]], p)).blocks == ((1, 2),)
+        calls.clear()
+        assert jordan_type(Matrix.diagonal([3, 2, 2], p)).blocks == ((2, 1), (2, 1), (3, 1))
 
     def test_reconstructs_power_ranks(self):
         rng = Random(6)
@@ -336,6 +481,7 @@ class TestJordanData:
             JordanData([(0, 1)], 5)
 
 
+@pytest.mark.usefixtures("elimination_path")
 class TestInvariantForms:
     def test_identity_fixes_everything(self):
         basis = invariant_forms([Matrix.identity(2, 5)])
