@@ -2,11 +2,11 @@
 
 Everything is integer arithmetic modulo an odd prime; there is no floating
 point anywhere.  Matrices and subspaces are held in numpy int64 arrays.
-Echelon forms and determinants of inputs with fewer than ``_SMALL_ENTRIES``
-entries are computed on lists of Python ints, where numpy's per-call cost
-would outweigh the arithmetic, and larger ones by a numpy loop; both give
-the same int64 arrays and values.  Matrices are immutable and
-hashable so they can be used as dict keys and set members (group closures,
+Determinants, and echelon forms of inputs with fewer than ``_SMALL_ENTRIES``
+entries, are computed on lists of Python ints, where numpy's per-call cost
+would outweigh the arithmetic; larger echelon forms use a numpy loop, and
+both give the same int64 arrays.  Matrices are immutable and hashable so
+they can be used as dict keys and set members (group closures,
 orbit transversals).  Subspaces are kept in reduced row echelon form, so
 subspace equality is representation equality.
 """
@@ -71,7 +71,9 @@ def _check_products(size: int, p: int) -> None:
 # call on random matrices mod 5 (2-CPU x86 host), numpy loop against Python
 # ints: 2x2 38 / 10 us, 4x4 72 / 19 us, 5x5 101 / 43 us, 8x16 207 / 136 us,
 # 13x13 345 / 309 us, 20x20 538 / 951 us, 64x64 3.2 / 18.2 ms.  The two
-# cross between 160 and 200 entries mod 5 and 7; ``_det`` crosses later.
+# cross between 160 and 200 entries mod 5 and 7.  ``_det`` always runs on
+# Python ints: its inputs are n x n for n the rank of a tuple, generator or
+# form, at most 14 rows on the benchmark's workloads.
 _SMALL_ENTRIES = 160
 
 
@@ -185,29 +187,10 @@ def _inv(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _det(a: np.ndarray, p: int) -> int:
+    """Determinant of the square ``a`` mod ``p``, by elimination on Python ints."""
     m = np.array(a, dtype=np.int64) % p
-    n = m.shape[0]
-    if m.size < _SMALL_ENTRIES:
-        pivots, det = _eliminate(m.tolist(), p, full=False)
-        return det if len(pivots) == n else 0
-    det = 1
-    for j in range(n):
-        nz = np.nonzero(m[j:, j])[0]
-        if nz.size == 0:
-            return 0
-        i = j + int(nz[0])
-        if i != j:
-            m[[j, i]] = m[[i, j]]
-            det = -det
-        piv = int(m[j, j])
-        det = (det * piv) % p
-        inv = pow(piv, -1, p)
-        below = np.nonzero(m[j + 1:, j])[0]
-        if below.size:
-            rows = j + 1 + below
-            factors = (m[rows, j] * inv) % p
-            m[rows] = (m[rows] - np.outer(factors, m[j])) % p
-    return det % p
+    pivots, det = _eliminate(m.tolist(), p, full=False)
+    return det if len(pivots) == m.shape[0] else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Jordan data by scanning every nonzero residue, kept as a test oracle.
+"""Earlier forms of ``monodromy.ff_linalg`` routines, kept as test oracles.
 
-This is ``monodromy.ff_linalg.jordan_type`` as it was before it stopped
+``jordan_type_full_scan`` is ``jordan_type`` as it was before it stopped
 once the blocks found fill the space: it runs one rank computation for each
 of the p - 1 candidate eigenvalues.  Tests compare its blocks and its
-NonSplitSpectrum with the library; the library does not import it.
+NonSplitSpectrum with the library.  ``det_numpy_loop`` is the numpy
+elimination ``_det`` ran before it moved to Python ints.  The library
+imports neither.
 """
 
 from __future__ import annotations
@@ -43,3 +45,26 @@ def jordan_type_full_scan(a: Matrix) -> JordanData:
             f"generalized eigenspaces span {total} of {n} dimensions over F_{p}"
         )
     return JordanData(blocks, p)
+
+
+def det_numpy_loop(a: np.ndarray, p: int) -> int:
+    m = np.array(a, dtype=np.int64) % p
+    n = m.shape[0]
+    det = 1
+    for j in range(n):
+        nz = np.nonzero(m[j:, j])[0]
+        if nz.size == 0:
+            return 0
+        i = j + int(nz[0])
+        if i != j:
+            m[[j, i]] = m[[i, j]]
+            det = -det
+        piv = int(m[j, j])
+        det = (det * piv) % p
+        inv = pow(piv, -1, p)
+        below = np.nonzero(m[j + 1:, j])[0]
+        if below.size:
+            rows = j + 1 + below
+            factors = (m[rows, j] * inv) % p
+            m[rows] = (m[rows] - np.outer(factors, m[j])) % p
+    return det % p
