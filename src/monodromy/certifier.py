@@ -108,6 +108,26 @@ class Certificate:
         return self.conclusion.kind != "NotCertified"
 
 
+# the largest k whose k! has at most 4300 digits, Python's default limit on
+# int-to-str conversion; the report names larger factorials as "(k)!"
+_FACTORIAL_DIGITS_MAX = 1558
+
+
+def _has_prime_factor_at_most(m: int, k: int) -> bool:
+    """Whether the positive integer m has a prime factor <= k, that is gcd(m, k!) != 1.
+
+    Trial division by d = 2, 3, ... while d <= k and d^2 <= m.  If no such d
+    divides m, either the loop passed k, and then m > k, or m is 1 or a
+    prime; either way m has a prime factor <= k exactly when 1 < m <= k.
+    """
+    d = 2
+    while d <= k and d * d <= m:
+        if m % d == 0:
+            return True
+        d += 1
+    return 1 < m <= k
+
+
 def _classify_all(h: Hypotheses) -> list[ElementClass]:
     return [classify_element(g, h.space) for g in h.generators]
 
@@ -161,7 +181,7 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
         )
     )
 
-    bound = math.factorial(h.r + 1)
+    k = h.r + 1
     bad = []
     for i, (g, cls) in enumerate(zip(h.generators, classes)):
         if i in h.s0:
@@ -173,13 +193,14 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
         except OrderOverflow:
             bad.append(f"{i}:order-overflow")
             continue
-        if math.gcd(order, bound) != 1:
+        if _has_prime_factor_at_most(order, k):  # gcd(order, (r+1)!) != 1
             bad.append(f"{i}:order={order}")
+    factorial = math.factorial(k) if k <= _FACTORIAL_DIGITS_MAX else f"({k})!"
     checks.append(
         CheckResult(
             "order_or_pseudoreflection",
             not bad,
-            f"(r+1)!={bound}" + (f" offenders={','.join(bad)}" if bad else ""),
+            f"(r+1)!={factorial}" + (f" offenders={','.join(bad)}" if bad else ""),
         )
     )
 

@@ -179,7 +179,8 @@ def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
 
 def _inv(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
+    m = np.asarray(a, dtype=np.int64) % p  # widened first: narrow dtypes may not hold p
+    aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
     r, pivots = _rref(aug, p)
     if len(pivots) < n or pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")

@@ -1,5 +1,6 @@
 """Certificates, cross-validation, and the commutator probe."""
 
+import math
 from random import Random
 
 import numpy as np
@@ -10,6 +11,7 @@ from monodromy.certifier import (
     certify,
     commutator_probe,
     cross_validate,
+    _has_prime_factor_at_most,
 )
 from monodromy.classical_groups import (
     FormSpace,
@@ -106,6 +108,22 @@ class TestCertify:
             withs0, "order_or_pseudoreflection"
         )
         assert names(withs0, "exempt_bound") <= names(base, "exempt_bound")
+
+    def test_prime_factor_test_matches_factorial_gcd(self):
+        for k in range(1, 40):
+            factorial = math.factorial(k)
+            for m in list(range(1, 1500)) + [7**5, 2**31 - 1, 31 * 37, 41 * 43 * 47]:
+                want = math.gcd(m, factorial) != 1
+                assert _has_prime_factor_at_most(m, k) == want, (m, k)
+
+    def test_order_check_at_a_large_r(self):
+        # (r+1)! is named, not written out, past 1558!, the last with at most
+        # 4300 digits; the orders are checked against it all the same
+        system = twist_family_system([2], 7)
+        for r, text in ((1557, str(math.factorial(1558))), (1558, "(1559)!")):
+            check = certify(family_hypotheses(system, r)).checks[3]
+            assert check.name == "order_or_pseudoreflection"
+            assert check.detail == f"(r+1)!={text} offenders=2:order=7"
 
 
 class TestCrossValidate:

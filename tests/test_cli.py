@@ -4,16 +4,19 @@ import contextlib
 import io
 import subprocess
 import sys
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodromy.cli import emit_tuple, main, parse_tuple, TupleFileError
+from monodromy.cli import emit_tuple, main, parse_tuple, TupleFileError, _pair_form
 from monodromy.convolution import PuncturedTuple
 from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, invariant_forms
 from monodromy.group_engine import GeneratedGroup
+from pairing_reference import pair_form_full_scan
 
 
 def run_cli(argv, stdin_text=""):
@@ -126,6 +129,27 @@ class TestSubcommands:
         assert rc == 1
         assert "PARITY: symmetric" in report
         assert "CONCLUSION: NotCertified(irreducibility)" in report
+
+    def test_certify_identity_tuple_of_rank_three_at_a_larger_prime(self, monkeypatch):
+        # 45 pairs of elementary forms, none non-degenerate: each pair tries
+        # b = 0..3 and the b solved from each parity condition, not all of F_p
+        calls = []
+        det = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda m: calls.append(1) or det(m))
+        text = "MODULUS 10007 RANK 3 PUNCTURES 1\nAT 0\n1 0 0\n0 1 0\n0 0 1\n"
+        rc, report = run_cli(["certify", "--r", "1"], text)
+        assert rc == 1
+        assert "PARITY: symmetric\nDIM: 3\n" in report
+        assert "CONCLUSION: NotCertified(irreducibility)" in report
+        assert len(calls) < 1000
+
+    def test_certify_at_a_large_r(self):
+        # (2001)! has 5,739 digits, past Python's default limit on int-to-str
+        rc, tuple_text = run_cli(["twist-family", "--roots", "2", "--prime", "7"])
+        rc, report = run_cli(["certify", "--r", "2000"], tuple_text)
+        assert rc == 1
+        assert "CHECK order_or_pseudoreflection: FAIL (r+1)!=(2001)! offenders=2:order=7\n" in report
+        assert "CONCLUSION: NotCertified(order_or_pseudoreflection)" in report
 
     def test_classify(self):
         rc, tuple_text = run_cli(["hyperelliptic", "--genus", "1", "--prime", "5"])
@@ -413,6 +437,58 @@ class TestFuzz:
         with pytest.raises(TupleFileError, match="bad symbolic label"):
             parse_tuple("MODULUS 5 RANK 1 PUNCTURES 1\nAT \u00b2\n2\n")
         assert parse_tuple("MODULUS 5 RANK 1 PUNCTURES 1\nAT --5\n2\n").punctures == ("--5",)
+
+
+def _random_forms(rng: Random, n: int, p: int, k: int) -> list[Matrix]:
+    """k forms: symmetric, alternating, general and rank one, and forms f that
+    make the form before them plus c f a given symmetric or alternating S at
+    one c in F_p^*, often above n."""
+    forms = []
+    for _ in range(k):
+        x = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        kind = rng.randrange(5)
+        if kind == 0:
+            f = x + x.T
+        elif kind == 1:
+            f = x - x.T
+        elif kind == 2:
+            f = x
+        elif kind == 3:
+            f = np.outer(x[0], x[:, 0])
+        else:
+            prev = forms[-1].array if forms else x
+            c = rng.randrange(1, p)
+            f = (x + rng.choice((1, -1)) * x.T - prev) * pow(c, -1, p)
+        forms.append(Matrix(f % p, p))
+    return forms
+
+
+class TestPairForm:
+    """``_pair_form`` tries a few b per pair and finds what a scan of F_p finds."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_matches_full_scan_on_identity_tuples(self, p):
+        for n in range(1, 5):
+            basis = invariant_forms([Matrix.identity(n, p)])
+            want = pair_form_full_scan(basis)
+            assert _pair_form(basis) == (None if want is None else want[3]), n
+
+    def test_matches_full_scan_on_random_bases(self):
+        rng = Random(12)
+        found = beyond = 0
+        for _ in range(300):
+            p = rng.choice([3, 5, 7, 11, 13, 31])
+            n = rng.randrange(1, 5)
+            basis = _random_forms(rng, n, p, rng.randrange(1, 5))
+            want = pair_form_full_scan(basis)
+            got = _pair_form(basis)
+            if want is None:
+                assert got is None
+                continue
+            assert got == want[3]
+            found += 1
+            beyond += want[2] > n
+        assert found >= 100 and beyond >= 10
 
 
 def test_console_entry_point():

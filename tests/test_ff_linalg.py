@@ -266,9 +266,10 @@ class TestEliminationKernels:
         rows, cols = shape
         yield np.array([[rng.randrange(-2 * p, 2 * p) for _ in range(cols)] for _ in range(rows)],
                        dtype=np.int64).reshape(shape)
-        if p <= 127:  # the chain's narrow storage: int8, negative entries included
-            yield np.array([[rng.randrange(-128, 128) for _ in range(cols)] for _ in range(rows)],
-                           dtype=np.int8).reshape(shape)
+        # the chain's narrow storage: int8, negative entries included, also
+        # at moduli above int8's range
+        yield np.array([[rng.randrange(-128, 128) for _ in range(cols)] for _ in range(rows)],
+                       dtype=np.int8).reshape(shape)
         if rows >= 2:  # the last row a combination of the first two
             a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
             c = rng.randrange(p)
@@ -277,7 +278,7 @@ class TestEliminationKernels:
         yield np.eye(rows, cols, dtype=np.int64)
         yield np.zeros(shape, dtype=np.int64)
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 65537, 2**31 - 1])
+    @pytest.mark.parametrize("p", [3, 5, 7, 131, 65537, 2**31 - 1])
     def test_rref_det_and_inv_agree(self, monkeypatch, p):
         rng = Random(p)
         dets = set()

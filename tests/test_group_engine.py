@@ -731,10 +731,13 @@ class TestKnownOrderStop:
         group = GeneratedGroup(gens)
         chain = group._ensure_chain(lambda: bound)
         assert chain.stopped
-        full = GeneratedGroup(gens)._ensure_chain()
+        # the same top-down build, given a bound it can never reach
+        full = GeneratedGroup(gens)._ensure_chain(lambda: 2 * bound)
         assert not full.stopped
-        # the same base and stored orbits as the full build
+        # the same base, stored orbits and strong generators as that build
         assert _levels(chain) == _levels(full)
+        for a, b in zip(chain.levels, full.levels):
+            assert np.array_equal(a.gens, b.gens)
         reference = ReferenceGroup(gens)
         assert group.order() == reference.order() == bound
         cands = _membership_candidates(gens, Random(len(gens) * 100 + gens[0].p))
@@ -769,6 +772,15 @@ class TestKnownOrderStop:
             assert answers == [reference.contains_array(c.array) for c in cands]
             reducible += not is_irreducible(group).irreducible
         assert reducible >= 2
+
+    def test_build_order_follows_the_bound(self):
+        # bounded builds complete their levels top-down, unbounded ones depth-first
+        system = _BOUNDED_SYSTEMS["O(5,5)"]()
+        bound, _ = _order_bound(FormSpace(system.pairing), list(system.generators))
+        bounded = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
+        assert _levels(bounded) == [(0, 650), (1, 120), (2, 12), (4, 10)]
+        unbounded = GeneratedGroup(system.generators)._ensure_chain()
+        assert _levels(unbounded) == [(0, 650), (1, 120), (3, 12), (2, 5), (4, 2)]
 
     def test_no_stop_without_a_bound(self):
         group = GeneratedGroup(hyperelliptic_system(2, 5).generators)
@@ -899,6 +911,70 @@ class TestIncrementalChain:
             chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
             assert chain.stopped, name
             assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
+
+
+class TestTopDownChain:
+    """Bounded builds complete level 0, then level 1, and so on."""
+
+    @staticmethod
+    def _count_schreier_rows(monkeypatch) -> list[int]:
+        import monodromy.group_engine as engine
+
+        blocks = engine._Chain._schreier_blocks
+        rows = []
+
+        def counted(chain, lvl):
+            for block in blocks(chain, lvl):
+                rows.append(len(block))
+                yield block
+
+        monkeypatch.setattr(engine._Chain, "_schreier_blocks", counted)
+        return rows
+
+    def test_bounded_sp83_forms_few_schreier_generators(self, monkeypatch):
+        rows = self._count_schreier_rows(monkeypatch)
+        system = hyperelliptic_system(4, 3)
+        bound, _ = _order_bound(FormSpace(system.pairing), list(system.generators))
+        chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
+        assert chain.stopped and chain.order() == bound
+        # the depth-first build forms 21,697
+        assert sum(rows) < 1000
+
+    def test_unreached_bound_matches_reference(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        rows = self._count_schreier_rows(monkeypatch)
+        complete, extend = engine._Chain._complete, engine._Chain._extend
+        done = set()
+
+        def completed(chain, i):
+            complete(chain, i)
+            done.add(i)
+
+        def checked_extend(chain, h, i, j):
+            # no level gains a generator after its Schreier generators are sifted
+            assert done.isdisjoint(range(i + 1, j + 1))
+            extend(chain, h, i, j)
+
+        monkeypatch.setattr(engine._Chain, "_complete", completed)
+        monkeypatch.setattr(engine._Chain, "_extend", checked_extend)
+        for name, gens, bound, order in _incremental_cases():
+            if bound is not None:
+                continue  # each bounded system also appears without its bound
+            rows.clear()
+            done.clear()
+            group = GeneratedGroup(gens)
+            chain = group._ensure_chain(lambda: 2 * order)
+            assert not chain.stopped, name
+            assert done == set(range(len(chain.levels))), name
+            # each pair (point, generator) is sifted once
+            assert sum(rows) == sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
+            reference = ReferenceGroup(gens)
+            assert group.order() == reference.order() == order, name
+            cands = _membership_candidates(gens, Random(order % 997))
+            answers = [group.contains_array(c.array) for c in cands]
+            assert answers == [reference.contains_array(c.array) for c in cands], name
+            assert answers[:10] == [True] * 10, name
 
 
 def _query_concurrently(query, threads: int = 4) -> list:
