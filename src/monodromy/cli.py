@@ -195,10 +195,10 @@ def _certification_space(t: PuncturedTuple) -> FormSpace:
 def _pair_form(basis: Sequence[Matrix]) -> Optional[Matrix]:
     """The first non-degenerate symmetric or alternating B_i + b B_j, or None.
 
-    Pairs i <= j are taken in order, and b in F_p ascending, but only some b
-    are tried: b = 0..n, and each b at which one parity condition holds when
-    it holds at one b alone.  (B_i + b B_j)^T = +-(B_i + b B_j) is linear
-    in b, so it holds for every b, for one b or for none; and
+    Pairs i <= j are taken in order, and b in F_p ascending, but only the b
+    at which a parity condition holds are tried, and of those only b = 0..n
+    when it holds for every b.  (B_i + b B_j)^T = +-(B_i + b B_j) is linear
+    in b, so it holds for every b, for one b (solved for) or for none; and
     det(B_i + b B_j) has degree at most n in b, so if it is not zero on all
     of F_p one of b = 0..n is not a root.  So the form found is the one a
     scan of all of F_p finds first.
@@ -206,21 +206,22 @@ def _pair_form(basis: Sequence[Matrix]) -> Optional[Matrix]:
     n, p = basis[0].n, basis[0].p
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            tried = set(range(min(p, n + 1)))
+            parity = set()
             for sign in (1, -1):
                 a = (basis[i].array.T - sign * basis[i].array) % p
                 d = (basis[j].array.T - sign * basis[j].array) % p
                 moved = np.flatnonzero(d)
-                if moved.size:
-                    k = moved[0]
-                    b = -int(a.flat[k]) * pow(int(d.flat[k]), -1, p) % p
-                    if not ((a + b * d) % p).any():
-                        tried.add(b)
-            for b in sorted(tried):
-                cand = basis[i] + b * basis[j]
-                if cand.det() == 0:
+                if not moved.size:
+                    if not a.any():
+                        parity.update(range(min(p, n + 1)))
                     continue
-                if cand.T == cand or cand.T == -cand:
+                k = moved[0]
+                b = -int(a.flat[k]) * pow(int(d.flat[k]), -1, p) % p
+                if not ((a + b * d) % p).any():
+                    parity.add(b)
+            for b in sorted(parity):
+                cand = basis[i] + b * basis[j]
+                if cand.det() != 0:
                     return cand
     return None
 

@@ -14,14 +14,12 @@ build stops as soon as the product of the stored orbit lengths reaches B:
 that product never exceeds |G|, so it then equals |G|, every stored orbit
 is a full orbit of its point stabilizer and the chain sifts every element
 of G to the identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
-Such a build completes its levels top-down, in order 0, 1, 2, ...: a
+Every build completes its levels top-down, in order 0, 1, 2, ...: a
 residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
-after its pairs are sifted (bounded Sp(8,3) forms 392 Schreier generators
-instead of 21,697).  A build without a bound has no product to reach and
-completes each lower level as soon as it gains a generator (depth-first),
-which is faster for it: Sp(8,3) without a bound took 0.86 s, and 1.37 s
-top-down with the bound 2|G|, which it never reaches.
+after its pairs are sifted (bounded Sp(8,3) forms 392 Schreier generators,
+where completing each lower level again whenever it gained a generator
+formed 21,697).
 
 Orbit points, transversal elements and their inverses are stored in the
 narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
@@ -236,13 +234,10 @@ class _Chain:
     Schreier generators are sifted a block at a time.  Any base gives a
     valid chain; each level takes the first basis vector it moves.  A level
     that gains generators extends its orbit and sifts only its new pairs.
-    Without a bound the build is depth-first: a residue that sifts out of
-    level j joins levels i+1..j, which are completed again bottom-up at
-    once.  With a bound it is top-down: levels are completed in order,
-    levels appended on the way last, and a residue only joins levels
-    i+1..j and grows their orbits, so no level gains a generator after its
-    Schreier generators are sifted.  The two orders may pick different
-    bases.
+    Levels are completed in order, levels appended on the way last; a
+    residue of level i that sifts out of level j only joins levels i+1..j
+    and grows their orbits, so no level gains a generator after its
+    Schreier generators are sifted.
 
     Identity matrices in ``gens`` are dropped before anything else, and
     repeated ones are admitted once, so a stack of identities gives an
@@ -288,14 +283,11 @@ class _Chain:
                 top.admit(g, _inv(g, p))
             self.levels.append(top)
             try:
-                if self.bound is None:
-                    self._complete(0)
-                else:
-                    # levels appended on the way are completed after the others
-                    i = 0
-                    while i < len(self.levels):
-                        self._complete(i)
-                        i += 1
+                # levels appended on the way are completed after the others
+                i = 0
+                while i < len(self.levels):
+                    self._complete(i)
+                    i += 1
             except _Reached:
                 self.stopped = True
 
@@ -426,22 +418,17 @@ class _Chain:
         lvl.sifted = (len(lvl.points), len(lvl.gens))
 
     def _extend(self, h: np.ndarray, i: int, j: int) -> None:
-        """Add a sifted residue to levels i+1..j.
+        """Add a sifted residue to levels i+1..j and grow their orbits.
 
-        Without a bound the levels are then completed bottom-up; with one
-        only their orbits grow, and each is completed in its turn.
+        Each of those levels is completed later, in its turn.
         """
         if j == len(self.levels):
             self.levels.append(_Level(self._pick_base(h[None]), self.n, self.p, self.dtype))
         h_inv = _inv(h, self.p)
         for lvl in self.levels[i + 1 : j + 1]:
             lvl.admit(h, h_inv)
-        if self.bound is None:
-            for idx in range(j, i, -1):
-                self._complete(idx)
-        else:
-            for idx in range(i + 1, j + 1):
-                self._grow(idx)
+        for idx in range(i + 1, j + 1):
+            self._grow(idx)
 
 
 class GeneratedGroup:
@@ -472,12 +459,10 @@ class GeneratedGroup:
     for it (see ``_order_bound``) and passes it to the first build, which
     then stops as soon as its orbit product reaches the bound; so does the
     CLI's ``order`` when the tuple has one non-degenerate invariant form,
-    which it solves for only when a chain is to be built.  A build with a
-    bound completes its levels top-down, which reaches the bound after far
-    fewer Schreier generators; one without a bound is depth-first, which is
-    faster when there is nothing to reach.  A stopped chain stores the same
-    orbits and gives the same answers as the same build run to completion;
-    a group that never reaches its bound gets that full build.
+    which it solves for only when a chain is to be built.  A stopped chain
+    stores the same orbits and gives the same answers as the same build run
+    to completion, which is the build without a bound; a group that never
+    reaches its bound gets that full build.
     """
 
     def __init__(self, gens: Sequence[Matrix], seed: int = 0, limit: int = 10**7):
