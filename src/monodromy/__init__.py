@@ -36,6 +36,7 @@ from .classical_groups import (
     GroupOrders,
     classify_element,
     drop,
+    invariant_pairing,
     is_isometry,
     isometry_group_orders,
     random_isometry,
@@ -64,7 +65,6 @@ from .convolution import (
 from .families import (
     MonodromySystem,
     dim_formula,
-    discover_pairing,
     hyperelliptic_system,
     kummer_tuple,
     twist_family_system,

@@ -6,13 +6,14 @@ codimension of its fixed space): drop-1 elements are reflections
 unipotent element with (g-1)^2 = 0 is an isotropic shear.  The module also
 computes spinor norms as the discriminant of Wall's form on the image of
 1 - g, and the standard orders of the finite symplectic and orthogonal
-groups.
+groups, and finds the pairing a basis of invariant forms spans
+(``invariant_pairing``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "ElementClass",
     "FormSpace",
     "GroupOrders",
+    "invariant_pairing",
     "is_isometry",
     "drop",
     "classify_element",
@@ -142,6 +144,90 @@ class FormSpace:
     def __repr__(self) -> str:
         kind = "Sp" if self.parity == "alternating" else "O"
         return f"FormSpace({kind}_{self.dim} over F_{self.p})"
+
+
+def invariant_pairing(forms: Sequence[Matrix]) -> Optional[FormSpace]:
+    """A non-degenerate symmetric or alternating form in the span of ``forms``, or None.
+
+    ``forms`` is a basis of invariant forms (see ``ff_linalg.invariant_forms``).
+    The first non-degenerate form of definite parity B_i + b B_j over pairs
+    of basis forms is taken (see ``_pair_form``), so a lone non-degenerate
+    form is its own pairing.  A nonzero multiple of a form is
+    non-degenerate, and of definite parity, exactly when the form is, so no
+    other pair combinations need trying.  When every basis form has small
+    rank no such pair exists, and a greedy sum of the symmetric parts
+    B + B^T, then of the alternating parts B - B^T, is tried (see
+    ``_greedy_nondegenerate``); a transpose of an invariant form is
+    invariant, so both parts are.
+    """
+    if not forms:
+        return None
+    cand = _pair_form(forms)
+    if cand is not None:
+        return FormSpace.from_gram(cand)
+    for sign in (1, -1):
+        cand = _greedy_nondegenerate([form + sign * form.T for form in forms])
+        if cand is not None:
+            return FormSpace.from_gram(cand)
+    return None
+
+
+def _pair_form(basis: Sequence[Matrix]) -> Optional[Matrix]:
+    """The first non-degenerate symmetric or alternating B_i + b B_j, or None.
+
+    Pairs i <= j are taken in order, and b in F_p ascending, but only the b
+    at which a parity condition holds are tried, and of those only b = 0..n
+    when it holds for every b.  (B_i + b B_j)^T = +-(B_i + b B_j) is linear
+    in b, so it holds for every b, for one b (solved for) or for none; and
+    det(B_i + b B_j) has degree at most n in b, so if it is not zero on all
+    of F_p one of b = 0..n is not a root.  So the form found is the one a
+    scan of all of F_p finds first.
+    """
+    n, p = basis[0].n, basis[0].p
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            parity = set()
+            for sign in (1, -1):
+                a = (basis[i].array.T - sign * basis[i].array) % p
+                d = (basis[j].array.T - sign * basis[j].array) % p
+                moved = np.flatnonzero(d)
+                if not moved.size:
+                    if not a.any():
+                        parity.update(range(min(p, n + 1)))
+                    continue
+                k = moved[0]
+                b = -int(a.flat[k]) * pow(int(d.flat[k]), -1, p) % p
+                if not ((a + b * d) % p).any():
+                    parity.add(b)
+            for b in sorted(parity):
+                cand = basis[i] + b * basis[j]
+                if cand.det() != 0:
+                    return cand
+    return None
+
+
+def _greedy_nondegenerate(forms: Sequence[Matrix]) -> Optional[Matrix]:
+    """A non-degenerate combination of ``forms``, or None if the greedy sum fails.
+
+    Each form is added to the sum so far with the first b in F_p^* that
+    raises its rank.  Only b = 1..n+1 (or all of F_p^* when p <= n + 2) are
+    tried: each minor of the sum plus b times the form is a polynomial of
+    degree at most n in b, so one that vanishes at n + 1 points vanishes
+    for every b.
+    """
+    n, p = forms[0].n, forms[0].p
+    total = Matrix.zeros(n, n, p)
+    rank = 0
+    for form in forms:
+        for b in range(1, min(p, n + 2)):
+            cand = total + b * form
+            cand_rank = cand.rank()
+            if cand_rank > rank:
+                total, rank = cand, cand_rank
+                break
+        if rank == n:
+            return total
+    return None
 
 
 def is_isometry(g: Matrix, space: FormSpace) -> bool:

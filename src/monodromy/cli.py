@@ -24,10 +24,8 @@ import argparse
 import sys
 from typing import Optional, Sequence, TextIO
 
-import numpy as np
-
 from .certifier import Certificate, CrossReport, Hypotheses, certify, cross_validate
-from .classical_groups import FormSpace, classify_element
+from .classical_groups import FormSpace, classify_element, invariant_pairing
 from .convolution import (
     INFINITY,
     Label,
@@ -36,11 +34,7 @@ from .convolution import (
     predict_rank,
 )
 from .errors import MonodromyError
-from .families import (
-    _pairing_from_basis,
-    hyperelliptic_system,
-    twist_family_system,
-)
+from .families import hyperelliptic_system, twist_family_system
 from .ff_linalg import Matrix, is_prime, jordan_type, invariant_forms
 from .group_engine import GeneratedGroup, _order_bound
 from .errors import NonSplitSpectrum
@@ -163,93 +157,6 @@ def _prime(token: str) -> int:
     return p
 
 
-def _certification_space(t: PuncturedTuple) -> FormSpace:
-    """The space used by certify/cross-validate.
-
-    The discovered pairing when the invariant-form space is a line;
-    otherwise the first non-degenerate symmetric or alternating form
-    B_i + b B_j over pairs of basis forms (the degenerate-input path, e.g.
-    an identity-only tuple, where any invariant pairing does).  A nonzero
-    multiple of a form is non-degenerate, and of definite parity, exactly
-    when the form is, so no other pair combinations need trying.  When
-    every basis form has small rank no such pair exists, and a greedy sum
-    of the symmetric parts B + B^T, then of the alternating parts B - B^T,
-    is tried (see ``_greedy_nondegenerate``); a transpose of an invariant
-    form is invariant, so both parts are.
-    """
-    basis = invariant_forms(t.matrices)
-    if not basis:
-        raise TupleFileError("the tuple has no nonzero invariant pairing")
-    if len(basis) == 1:
-        return FormSpace(_pairing_from_basis(basis))
-    cand = _pair_form(basis)
-    if cand is not None:
-        return FormSpace.from_gram(cand)
-    for sign in (1, -1):
-        cand = _greedy_nondegenerate([form + sign * form.T for form in basis])
-        if cand is not None:
-            return FormSpace.from_gram(cand)
-    raise TupleFileError("no non-degenerate invariant pairing of definite parity")
-
-
-def _pair_form(basis: Sequence[Matrix]) -> Optional[Matrix]:
-    """The first non-degenerate symmetric or alternating B_i + b B_j, or None.
-
-    Pairs i <= j are taken in order, and b in F_p ascending, but only the b
-    at which a parity condition holds are tried, and of those only b = 0..n
-    when it holds for every b.  (B_i + b B_j)^T = +-(B_i + b B_j) is linear
-    in b, so it holds for every b, for one b (solved for) or for none; and
-    det(B_i + b B_j) has degree at most n in b, so if it is not zero on all
-    of F_p one of b = 0..n is not a root.  So the form found is the one a
-    scan of all of F_p finds first.
-    """
-    n, p = basis[0].n, basis[0].p
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            parity = set()
-            for sign in (1, -1):
-                a = (basis[i].array.T - sign * basis[i].array) % p
-                d = (basis[j].array.T - sign * basis[j].array) % p
-                moved = np.flatnonzero(d)
-                if not moved.size:
-                    if not a.any():
-                        parity.update(range(min(p, n + 1)))
-                    continue
-                k = moved[0]
-                b = -int(a.flat[k]) * pow(int(d.flat[k]), -1, p) % p
-                if not ((a + b * d) % p).any():
-                    parity.add(b)
-            for b in sorted(parity):
-                cand = basis[i] + b * basis[j]
-                if cand.det() != 0:
-                    return cand
-    return None
-
-
-def _greedy_nondegenerate(forms: Sequence[Matrix]) -> Optional[Matrix]:
-    """A non-degenerate combination of ``forms``, or None if the greedy sum fails.
-
-    Each form is added to the sum so far with the first b in F_p^* that
-    raises its rank.  Only b = 1..n+1 (or all of F_p^* when p <= n + 2) are
-    tried: each minor of the sum plus b times the form is a polynomial of
-    degree at most n in b, so one that vanishes at n + 1 points vanishes
-    for every b.
-    """
-    n, p = forms[0].n, forms[0].p
-    total = Matrix.zeros(n, n, p)
-    rank = 0
-    for form in forms:
-        for b in range(1, min(p, n + 2)):
-            cand = total + b * form
-            cand_rank = cand.rank()
-            if cand_rank > rank:
-                total, rank = cand, cand_rank
-                break
-        if rank == n:
-            return total
-    return None
-
-
 def _print_certificate(cert: Certificate, space: FormSpace, out: TextIO) -> None:
     print(f"PARITY: {space.parity}", file=out)
     print(f"DIM: {space.dim}", file=out)
@@ -273,19 +180,12 @@ def _print_cross(report: CrossReport, space: FormSpace, out: TextIO) -> None:
     print(f"AGREEMENT: {'yes' if report.agreement else 'no'}", file=out)
 
 
-def _pairing_space(forms: Sequence[Matrix]) -> Optional[FormSpace]:
-    """The space of the invariant pairing when ``forms`` is one non-degenerate form."""
-    if len(forms) == 1 and forms[0].det() != 0:
-        return FormSpace(_pairing_from_basis(forms))
-    return None
-
-
 def _cmd_classify(args, stdin, stdout) -> int:
     t = _read_tuple(args, stdin)
     print(f"MODULUS: {t.p}", file=stdout)
     print(f"RANK: {t.rank}", file=stdout)
     forms = invariant_forms(t.matrices)
-    space = _pairing_space(forms)
+    space = invariant_pairing(forms) if len(forms) == 1 else None
     if space is not None:
         print(f"PAIRING: {space.parity}", file=stdout)
     else:
@@ -314,7 +214,8 @@ def _cmd_order(args, stdin, stdout) -> int:
     def bound() -> Optional[int]:
         # a lone invariant pairing bounds |G| and so lets the chain stop
         # early; the n^2 x n^2 form system is solved only if a chain is built
-        space = _pairing_space(invariant_forms(t.matrices))
+        forms = invariant_forms(t.matrices)
+        space = invariant_pairing(forms) if len(forms) == 1 else None
         return None if space is None else _order_bound(space, t.matrices)[0]
 
     print(f"ORDER: {group._ensure_chain(bound).order()}", file=stdout)
@@ -352,7 +253,9 @@ def _cmd_twist_family(args, stdin, stdout) -> int:
 
 def _hypotheses_from(args, stdin) -> tuple[Hypotheses, FormSpace]:
     t = _read_tuple(args, stdin)
-    space = _certification_space(t)
+    space = invariant_pairing(invariant_forms(t.matrices))
+    if space is None:
+        raise TupleFileError("no non-degenerate invariant pairing of definite parity")
     s0 = frozenset(int(tok) for tok in args.s0.split(",") if tok.strip()) if args.s0 else frozenset()
     return Hypotheses(space, t.matrices, s0, args.r), space
 

@@ -25,6 +25,7 @@ from .classical_groups import (
     REFLECTION,
     TRANSVECTION,
     classify_element,
+    invariant_pairing,
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
 from .errors import BadLocus, FamilyCheckFailed, NegativeDimension
@@ -36,7 +37,6 @@ __all__ = [
     "hyperelliptic_system",
     "twist_family_system",
     "dim_formula",
-    "discover_pairing",
 ]
 
 
@@ -58,29 +58,17 @@ class MonodromySystem:
         return self.tuple.matrices
 
 
-def discover_pairing(t: PuncturedTuple) -> BilinearForm:
-    """The invariant pairing of a tuple whose invariant-form space is a line.
-
-    Raises ValueError when the space of invariant forms is not
-    one-dimensional or its generator is degenerate.
-    """
-    return _pairing_from_basis(invariant_forms(t.matrices))
-
-
-def _pairing_from_basis(basis: Sequence[Matrix]) -> BilinearForm:
-    """``discover_pairing`` on an already computed basis of invariant forms."""
-    if len(basis) != 1:
-        raise ValueError(
-            f"invariant-form space has dimension {len(basis)}, expected 1"
+def _family_space(out: PuncturedTuple, family: str, parity: str) -> FormSpace:
+    """The invariant pairing of a family output: a line of forms, of the given parity."""
+    forms = invariant_forms(out.matrices)
+    if len(forms) != 1:
+        raise FamilyCheckFailed(
+            f"{family} invariant-form space has dimension {len(forms)}, expected 1"
         )
-    gram = basis[0]
-    if gram.det() == 0:
-        raise ValueError("invariant form is degenerate")
-    if gram.T == gram:
-        return BilinearForm(gram, "symmetric")
-    if gram.T == -gram:
-        return BilinearForm(gram, "alternating")
-    raise ValueError("invariant form has no parity")
+    space = invariant_pairing(forms)
+    if space is None or space.parity != parity:
+        raise FamilyCheckFailed(f"{family} pairing must be {parity}")
+    return space
 
 
 def kummer_tuple(points: Sequence[Label], p: int) -> PuncturedTuple:
@@ -116,14 +104,11 @@ def hyperelliptic_system(
     out = middle_convolve(base, p - 1)
     if out.rank != 2 * genus:
         raise FamilyCheckFailed("convolution rank disagrees with 2g")
-    pairing = discover_pairing(out)
-    if pairing.parity != "alternating":
-        raise FamilyCheckFailed("hyperelliptic pairing must be alternating")
-    space = FormSpace(pairing)
+    space = _family_space(out, "hyperelliptic", "alternating")
     classes = tuple(classify_element(m, space) for m in out.matrices)
     if any(c.tag != TRANSVECTION for c in classes):
         raise FamilyCheckFailed("every finite local matrix must be a transvection")
-    return MonodromySystem(out, pairing, classes, 2 * genus)
+    return MonodromySystem(out, space.form, classes, 2 * genus)
 
 
 def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
@@ -151,16 +136,13 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     expected = 2 * d if d % 2 == 0 else 2 * d - 1
     if out.rank != expected:
         raise FamilyCheckFailed(f"twist family rank {out.rank} != expected {expected}")
-    pairing = discover_pairing(out)
-    if pairing.parity != "symmetric":
-        raise FamilyCheckFailed("twist-family pairing must be symmetric")
-    space = FormSpace(pairing)
+    space = _family_space(out, "twist-family", "symmetric")
     classes = tuple(classify_element(m, space) for m in out.matrices)
     for lab, cls in zip(out.punctures, classes):
         want = REFLECTION if lab in (0, 1) else ISOTROPIC_SHEAR
         if cls.tag != want:
             raise FamilyCheckFailed(f"puncture {lab} classified {cls.tag}, wanted {want}")
-    return MonodromySystem(out, pairing, classes, expected)
+    return MonodromySystem(out, space.form, classes, expected)
 
 
 def dim_formula(deg_m: int, deg_a: int, genus: int) -> int:

@@ -1,8 +1,8 @@
-"""The pair search of ``cli._certification_space`` over all of F_p, kept as a test oracle.
+"""The pair search of ``classical_groups.invariant_pairing`` over all of F_p, kept as a test oracle.
 
-This is the loop ``monodromy.cli._certification_space`` ran before it tried
-only b = 0..n and the b solved from each parity condition: every b in F_p,
-for each pair of basis forms i <= j.  Tests compare ``cli._pair_form``
+This is the loop the pair search ran before it tried only b = 0..n and
+the b solved from each parity condition: every b in F_p, for each pair of
+basis forms i <= j.  Tests compare ``classical_groups._pair_form``
 against it; the library does not import it.
 """
 

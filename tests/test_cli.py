@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodromy.cli import emit_tuple, main, parse_tuple, TupleFileError, _pair_form
+from monodromy.classical_groups import _pair_form
+from monodromy.cli import emit_tuple, main, parse_tuple, TupleFileError
 from monodromy.convolution import PuncturedTuple
 from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, invariant_forms
@@ -159,7 +160,10 @@ class TestSubcommands:
         assert "AT 0 CLASS Transvection DROP 1 JORDAN (1,2)" in out
         assert "AT infinity" in out
 
-    @pytest.mark.parametrize("command", [["classify"], ["certify", "--r", "2"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["classify"], ["order"], ["certify", "--r", "2"], ["cross-validate", "--r", "2"]],
+    )
     def test_invariant_forms_solved_once(self, command, monkeypatch):
         import monodromy.cli as cli
         import monodromy.families as families
@@ -175,7 +179,7 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "invariant_forms", counted)
         monkeypatch.setattr(families, "invariant_forms", counted)
         rc, out = run_cli(command, tuple_text)
-        assert rc == 0 and "symmetric" in out
+        assert rc == 0 and ("symmetric" in out or out == "ORDER: 9360000\n")
         assert len(calls) == 1
 
     def test_order(self):
@@ -302,6 +306,39 @@ class TestOrderBound:
         rc, out = run_cli(["hyperelliptic", "--genus", "2", "--prime", "5"])
         assert rc == 2 and out == ""
         assert capsys.readouterr().err == "error: convolution rank disagrees with 2g\n"
+
+
+# the only invariant form of this tuple is the degenerate E_33
+DEGENERATE_LINE = (
+    "MODULUS 5 RANK 3 PUNCTURES 2\nAT 0\n1 4 0\n0 2 0\n0 0 1\nAT 1\n0 3 0\n3 3 0\n0 0 1\n"
+)
+
+
+class TestDegenerateLine:
+    """A lone degenerate invariant form is no pairing: no class, no bound, no certificate."""
+
+    def test_the_line_is_e33(self):
+        e33 = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 5)
+        assert invariant_forms(parse_tuple(DEGENERATE_LINE).matrices) == [e33]
+
+    def test_classify_reports_no_pairing(self):
+        assert run_cli(["classify"], DEGENERATE_LINE) == (
+            0,
+            "MODULUS: 5\nRANK: 3\nPAIRING: none (invariant-form space has dimension 1)\n"
+            "AT 0 CLASS n/a JORDAN (1,1)(1,1)(2,1)\nAT 1 CLASS n/a JORDAN (1,1)(4,2)\n"
+            "AT infinity CLASS n/a JORDAN (1,1)(1,1)(3,1)\n",
+        )
+
+    def test_order_builds_without_a_bound(self, monkeypatch):
+        groups = _record_groups(monkeypatch)
+        assert run_cli(["order"], DEGENERATE_LINE) == (0, "ORDER: 480\n")
+        assert groups[0]._chain.bound is None and not groups[0]._chain.stopped
+
+    @pytest.mark.parametrize("command", ["certify", "cross-validate"])
+    def test_certificates_exit_2(self, command, capsys):
+        assert run_cli([command, "--r", "1"], DEGENERATE_LINE) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "error: no non-degenerate invariant pairing of definite parity\n"
 
 
 class TestDeterminism:

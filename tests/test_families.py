@@ -2,16 +2,22 @@
 
 import pytest
 
-from monodromy.classical_groups import ElementClass, ISOTROPIC_SHEAR, REFLECTION, TRANSVECTION
+from monodromy.classical_groups import (
+    ElementClass,
+    FormSpace,
+    ISOTROPIC_SHEAR,
+    REFLECTION,
+    TRANSVECTION,
+    invariant_pairing,
+)
 from monodromy.errors import BadLocus, FamilyCheckFailed, MonodromyError, NegativeDimension
 from monodromy.families import (
     dim_formula,
-    discover_pairing,
     hyperelliptic_system,
     kummer_tuple,
     twist_family_system,
 )
-from monodromy.ff_linalg import BilinearForm, Matrix, invariant_forms
+from monodromy.ff_linalg import Matrix, invariant_forms
 from monodromy.group_engine import GeneratedGroup, is_irreducible
 
 
@@ -173,18 +179,37 @@ class TestDimFormula:
         assert dim_formula(2, 3, 1) == 8
 
 
-class TestDiscoverPairing:
-    def test_rejects_ambiguous_space(self):
-        from monodromy.convolution import PuncturedTuple
+class TestInvariantPairing:
+    def test_rank_one_kummer_pairing_is_the_symmetric_scalar_form(self):
+        space = invariant_pairing(invariant_forms(kummer_tuple([0, 1], 5).matrices))
+        assert space.parity == "symmetric"
+        assert space.dim == 1
 
-        trivial = PuncturedTuple([0, 1], [Matrix.identity(2, 5)] * 2)
-        with pytest.raises(ValueError):
-            discover_pairing(trivial)  # every form is invariant
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: kummer_tuple([0, 1], 5),
+            lambda: kummer_tuple([0, 1, 2], 7),
+            *(
+                lambda g=g, p=p: hyperelliptic_system(g, p).tuple
+                for g, p in [(1, 3), (1, 5), (2, 5), (2, 7), (3, 3)]
+            ),
+            *(
+                lambda r=r, p=p: twist_family_system(r, p).tuple
+                for r, p in [([2], 5), ([2, 3], 5), ([2], 7), ([2, 3], 7)]
+            ),
+        ],
+    )
+    def test_a_lone_form_is_its_own_pairing(self, build):
+        # the oracle for the line-of-forms path the families and the CLI take
+        forms = invariant_forms(build().matrices)
+        assert len(forms) == 1
+        assert invariant_pairing(forms) == FormSpace.from_gram(forms[0])
 
-    def test_rank_one_pairing_is_the_scalar_form(self):
-        pairing = discover_pairing(kummer_tuple([0, 1], 5))
-        assert pairing.parity == "symmetric"
-        assert pairing.dim == 1
+    def test_no_forms_or_a_degenerate_line_has_no_pairing(self):
+        assert invariant_pairing([]) is None
+        e33 = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 5)
+        assert invariant_pairing([e33]) is None
 
 
 class TestFamilyChecks:
@@ -201,9 +226,15 @@ class TestFamilyChecks:
             ),
             (
                 lambda: hyperelliptic_system(2, 5),
-                "discover_pairing",
-                lambda t: BilinearForm(Matrix.identity(t.rank, t.p), "symmetric"),
+                "invariant_pairing",
+                lambda forms: FormSpace.dot(forms[0].n, forms[0].p),
                 "hyperelliptic pairing must be alternating",
+            ),
+            (
+                lambda: hyperelliptic_system(2, 5),
+                "invariant_forms",
+                lambda gens: [Matrix.identity(gens[0].n, gens[0].p)] * 2,
+                "hyperelliptic invariant-form space has dimension 2, expected 1",
             ),
             (
                 lambda: hyperelliptic_system(2, 5),
