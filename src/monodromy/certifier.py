@@ -31,7 +31,7 @@ from .classical_groups import (
     isometry_group_orders,
 )
 from .errors import Inconclusive, NotAnIsometry, OrderOverflow
-from .ff_linalg import Matrix, _kernel_basis, _rref
+from .ff_linalg import Matrix, _kernel_basis, _least_factor, _rref, _solve
 from .group_engine import (
     GeneratedGroup,
     element_order,
@@ -116,16 +116,10 @@ _FACTORIAL_DIGITS_MAX = 1558
 def _has_prime_factor_at_most(m: int, k: int) -> bool:
     """Whether the positive integer m has a prime factor <= k, that is gcd(m, k!) != 1.
 
-    Trial division by d = 2, 3, ... while d <= k and d^2 <= m.  If no such d
-    divides m, either the loop passed k, and then m > k, or m is 1 or a
-    prime; either way m has a prime factor <= k exactly when 1 < m <= k.
+    If no d <= k with d^2 <= m divides m, then m > k or m is 1 or a prime;
+    so m has a prime factor <= k exactly when its least factor f has 1 < f <= k.
     """
-    d = 2
-    while d <= k and d * d <= m:
-        if m % d == 0:
-            return True
-        d += 1
-    return 1 < m <= k
+    return 1 < _least_factor(m, k) <= k
 
 
 def _classify_all(h: Hypotheses) -> list[ElementClass]:
@@ -291,22 +285,6 @@ class ProbeWitness:
     restrictions: dict
 
 
-def _solve_in_span(rows: np.ndarray, rhs: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Coordinates of each column of ``rhs`` in the row span of ``rows``.
-
-    Column j of the k x m result expresses column j of ``rhs`` in the k rows
-    (0 on rows that depend on earlier ones); None when any column lies
-    outside the span.
-    """
-    k = rows.shape[0]
-    reduced, pivots = _rref(np.concatenate([rows.T, rhs], axis=1), p)
-    if any(piv >= k for piv in pivots):
-        return None
-    coords = np.zeros((k, rhs.shape[1]), dtype=np.int64)
-    coords[list(pivots)] = reduced[: len(pivots), k:]
-    return coords
-
-
 def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
     """Search generator pairs for a reflection/shear commutator of order >= p.
 
@@ -340,7 +318,7 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
             y = None
             for cand in _kernel_basis((sigma.array - eye) % p, p):
                 img = (rho_shift @ cand) % p
-                coeffs = _solve_in_span(root_rows, img.reshape(-1, 1), p)
+                coeffs = _solve(root_rows.T, img.reshape(-1, 1), p)
                 if coeffs is not None and coeffs[0, 0]:
                     y = (cand * pow(int(coeffs[0, 0]), -1, p)) % p
                     break
@@ -358,7 +336,7 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
             restrictions = {}
             for name, m in (("reflection", rho), ("shear", sigma), ("commutator", comm)):
                 # column b holds the coordinates of m applied to basis row b
-                coords = _solve_in_span(basis_rows, (m.array @ basis_rows.T) % p, p)
+                coords = _solve(basis_rows.T, (m.array @ basis_rows.T) % p, p)
                 if coords is None:
                     break
                 restrictions[name] = Matrix(coords, p)

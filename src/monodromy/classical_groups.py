@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotAnIsometry, PrecedenceViolation
-from .ff_linalg import BilinearForm, Matrix, _det, _rref
+from .ff_linalg import BilinearForm, Matrix, _det, _rref, _vectors
 
 __all__ = [
     "IDENTITY",
@@ -417,8 +417,9 @@ def _vector_stream(n: int, p: int):
 
 def _nonzero_vectors(n: int, p: int):
     """Every nonzero vector of F_p^n in counting order, coordinate 0 fastest."""
-    for idx in range(1, p**n):
-        yield np.array([(idx // p**k) % p for k in range(n)], dtype=np.int64)
+    total = p**n
+    for start in range(1, total, 256):
+        yield from _vectors(np.arange(start, min(start + 256, total)), n, p)
 
 
 @dataclass(frozen=True)

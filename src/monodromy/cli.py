@@ -33,11 +33,10 @@ from .convolution import (
     middle_convolve,
     predict_rank,
 )
-from .errors import MonodromyError
+from .errors import MonodromyError, NonSplitSpectrum
 from .families import hyperelliptic_system, twist_family_system
-from .ff_linalg import Matrix, is_prime, jordan_type, invariant_forms
+from .ff_linalg import Matrix, jordan_type, invariant_forms, _check_modulus, _check_products
 from .group_engine import GeneratedGroup, _order_bound
-from .errors import NonSplitSpectrum
 
 __all__ = ["main", "parse_tuple", "emit_tuple"]
 
@@ -74,12 +73,10 @@ def parse_tuple(text: str) -> PuncturedTuple:
         raise TupleFileError(f"line {lineno}: non-integer header fields") from None
     if n < 1 or r < 1:
         raise TupleFileError(f"line {lineno}: rank and puncture count must be positive")
-    # checked before primality, whose trial division would not end on a
-    # modulus this large
-    if n * (p - 1) ** 2 >= 2**63:
-        raise TupleFileError(f"line {lineno}: modulus {p} is too large for int64 products")
-    if not is_prime(p) or p < 3:
-        raise TupleFileError(f"line {lineno}: modulus {p} is not an odd prime")
+    try:
+        _check_products(n, _check_modulus(p))
+    except ValueError as exc:
+        raise TupleFileError(f"line {lineno}: {exc}") from None
     body = lines[1:]
     expected = r * (n + 1)
     if len(body) != expected:
@@ -147,13 +144,12 @@ def _parse_labels(csv: str) -> list[Label]:
 
 
 def _prime(token: str) -> int:
-    """``--prime``: an integer whose int64 products stay exact, checked before primality."""
+    """``--prime``: an integer whose int64 products stay exact; the family tests primality."""
     try:
         p = int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
-    if (p - 1) ** 2 >= 2**63:
-        raise argparse.ArgumentTypeError(f"modulus {p} is too large for int64 products")
+        _check_products(1, p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return p
 
 

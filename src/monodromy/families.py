@@ -29,7 +29,7 @@ from .classical_groups import (
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
 from .errors import BadLocus, FamilyCheckFailed, NegativeDimension
-from .ff_linalg import BilinearForm, Matrix, invariant_forms, is_prime
+from .ff_linalg import BilinearForm, Matrix, invariant_forms, _check_modulus
 
 __all__ = [
     "MonodromySystem",
@@ -73,11 +73,9 @@ def _family_space(out: PuncturedTuple, family: str, parity: str) -> FormSpace:
 
 def kummer_tuple(points: Sequence[Label], p: int) -> PuncturedTuple:
     """Rank-one tuple with local monodromy -1 at each given point."""
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"modulus must be an odd prime, got {p}")
+    minus_one = Matrix([[p - 1]], p)
     if len(points) < 2:
         raise ValueError("need at least two points")
-    minus_one = Matrix([[p - 1]], p)
     return PuncturedTuple(list(points), [minus_one] * len(points))
 
 
@@ -119,7 +117,7 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     2d - 1 for odd d.  Classifications: Reflection at 0 and 1, IsotropicShear
     at every root.
     """
-    if not is_prime(p) or p < 5:
+    if _check_modulus(p) < 5:
         raise ValueError(f"modulus must be a prime >= 5, got {p}")
     roots = list(g_roots)
     if not roots:

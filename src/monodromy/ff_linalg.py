@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,23 +34,36 @@ __all__ = [
 ]
 
 
+def _least_factor(m: int, bound: int) -> int:
+    """The least divisor 2 <= d <= bound of m with d^2 <= m, or m if there is none."""
+    d = 2
+    while d <= bound and d * d <= m:
+        if m % d == 0:
+            return d
+        d += 1
+    return m
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _least_factor(n, n) == n
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of the positive integer m, ascending."""
+    factors = []
+    while m > 1:
+        q = _least_factor(m, m)
+        factors.append(q)
+        while m % q == 0:
+            m //= q
+    return factors
 
 
 @lru_cache(maxsize=None)
 def _check_modulus(p: int) -> int:
-    """``p`` as an int, or ValueError; the primality test runs once per modulus."""
+    """``p`` as an int, or ValueError; int64 range first, then primality, once per modulus."""
     p = int(p)
+    _check_products(1, p)
     if p < 3 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
     return p
@@ -60,6 +73,20 @@ def _check_products(size: int, p: int) -> None:
     """Reject a modulus whose int64 products of ``size`` terms could overflow."""
     if size * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"modulus {p} is too large for exact int64 products of size {size}")
+
+
+def _codes(vecs: np.ndarray, p: int) -> np.ndarray:
+    """The code sum(v_i p^i) of each int64 vector (last axis); the caller keeps p^n < 2^63."""
+    return vecs @ p ** np.arange(vecs.shape[-1], dtype=np.int64)
+
+
+def _vectors(codes: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The int64 vectors of F_p^n (rows) with the given codes: the inverse of ``_codes``."""
+    rest = np.asarray(codes, dtype=np.int64)
+    out = np.empty((rest.size, n), dtype=np.int64)
+    for k in range(n):
+        rest, out[:, k] = np.divmod(rest, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +204,25 @@ def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
+def _solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """A solution x of a x = b mod ``p``, column by column, with every free variable 0.
+
+    None when some column of the matrix ``b`` lies outside the column span of ``a``.
+    """
+    k = a.shape[1]
+    reduced, pivots = _rref(np.concatenate([a, b], axis=1), p)
+    if pivots and pivots[-1] >= k:
+        return None
+    x = np.zeros((k, b.shape[1]), dtype=np.int64)
+    x[list(pivots)] = reduced[: len(pivots), k:]
+    return x
+
+
 def _inv(a: np.ndarray, p: int) -> np.ndarray:
-    n = a.shape[0]
-    m = np.asarray(a, dtype=np.int64) % p  # widened first: narrow dtypes may not hold p
-    aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = _rref(aug, p)
-    if len(pivots) < n or pivots[:n] != tuple(range(n)):
+    x = _solve(a, np.eye(a.shape[0], dtype=np.int64), p)
+    if x is None:
         raise ValueError("matrix is singular")
-    return r[:, n:]
+    return x
 
 
 def _det(a: np.ndarray, p: int) -> int:
@@ -313,6 +351,8 @@ class Matrix:
         return _det(self.array, self.p)
 
     def inv(self) -> "Matrix":
+        if self.rows != self.cols:  # a wide matrix may have right inverses
+            raise ValueError("matrix is not square")
         return Matrix(_inv(self.array, self.p), self.p)
 
     def rank(self) -> int:

@@ -3,13 +3,13 @@
 Group orders come from a deterministic Schreier-Sims stabilizer chain
 acting on (column) vectors, each base point the first standard basis
 vector that the level's generators move.  Vectors are handled as integer
-codes sum(v_i p^i): each level keeps its orbit as an array of points with a
-code-to-row index, grown a whole frontier at a time, and stores every
-transversal element together with its inverse, both built by batched
-products.  When a level gains generators its orbit is extended in place,
-and only the Schreier generators of pairs (point, generator) not sifted
-before are formed; they are sifted through the chain in blocks.  When the
-caller knows an upper bound B on the group order, the
+codes sum(v_i p^i) from ``ff_linalg._codes``: each level keeps its orbit
+as an array of points with a code-to-row index, grown a whole frontier at
+a time, and stores every transversal element together with its inverse,
+both built by batched products.  When a level gains generators its orbit
+is extended in place, and only the Schreier generators of pairs (point,
+generator) not sifted before are formed; they are sifted through the chain
+in blocks.  When the caller knows an upper bound B on the group order, the
 build stops as soon as the product of the stored orbit lengths reaches B:
 that product never exceeds |G|, so it then equals |G|, every stored orbit
 is a full orbit of its point stabilizer and the chain sifts every element
@@ -66,7 +66,9 @@ from .errors import (
     OrderOverflow,
     ResourceLimit,
 )
-from .ff_linalg import Matrix, Subspace, jordan_type, _kernel_basis, _inv
+from .ff_linalg import (
+    Matrix, Subspace, jordan_type, _codes, _inv, _kernel_basis, _prime_factors, _vectors
+)
 
 __all__ = [
     "GeneratedGroup",
@@ -150,9 +152,7 @@ def _orbit(lvl: _Level, p: int, cap: int):
     and the steps (first row, parent rows, generator) that reached them.
     """
     gens, points, index = lvl.gens, lvl.points, lvl.index
-    n = points.shape[1]
-    powers = p ** np.arange(n, dtype=np.int64)
-    batch = max(1, _BLOCK_ENTRIES // n)
+    batch = max(1, _BLOCK_ENTRIES // points.shape[1])
     chunks, steps = [], []
     total = len(points)
     frontier, first, movers = points, 0, range(lvl.closed, len(gens))
@@ -162,7 +162,7 @@ def _orbit(lvl: _Level, p: int, cap: int):
             block = frontier[a : a + batch].astype(np.int64)
             for j in movers:
                 images = (block @ gens[j].T) % p
-                codes = images @ powers
+                codes = _codes(images, p)
                 fresh = np.flatnonzero(index.find(codes) < 0)
                 if fresh.size:
                     index.add(codes[fresh], np.arange(total, total + fresh.size))
@@ -276,7 +276,6 @@ class _Chain:
             # with only identities the chain is empty and no code is computed
             if p**n >= 2**63:
                 raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
-            self.powers = np.array([p**i for i in range(n)], dtype=np.int64)
             self.bound = bound() if bound is not None else None
             top = _Level(self._pick_base(gens), n, p, self.dtype)
             for g in gens:
@@ -301,9 +300,6 @@ class _Chain:
         return self._is_id(residues)
 
     # -- orbits -----------------------------------------------------------
-
-    def _codes(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors @ self.powers
 
     def _pick_base(self, gens: np.ndarray) -> int:
         """The first standard basis vector that some generator in ``gens`` moves."""
@@ -362,7 +358,7 @@ class _Chain:
             if not live.size:
                 break
             lvl = self.levels[idx]
-            rows = lvl.index.find(self._codes(work[:, :, lvl.col]))
+            rows = lvl.index.find(_codes(work[:, :, lvl.col], self.p))
             out = rows < 0
             if out.any():
                 stop[live[out]] = idx
@@ -392,7 +388,7 @@ class _Chain:
                     # row i * len(gens) + j of each stack belongs to (v_i, s_j)
                     block = points[a : a + batch].astype(np.int64)
                     images = (gens @ block.T).transpose(2, 0, 1) % p
-                    found = lvl.index.find(self._codes(images.reshape(-1, n)))
+                    found = lvl.index.find(_codes(images.reshape(-1, n), p))
                     trans = transversal[a : a + batch, None].astype(np.int64)
                     moved = (gens[None] @ trans) % p
                     out = lvl.trans_inv[found].astype(np.int64) @ moved.reshape(-1, n, n)
@@ -602,7 +598,7 @@ def _line_positions(vecs: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray
     n = vecs.shape[1]
     lead = (vecs != 0).argmax(axis=1)
     scale = inverse[vecs[np.arange(len(vecs)), lead]]
-    codes = ((vecs * scale[:, None]) % p) @ p ** np.arange(n)
+    codes = _codes((vecs * scale[:, None]) % p, p)
     return (p**n - p ** (n - lead)) // (p - 1) + codes // p ** (lead + 1)
 
 
@@ -636,7 +632,7 @@ def is_irreducible(
         codes = np.concatenate(
             [p**k + p ** (k + 1) * np.arange(p ** (n - k - 1)) for k in range(n)]
         )
-        lines = (codes[:, None] // p ** np.arange(n)) % p
+        lines = _vectors(codes, n, p)
         inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)])
         marked = np.zeros(len(lines), dtype=bool)
         while not marked.all():
@@ -705,25 +701,15 @@ def _random_algebra_element(gens, p: int, rng: Random) -> np.ndarray:
 
 
 def _multiplicative_order(a: int, p: int) -> int:
+    """Order of a in F_p^x: p - 1 with each prime q of p - 1 divided out while a^(order/q) = 1."""
     a %= p
     if a == 0:
         raise ValueError("0 has no multiplicative order")
-    for d in _sorted_divisors(p - 1):
-        if pow(a, d, p) == 1:
-            return d
-    raise AssertionError("unreachable")
-
-
-def _sorted_divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    order = p - 1
+    for q in _prime_factors(p - 1):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
 
 
 def element_order(a: Matrix, cap: int = 10**7) -> int:

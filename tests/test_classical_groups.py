@@ -26,12 +26,14 @@ from monodromy.classical_groups import (
     square_class,
     subgroup_class,
     transvection,
+    _nonzero_vectors,
 )
 from monodromy.errors import NotAnIsometry, PrecedenceViolation
 from monodromy.ff_linalg import BilinearForm, Matrix, random_invertible
 from monodromy.families import twist_family_system
 from monodromy.group_engine import naive_closure
 from derived_reference import derived_subgroup_generators
+from ff_linalg_reference import nonzero_vectors_per_index
 from spinor_reference import reference_spinor_norm
 
 
@@ -275,6 +277,11 @@ class TestBuilders:
         assert len(expected) == 32
         found = isotropic_vectors(space, 100)
         assert [v.tolist() for v in found] == [v.tolist() for v in expected]
+
+    @pytest.mark.parametrize("n, p", [(1, 3), (2, 5), (3, 3), (3, 7), (4, 3)])
+    def test_nonzero_vectors_match_the_per_index_decode(self, n, p):
+        found = [v.tolist() for v in _nonzero_vectors(n, p)]
+        assert found == [v.tolist() for v in nonzero_vectors_per_index(n, p)]
 
     def test_random_isometry_is_isometry(self):
         rng = Random(1)

@@ -17,7 +17,7 @@ from monodromy.families import (
     kummer_tuple,
     twist_family_system,
 )
-from monodromy.ff_linalg import Matrix, invariant_forms
+from monodromy.ff_linalg import JordanData, Matrix, Subspace, invariant_forms
 from monodromy.group_engine import GeneratedGroup, is_irreducible
 
 
@@ -40,6 +40,23 @@ class TestKummerTuple:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             kummer_tuple([0], 5)
+
+
+def test_a_huge_modulus_fails_fast_everywhere():
+    """A modulus past the int64 bound fails at once; a trial division on it would not end."""
+    q = 10**18 + 3
+    for build in (
+        lambda: Matrix([[1]], q),
+        lambda: Subspace([[1]], 1, q),
+        lambda: JordanData([(1, 1)], q),
+        lambda: kummer_tuple([0, 1], q),
+        lambda: hyperelliptic_system(1, q),
+        lambda: twist_family_system([2], q),
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            build()
+    # the largest prime p with (p - 1)^2 < 2^63
+    assert Matrix([[1]], 3037000493).p == 3037000493
 
 
 class TestHyperellipticSystem:

@@ -21,14 +21,16 @@ from monodromy.ff_linalg import (
     _echelon_reduce,
     _inv,
     _kernel_basis,
+    _rank,
     _rref,
+    _solve,
     invariant_forms,
     is_prime,
     jordan_type,
     kernel,
     random_invertible,
 )
-from ff_linalg_reference import det_numpy_loop, jordan_type_full_scan
+from ff_linalg_reference import det_numpy_loop, jordan_type_full_scan, primes_below
 
 # cutoffs that send every elimination to one kernel, and the module's own
 PYTHON_INTS, NUMPY = 10**18, 0
@@ -197,6 +199,9 @@ class TestMatrix:
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
             Matrix([[1, 1], [1, 1]], 3).inv()
+        # a wide matrix of full rank has right inverses, but no inverse
+        with pytest.raises(ValueError, match="not square"):
+            Matrix([[1, 0, 0], [0, 1, 0]], 3).inv()
 
     def test_hashable(self):
         a = Matrix([[1, 0], [0, 1]], 5)
@@ -551,6 +556,36 @@ class TestBilinearForm:
 
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_a_sieve():
+    assert [n for n in range(-5, 10**4) if is_prime(n)] == primes_below(10**4)
+
+
+@pytest.mark.parametrize("p", [3, 5, 131])
+def test_solve_returns_a_solution_with_free_variables_zero(p):
+    """None exactly when b leaves the column span of a; else a x = b, 0 off the pivots."""
+    rng = Random(p)
+    outcomes = set()
+    for _ in range(300):
+        rows, cols, k = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 4)
+        # at 131, int8 entries as the chain stores them, negative ones included
+        low, high, dtype = (-128, 128, np.int8) if p == 131 else (0, p, np.int64)
+        a = np.array([[rng.randrange(low, high) for _ in range(cols)] for _ in range(rows)], dtype=dtype)
+        wide = a.astype(np.int64)
+        # half the systems are consistent, b = a y; the others mostly not
+        b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(rows + cols)])
+        b = (wide @ b[rows:]) % p if rng.randrange(2) else b[:rows]
+        x = _solve(a, b, p)
+        outcomes.add(x is None)
+        if _rank(np.concatenate([wide, b], axis=1), p) > _rank(a, p):
+            assert x is None
+            continue
+        assert x.shape == (cols, k) and x.dtype == np.int64
+        assert np.array_equal((wide @ x) % p, b)
+        free = [j for j in range(cols) if j not in _rref(a, p)[1]]
+        assert not x[free].any()
+    assert outcomes == {True, False}
 
 
 def test_primality_is_tested_once_per_modulus(monkeypatch):

@@ -21,7 +21,7 @@ from monodromy.classical_groups import (
 )
 from monodromy.errors import NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system, twist_family_system
-from monodromy.ff_linalg import Matrix, Subspace, invariant_forms, random_invertible
+from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms, random_invertible
 from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
@@ -30,10 +30,12 @@ from monodromy.group_engine import (
     group_order,
     is_irreducible,
     naive_closure,
+    _multiplicative_order,
     _order_bound,
 )
 from closure_reference import reference_closure
 from derived_reference import derived_subgroup_generators
+from ff_linalg_reference import multiplicative_order_divisor_scan
 from irreducibility_reference import exhaustive_irreducibility
 from schreier_sims_reference import ReferenceGroup
 
@@ -404,6 +406,13 @@ class TestIrreducibilityOracle:
 
 
 class TestElementOrder:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 73, 101, 257])
+    def test_multiplicative_order_matches_the_divisor_scan(self, p):
+        for a in range(1, p):
+            assert _multiplicative_order(a, p) == multiplicative_order_divisor_scan(a, p)
+        with pytest.raises(ValueError):
+            _multiplicative_order(p, p)
+
     def test_identity(self):
         assert element_order(Matrix.identity(3, 5)) == 1
 
@@ -880,7 +889,7 @@ class TestIncrementalChain:
                 trans = lvl.trans.astype(np.int64)
                 assert np.array_equal(trans[:, :, lvl.col], points), name
                 assert np.all((lvl.trans_inv.astype(np.int64) @ trans) % p == eye), name
-                codes = points @ chain.powers
+                codes = _codes(points, p)
                 assert np.array_equal(lvl.index.find(codes), np.arange(len(points))), name
         assert any(regrown)
 
