@@ -297,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_tuple_arg(sp)
     sp.set_defaults(func=_cmd_convolve)
 
-    sp = sub.add_parser("predict", help="convolution rank from local data only")
+    sp = sub.add_parser(
+        "predict",
+        help="convolution rank from local data only (at lambda 1 the plain"
+        " formula, not the rank n of MC_1)",
+    )
     sp.add_argument("--lambda", dest="lam", type=int, required=True)
     add_tuple_arg(sp)
     sp.set_defaults(func=_cmd_predict)

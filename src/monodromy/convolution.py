@@ -140,11 +140,14 @@ class PuncturedTuple:
 def predict_rank(
     finite: Sequence[JordanData], infinity: JordanData, lam: int
 ) -> int:
-    """Rank of the convolution from local data alone.
+    """Rank of the convolution from local data alone, for lambda != 1.
 
     Sum over finite punctures of the codimension of the fixed space, minus
     the dimension of the fixed space of the infinity data tensored by
-    lambda (the number of infinity blocks with eigenvalue 1/lambda).
+    lambda (the number of infinity blocks with eigenvalue 1/lambda).  At
+    lambda = 1 it returns the same formula, which is not the rank of MC_1:
+    that is the input rank n.  The rank-1 Kummer tuple at 0, 1, 2, 3 mod 5
+    gives 3 here and 1 from ``middle_convolve(t, 1).rank``.
     """
     p = infinity.p
     lam = int(lam) % p
@@ -185,6 +188,29 @@ def map_local_jordan(data: JordanData, lam: int) -> JordanData:
     return JordanData(out, p)
 
 
+def _fixed_rows(t: PuncturedTuple, lam: int) -> np.ndarray:
+    """A row basis of the common fixed space L of the B_k in F_p^(r*n).
+
+    For lambda != 1, B_k v = v for every k exactly when v_k = A_(k+1)...A_r v_r
+    for each k and A_infinity v_r = lambda v_r, so L is spanned by the rows
+    (A_2...A_r c, ..., A_r c, c) for c in a basis of
+    ker(lambda^-1 A_infinity - 1), and dim L is the dimension of that kernel.
+    For lambda = 1 every row block of B_k - 1 is [A_1 - 1 | ... | A_r - 1],
+    and L is the kernel of that n x r*n matrix.
+    """
+    p = t.p
+    lam = int(lam) % p
+    n = t.rank
+    eye_n = np.eye(n, dtype=np.int64)
+    if lam == 1:
+        return _kernel_basis(np.concatenate([m.array - eye_n for m in t.matrices], axis=1) % p, p)
+    inf_shift = (pow(lam, -1, p) * t.infinity_matrix.array - eye_n) % p
+    blocks = [_kernel_basis(inf_shift, p)]
+    for m in t.matrices[:0:-1]:
+        blocks.append(blocks[-1] @ m.array.T % p)
+    return np.concatenate(blocks[::-1], axis=1)
+
+
 def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     """The middle convolution MC_lambda of a punctured tuple.
 
@@ -192,13 +218,16 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     the k-th block row; on it, lambda(A_j - 1) for j < k, lambda A_k at
     j = k, and A_j - 1 for j > k (Dettweiler-Reiter, An algorithm of Katz
     and its application to the inverse Galois problem, 2000).  One r*n x r*n
-    matrix holds row block k of each B_k as its row block k, so the common
-    fixed space of the B_k is the kernel of that matrix minus 1.  The
-    quotient is taken by that space plus the blockwise kernels of A_k - 1,
-    held as one ``Subspace``.  The quotient dimension is checked against
-    the local rank formula; a mismatch raises DegenerateQuotient.  Products
-    on the r*n-dimensional space sum r*n terms of size (p-1)^2 in int64, so
-    larger moduli raise ValueError.
+    matrix E holds row block k of B_k - 1 as its row block k.  The common
+    fixed space L of the B_k comes from n-dimensional data by the identity
+    in ``_fixed_rows``: for lambda != 1 it is ker(lambda^-1 A_infinity - 1)
+    carried up the tuple, for lambda = 1 the kernel of [A_1 - 1 | ... |
+    A_r - 1].  The quotient is taken by L plus the blockwise kernels K of
+    A_k - 1, held as one ``Subspace``, and all r quotient matrices are one
+    stacked projection of E onto its non-pivot coordinates.  The quotient
+    dimension is checked against the local rank formula; a mismatch raises
+    DegenerateQuotient.  Products on the r*n-dimensional space sum r*n
+    terms of size (p-1)^2 in int64, so larger moduli raise ValueError.
     """
     p = t.p
     lam = int(lam) % p
@@ -213,34 +242,45 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     big = r * n
     _check_products(big, p)
     eye_n = np.eye(n, dtype=np.int64)
-    eye_big = np.eye(big, dtype=np.int64)
     shifts = [(m.array - eye_n) % p for m in t.matrices]
 
-    # row block k of B_k: lambda scales the blocks j <= k, and lambda A_k =
-    # lambda (A_k - 1) + lambda
-    scale = np.kron(np.where(np.tri(r, dtype=bool), lam, 1), np.ones((n, n), dtype=np.int64))
-    rows = (scale * np.tile(np.concatenate(shifts, axis=1), (r, 1)) + lam * eye_big) % p
+    # E = rows of B_k - 1: lambda scales the blocks j <= k of row block k,
+    # and lambda A_k - 1 = lambda (A_k - 1) + lambda - 1
+    scale = np.where(np.tri(r, dtype=bool), lam, 1)
+    e = scale[:, None, :, None] * np.stack(shifts, axis=1)[None]
+    e = e.reshape(big, big)
+    e.flat[:: big + 1] += lam - 1
+    e %= p
+    # E_k: row block k of E, zero elsewhere
+    e_stack = np.zeros((r, r, n, big), dtype=np.int64)
+    e_stack[np.arange(r), np.arange(r)] = e.reshape(r, n, big)
+    e_stack = e_stack.reshape(r, big, big)
 
-    # blockwise kernels of A_k - 1, embedded in the k-th block, and the
-    # common fixed space of the B_k
+    # blockwise kernels of A_k - 1, each in its own block, and the common
+    # fixed space of the B_k
     kernels = [_kernel_basis(s, p) for s in shifts]
-    unit = np.eye(r, dtype=np.int64)
-    kernel_rows = [np.kron(unit[k], v) for k, kb in enumerate(kernels) for v in kb]
-    fixed_rows = list(_kernel_basis((rows - eye_big) % p, p))
-    junk = Subspace(kernel_rows + fixed_rows, big, p)
+    kernel_rows = np.zeros((sum(kb.shape[0] for kb in kernels), big), dtype=np.int64)
+    at = 0
+    for k, kb in enumerate(kernels):
+        kernel_rows[at : at + kb.shape[0], k * n : (k + 1) * n] = kb
+        at += kb.shape[0]
+    fixed_rows = _fixed_rows(t, lam)
+    if (fixed_rows @ e.T % p).any():
+        raise DegenerateQuotient("fixed space is not fixed")
+    junk = Subspace(np.concatenate([kernel_rows, fixed_rows]), big, p)
 
     # the quotient must see exactly the predicted dimension: the input rank
     # for the identity convolution, otherwise the local rank formula.  The
     # infinity term follows the generator orientation in which the finite
     # blocks transform by lambda: the lambda-eigenspace of the derived
     # infinity matrix is removed.  For the quadratic case lambda = -1 (all
-    # packaged families) this is the same count as predict_rank.
+    # packaged families) this is the same count as predict_rank.  dim L is
+    # that eigenspace's dimension by construction, so for lambda != 1 the
+    # check says that K and L meet in 0.
     if lam == 1:
         expected = n
     else:
-        expected = sum(n - kb.shape[0] for kb in kernels)
-        inf_shift = (pow(lam, -1, p) * t.infinity_matrix.array - eye_n) % p
-        expected -= _kernel_basis(inf_shift, p).shape[0]
+        expected = big - kernel_rows.shape[0] - fixed_rows.shape[0]
     out_dim = big - junk.dim
     if out_dim != expected:
         raise DegenerateQuotient(
@@ -249,16 +289,20 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     if out_dim == 0:
         raise NotInCategory("convolution output collapses to rank 0")
 
-    coords = [j for j in range(big) if j not in junk.pivots]
-    out_mats = []
-    for k in range(r):
-        b = eye_big.copy()
-        b[k * n : (k + 1) * n] = rows[k * n : (k + 1) * n]
-        # invariance of the junk space under B_k (theorem; cheap guard)
-        if junk.reduce(junk.basis @ b.T).any():
-            raise DegenerateQuotient("quotient subspace is not invariant")
-        cols = junk.reduce(b[:, coords].T)
-        out_mats.append(Matrix(cols[:, coords].T, p))
+    # invariance of the junk space under every B_k = 1 + E_k (theorem;
+    # cheap guard)
+    if junk.reduce(junk.basis @ e_stack.transpose(0, 2, 1)).any():
+        raise DegenerateQuotient("quotient subspace is not invariant")
+    # B_k on the quotient, in the non-pivot coordinates C of the junk space:
+    # 1 + E_k[C, C] - Q^T E_k[P, C] with P the pivots and Q = basis[:, C]
+    pivots = list(junk.pivots)
+    free = np.ones(big, dtype=bool)
+    free[pivots] = False
+    cols = e_stack[:, :, free]
+    q = junk.basis[:, free]
+    eye_out = np.eye(out_dim, dtype=np.int64)
+    out = (eye_out + cols[:, free] - q.T @ cols[:, pivots] % p) % p
+    out_mats = [Matrix(m, p) for m in out]
 
     try:
         return PuncturedTuple(t.punctures, out_mats)

@@ -44,6 +44,8 @@ REPORTS = [
     (["certify", "--r", "2"], True),
     (["cross-validate", "--r", "2"], False),
     (["convolve", "--lambda", "2"], True),
+    (["convolve", "--lambda", "-1"], True),
+    (["convolve", "--lambda", "1"], True),
     (["predict", "--lambda", "2"], True),
 ]
 

@@ -1,10 +1,12 @@
-"""The fixed-space-by-stacking middle convolution, kept as a test oracle.
+"""Slow constructions that ``monodromy.convolution`` replaced, kept as test oracles.
 
-This is ``monodromy.convolution.middle_convolve`` as it was before it read
-the common fixed space of the B_k off one r*n x r*n matrix: it stacks every
-B_k - 1 into an (r^2 n x r n) system and reduces against a hand-built
-echelon basis of the junk space.  Tests compare the library's emitted
-tuples against it; the library does not import it.
+``reference_middle_convolve`` is ``middle_convolve`` as it was before it
+read the common fixed space of the B_k off one r*n x r*n matrix: it stacks
+every B_k - 1 into an (r^2 n x r n) system and reduces against a
+hand-built echelon basis of the junk space.  ``reference_fixed_space`` is
+that one-matrix construction of the fixed space, from before it came from
+n-dimensional data.  Tests compare the library against both; the library
+does not import them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,25 @@ import numpy as np
 from monodromy.convolution import PuncturedTuple
 from monodromy.errors import DegenerateQuotient, NotInCategory
 from monodromy.ff_linalg import Matrix, _check_products, _echelon_reduce, _kernel_basis, _rref
+
+
+def reference_fixed_space(t: PuncturedTuple, lam: int) -> np.ndarray:
+    """A row basis of the common fixed space of the B_k in F_p^(r*n).
+
+    One r*n x r*n matrix holds row block k of each B_k as its row block k,
+    and the fixed space is the kernel of that matrix minus 1.
+    """
+    p = t.p
+    lam = int(lam) % p
+    r = len(t.punctures)
+    n = t.rank
+    big = r * n
+    eye_n = np.eye(n, dtype=np.int64)
+    eye_big = np.eye(big, dtype=np.int64)
+    shifts = [(m.array - eye_n) % p for m in t.matrices]
+    scale = np.kron(np.where(np.tri(r, dtype=bool), lam, 1), np.ones((n, n), dtype=np.int64))
+    rows = (scale * np.tile(np.concatenate(shifts, axis=1), (r, 1)) + lam * eye_big) % p
+    return _kernel_basis((rows - eye_big) % p, p)
 
 
 def reference_middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:

@@ -8,15 +8,24 @@ import pytest
 from monodromy.convolution import (
     INFINITY,
     PuncturedTuple,
+    _fixed_rows,
     map_local_jordan,
     middle_convolve,
     predict_rank,
     twist_quadratic,
 )
 from monodromy.errors import NotInCategory
-from monodromy.ff_linalg import JordanData, Matrix, invariant_forms, jordan_type, random_invertible
+from monodromy.families import kummer_tuple
+from monodromy.ff_linalg import (
+    JordanData,
+    Matrix,
+    Subspace,
+    invariant_forms,
+    jordan_type,
+    random_invertible,
+)
 from monodromy.group_engine import GeneratedGroup, is_irreducible
-from convolution_reference import reference_middle_convolve
+from convolution_reference import reference_fixed_space, reference_middle_convolve
 
 
 def kummer(points, p):
@@ -104,6 +113,14 @@ class TestKummerConvolution:
         # 3-dimensional block space sum 3 (p-1)^2 > 2^63
         with pytest.raises(ValueError, match="too large"):
             middle_convolve(kummer([0, 1, 2], 2**31 - 1), -1)
+
+    def test_exact_at_the_product_bound(self):
+        # 1753413037 is the largest prime p with 3 (p-1)^2 < 2^63, so the
+        # products on the 3-dimensional block space reach the int64 edge
+        p = 1753413037
+        t = kummer_tuple([0, 1, 2], p)
+        for lam in (-1, 2, p - 2):
+            assert middle_convolve(t, lam) == reference_middle_convolve(t, lam)
 
     def test_output_product_identity(self):
         out = middle_convolve(kummer([0, 1, 2, 3], 5), -1)
@@ -334,12 +351,14 @@ class TestReferenceOracle:
     """``middle_convolve`` against the stacked-system construction it replaced."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
-    @pytest.mark.parametrize("lam", [1, -1, 2])
+    @pytest.mark.parametrize("lam", [1, -1, 2, 3])
     def test_matches_reference(self, p, lam):
+        if lam % p == 0:
+            pytest.skip("lambda must be nonzero mod p")
         rng = Random(p * 10 + lam)
         emitted = raised = 0
-        for n in range(1, 5):
-            for r in range(2, 6):
+        for n in range(1, 6):
+            for r in range(1 if n >= 2 else 2, 8):
                 t = random_split_tuple(rng, p, n, r)
                 # the same tuple with an identity puncture in front
                 mats = [Matrix.identity(n, p)] + list(t.matrices[1:])
@@ -353,3 +372,42 @@ class TestReferenceOracle:
                     again = _outcome(middle_convolve, got, lam)
                     assert again == _outcome(reference_middle_convolve, got, lam), (n, r)
         assert emitted and raised
+
+
+def tuple_with_infinity(rng, p, n, r, lam, d):
+    """Random tuple whose infinity matrix is diagonalizable with lambda of multiplicity d."""
+    others = [x for x in range(1, p) if x != lam % p]
+    diag = [lam % p] * d + [rng.choice(others) for _ in range(n - d)]
+    g = random_invertible(n, p, rng)
+    infinity = g.inv() @ Matrix.diagonal(diag, p) @ g
+    mats = [random_invertible(n, p, rng) for _ in range(r - 1)]
+    product = Matrix.identity(n, p)
+    for m in mats:
+        product = product @ m
+    # the ordered product over all punctures is infinity^-1
+    mats.append((infinity @ product).inv())
+    labels = [i if i < p else f"t{i}" for i in range(r)]
+    return PuncturedTuple(labels, mats)
+
+
+class TestFixedSpace:
+    """``_fixed_rows`` against the r*n x r*n kernel it replaced."""
+
+    def test_matches_reference(self):
+        rng = Random(7)
+        dims = set()
+        for p in (3, 5, 7):
+            for lam in (1, -1, 2, 3):
+                if lam % p == 0:
+                    continue
+                for n in range(1, 5):
+                    for r in range(1, 6):
+                        d = rng.randrange(0, n + 1)
+                        t = tuple_with_infinity(rng, p, n, r, lam, d)
+                        got = _fixed_rows(t, lam)
+                        want = reference_fixed_space(t, lam)
+                        assert Subspace(got, r * n, p) == Subspace(want, r * n, p), (p, lam, n, r)
+                        if lam % p != 1:
+                            assert got.shape[0] == d
+                            dims.add(min(d, 2))
+        assert dims == {0, 1, 2}
