@@ -24,6 +24,7 @@ from .ff_linalg import (
     Subspace,
     _check_products,
     _kernel_basis,
+    _kernel_rows,
     jordan_type,
 )
 
@@ -87,19 +88,22 @@ class PuncturedTuple:
         for m in matrices:
             if m.p != p or m.n != n:
                 raise ValueError("matrices must share size and modulus")
-            if m.det() == 0:
-                raise ValueError("puncture matrices must be invertible")
         order = _canonical_order(labels)
         labels = [labels[i] for i in order]
         mats = [matrices[i] for i in order]
         product = Matrix.identity(n, p)
         for m in mats:
             product = product @ m
+        # a product is invertible exactly when every factor is
+        try:
+            infinity = product.inv()
+        except ValueError:
+            raise ValueError("puncture matrices must be invertible") from None
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "punctures", tuple(labels))
         object.__setattr__(self, "matrices", tuple(mats))
-        object.__setattr__(self, "infinity_matrix", product.inv())
+        object.__setattr__(self, "infinity_matrix", infinity)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuncturedTuple is immutable")
@@ -196,16 +200,18 @@ def _fixed_rows(t: PuncturedTuple, lam: int) -> np.ndarray:
     (A_2...A_r c, ..., A_r c, c) for c in a basis of
     ker(lambda^-1 A_infinity - 1), and dim L is the dimension of that kernel.
     For lambda = 1 every row block of B_k - 1 is [A_1 - 1 | ... | A_r - 1],
-    and L is the kernel of that n x r*n matrix.
+    and L is the kernel of that n x r*n matrix.  The rows are independent
+    but not in echelon form; ``middle_convolve`` echelons them only against
+    the blockwise kernels.
     """
     p = t.p
     lam = int(lam) % p
     n = t.rank
     eye_n = np.eye(n, dtype=np.int64)
     if lam == 1:
-        return _kernel_basis(np.concatenate([m.array - eye_n for m in t.matrices], axis=1) % p, p)
+        return _kernel_rows(np.concatenate([m.array - eye_n for m in t.matrices], axis=1) % p, p)
     inf_shift = (pow(lam, -1, p) * t.infinity_matrix.array - eye_n) % p
-    blocks = [_kernel_basis(inf_shift, p)]
+    blocks = [_kernel_rows(inf_shift, p)]
     for m in t.matrices[:0:-1]:
         blocks.append(blocks[-1] @ m.array.T % p)
     return np.concatenate(blocks[::-1], axis=1)
@@ -223,8 +229,11 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     in ``_fixed_rows``: for lambda != 1 it is ker(lambda^-1 A_infinity - 1)
     carried up the tuple, for lambda = 1 the kernel of [A_1 - 1 | ... |
     A_r - 1].  The quotient is taken by L plus the blockwise kernels K of
-    A_k - 1, held as one ``Subspace``, and all r quotient matrices are one
-    stacked projection of E onto its non-pivot coordinates.  The quotient
+    A_k - 1, held as one ``Subspace``: the canonical kernels, placed
+    block-diagonally, are K in reduced echelon form, and ``Subspace.extend``
+    adds L, so the only r*n-wide echelon form is of L's residue.  All
+    r quotient matrices are one stacked projection of E onto its non-pivot
+    coordinates.  The quotient
     dimension is checked against the local rank formula; a mismatch raises
     DegenerateQuotient.  Products on the r*n-dimensional space sum r*n
     terms of size (p-1)^2 in int64, so larger moduli raise ValueError.
@@ -251,13 +260,10 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     e = e.reshape(big, big)
     e.flat[:: big + 1] += lam - 1
     e %= p
-    # E_k: row block k of E, zero elsewhere
-    e_stack = np.zeros((r, r, n, big), dtype=np.int64)
-    e_stack[np.arange(r), np.arange(r)] = e.reshape(r, n, big)
-    e_stack = e_stack.reshape(r, big, big)
 
-    # blockwise kernels of A_k - 1, each in its own block, and the common
-    # fixed space of the B_k
+    # blockwise kernels K of A_k - 1, each canonical in its own block, so
+    # K is in reduced echelon form with its pivots the leading entries; the
+    # junk space extends K by the common fixed space L of the B_k
     kernels = [_kernel_basis(s, p) for s in shifts]
     kernel_rows = np.zeros((sum(kb.shape[0] for kb in kernels), big), dtype=np.int64)
     at = 0
@@ -265,9 +271,17 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
         kernel_rows[at : at + kb.shape[0], k * n : (k + 1) * n] = kb
         at += kb.shape[0]
     fixed_rows = _fixed_rows(t, lam)
-    if (fixed_rows @ e.T % p).any():
+    # invariance under every B_k = 1 + E_k (theorem; cheap guard), checked
+    # on the rows that span the junk space: E v = 0 for v in L, and
+    # E v = (lambda - 1) v for v in K, so B_k multiplies the kernel in
+    # block k by lambda and fixes the others
+    images = np.concatenate([kernel_rows, fixed_rows]) @ e.T % p
+    if images[len(kernel_rows) :].any():
         raise DegenerateQuotient("fixed space is not fixed")
-    junk = Subspace(np.concatenate([kernel_rows, fixed_rows]), big, p)
+    if ((images[: len(kernel_rows)] - (lam - 1) * kernel_rows) % p).any():
+        raise DegenerateQuotient("quotient subspace is not invariant")
+    kernel_pivots = (kernel_rows != 0).argmax(axis=1)
+    junk = Subspace._from_rref(kernel_rows, kernel_pivots, big, p).extend(fixed_rows)
 
     # the quotient must see exactly the predicted dimension: the input rank
     # for the identity convolution, otherwise the local rank formula.  The
@@ -289,16 +303,14 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     if out_dim == 0:
         raise NotInCategory("convolution output collapses to rank 0")
 
-    # invariance of the junk space under every B_k = 1 + E_k (theorem;
-    # cheap guard)
-    if junk.reduce(junk.basis @ e_stack.transpose(0, 2, 1)).any():
-        raise DegenerateQuotient("quotient subspace is not invariant")
     # B_k on the quotient, in the non-pivot coordinates C of the junk space:
-    # 1 + E_k[C, C] - Q^T E_k[P, C] with P the pivots and Q = basis[:, C]
+    # 1 + E_k[C, C] - Q^T E_k[P, C] with P the pivots and Q = basis[:, C],
+    # where E_k is row block k of E, zero elsewhere
     pivots = list(junk.pivots)
     free = np.ones(big, dtype=bool)
     free[pivots] = False
-    cols = e_stack[:, :, free]
+    row_block = np.arange(big) // n == np.arange(r)[:, None]
+    cols = np.where(row_block[:, :, None], e[:, free], 0)
     q = junk.basis[:, free]
     eye_out = np.eye(out_dim, dtype=np.int64)
     out = (eye_out + cols[:, free] - q.T @ cols[:, pivots] % p) % p

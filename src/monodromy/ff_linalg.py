@@ -188,20 +188,32 @@ def _rank(a: np.ndarray, p: int) -> int:
     return len(_rref(a, p)[1])
 
 
-def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of the right kernel {x : a x = 0}, rows are solutions."""
+def _kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """A basis of the right kernel {x : a x = 0} from one ``_rref``, rows are solutions.
+
+    Row i is the solution with a 1 in the i-th free column and 0 in the
+    other free columns; it is not in reduced echelon form, so it suits a
+    caller that echelons the rows anyway.
+    """
     r, pivots = _rref(a, p)
     cols = a.shape[1]
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = (-r[: len(pivots), free].T) % p
-    # canonicalize so equality of kernels is equality of arrays
-    basis, _ = _rref(basis, p)
+    if free:
+        basis[np.arange(len(free)), free] = 1
+        basis[:, list(pivots)] = (-r[: len(pivots), free].T) % p
     return basis
+
+
+def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """RREF basis of the right kernel {x : a x = 0}, rows are solutions.
+
+    The rows of ``_kernel_rows``, canonicalized so that equality of kernels
+    is equality of arrays.
+    """
+    basis = _kernel_rows(a, p)
+    return _rref(basis, p)[0] if len(basis) else basis
 
 
 def _solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
@@ -341,10 +353,6 @@ class Matrix:
             k >>= 1
         return Matrix(result, self.p)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply to a column vector (1-D int array), reduced mod p."""
-        return (self.array @ np.asarray(vec, dtype=np.int64)) % self.p
-
     # -- queries -------------------------------------------------------------
 
     def det(self) -> int:
@@ -392,12 +400,29 @@ class Subspace:
         _check_products(ambient, p)
         arr = np.asarray(basis, dtype=np.int64).reshape(-1, ambient) % p
         reduced, pivots = _rref(arr, p)
-        reduced = reduced[: len(pivots)]
+        self._set(reduced[: len(pivots)], pivots, ambient, p)
+
+    def _set(self, reduced: np.ndarray, pivots: tuple[int, ...], ambient: int, p: int) -> None:
         reduced.setflags(write=False)
         object.__setattr__(self, "ambient", int(ambient))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "basis", reduced)
         object.__setattr__(self, "pivots", pivots)
+
+    @classmethod
+    def _from_rref(
+        cls, reduced: np.ndarray, pivots: Sequence[int], ambient: int, p: int
+    ) -> "Subspace":
+        """The span of rows the caller guarantees are a reduced echelon basis with these pivots.
+
+        Same modulus and int64 guards as the constructor, but no ``_rref``.
+        An int64 array is kept as it is, made read-only, not copied.
+        """
+        p = _check_modulus(p)
+        _check_products(ambient, p)
+        space = cls.__new__(cls)
+        space._set(np.asarray(reduced, dtype=np.int64), tuple(int(j) for j in pivots), ambient, p)
+        return space
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -420,10 +445,33 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         return self.contains(other.basis)
 
+    def extend(self, rows) -> "Subspace":
+        """The span of this space and the given rows, without re-reducing this basis.
+
+        The rows are reduced against the basis, only that residue is put in
+        echelon form, its pivot columns are cleared from the old rows in one
+        product, and the two sets of rows are merged in pivot order.  By
+        uniqueness of reduced echelon form the result equals
+        ``Subspace(np.concatenate([self.basis, rows]), ambient, p)``.
+        """
+        p = self.p
+        extra = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient)
+        new, new_pivots = _rref(self.reduce(extra), p)
+        if not new_pivots:
+            return self
+        new = new[: len(new_pivots)]
+        # the new rows are 0 in the old pivot columns, so the old rows keep
+        # their leading 1s
+        old = (self.basis - self.basis[:, list(new_pivots)] @ new) % p
+        pivots = self.pivots + new_pivots
+        order = np.argsort(pivots)
+        merged = np.concatenate([old, new])[order]
+        return Subspace._from_rref(merged, sorted(pivots), self.ambient, p)
+
     def sum(self, other: "Subspace") -> "Subspace":
         if (other.ambient, other.p) != (self.ambient, self.p):
             raise ValueError("mismatched ambient space")
-        return Subspace(np.concatenate([self.basis, other.basis]), self.ambient, self.p)
+        return self.extend(other.basis)
 
     def __eq__(self, other) -> bool:
         return (
@@ -567,8 +615,7 @@ class JordanData:
 
 def kernel(m: Matrix) -> Subspace:
     """The full solution space of M x = 0, in echelon form."""
-    basis = _kernel_basis(m.array, m.p)
-    return Subspace(basis, m.cols, m.p)
+    return Subspace(_kernel_rows(m.array, m.p), m.cols, m.p)
 
 
 def jordan_type(a: Matrix) -> JordanData:

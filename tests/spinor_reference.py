@@ -24,6 +24,11 @@ from monodromy.classical_groups import (
 from monodromy.ff_linalg import Matrix
 
 
+def apply(m: Matrix, vec) -> np.ndarray:
+    """``m`` applied to a column vector (1-D int array), reduced mod p."""
+    return (m.array @ np.asarray(vec, dtype=np.int64)) % m.p
+
+
 def reference_spinor_norm(g: Matrix, space: FormSpace) -> int:
     """Spinor norm of an orthogonal isometry from a reflection factorization."""
     if space.parity != "symmetric":
@@ -47,12 +52,12 @@ def reference_spinor_norm(g: Matrix, space: FormSpace) -> int:
                 continue
             if any((cand @ gram @ u) % p for u in pinned):
                 continue
-            if (residue.apply(cand) != cand).any():
+            if (apply(residue, cand) != cand).any():
                 v = cand
                 break
         if v is None:
             raise AssertionError("residue is not the identity but fixes every candidate vector")
-        image = residue.apply(v)
+        image = apply(residue, v)
         diff = (image - v) % p
         if space.q(diff) != 0:
             norm *= square_class(space.q(diff), p)

@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import monodromy.ff_linalg as ff
 from monodromy.convolution import (
     INFINITY,
     PuncturedTuple,
@@ -15,7 +16,7 @@ from monodromy.convolution import (
     twist_quadratic,
 )
 from monodromy.errors import NotInCategory
-from monodromy.families import kummer_tuple
+from monodromy.families import hyperelliptic_system, kummer_tuple
 from monodromy.ff_linalg import (
     JordanData,
     Matrix,
@@ -65,8 +66,14 @@ class TestPuncturedTuple:
             PuncturedTuple(["has space"], [Matrix([[1]], p)])
 
     def test_rejects_singular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="puncture matrices must be invertible"):
             PuncturedTuple([0], [Matrix([[0]], 5)])
+        # one singular matrix among invertible ones makes the product singular
+        rng = Random(1)
+        mats = [random_invertible(3, 7, rng) for _ in range(3)]
+        mats.insert(1, Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 7))
+        with pytest.raises(ValueError, match="puncture matrices must be invertible"):
+            PuncturedTuple([0, 1, 2, 3], mats)
 
 
 class TestKummerConvolution:
@@ -411,3 +418,26 @@ class TestFixedSpace:
                             assert got.shape[0] == d
                             dims.add(min(d, 2))
         assert dims == {0, 1, 2}
+
+
+def test_junk_space_is_not_echelon_formed_whole(monkeypatch):
+    """The junk space extends the echelon blockwise kernels K by the fixed rows L.
+
+    For the genus-4 hyperelliptic tuple over F_3 (r * n = 8 * 8 = 64) the
+    only 64-wide elimination is of the residue of L, dim L = 7 rows, not of
+    the 63 x 64 stack of K and L together.
+    """
+    t = hyperelliptic_system(4, 3).tuple
+    shapes = []
+    rref = ff._rref
+
+    def recording(a, p):
+        shapes.append(np.shape(a))
+        return rref(a, p)
+
+    monkeypatch.setattr(ff, "_rref", recording)
+    out = middle_convolve(t, -1)
+    monkeypatch.setattr(ff, "_rref", rref)
+    wide = [rows for rows, cols in shapes if cols == len(t.punctures) * t.rank]
+    assert wide and max(wide) <= 7
+    assert out == reference_middle_convolve(t, -1)

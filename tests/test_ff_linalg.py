@@ -334,6 +334,49 @@ class TestSubspace:
         Subspace(np.ones((1, 3), dtype=np.int64), 3, below)
         with pytest.raises(ValueError, match="too large"):
             Subspace(np.ones((1, 3), dtype=np.int64), 3, above)
+        rows = np.array([[1, 0, 2]], dtype=np.int64)
+        Subspace._from_rref(rows, [0], 3, below)
+        with pytest.raises(ValueError, match="too large"):
+            Subspace._from_rref(rows, [0], 3, above)
+        with pytest.raises(ValueError, match="odd prime"):
+            Subspace._from_rref(rows, [0], 3, 9)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    def test_extend_matches_echelon_form_of_the_stack(self, p):
+        rng = Random(p)
+
+        def check(space, extra):
+            got = space.extend(extra)
+            want = Subspace(np.concatenate([space.basis, extra]), space.ambient, p)
+            assert np.array_equal(got.basis, want.basis)
+            assert got.pivots == want.pivots and got == want
+            assert got.basis.dtype == np.int64 and not got.basis.flags.writeable
+
+        def random_rows(count, n):
+            return np.array(
+                [[rng.randrange(p) for _ in range(n)] for _ in range(count)], dtype=np.int64
+            ).reshape(count, n)
+
+        for n in (1, 2, 5, 9):
+            full = Subspace(np.eye(n, dtype=np.int64), n, p)
+            zero = Subspace.zero(n, p)
+            for _ in range(12):
+                rows, _ = random_rref(rng, n, p)
+                space = Subspace(rows, n, p)
+                inside = random_rows(rng.randrange(1, 4), space.dim) @ space.basis % p
+                codim = n - space.dim
+                for extra in (
+                    random_rows(0, n),  # no rows
+                    np.zeros((2, n), dtype=np.int64),  # zero rows
+                    inside,  # rows already in the space
+                    random_rows(rng.randrange(1, n + 1), n),
+                    random_rows(codim + 2, n),  # more rows than the codimension
+                    np.concatenate([inside, random_rows(1, n)]),
+                ):
+                    check(space, extra)
+                    check(zero, extra)  # the empty space
+                    check(full, extra)  # the full space
+                    check(space, extra - p)  # rows not reduced mod p
 
     @pytest.mark.parametrize("small_p", [3, 5, 7, 11, None])
     def test_echelon_reduce_matches_per_pivot_loop(self, small_p):
