@@ -16,11 +16,9 @@ from .errors import (
     NotAnIsometry,
     NotInCategory,
     OrderOverflow,
-    PrecedenceViolation,
     ResourceLimit,
 )
 from .ff_linalg import (
-    BilinearForm,
     JordanData,
     Matrix,
     Subspace,
@@ -35,7 +33,6 @@ from .classical_groups import (
     FormSpace,
     GroupOrders,
     classify_element,
-    drop,
     invariant_pairing,
     is_isometry,
     isometry_group_orders,
@@ -43,13 +40,12 @@ from .classical_groups import (
     reflection,
     siegel_shear,
     spinor_norm,
-    subgroup_class,
     transvection,
 )
 from .group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
-    contains_derived,
+    derived_containment,
     element_order,
     group_order,
     is_irreducible,

@@ -28,16 +28,10 @@ from .classical_groups import (
     TRANSVECTION,
     classify_element,
     is_isometry,
-    isometry_group_orders,
 )
 from .errors import Inconclusive, NotAnIsometry, OrderOverflow
 from .ff_linalg import Matrix, _kernel_basis, _least_factor, _rref, _solve
-from .group_engine import (
-    GeneratedGroup,
-    element_order,
-    is_irreducible,
-    _derived_containment,
-)
+from .group_engine import GeneratedGroup, derived_containment, element_order, is_irreducible
 from .families import MonodromySystem
 
 __all__ = [
@@ -150,9 +144,9 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
         )
     )
 
-    group = GeneratedGroup(h.generators, seed=seed)
+    group = GeneratedGroup(h.generators)
     try:
-        report = is_irreducible(group)
+        report = is_irreducible(group, seed)
         checks.append(
             CheckResult(
                 "irreducibility",
@@ -244,22 +238,18 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     computation refutes it; a NotCertified certificate never disagrees (the
     criterion is sufficient, not necessary).
     """
-    group = GeneratedGroup(h.generators, seed=seed, limit=limit)
+    group = GeneratedGroup(h.generators, limit=limit)
     # builds the chain with the known order bound; the order reads that chain
-    derived, exact_class = _derived_containment(group, h.space)
+    derived, exact_class = derived_containment(group, h.space)
     exact_order = group.order()
     cert = certify(h, seed=seed)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))
 
-    agreement = True
-    if cert.certified:
-        if not derived:
-            agreement = False
-        elif cert.conclusion.kind == "FullSp":
-            agreement = exact_order == isometry_group_orders(h.space).full_order
-        else:
-            agreement = exact_class in _BIG_ORTHOGONAL_CLASSES
+    agreement = not cert.certified or (
+        derived
+        and (cert.conclusion.kind == "FullSp" or exact_class in _BIG_ORTHOGONAL_CLASSES)
+    )
     return CrossReport(cert, exact_order, derived, exact_class, agreement)
 
 

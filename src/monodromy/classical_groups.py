@@ -1,13 +1,17 @@
 """Bilinear-form geometry and the element taxonomy of isometry groups.
 
-An isometry of a non-degenerate pairing is classified by its drop (the
-codimension of its fixed space): drop-1 elements are reflections
-(determinant -1) or transvections (determinant +1), and a non-trivial
-unipotent element with (g-1)^2 = 0 is an isotropic shear.  The module also
-computes spinor norms as the discriminant of Wall's form on the image of
-1 - g, and the standard orders of the finite symplectic and orthogonal
-groups, and finds the pairing a basis of invariant forms spans
-(``invariant_pairing``).
+A ``FormSpace`` is F_p^n with a non-degenerate symmetric or alternating
+pairing, held as its Gram matrix and parity.  An isometry is classified by
+its drop (the codimension of its fixed space, ``classify_element(g,
+space).drop``): drop-1 elements are reflections (determinant -1) or
+transvections (determinant +1), and a non-trivial unipotent element with
+(g-1)^2 = 0 is an isotropic shear.  The module also computes spinor norms
+as the discriminant of Wall's form on the image of 1 - g, the standard
+orders of the finite symplectic and orthogonal groups, and the image of
+(determinant, spinor norm) on a set of generators, which names the class
+of an orthogonal group that contains the derived subgroup (returned by
+``group_engine.derived_containment``).  It finds the pairing a basis of
+invariant forms spans (``invariant_pairing``).
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAnIsometry, PrecedenceViolation
-from .ff_linalg import BilinearForm, Matrix, _det, _rref, _vectors
+from .errors import NotAnIsometry
+from .ff_linalg import Matrix, _det, _rref, _vectors
 
 __all__ = [
     "IDENTITY",
@@ -31,12 +35,10 @@ __all__ = [
     "GroupOrders",
     "invariant_pairing",
     "is_isometry",
-    "drop",
     "classify_element",
     "square_class",
     "spinor_norm",
     "isometry_group_orders",
-    "subgroup_class",
     "reflection",
     "transvection",
     "siegel_shear",
@@ -61,42 +63,56 @@ class ElementClass:
         return f"{self.tag}(drop={self.drop})"
 
 
+@dataclass(frozen=True, repr=False)
 class FormSpace:
-    """F_p^n together with a non-degenerate symmetric or alternating pairing."""
+    """F_p^n with a non-degenerate symmetric or alternating pairing.
 
-    __slots__ = ("form",)
+    ``gram`` is the Gram matrix and ``parity`` is ``"symmetric"`` (gram
+    equals its transpose) or ``"alternating"`` (gram equals minus its
+    transpose, with zero diagonal, which is automatic for odd p).  The
+    constructor rejects a gram matrix that is not square, does not have the
+    stated parity, or is degenerate, and an alternating space of odd
+    dimension.
+    """
 
-    def __init__(self, form: BilinearForm):
-        if not form.is_nondegenerate():
+    gram: Matrix
+    parity: str
+
+    def __post_init__(self):
+        g = self.gram
+        if g.rows != g.cols:
+            raise ValueError("gram matrix must be square")
+        if self.parity == "symmetric":
+            if g.T != g:
+                raise ValueError("gram matrix is not symmetric")
+        elif self.parity == "alternating":
+            if g.T != -g:
+                raise ValueError("gram matrix is not antisymmetric")
+            if np.diagonal(g.array).any():
+                raise ValueError("alternating gram matrix has nonzero diagonal")
+        else:
+            raise ValueError(f"unknown parity {self.parity!r}")
+        if g.det() == 0:
             raise ValueError("the pairing must be non-degenerate")
-        if form.parity == "alternating" and form.dim % 2 != 0:
+        if self.parity == "alternating" and g.rows % 2 != 0:
             raise ValueError("alternating spaces have even dimension")
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormSpace is immutable")
 
     @property
     def dim(self) -> int:
-        return self.form.dim
+        return self.gram.rows
 
     @property
     def p(self) -> int:
-        return self.form.p
-
-    @property
-    def parity(self) -> str:
-        return self.form.parity
-
-    @property
-    def gram(self) -> Matrix:
-        return self.form.gram
+        return self.gram.p
 
     def pair(self, u, v) -> int:
-        return self.form.evaluate(u, v)
+        p = self.p
+        u = np.asarray(u, dtype=np.int64) % p
+        v = np.asarray(v, dtype=np.int64) % p
+        return int((((u @ self.gram.array) % p) @ v) % p)
 
     def q(self, v) -> int:
-        return self.form.evaluate(v, v)
+        return self.pair(v, v)
 
     # -- standard models -----------------------------------------------------
 
@@ -109,12 +125,12 @@ class FormSpace:
         g = np.zeros((dim, dim), dtype=np.int64)
         g[:m, m:] = np.eye(m, dtype=np.int64)
         g[m:, :m] = -np.eye(m, dtype=np.int64)
-        return FormSpace(BilinearForm(Matrix(g, p), "alternating"))
+        return FormSpace(Matrix(g, p), "alternating")
 
     @staticmethod
     def dot(dim: int, p: int) -> "FormSpace":
         """Standard symmetric space with the identity Gram matrix."""
-        return FormSpace(BilinearForm(Matrix.identity(dim, p), "symmetric"))
+        return FormSpace(Matrix.identity(dim, p), "symmetric")
 
     @staticmethod
     def hyperbolic(dim: int, p: int) -> "FormSpace":
@@ -125,21 +141,15 @@ class FormSpace:
         g = np.zeros((dim, dim), dtype=np.int64)
         g[:m, m:] = np.eye(m, dtype=np.int64)
         g[m:, :m] = np.eye(m, dtype=np.int64)
-        return FormSpace(BilinearForm(Matrix(g, p), "symmetric"))
+        return FormSpace(Matrix(g, p), "symmetric")
 
     @staticmethod
     def from_gram(gram: Matrix) -> "FormSpace":
         if gram.T == gram:
-            return FormSpace(BilinearForm(gram, "symmetric"))
+            return FormSpace(gram, "symmetric")
         if gram.T == -gram:
-            return FormSpace(BilinearForm(gram, "alternating"))
+            return FormSpace(gram, "alternating")
         raise ValueError("gram matrix is neither symmetric nor antisymmetric")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormSpace) and self.form == other.form
-
-    def __hash__(self) -> int:
-        return hash(self.form)
 
     def __repr__(self) -> str:
         kind = "Sp" if self.parity == "alternating" else "O"
@@ -240,12 +250,6 @@ def _require_isometry(g: Matrix, space: FormSpace) -> None:
         raise NotAnIsometry("matrix does not match the space")
     if not is_isometry(g, space):
         raise NotAnIsometry("matrix does not preserve the pairing")
-
-
-def drop(g: Matrix, space: FormSpace) -> int:
-    """Codimension of the fixed space, i.e. rank(g - 1)."""
-    _require_isometry(g, space)
-    return (g - Matrix.identity(space.dim, space.p)).rank()
 
 
 def classify_element(g: Matrix, space: FormSpace) -> ElementClass:
@@ -489,24 +493,3 @@ def _det_spinor_image(gens: Sequence[Matrix], space: FormSpace) -> frozenset:
         new = {(a * pair[0], b * pair[1]) for a, b in image}
         image |= new
     return frozenset(image)
-
-
-def subgroup_class(
-    gens: Sequence[Matrix], space: FormSpace, derived_verified: bool = False
-) -> str:
-    """Which of the overgroups of the derived subgroup <gens> is.
-
-    Looks up the image of (determinant, spinor norm) on the generators, a
-    subgroup of {+-1} x {+-1}; because both maps are homomorphisms this
-    determines the subgroup once the derived subgroup is known to be
-    contained, which the caller must have verified separately (see
-    group_engine.contains_derived, which decides it from the same image).
-    """
-    if not derived_verified:
-        raise PrecedenceViolation(
-            "subgroup_class requires the caller to have verified containment "
-            "of the derived subgroup first"
-        )
-    if space.parity != "symmetric":
-        raise ValueError("subgroup_class applies to orthogonal spaces")
-    return _CLASS_BY_IMAGE[_det_spinor_image(gens, space)]

@@ -205,7 +205,7 @@ def _cmd_classify(args, stdin, stdout) -> int:
 
 def _cmd_order(args, stdin, stdout) -> int:
     t = _read_tuple(args, stdin)
-    group = GeneratedGroup(t.matrices, seed=args.seed, limit=args.limit)
+    group = GeneratedGroup(t.matrices, limit=args.limit)
 
     def bound() -> Optional[int]:
         # a lone invariant pairing bounds |G| and so lets the chain stop

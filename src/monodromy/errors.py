@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MonodromyError",
+    "NonSplitSpectrum",
+    "NotAnIsometry",
+    "ResourceLimit",
+    "OrderOverflow",
+    "Inconclusive",
+    "NotInCategory",
+    "DegenerateQuotient",
+    "BadLocus",
+    "NegativeDimension",
+    "FamilyCheckFailed",
+]
+
 
 class MonodromyError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,10 +25,6 @@ class NonSplitSpectrum(MonodromyError):
 
 class NotAnIsometry(MonodromyError):
     """A matrix does not preserve the bilinear form it was checked against."""
-
-
-class PrecedenceViolation(MonodromyError):
-    """An operation was called without its required precondition flag."""
 
 
 class ResourceLimit(MonodromyError):

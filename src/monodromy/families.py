@@ -29,7 +29,7 @@ from .classical_groups import (
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
 from .errors import BadLocus, FamilyCheckFailed, NegativeDimension
-from .ff_linalg import BilinearForm, Matrix, invariant_forms, _check_modulus
+from .ff_linalg import Matrix, invariant_forms, _check_modulus
 
 __all__ = [
     "MonodromySystem",
@@ -45,13 +45,9 @@ class MonodromySystem:
     """A punctured tuple with its discovered pairing and local taxonomy."""
 
     tuple: PuncturedTuple
-    pairing: BilinearForm
+    space: FormSpace
     classifications: tuple[ElementClass, ...]
     expected_dim: int
-
-    @property
-    def space(self) -> FormSpace:
-        return FormSpace(self.pairing)
 
     @property
     def generators(self) -> tuple[Matrix, ...]:
@@ -106,7 +102,7 @@ def hyperelliptic_system(
     classes = tuple(classify_element(m, space) for m in out.matrices)
     if any(c.tag != TRANSVECTION for c in classes):
         raise FamilyCheckFailed("every finite local matrix must be a transvection")
-    return MonodromySystem(out, space.form, classes, 2 * genus)
+    return MonodromySystem(out, space, classes, 2 * genus)
 
 
 def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
@@ -140,7 +136,7 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
         want = REFLECTION if lab in (0, 1) else ISOTROPIC_SHEAR
         if cls.tag != want:
             raise FamilyCheckFailed(f"puncture {lab} classified {cls.tag}, wanted {want}")
-    return MonodromySystem(out, space.form, classes, expected)
+    return MonodromySystem(out, space, classes, expected)
 
 
 def dim_formula(deg_m: int, deg_a: int, genus: int) -> int:

@@ -13,7 +13,6 @@ subspace equality is representation equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -25,7 +24,6 @@ __all__ = [
     "is_prime",
     "Matrix",
     "Subspace",
-    "BilinearForm",
     "JordanData",
     "kernel",
     "jordan_type",
@@ -427,10 +425,6 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @staticmethod
-    def zero(ambient: int, p: int) -> "Subspace":
-        return Subspace(np.zeros((0, ambient), dtype=np.int64), ambient, p)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -441,9 +435,6 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return self.contains(other.basis)
 
     def extend(self, rows) -> "Subspace":
         """The span of this space and the given rows, without re-reducing this basis.
@@ -468,11 +459,6 @@ class Subspace:
         merged = np.concatenate([old, new])[order]
         return Subspace._from_rref(merged, sorted(pivots), self.ambient, p)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if (other.ambient, other.p) != (self.ambient, self.p):
-            raise ValueError("mismatched ambient space")
-        return self.extend(other.basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -487,51 +473,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F_{self.p}^{self.ambient})"
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """A bilinear pairing given by its Gram matrix, tagged with its parity.
-
-    ``parity`` is ``"symmetric"`` (gram equals its transpose) or
-    ``"alternating"`` (gram equals minus its transpose; the zero diagonal is
-    automatic for odd p).
-    """
-
-    gram: Matrix
-    parity: str
-
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols:
-            raise ValueError("gram matrix must be square")
-        if self.parity == "symmetric":
-            if g.T != g:
-                raise ValueError("gram matrix is not symmetric")
-        elif self.parity == "alternating":
-            if g.T != -g:
-                raise ValueError("gram matrix is not antisymmetric")
-            if np.diagonal(g.array).any():
-                raise ValueError("alternating gram matrix has nonzero diagonal")
-        else:
-            raise ValueError(f"unknown parity {self.parity!r}")
-
-    @property
-    def p(self) -> int:
-        return self.gram.p
-
-    @property
-    def dim(self) -> int:
-        return self.gram.rows
-
-    def evaluate(self, u, v) -> int:
-        p = self.p
-        u = np.asarray(u, dtype=np.int64) % p
-        v = np.asarray(v, dtype=np.int64) % p
-        return int((((u @ self.gram.array) % p) @ v) % p)
-
-    def is_nondegenerate(self) -> bool:
-        return self.gram.det() != 0
 
 
 class JordanData:
@@ -572,9 +513,6 @@ class JordanData:
     @property
     def codim_fixed(self) -> int:
         return self.dim - self.fixed_dim
-
-    def trivial_count(self) -> int:
-        return sum(1 for b in self.blocks if b == (1, 1))
 
     def nontrivial(self) -> "JordanData":
         return JordanData((b for b in self.blocks if b != (1, 1)), self.p)

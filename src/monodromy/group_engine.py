@@ -54,18 +54,12 @@ import numpy as np
 
 from .classical_groups import (
     FormSpace,
-    is_isometry,
     isometry_group_orders,
     _CLASS_BY_IMAGE,
     _det_spinor_image,
+    _require_isometry,
 )
-from .errors import (
-    Inconclusive,
-    NonSplitSpectrum,
-    NotAnIsometry,
-    OrderOverflow,
-    ResourceLimit,
-)
+from .errors import Inconclusive, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
     Matrix, Subspace, jordan_type, _codes, _inv, _kernel_basis, _prime_factors, _vectors
 )
@@ -76,7 +70,7 @@ __all__ = [
     "group_order",
     "is_irreducible",
     "element_order",
-    "contains_derived",
+    "derived_containment",
     "naive_closure",
 ]
 
@@ -448,10 +442,9 @@ class GeneratedGroup:
     only when complete.  Concurrent callers of ``order``, ``contains_array``
     and ``in`` on one group wait for that single build and then read the
     finished chain, so every answer is exact.  A build that fails publishes
-    nothing, and the next query tries again.  All returned values are
-    deterministic given the seed.
+    nothing, and the next query tries again.  Every answer is deterministic.
 
-    ``contains_derived`` knows an upper bound on the order before it asks
+    ``derived_containment`` knows an upper bound on the order before it asks
     for it (see ``_order_bound``) and passes it to the first build, which
     then stops as soon as its orbit product reaches the bound; so does the
     CLI's ``order`` when the tuple has one non-degenerate invariant form,
@@ -461,7 +454,7 @@ class GeneratedGroup:
     reaches its bound gets that full build.
     """
 
-    def __init__(self, gens: Sequence[Matrix], seed: int = 0, limit: int = 10**7):
+    def __init__(self, gens: Sequence[Matrix], limit: int = 10**7):
         gens = [g for g in gens]
         if not gens:
             raise ValueError("need at least one generator")
@@ -475,7 +468,6 @@ class GeneratedGroup:
         self.gens = tuple(gens)
         self.p = p
         self.dim = dim
-        self.seed = seed
         self.limit = limit
         self._chain: Optional[_Chain] = None
         self._lock = threading.Lock()
@@ -561,6 +553,13 @@ def naive_closure(gens: Sequence[Matrix], limit: int = 200_000) -> set[Matrix]:
 # irreducibility
 
 
+# Spaces with at most this many lines are decided by walking the lines;
+# larger ones by the meataxe, which gives up after _MAX_TRIALS random
+# group-algebra elements.
+_EXHAUSTIVE_CAP = 3000
+_MAX_TRIALS = 64
+
+
 @dataclass(frozen=True)
 class IrreducibilityReport:
     irreducible: bool
@@ -579,8 +578,7 @@ def _spin(seed: np.ndarray, gens: np.ndarray, p: int) -> Subspace:
     space = Subspace(seed, n, p)
     frontier = space.basis
     while len(frontier) and space.dim < n:
-        images = space.reduce(frontier @ gens.transpose(0, 2, 1)).reshape(-1, n)
-        grown = Subspace(np.concatenate([space.basis, images]), n, p)
+        grown = space.extend(frontier @ gens.transpose(0, 2, 1))
         frontier = grown.basis[~np.isin(grown.pivots, space.pivots)]
         space = grown
     return space
@@ -602,14 +600,10 @@ def _line_positions(vecs: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray
     return (p**n - p ** (n - lead)) // (p - 1) + codes // p ** (lead + 1)
 
 
-def is_irreducible(
-    group: GeneratedGroup,
-    exhaustive_cap: int = 3000,
-    max_trials: int = 64,
-) -> IrreducibilityReport:
+def is_irreducible(group: GeneratedGroup, seed: int = 0) -> IrreducibilityReport:
     """Decide whether the natural module is irreducible.
 
-    Small spaces (at most ``exhaustive_cap`` lines) are settled exactly.
+    Small spaces (at most ``_EXHAUSTIVE_CAP`` lines) are settled exactly.
     Lines are walked in the order of ``_line_positions``, and one line per
     G-orbit on lines is spun: a line spins to V exactly when every line of
     its orbit does (Holt-Rees, Testing modules for irreducibility, 1994).
@@ -619,8 +613,9 @@ def is_irreducible(
     with Norton's criterion giving an unconditional certificate when a
     nullity-one element is found; a group of scalars, where that search
     finds nothing, is reported reducible with the witness span(e_1) before
-    any trial.  Raises Inconclusive if the trial budget runs out without a
-    verdict.
+    any trial.  The meataxe draws its group-algebra elements from a
+    ``Random(seed)``.  Raises Inconclusive if ``_MAX_TRIALS`` trials pass
+    without a verdict.
     """
     n, p = group.dim, group.p
     gens = np.array([g.array for g in group.gens], dtype=np.int64)
@@ -628,7 +623,7 @@ def is_irreducible(
     if n == 1:
         return IrreducibilityReport(True, None, "dimension-one")
 
-    if (p**n - 1) // (p - 1) <= exhaustive_cap:
+    if (p**n - 1) // (p - 1) <= _EXHAUSTIVE_CAP:
         codes = np.concatenate(
             [p**k + p ** (k + 1) * np.arange(p ** (n - k - 1)) for k in range(n)]
         )
@@ -657,8 +652,8 @@ def is_irreducible(
         # never spin a vector; every line is invariant
         return IrreducibilityReport(False, Subspace(eye[:1], n, p), "scalar")
 
-    rng = Random(group.seed)
-    for trial in range(1, max_trials + 1):
+    rng = Random(seed)
+    for trial in range(1, _MAX_TRIALS + 1):
         theta = _random_algebra_element(gens, p, rng)
         for a in range(p):
             shifted = (theta - a * eye) % p
@@ -681,7 +676,7 @@ def is_irreducible(
                     False, Subspace(ann, n, p), "meataxe-dual", trial
                 )
     raise Inconclusive(
-        f"no irreducibility verdict after {max_trials} random trials", max_trials
+        f"no irreducibility verdict after {_MAX_TRIALS} random trials", _MAX_TRIALS
     )
 
 
@@ -763,39 +758,33 @@ def _order_bound(space: FormSpace, gens: Sequence[Matrix]) -> tuple[int, Optiona
     return orders.derived_order * len(image), image
 
 
-def _derived_containment(
+def derived_containment(
     group: GeneratedGroup, space: FormSpace
 ) -> tuple[bool, Optional[str]]:
-    """``contains_derived``, with the subgroup class of an orthogonal group.
-
-    The class is looked up from the same (det, theta) image that decides
-    containment; it is None for symplectic groups and for groups that do
-    not contain the derived subgroup.  The bound of ``_order_bound`` is
-    passed to the chain, so a group that reaches it stops building early.
-    """
-    for g in group.gens:
-        if g.p != space.p or g.n != space.dim or not is_isometry(g, space):
-            raise NotAnIsometry("group does not act on the given space by isometries")
-    bound, image = _order_bound(space, group.gens)
-    if group._ensure_chain(lambda: bound).order() != bound:
-        return False, None
-    return True, None if image is None else _CLASS_BY_IMAGE[image]
-
-
-def contains_derived(group: GeneratedGroup, space: FormSpace) -> bool:
-    """Whether the group contains the derived subgroup of the isometry group.
+    """Whether the group contains the derived subgroup of the isometry group, with its class.
 
     Decided by orders alone.  In the orthogonal case the derived subgroup is
     Omega = ker(det, theta), of index 4 in O(V) (index 2 in O(1), where it
     is trivial), with theta the spinor norm.  The quotient of G by its
     intersection with Omega is the image of (det, theta) on G, which the
     images of the generators generate, so G contains Omega exactly when
-    |G| = |Omega| * |image|.  In the symplectic case the
-    derived subgroup is taken to be Sp(V) itself, so the test is
-    |G| = |Sp(V)|.  See Taylor, The Geometry of the Classical Groups (1992),
-    ch. 11, and Kleidman-Liebeck, The Subgroup Structure of the Finite
-    Classical Groups (1990), 2.5-2.6.  The identity holds only inside the
-    isometry group, so a generator that is not an isometry raises
-    NotAnIsometry.
+    |G| = |Omega| * |image|.  In the symplectic case the derived subgroup
+    is taken to be Sp(V) itself, so the test is |G| = |Sp(V)|.  See Taylor,
+    The Geometry of the Classical Groups (1992), ch. 11, and
+    Kleidman-Liebeck, The Subgroup Structure of the Finite Classical Groups
+    (1990), 2.5-2.6.
+
+    The class of an orthogonal group that contains Omega is looked up from
+    the same image: "Omega", "SO", "KerSpinor", "KerSpinorDet" or "FullO".
+    It is None for symplectic groups and for groups that do not contain the
+    derived subgroup.  The bound of ``_order_bound`` is passed to the chain,
+    so a group that reaches it stops building early.  The identity holds
+    only inside the isometry group, so a generator that is not an isometry
+    raises NotAnIsometry.
     """
-    return _derived_containment(group, space)[0]
+    for g in group.gens:
+        _require_isometry(g, space)
+    bound, image = _order_bound(space, group.gens)
+    if group._ensure_chain(lambda: bound).order() != bound:
+        return False, None
+    return True, None if image is None else _CLASS_BY_IMAGE[image]

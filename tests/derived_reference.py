@@ -1,11 +1,12 @@
 """Generators of the derived subgroup, built explicitly, kept as a test oracle.
 
-This is the construction that ``monodromy.group_engine.contains_derived``
-used before it decided containment by order arithmetic: transvections in
-the alternating case, closed reflection commutators in the symmetric case,
-each accepted only once its Schreier-Sims order matches the derived order.
-Tests sift these generators through a group to check the order identity;
-the library does not import it.
+``monodromy.group_engine.derived_containment`` decides containment by order
+arithmetic; this is the construction it replaced: transvections in the
+alternating case, closed reflection commutators in the symmetric case, each
+accepted only once its Schreier-Sims order matches the derived order.
+Tests sift these generators through a group to check the order identity,
+and add generators to them to reach each subgroup class that
+``derived_containment`` returns; the library does not import it.
 """
 
 from __future__ import annotations

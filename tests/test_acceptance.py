@@ -39,7 +39,6 @@ from monodromy.ff_linalg import (
 )
 from monodromy.group_engine import (
     GeneratedGroup,
-    contains_derived,
     element_order,
     group_order,
     is_irreducible,
@@ -84,7 +83,7 @@ def test_criterion_1_hyperelliptic_full_symplectic():
             forms = invariant_forms(system.generators)
             assert len(forms) == 1
             assert forms[0].T == -forms[0]
-            assert system.pairing.parity == "alternating"
+            assert system.space.parity == "alternating"
 
 
 def test_criterion_2_twist_family_dimensions():

@@ -15,7 +15,6 @@ from monodromy.classical_groups import (
     TRANSVECTION,
     anisotropic_vectors,
     classify_element,
-    drop,
     is_isometry,
     isometry_group_orders,
     isotropic_vectors,
@@ -24,14 +23,13 @@ from monodromy.classical_groups import (
     siegel_shear,
     spinor_norm,
     square_class,
-    subgroup_class,
     transvection,
     _nonzero_vectors,
 )
-from monodromy.errors import NotAnIsometry, PrecedenceViolation
-from monodromy.ff_linalg import BilinearForm, Matrix, random_invertible
+from monodromy.errors import NotAnIsometry
+from monodromy.ff_linalg import Matrix, random_invertible
 from monodromy.families import twist_family_system
-from monodromy.group_engine import naive_closure
+from monodromy.group_engine import GeneratedGroup, derived_containment, naive_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import nonzero_vectors_per_index
 from spinor_reference import apply, reference_spinor_norm
@@ -79,10 +77,25 @@ class TestFormSpace:
             FormSpace.symplectic(3, 5)
 
     def test_degenerate_rejected(self):
-        from monodromy.ff_linalg import BilinearForm
-
         with pytest.raises(ValueError):
-            FormSpace(BilinearForm(Matrix([[1, 0], [0, 0]], 5), "symmetric"))
+            FormSpace(Matrix([[1, 0], [0, 0]], 5), "symmetric")
+
+    def test_parity_validation(self):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            FormSpace(Matrix([[0, 1], [1, 0]], 5), "alternating")
+        with pytest.raises(ValueError, match="not symmetric"):
+            FormSpace(Matrix([[0, 1], [4, 0]], 5), "symmetric")
+        with pytest.raises(ValueError, match="unknown parity"):
+            FormSpace(Matrix.identity(2, 5), "hermitian")
+        with pytest.raises(ValueError, match="must be square"):
+            FormSpace(Matrix([[1, 0, 0], [0, 1, 0]], 5), "symmetric")
+        FormSpace(Matrix([[0, 1], [4, 0]], 5), "alternating")
+
+    def test_evaluate(self):
+        space = FormSpace(Matrix([[0, 1], [4, 0]], 5), "alternating")
+        assert space.pair([1, 0], [0, 1]) == 1
+        assert space.pair([0, 1], [1, 0]) == 4
+        assert space.q([1, 1]) == 0
 
     def test_from_gram_infers_parity(self):
         assert FormSpace.from_gram(Matrix([[0, 1], [4, 0]], 5)).parity == "alternating"
@@ -91,20 +104,20 @@ class TestFormSpace:
 
 class TestDrop:
     def test_identity(self):
-        assert drop(Matrix.identity(3, 5), FormSpace.dot(3, 5)) == 0
+        assert classify_element(Matrix.identity(3, 5), FormSpace.dot(3, 5)).drop == 0
 
     def test_diagonal_reflection(self):
-        assert drop(Matrix.diagonal([-1, 1, 1], 5), FormSpace.dot(3, 5)) == 1
+        assert classify_element(Matrix.diagonal([-1, 1, 1], 5), FormSpace.dot(3, 5)).drop == 1
 
     def test_siegel_element(self):
         space = FormSpace.hyperbolic(4, 5)
         sigma = siegel_element_on_hyperbolic_o4()
         assert is_isometry(sigma, space)
-        assert drop(sigma, space) == 2
+        assert classify_element(sigma, space).drop == 2
 
     def test_non_isometry_rejected(self):
         with pytest.raises(NotAnIsometry):
-            drop(Matrix([[2, 0], [0, 1]], 5), FormSpace.dot(2, 5))
+            classify_element(Matrix([[2, 0], [0, 1]], 5), FormSpace.dot(2, 5))
 
 
 class TestClassify:
@@ -161,7 +174,7 @@ def _random_gram(n, p, rng, parity):
                     g[j][i] = g[i][j] if parity == "symmetric" else (-g[i][j]) % p
         gram = Matrix(g, p)
         if gram.det():
-            return FormSpace(BilinearForm(gram, parity)), g
+            return FormSpace(gram, parity), g
 
 
 def _python_pair(g, p, u, v):
@@ -474,30 +487,32 @@ def _all_transvections(space):
     return out
 
 
-class TestSubgroupClass:
-    def test_requires_precondition_flag(self):
-        space = FormSpace.dot(3, 5)
-        with pytest.raises(PrecedenceViolation):
-            subgroup_class([Matrix.identity(3, 5)], space)
+def _class_of(gens, space):
+    """The class ``derived_containment`` gives a group known to contain Omega."""
+    derived, cls = derived_containment(GeneratedGroup(gens), space)
+    assert derived
+    return cls
 
+
+class TestSubgroupClass:
     def test_reflections_of_both_square_classes_give_full_o(self):
         space = FormSpace.dot(3, 5)
-        gens = [
+        gens = list(derived_subgroup_generators(space)) + [
             reflection(space, np.array([1, 0, 0])),  # square class +1
             reflection(space, np.array([1, 1, 0])),  # square class -1
         ]
-        assert subgroup_class(gens, space, derived_verified=True) == "FullO"
+        assert _class_of(gens, space) == "FullO"
 
     def test_omega_generators_plus_square_reflection_give_ker_spinor(self):
         space = FormSpace.dot(3, 5)
         gens = list(derived_subgroup_generators(space))
         gens.append(reflection(space, np.array([1, 0, 0])))
-        assert subgroup_class(gens, space, derived_verified=True) == "KerSpinor"
+        assert _class_of(gens, space) == "KerSpinor"
 
     def test_omega_generators_alone(self):
         space = FormSpace.dot(3, 5)
         gens = derived_subgroup_generators(space)
-        assert subgroup_class(gens, space, derived_verified=True) == "Omega"
+        assert _class_of(gens, space) == "Omega"
 
     def test_so_image(self):
         space = FormSpace.dot(3, 5)
@@ -507,4 +522,4 @@ class TestSubgroupClass:
             space, np.array([1, 1, 0])
         )
         gens = list(derived_subgroup_generators(space)) + [g]
-        assert subgroup_class(gens, space, derived_verified=True) == "SO"
+        assert _class_of(gens, space) == "SO"

@@ -16,7 +16,6 @@ from monodromy.classical_groups import (
     random_isometry,
     reflection,
     siegel_shear,
-    subgroup_class,
     transvection,
 )
 from monodromy.errors import NotAnIsometry, ResourceLimit
@@ -25,7 +24,7 @@ from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms, rando
 from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
-    contains_derived,
+    derived_containment,
     element_order,
     group_order,
     is_irreducible,
@@ -98,8 +97,8 @@ class TestGroupOrder:
             group.order()
 
     def test_deterministic_across_runs(self):
-        a = GeneratedGroup(SL2(5), seed=0).order()
-        b = GeneratedGroup(SL2(5), seed=0).order()
+        a = GeneratedGroup(SL2(5)).order()
+        b = GeneratedGroup(SL2(5)).order()
         assert a == b == 120
 
 
@@ -197,13 +196,15 @@ class TestIrreducibility:
                     assert w.contains((g.array @ row) % p)
         assert reducible_found > 0
 
-    def test_meataxe_path_on_larger_space(self):
+    def test_meataxe_path_on_larger_space(self, monkeypatch):
         # dim 5 over F_7 exceeds the exhaustive cap; Norton's certificate kicks in
+        import monodromy.group_engine as engine
+
         space = FormSpace.dot(5, 7)
         rng = Random(2)
         gens = [random_isometry(space, rng, length=8) for _ in range(3)]
-        group = GeneratedGroup(gens, seed=3)
-        report = is_irreducible(group, exhaustive_cap=100)
+        monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 100)
+        report = is_irreducible(GeneratedGroup(gens), seed=3)
         if report.irreducible:
             assert report.method == "meataxe-norton"
         else:
@@ -231,16 +232,19 @@ class TestIrreducibility:
         assert report.method == "exhaustive" and report.witness.dim == 1
         # one non-scalar generator sends the group to the meataxe as before
         gens = [Matrix.scalar(2, 6, 5)] + list(hyperelliptic_system(3, 5).generators)
-        report = is_irreducible(GeneratedGroup(gens, seed=1))
+        report = is_irreducible(GeneratedGroup(gens), seed=1)
         assert report.irreducible and report.method.startswith("meataxe")
 
-    def test_inconclusive_when_trials_exhausted(self):
+    def test_inconclusive_when_trials_exhausted(self, monkeypatch):
+        import monodromy.group_engine as engine
         from monodromy.errors import Inconclusive
 
         space = FormSpace.dot(5, 7)
         group = GeneratedGroup([random_isometry(space, Random(5))])
+        monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 10)
+        monkeypatch.setattr(engine, "_MAX_TRIALS", 0)
         with pytest.raises(Inconclusive) as excinfo:
-            is_irreducible(group, exhaustive_cap=10, max_trials=0)
+            is_irreducible(group)
         assert excinfo.value.trials == 0
 
 
@@ -383,8 +387,10 @@ class TestIrreducibilityOracle:
         assert report.irreducible and report.method == "exhaustive"
         assert len(calls) == _line_orbit_count(gens, 4, 7) < 400
 
-    def test_meataxe_agrees_with_orbits_above_the_cap(self):
+    def test_meataxe_agrees_with_orbits_above_the_cap(self, monkeypatch):
         # F_5^6 has 3906 lines: the meataxe by default, the orbit path at 4000
+        import monodromy.group_engine as engine
+
         n, p = 6, 5
         rng = Random(6)
         cases = [hyperelliptic_system(3, p).generators]
@@ -393,9 +399,11 @@ class TestIrreducibilityOracle:
         cases += [_isometry_generators(rng, p, n) for _ in range(3)]
         verdicts = set()
         for gens in cases:
-            group = GeneratedGroup(gens, seed=1)
-            meataxe = is_irreducible(group)
-            exact = is_irreducible(group, exhaustive_cap=4000)
+            group = GeneratedGroup(gens)
+            meataxe = is_irreducible(group, seed=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_EXHAUSTIVE_CAP", 4000)
+                exact = is_irreducible(group)
             assert meataxe.method.startswith("meataxe") and exact.method == "exhaustive"
             assert meataxe.irreducible == exact.irreducible, gens
             for report in (meataxe, exact):
@@ -462,28 +470,28 @@ class TestContainsDerived:
             gens.append(transvection(space, np.array(v)))
         group = GeneratedGroup(gens)
         assert group.order() == 24  # brute-force confirmed |Sp_2(F_3)|
-        assert contains_derived(group, space)
+        assert derived_containment(group, space)[0]
 
     def test_single_transvection_sp2_f5(self):
         space = FormSpace.symplectic(2, 5)
         group = GeneratedGroup([transvection(space, np.array([1, 0]))])
         assert group.order() == 5
-        assert not contains_derived(group, space)
+        assert not derived_containment(group, space)[0]
 
     def test_derived_generators_self_containment(self):
         space = FormSpace.dot(3, 5)
         gens = derived_subgroup_generators(space)
-        assert contains_derived(GeneratedGroup(gens), space)
+        assert derived_containment(GeneratedGroup(gens), space)[0]
 
     def test_monotone_in_generators(self):
         space = FormSpace.symplectic(2, 5)
         rng = Random(4)
         base = [transvection(space, np.array([1, 0])), transvection(space, np.array([0, 1]))]
         group = GeneratedGroup(base)
-        if contains_derived(group, space):
+        if derived_containment(group, space)[0]:
             for _ in range(5):
                 extra = base + [random_isometry(space, rng)]
-                assert contains_derived(GeneratedGroup(extra), space)
+                assert derived_containment(GeneratedGroup(extra), space)[0]
 
     @pytest.mark.parametrize(
         "space",
@@ -502,22 +510,22 @@ class TestContainsDerived:
     def test_omega_inside_full_reflection_group(self):
         space = FormSpace.dot(3, 5)
         refls = [reflection(space, r) for r in anisotropic_vectors(space, 30)]
-        assert contains_derived(GeneratedGroup(refls), space)
+        assert derived_containment(GeneratedGroup(refls), space)[0]
 
     @pytest.mark.parametrize("gram", [[[1]], [[2]]])
     def test_one_dimensional_orthogonal_space(self, gram):
         # Omega(1) is trivial, so every subgroup of O(1) = <-1> contains it
         space = FormSpace.from_gram(Matrix(gram, 5))
-        assert contains_derived(GeneratedGroup([Matrix.scalar(-1, 1, 5)]), space)
-        assert contains_derived(GeneratedGroup([Matrix.identity(1, 5)]), space)
+        assert derived_containment(GeneratedGroup([Matrix.scalar(-1, 1, 5)]), space)[0]
+        assert derived_containment(GeneratedGroup([Matrix.identity(1, 5)]), space)[0]
 
     def test_non_isometry_raises(self):
         space = FormSpace.dot(2, 5)
         shear = Matrix([[1, 1], [0, 1]], 5)
         with pytest.raises(NotAnIsometry):
-            contains_derived(GeneratedGroup([reflection(space, np.array([1, 0])), shear]), space)
+            derived_containment(GeneratedGroup([reflection(space, np.array([1, 0])), shear]), space)
         with pytest.raises(NotAnIsometry):
-            contains_derived(GeneratedGroup([Matrix.identity(3, 5)]), space)
+            derived_containment(GeneratedGroup([Matrix.identity(3, 5)]), space)
 
     def test_order_identity_matches_derived_generators(self):
         """The order identity against membership of the explicit derived generators.
@@ -553,15 +561,16 @@ class TestContainsDerived:
 
             # the oracle's generators lie in every positive group by construction
             for gens in [dgens + isometries(k) for k in (0, 1, 1, 2, 2)]:
-                assert contains_derived(GeneratedGroup(gens), space), space
+                derived, cls = derived_containment(GeneratedGroup(gens), space)
+                assert derived, space
                 if space.parity == "symmetric":
-                    classes.add(subgroup_class(gens, space, derived_verified=True))
+                    classes.add(cls)
             answers = []
             for _ in range(4):
                 gens = isometries(rng.randrange(1, 3))
                 reference = ReferenceGroup(gens)
                 expected = all(reference.contains_array(d.array) for d in dgens)
-                assert contains_derived(GeneratedGroup(gens), space) == expected, space
+                assert derived_containment(GeneratedGroup(gens), space)[0] == expected, space
                 answers.append(expected)
             assert not all(answers), space
         assert classes == {"Omega", "SO", "KerSpinor", "KerSpinorDet", "FullO"}
@@ -650,7 +659,7 @@ class TestEngineOracle:
                 gens = [random_isometry(space, rng, length=length) for _ in range(2)]
                 reference = ReferenceGroup(gens)
                 expected = all(reference.contains_array(d.array) for d in dgens)
-                assert contains_derived(GeneratedGroup(gens), space) == expected
+                assert derived_containment(GeneratedGroup(gens), space)[0] == expected
 
 
 def _diagonal_and_swap(p: int, k: int) -> list[Matrix]:
@@ -736,7 +745,7 @@ class TestKnownOrderStop:
     def test_stopped_chain_matches_reference(self, name):
         system = _BOUNDED_SYSTEMS[name]()
         gens = list(system.generators)
-        bound, _ = _order_bound(FormSpace(system.pairing), gens)
+        bound, _ = _order_bound(system.space, gens)
         group = GeneratedGroup(gens)
         chain = group._ensure_chain(lambda: bound)
         assert chain.stopped
@@ -761,9 +770,9 @@ class TestKnownOrderStop:
         e = np.eye(4, dtype=np.int64)
         sym, dot = FormSpace.symplectic(4, 5), FormSpace.dot(4, 5)
         cases = [
-            (FormSpace(sp.pairing), list(sp.generators[:2])),
-            (FormSpace(sp.pairing), list(sp.generators[1:4])),
-            (FormSpace(o.pairing), list(o.generators[:2])),
+            (sp.space, list(sp.generators[:2])),
+            (sp.space, list(sp.generators[1:4])),
+            (o.space, list(o.generators[:2])),
             (sym, [transvection(sym, e[0]), transvection(sym, e[1])]),
             (dot, [reflection(dot, e[k]) for k in range(3)]),
         ]
@@ -785,7 +794,7 @@ class TestKnownOrderStop:
     def test_one_build_order_with_or_without_a_bound(self):
         # every build completes its levels top-down; a bound only stops it
         system = _BOUNDED_SYSTEMS["O(5,5)"]()
-        bound, _ = _order_bound(FormSpace(system.pairing), list(system.generators))
+        bound, _ = _order_bound(system.space, list(system.generators))
         bounded = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
         assert _levels(bounded) == [(0, 650), (1, 120), (2, 12), (4, 10)]
         unbounded = GeneratedGroup(system.generators)._ensure_chain()
@@ -801,7 +810,7 @@ class TestKnownOrderStop:
         for name in sorted(_BOUNDED_SYSTEMS):
             system = _BOUNDED_SYSTEMS[name]()
             group = GeneratedGroup(system.generators)
-            assert contains_derived(group, FormSpace(system.pairing))
+            assert derived_containment(group, system.space)[0]
             assert group._chain.stopped, name
 
 
@@ -847,7 +856,7 @@ def _incremental_cases() -> list[tuple[str, list[Matrix], object, int]]:
     for name in sorted(_BOUNDED_SYSTEMS):
         system = _BOUNDED_SYSTEMS[name]()
         gens = list(system.generators)
-        bound, _ = _order_bound(FormSpace(system.pairing), gens)
+        bound, _ = _order_bound(system.space, gens)
         cases += [(name, gens, None, bound), (f"{name} bounded", gens, bound, bound)]
     for p in (3, 5, 7):
         rng = Random(400 + p)
@@ -916,7 +925,7 @@ class TestIncrementalChain:
             assert sum(rows) == pairs, name
         for name, system in systems.items():
             rows.clear()
-            bound, _ = _order_bound(FormSpace(system.pairing), list(system.generators))
+            bound, _ = _order_bound(system.space, list(system.generators))
             chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
             assert chain.stopped, name
             assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
@@ -943,7 +952,7 @@ class TestTopDownChain:
     def test_bounded_sp83_forms_few_schreier_generators(self, monkeypatch):
         rows = self._count_schreier_rows(monkeypatch)
         system = hyperelliptic_system(4, 3)
-        bound, _ = _order_bound(FormSpace(system.pairing), list(system.generators))
+        bound, _ = _order_bound(system.space, list(system.generators))
         chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
         assert chain.stopped and chain.order() == bound
         # a build that completed each lower level whenever it gained a generator formed 21,697
@@ -1025,13 +1034,13 @@ class TestChainRobustness:
     def test_concurrent_first_queries_with_a_bound_are_exact(self):
         system = hyperelliptic_system(2, 5)
         gens = system.generators
-        space = FormSpace(system.pairing)
+        space = system.space
         member = gens[0] @ gens[1] @ gens[2]
         outsider = Matrix.scalar(2, 4, 5)
         group = GeneratedGroup(gens)
 
         def query():
-            derived = contains_derived(group, space)  # builds with |Sp(4,5)|
+            derived = derived_containment(group, space)[0]  # builds with |Sp(4,5)|
             return derived, group.order(), group.contains_array(member.array), outsider in group
 
         assert _query_concurrently(query) == [(True, 9360000, True, False)] * 4
