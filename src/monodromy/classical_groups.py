@@ -69,10 +69,10 @@ class FormSpace:
 
     ``gram`` is the Gram matrix and ``parity`` is ``"symmetric"`` (gram
     equals its transpose) or ``"alternating"`` (gram equals minus its
-    transpose, with zero diagonal, which is automatic for odd p).  The
-    constructor rejects a gram matrix that is not square, does not have the
-    stated parity, or is degenerate, and an alternating space of odd
-    dimension.
+    transpose).  The constructor rejects a gram matrix that is not square,
+    does not have the stated parity, or is degenerate.  Every modulus is an
+    odd prime, so an antisymmetric gram has zero diagonal, and one of odd
+    size is degenerate: an alternating space has even dimension.
     """
 
     gram: Matrix
@@ -88,14 +88,10 @@ class FormSpace:
         elif self.parity == "alternating":
             if g.T != -g:
                 raise ValueError("gram matrix is not antisymmetric")
-            if np.diagonal(g.array).any():
-                raise ValueError("alternating gram matrix has nonzero diagonal")
         else:
             raise ValueError(f"unknown parity {self.parity!r}")
         if g.det() == 0:
             raise ValueError("the pairing must be non-degenerate")
-        if self.parity == "alternating" and g.rows % 2 != 0:
-            raise ValueError("alternating spaces have even dimension")
 
     @property
     def dim(self) -> int:

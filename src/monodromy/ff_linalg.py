@@ -46,15 +46,16 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n, n) == n
 
 
-def _prime_factors(m: int) -> list[int]:
-    """The distinct prime factors of the positive integer m, ascending."""
+@lru_cache(maxsize=None)
+def _prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct prime factors of the positive integer m, ascending, once per m."""
     factors = []
     while m > 1:
         q = _least_factor(m, m)
         factors.append(q)
         while m % q == 0:
             m //= q
-    return factors
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)

@@ -9,11 +9,12 @@ a time, and stores every transversal element together with its inverse,
 both built by batched products.  When a level gains generators its orbit
 is extended in place, and only the Schreier generators of pairs (point,
 generator) not sifted before are formed; they are sifted through the chain
-in blocks.  When the caller knows an upper bound B on the group order, the
-build stops as soon as the product of the stored orbit lengths reaches B:
-that product never exceeds |G|, so it then equals |G|, every stored orbit
-is a full orbit of its point stabilizer and the chain sifts every element
-of G to the identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
+in blocks.  The build stops as soon as the product of the stored orbit
+lengths reaches an upper bound B on the group order, the caller's or else
+|SL(n, p)| |<det g_i>|: that product never exceeds |G|, so it then equals
+|G|, every stored orbit is a full orbit of its point stabilizer and the
+chain sifts every element of G to the identity (Seress, Permutation Group
+Algorithms, 2003, ch. 4).
 Every build completes its levels top-down, in order 0, 1, 2, ...: a
 residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
@@ -237,16 +238,15 @@ class _Chain:
     repeated ones are admitted once, so a stack of identities gives an
     empty chain that computes no vector code.
 
-    ``bound``, if given, is called once, only when levels are about to be
-    built, and returns an upper bound on the group order or None; so a
-    costly bound is never computed for a chain that is empty or refused.
-    Each level's generators fix the earlier base points, so its orbit lies
-    in the orbit of the true point stabilizer, and the product of the orbit
-    lengths never exceeds |G|.  Once that product equals the bound after an
-    orbit grows, every orbit is a full stabilizer orbit, so the build stops
-    there (``stopped``) with no more sifting: the order, every membership
-    answer and every stored orbit are those of the same build run to
-    completion.
+    ``bound`` is called once, only when levels are about to be built, and
+    returns an upper bound on the group order; so a costly bound is never
+    computed for a chain that is empty or refused.  Each level's generators
+    fix the earlier base points, so its orbit lies in the orbit of the true
+    point stabilizer, and the product of the orbit lengths never exceeds
+    |G|.  Once that product equals the bound after an orbit grows, every
+    orbit is a full stabilizer orbit, so the build stops there (``stopped``)
+    with no more sifting: the order, every membership answer and every
+    stored orbit are those of the same build run to completion.
     """
 
     def __init__(
@@ -255,7 +255,7 @@ class _Chain:
         p: int,
         n: int,
         limit: int,
-        bound: Optional[Callable[[], Optional[int]]] = None,
+        bound: Callable[[], int],
     ):
         self.p = p
         self.n = n
@@ -270,7 +270,7 @@ class _Chain:
             # with only identities the chain is empty and no code is computed
             if p**n >= 2**63:
                 raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
-            self.bound = bound() if bound is not None else None
+            self.bound = bound()
             top = _Level(self._pick_base(gens), n, p, self.dtype)
             for g in gens:
                 top.admit(g, _inv(g, p))
@@ -448,10 +448,11 @@ class GeneratedGroup:
     for it (see ``_order_bound``) and passes it to the first build, which
     then stops as soon as its orbit product reaches the bound; so does the
     CLI's ``order`` when the tuple has one non-degenerate invariant form,
-    which it solves for only when a chain is to be built.  A stopped chain
-    stores the same orbits and gives the same answers as the same build run
-    to completion, which is the build without a bound; a group that never
-    reaches its bound gets that full build.
+    which it solves for only when a chain is to be built.  Every other
+    build stops at ``_det_bound``.  A stopped chain stores the same orbits
+    and gives the same answers as the same build run to completion, which
+    is the build given a bound it cannot reach; a group that never reaches
+    its bound gets that full build.
     """
 
     def __init__(self, gens: Sequence[Matrix], limit: int = 10**7):
@@ -460,27 +461,47 @@ class GeneratedGroup:
             raise ValueError("need at least one generator")
         p = gens[0].p
         dim = gens[0].n
+        dets = set()
         for g in gens:
             if g.p != p or g.n != dim:
                 raise ValueError("generators must share dimension and modulus")
-            if g.det() == 0:
+            d = g.det()
+            if d == 0:
                 raise ValueError("generators must be invertible")
+            dets.add(d)
         self.gens = tuple(gens)
         self.p = p
         self.dim = dim
         self.limit = limit
+        self._dets = dets
         self._chain: Optional[_Chain] = None
         self._lock = threading.Lock()
 
+    def _det_bound(self) -> int:
+        """|SL(n, p)| |<det g_i>|, an upper bound on the order.
+
+        det maps G onto the subgroup of F_p^x that the determinants of the
+        generators generate, with kernel G meet SL(n, p); F_p^x is cyclic,
+        so that subgroup has order the lcm of their orders.
+        """
+        n, p = self.dim, self.p
+        sl = p ** (n * (n - 1) // 2) * math.prod(p**i - 1 for i in range(2, n + 1))
+        return sl * math.lcm(*(_multiplicative_order(d, p) for d in self._dets))
+
     def _ensure_chain(self, bound: Optional[Callable[[], Optional[int]]] = None) -> _Chain:
-        """The chain, built on first use; ``bound`` (see ``_Chain``) may stop it early."""
+        """The chain, built on first use, stopped at ``bound`` (see ``_Chain``) or ``_det_bound``."""
         chain = self._chain
         if chain is not None:
             return chain
+
+        def chain_bound() -> int:
+            known = bound() if bound is not None else None
+            return self._det_bound() if known is None else known
+
         with self._lock:
             if self._chain is None:
                 gens = np.array([g.array for g in self.gens], dtype=np.int64)
-                self._chain = _Chain(gens, self.p, self.dim, self.limit, bound)
+                self._chain = _Chain(gens, self.p, self.dim, self.limit, chain_bound)
             return self._chain
 
     # -- public surface ----------------------------------------------------
@@ -501,7 +522,10 @@ class GeneratedGroup:
 
 
 def group_order(group: GeneratedGroup) -> int:
-    """Exact order of the generated group (Schreier-Sims on vector orbits)."""
+    """Exact order of the generated group (Schreier-Sims on vector orbits).
+
+    The chain stops at |SL(n, p)| |<det g_i>|, with the order of the full build.
+    """
     return group.order()
 
 

@@ -80,6 +80,17 @@ class TestFormSpace:
         with pytest.raises(ValueError):
             FormSpace(Matrix([[1, 0], [0, 0]], 5), "symmetric")
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_odd_size_alternating_is_degenerate(self, p):
+        # det A = det(-A^T) = (-1)^n det A, so an odd-size antisymmetric A is singular
+        rng = Random(p)
+        for n in (1, 3, 5):
+            for _ in range(20):
+                a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+                gram = Matrix(np.triu(a, 1) - np.triu(a, 1).T, p)
+                with pytest.raises(ValueError, match="the pairing must be non-degenerate"):
+                    FormSpace(gram, "alternating")
+
     def test_parity_validation(self):
         with pytest.raises(ValueError, match="not antisymmetric"):
             FormSpace(Matrix([[0, 1], [1, 0]], 5), "alternating")

@@ -269,12 +269,23 @@ class TestOrderBound:
         ],
     )
     def test_order_without_a_lone_form_builds_in_full(self, text, forms, monkeypatch):
+        # no pairing bound: the chain stops at |SL(3,5)| |<det 2>| = 372000 * 4,
+        # which the generic tuple reaches, with the orbits of the full build;
+        # the identity tuple has an empty chain, which computes no bound
         t = parse_tuple(text)
         assert len(invariant_forms(t.matrices)) == forms
-        full = GeneratedGroup(t.matrices).order()
+        full = GeneratedGroup(t.matrices)._ensure_chain(lambda: 2 * 372000 * 4)
+        assert not full.stopped
         groups = _record_groups(monkeypatch)
-        assert run_cli(["order"], text) == (0, f"ORDER: {full}\n")
-        assert groups[0]._chain.bound is None and not groups[0]._chain.stopped
+        assert run_cli(["order"], text) == (0, f"ORDER: {full.order()}\n")
+        chain = groups[0]._chain
+        assert [(lvl.col, len(lvl.points)) for lvl in chain.levels] == [
+            (lvl.col, len(lvl.points)) for lvl in full.levels
+        ]
+        if forms == 0:
+            assert chain.bound == chain.order() == 372000 * 4 and chain.stopped
+        else:
+            assert chain.levels == [] and chain.bound is None and not chain.stopped
 
     @pytest.mark.parametrize("shear,expected", [(False, (0, "ORDER: 1\n")), (True, (2, ""))])
     def test_no_form_system_without_a_chain(self, shear, expected, monkeypatch):
@@ -315,7 +326,7 @@ DEGENERATE_LINE = (
 
 
 class TestDegenerateLine:
-    """A lone degenerate invariant form is no pairing: no class, no bound, no certificate."""
+    """A lone degenerate invariant form is no pairing: no class, no form bound, no certificate."""
 
     def test_the_line_is_e33(self):
         e33 = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 5)
@@ -330,9 +341,11 @@ class TestDegenerateLine:
         )
 
     def test_order_builds_without_a_bound(self, monkeypatch):
+        # without a pairing bound the chain takes |SL(3,5)| |<1, 2>| = 372000 * 4,
+        # which a group of order 480 never reaches
         groups = _record_groups(monkeypatch)
         assert run_cli(["order"], DEGENERATE_LINE) == (0, "ORDER: 480\n")
-        assert groups[0]._chain.bound is None and not groups[0]._chain.stopped
+        assert groups[0]._chain.bound == 372000 * 4 and not groups[0]._chain.stopped
 
     @pytest.mark.parametrize("command", ["certify", "cross-validate"])
     def test_certificates_exit_2(self, command, capsys):

@@ -1,5 +1,6 @@
 """Group orders, irreducibility, element orders, derived containment."""
 
+import math
 import subprocess
 import sys
 import threading
@@ -140,9 +141,18 @@ class TestIrreducibility:
 
     def test_line_orbits_do_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, which every CLI
-        # process would pay for; the line orbits are marked with a mask
+        # process would pay for; the line orbits are marked with a mask.
+        # Nor does the CLI's start-up or its ``order`` on a generic GL(3,5)
+        # tuple, which stops at the determinant bound, import it.
         code = (
-            "import sys\n"
+            "import io, sys\n"
+            "from monodromy.cli import main\n"
+            "text = ('MODULUS 5 RANK 3 PUNCTURES 2\\nAT 0\\n1 2 0\\n0 1 3\\n1 0 1\\n'\n"
+            "        'AT 1\\n2 0 1\\n1 1 0\\n0 3 2\\n')\n"
+            "out = io.StringIO()\n"
+            "assert main(['order'], stdin=io.StringIO(text), stdout=out) == 0\n"
+            "assert out.getvalue() == 'ORDER: 1488000\\n'\n"
+            "assert 'numpy.ma' not in sys.modules\n"
             "from monodromy.families import twist_family_system\n"
             "from monodromy.group_engine import GeneratedGroup, is_irreducible\n"
             "report = is_irreducible(GeneratedGroup(twist_family_system([2], 7).generators))\n"
@@ -801,9 +811,12 @@ class TestKnownOrderStop:
         assert _levels(unbounded) == _levels(bounded)
 
     def test_no_stop_without_a_bound(self):
+        # with no bound from the caller the chain takes |SL(4,5)| |<det g_i>|
+        # = |SL(4,5)| (symplectic generators have det 1), which Sp(4,5) does not reach
         group = GeneratedGroup(hyperelliptic_system(2, 5).generators)
         assert group.order() == 9360000
-        assert group._chain.bound is None and not group._chain.stopped
+        assert group._chain.bound == 5**6 * 24 * 124 * 624
+        assert not group._chain.stopped
 
     def test_derived_containment_passes_the_bound(self):
         # cross_validate's order then reads the chain that stopped
@@ -812,6 +825,68 @@ class TestKnownOrderStop:
             group = GeneratedGroup(system.generators)
             assert derived_containment(group, system.space)[0]
             assert group._chain.stopped, name
+
+
+def _gl_det_bound(gens: list[Matrix]) -> int:
+    """|GL(n,p)| / (p - 1) times the size of the closure of the determinants in F_p^x."""
+    n, p = gens[0].n, gens[0].p
+    dets = {g.det() for g in gens}
+    closure, frontier = {1}, {1}
+    while frontier:
+        frontier = {(x * d) % p for x in frontier for d in dets} - closure
+        closure |= frontier
+    gl = math.prod(p**n - p**i for i in range(n))
+    return gl // (p - 1) * len(closure)
+
+
+class TestDeterminantBound:
+    """Chains with no bound from the caller stop at |SL(n,p)| |<det g_i>|."""
+
+    @staticmethod
+    def _check(name: str, gens: list[Matrix]) -> bool:
+        """Compare the default build with the full build and the reference; reached B?"""
+        bound = _gl_det_bound(gens)
+        group = GeneratedGroup(gens)
+        order = group.order()
+        chain = group._chain
+        # the same build, given a bound it can never reach
+        full = GeneratedGroup(gens)._ensure_chain(lambda: 2 * bound)
+        # the vector-at-a-time reference takes seconds on GL(4,11); there the
+        # full build, checked against it on the smaller groups, stands in
+        n, p = gens[0].n, gens[0].p
+        reference = ReferenceGroup(gens) if p**n <= 7**4 else None
+        assert order == full.order() <= bound, name
+        assert not full.stopped, name
+        assert _levels(chain) == _levels(full), name
+        if chain.levels:
+            assert chain.bound == bound, name
+        else:  # an empty chain computes no bound
+            assert chain.bound is None and order == 1, name
+        assert chain.stopped == (order == bound), name
+        cands = _membership_candidates(gens, Random(order % 991))
+        answers = [group.contains_array(c.array) for c in cands]
+        assert answers == [full.contains(c.array[None])[0] for c in cands], name
+        if reference is not None:
+            assert reference.order() == order, name
+            assert answers == [reference.contains_array(c.array) for c in cands], name
+        assert answers[:10] == [True] * 10, name
+        return chain.stopped
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_gl_tuples_reach_the_bound(self, n, p):
+        rng = Random(600 + 10 * n + p)
+        gens = [random_invertible(n, p, rng) for _ in range(2)]
+        assert self._check(f"GL({n},{p})", gens)
+
+    def test_families_and_small_groups_stay_below_the_bound(self):
+        rng = Random(700)
+        cases = {name: list(build().generators) for name, build in _BOUNDED_SYSTEMS.items()}
+        cases["cyclic"] = [random_invertible(3, 5, rng)]
+        cases["-I"] = [Matrix.scalar(-1, 4, 7)]
+        cases["identity"] = [Matrix.identity(3, 5), Matrix.identity(3, 5)]
+        for name, gens in cases.items():
+            assert not self._check(name, gens)
 
 
 class TestLevelGenerators:
@@ -920,9 +995,18 @@ class TestIncrementalChain:
         cases += [(f"random {k}", _random_generators(rng, (3, 5, 7)[k % 3], 3)) for k in range(8)]
         for name, gens in cases:
             rows.clear()
-            chain = GeneratedGroup(gens)._ensure_chain()
+            group = GeneratedGroup(gens)
+            # a bound the chain cannot reach forces the full build
+            chain = group._ensure_chain(lambda: 2 * group._det_bound())
+            assert not chain.stopped, name
             pairs = sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels)
             assert sum(rows) == pairs, name
+            # the default bound stops the same build, sifting at most those pairs
+            rows.clear()
+            default = GeneratedGroup(gens)._ensure_chain()
+            assert default.stopped == (default.order() == default.bound), name
+            assert _levels(default) == _levels(chain), name
+            assert sum(rows) <= pairs, name
         for name, system in systems.items():
             rows.clear()
             bound, _ = _order_bound(system.space, list(system.generators))
