@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -323,20 +323,18 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
             order = element_order(comm)
             if order < p:
                 continue
-            restrictions = {}
-            for name, m in (("reflection", rho), ("shear", sigma), ("commutator", comm)):
-                # column b holds the coordinates of m applied to basis row b
-                coords = _solve(basis_rows.T, (m.array @ basis_rows.T) % p, p)
-                if coords is None:
-                    break
-                restrictions[name] = Matrix(coords, p)
-            else:
-                return ProbeWitness(
-                    reflection_index=i,
-                    shear_index=j,
-                    commutator=comm,
-                    order=order,
-                    basis=Matrix(basis_rows, p),
-                    restrictions=restrictions,
-                )
+            # span(x, y, z) is invariant under rho and sigma, so each solve succeeds;
+            # column b holds the coordinates of m applied to basis row b
+            restrictions = {
+                name: Matrix(_solve(basis_rows.T, (m.array @ basis_rows.T) % p, p), p)
+                for name, m in (("reflection", rho), ("shear", sigma), ("commutator", comm))
+            }
+            return ProbeWitness(
+                reflection_index=i,
+                shear_index=j,
+                commutator=comm,
+                order=order,
+                basis=Matrix(basis_rows, p),
+                restrictions=restrictions,
+            )
     return None

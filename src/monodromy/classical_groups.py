@@ -251,9 +251,9 @@ def _require_isometry(g: Matrix, space: FormSpace) -> None:
 def classify_element(g: Matrix, space: FormSpace) -> ElementClass:
     """Tag an isometry as Identity / Reflection / Transvection / IsotropicShear / Other.
 
-    Drop-1 elements split by determinant; the shear tag applies to
-    non-trivial unipotent g with (g-1)^2 = 0, whose image is automatically
-    totally isotropic.
+    Drop-1 elements split by determinant, which is +-1 since g^T G g = G
+    gives det(g)^2 = 1; the shear tag applies to non-trivial unipotent g
+    with (g-1)^2 = 0, whose image is automatically totally isotropic.
     """
     _require_isometry(g, space)
     p = space.p
@@ -263,12 +263,7 @@ def classify_element(g: Matrix, space: FormSpace) -> ElementClass:
     if d == 0:
         return ElementClass(IDENTITY, 0)
     if d == 1:
-        det = g.det()
-        if det == p - 1:
-            return ElementClass(REFLECTION, 1)
-        if det == 1:
-            return ElementClass(TRANSVECTION, 1)
-        raise NotAnIsometry("drop-1 isometry with determinant != +-1")
+        return ElementClass(REFLECTION if g.det() == p - 1 else TRANSVECTION, 1)
     if (b @ b).is_zero():
         # the image of g-1 is totally isotropic: a consequence of the
         # isometry identity, checked here as an internal sanity guard

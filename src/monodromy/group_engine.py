@@ -7,20 +7,20 @@ codes sum(v_i p^i) from ``ff_linalg._codes``: each level keeps its orbit
 as an array of points with a code-to-row index, grown a whole frontier at
 a time, and stores every transversal element together with its inverse,
 both built by batched products.  When a level gains generators its orbit
-is extended in place, and only the Schreier generators of pairs (point,
-generator) not sifted before are formed; they are sifted through the chain
-in blocks.  The build stops as soon as the product of the stored orbit
-lengths reaches an upper bound B on the group order, the caller's or else
-|SL(n, p)| |<det g_i>|: that product never exceeds |G|, so it then equals
-|G|, every stored orbit is a full orbit of its point stabilizer and the
-chain sifts every element of G to the identity (Seress, Permutation Group
-Algorithms, 2003, ch. 4).
+is extended in place.  A level's Schreier generators are formed in one
+pass over its points and generators when the level is completed, and the
+chain sifts them in blocks.  The build stops as soon as the
+product of the stored orbit lengths reaches an upper bound B on the group
+order, the caller's or else |SL(n, p)| |<det g_i>|: that product never
+exceeds |G|, so it then equals |G|, every stored orbit is a full orbit of
+its point stabilizer and the chain sifts every element of G to the
+identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
 Every build completes its levels top-down, in order 0, 1, 2, ...: a
 residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
-after its pairs are sifted (bounded Sp(8,3) forms 392 Schreier generators,
-where completing each lower level again whenever it gained a generator
-formed 21,697).
+after it is completed; each level is completed once (bounded Sp(8,3)
+forms 384 Schreier generators, where completing each lower level again
+whenever it gained a generator formed 21,697).
 
 Orbit points, transversal elements and their inverses are stored in the
 narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
@@ -185,18 +185,15 @@ class _Level:
     ``trans[k]`` maps the base point to ``points[k]`` and ``trans_inv[k]``
     is its inverse.  The orbit only grows: rows keep their place and their
     transversal elements, and new rows are appended.  The orbit is closed
-    under ``gens[:closed]``.  ``sifted`` = (m, k) says that the Schreier
-    generators of every pair (``points[v]``, ``gens[s]``) with v < m and
-    s < k have been sifted; m is the orbit length at that time.  ``points``,
-    ``trans`` and ``trans_inv`` hold residues in the chain's storage dtype,
-    the narrowest signed integer type that holds p - 1; ``gens`` and
-    ``gens_inv`` stay int64.  A block gathered from the stored residues is
-    widened to int64 before it enters a product.
+    under ``gens[:closed]``.  ``points``, ``trans`` and ``trans_inv`` hold
+    residues in the chain's storage dtype, the narrowest signed integer type
+    that holds p - 1; ``gens`` and ``gens_inv`` stay int64.  A block
+    gathered from the stored residues is widened to int64 before it enters
+    a product.  The level's Schreier generators are formed once, when the
+    chain completes it (``_Chain._complete``).
     """
 
-    __slots__ = (
-        "col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "closed", "sifted"
-    )
+    __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "closed")
 
     def __init__(self, col: int, n: int, p: int, dtype: np.dtype):
         eye = np.eye(n, dtype=dtype)
@@ -207,7 +204,6 @@ class _Level:
         self.index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
         self.index.add(np.array([p**col], dtype=np.int64), np.zeros(1, dtype=np.int64))
         self.closed = 0
-        self.sifted = (1, 0)
 
     def admit(self, g: np.ndarray, g_inv: np.ndarray) -> None:
         """Append ``g`` and its inverse ``g_inv`` unless ``g`` is a generator already."""
@@ -226,13 +222,13 @@ class _Chain:
     Vectors are handled as integer codes sum(v_i p^i).  Orbits grow by whole
     frontiers, transversal elements and their inverses are built by batched
     products from the level's generators and their stored inverses, and
-    Schreier generators are sifted a block at a time.  Any base gives a
+    Schreier generators go through the sift a block at a time.  Any base gives a
     valid chain; each level takes the first basis vector it moves.  A level
-    that gains generators extends its orbit and sifts only its new pairs.
-    Levels are completed in order, levels appended on the way last; a
-    residue of level i that sifts out of level j only joins levels i+1..j
-    and grows their orbits, so no level gains a generator after its
-    Schreier generators are sifted.
+    that gains generators extends its orbit.  Levels are completed in order,
+    levels appended on the way last, and each exactly once: a residue of
+    level i that sifts out of level j only joins levels i+1..j and grows
+    their orbits, so no level gains a generator after it is completed, and
+    completing a level forms its Schreier generators in one pass.
 
     Identity matrices in ``gens`` are dropped before anything else, and
     repeated ones are admitted once, so a stack of identities gives an
@@ -296,11 +292,11 @@ class _Chain:
     # -- orbits -----------------------------------------------------------
 
     def _pick_base(self, gens: np.ndarray) -> int:
-        """The first standard basis vector that some generator in ``gens`` moves."""
-        moved = np.flatnonzero((gens != self.eye).any(axis=(0, 1)))
-        if not moved.size:
-            raise ValueError("generators act trivially on all basis vectors")
-        return int(moved[0])
+        """The first standard basis vector that some generator in ``gens`` moves.
+
+        Both callers pass a stack holding a non-identity matrix.
+        """
+        return int(np.flatnonzero((gens != self.eye).any(axis=(0, 1)))[0])
 
     def _grow(self, idx: int) -> None:
         """Extend the orbit of level ``idx`` and its transversal to its generators.
@@ -364,33 +360,33 @@ class _Chain:
         return stop
 
     def _schreier_blocks(self, lvl: _Level):
-        """Schreier generators u_{sv}^-1 s u_v of the pairs outside ``lvl.sifted``.
+        """Schreier generators u_{sv}^-1 s u_v of the level, a block at a time.
 
-        Old points with new generators, then new points with all of them, a
-        block at a time.  An old pair keeps its transversal elements, so its
-        element is one that already sifted into <S_{i+1}>.
+        One pass over every point v and every generator s of the level, made
+        once, when the level is completed.
         """
         p, n = self.p, self.n
-        m, k = lvl.sifted
         per_block = max(1, _BLOCK_ENTRIES // (n * n))
-        for rows, first in ((slice(0, m), k), (slice(m, None), 0)):
-            points, transversal = lvl.points[rows], lvl.trans[rows]
-            for g0 in range(first, len(lvl.gens), per_block):
-                gens = lvl.gens[g0 : g0 + per_block]
-                batch = max(1, per_block // len(gens))
-                for a in range(0, len(points), batch):
-                    # row i * len(gens) + j of each stack belongs to (v_i, s_j)
-                    block = points[a : a + batch].astype(np.int64)
-                    images = (gens @ block.T).transpose(2, 0, 1) % p
-                    found = lvl.index.find(_codes(images.reshape(-1, n), p))
-                    trans = transversal[a : a + batch, None].astype(np.int64)
-                    moved = (gens[None] @ trans) % p
-                    out = lvl.trans_inv[found].astype(np.int64) @ moved.reshape(-1, n, n)
-                    np.remainder(out, p, out=out)
-                    yield out
+        for g0 in range(0, len(lvl.gens), per_block):
+            gens = lvl.gens[g0 : g0 + per_block]
+            batch = max(1, per_block // len(gens))
+            for a in range(0, len(lvl.points), batch):
+                # row i * len(gens) + j of each stack belongs to (v_i, s_j)
+                block = lvl.points[a : a + batch].astype(np.int64)
+                images = (gens @ block.T).transpose(2, 0, 1) % p
+                found = lvl.index.find(_codes(images.reshape(-1, n), p))
+                trans = lvl.trans[a : a + batch, None].astype(np.int64)
+                moved = (gens[None] @ trans) % p
+                out = lvl.trans_inv[found].astype(np.int64) @ moved.reshape(-1, n, n)
+                np.remainder(out, p, out=out)
+                yield out
 
     def _complete(self, i: int) -> None:
-        """Grow level i and sift its Schreier generators not yet sifted through levels > i."""
+        """Grow level i and sift all its Schreier generators through levels > i.
+
+        Called once per level: the level's orbit and generators are final
+        here, since residues only join the levels below it.
+        """
         lvl = self.levels[i]
         self._grow(i)
         for block in self._schreier_blocks(lvl):
@@ -405,10 +401,9 @@ class _Chain:
                 # the rest stay exact: a residue that sifts to the identity
                 # lies in <S_{i+1}>, and that group only grows
                 residues = residues[alive[1:]]
-        lvl.sifted = (len(lvl.points), len(lvl.gens))
 
     def _extend(self, h: np.ndarray, i: int, j: int) -> None:
-        """Add a sifted residue to levels i+1..j and grow their orbits.
+        """Add the residue of a sift to levels i+1..j and grow their orbits.
 
         Each of those levels is completed later, in its turn.
         """
@@ -534,43 +529,34 @@ def naive_closure(gens: Sequence[Matrix], limit: int = 200_000) -> set[Matrix]:
 
     Grows the set from the identity a frontier at a time: a block of
     frontier matrices is multiplied by every generator in one product, and
-    each product is keyed by its flattened entries (as bytes), so new
-    elements are found by sorted search over keys.  Raises ResourceLimit
-    when the group has more than ``limit`` elements; storage passes the
-    limit by at most one block.
+    each product is looked up in a set keyed by the bytes of its int64
+    entries, from which the matrices are read back.  Raises ResourceLimit
+    when the group has more than ``limit`` elements; the limit is checked
+    after each block, so storage passes it by at most one block.
     """
     p = gens[0].p
     n = gens[0].n
     stack = np.array([g.array for g in gens], dtype=np.int64)
-    entry = np.min_scalar_type(p - 1)
-    key = np.dtype((np.void, n * n * entry.itemsize))
 
-    def keys(mats: np.ndarray) -> np.ndarray:
-        return mats.reshape(len(mats), -1).astype(entry).view(key).ravel()
+    def matrices(keys) -> np.ndarray:
+        return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, n, n)
 
     batch = max(1, _BLOCK_ENTRIES // (len(stack) * n * n))
     frontier = np.eye(n, dtype=np.int64)[None]
-    index = _SortedIndex()
-    index.add(keys(frontier), np.arange(1))
-    found = [frontier]
-    total = 1
-    while True:
-        round_start = len(found)
+    found = {frontier[0].tobytes()}
+    while len(frontier):
+        fresh = []
         for a in range(0, len(frontier), batch):
             images = (frontier[a : a + batch, None] @ stack).reshape(-1, n, n) % p
-            codes, first = np.unique(keys(images), return_index=True)
-            fresh = np.flatnonzero(index.find(codes) < 0)
-            if not fresh.size:
-                continue
-            index.add(codes[fresh], np.arange(total, total + fresh.size))
-            found.append(images[first[fresh]])
-            total += fresh.size
-            if total > limit:
+            for m in images:
+                key = m.tobytes()
+                if key not in found:
+                    found.add(key)
+                    fresh.append(key)
+            if len(found) > limit:
                 raise ResourceLimit(f"closure exceeded {limit} elements")
-        if len(found) == round_start:
-            break
-        frontier = np.concatenate(found[round_start:])
-    return {Matrix(a, p) for a in np.concatenate(found)}
+        frontier = matrices(fresh)
+    return {Matrix(a, p) for a in matrices(found)}
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +705,11 @@ def _random_algebra_element(gens, p: int, rng: Random) -> np.ndarray:
 # element order
 
 
+# Iterated powering of a matrix with a non-split spectrum gives up past this
+# many powers.
+_ORDER_CAP = 10**7
+
+
 def _multiplicative_order(a: int, p: int) -> int:
     """Order of a in F_p^x: p - 1 with each prime q of p - 1 divided out while a^(order/q) = 1."""
     a %= p
@@ -731,15 +722,14 @@ def _multiplicative_order(a: int, p: int) -> int:
     return order
 
 
-def element_order(a: Matrix, cap: int = 10**7) -> int:
+def element_order(a: Matrix) -> int:
     """Multiplicative order of an invertible matrix.
 
     Uses the Jordan data when the spectrum splits (semisimple order times
     the unipotent p-power); otherwise falls back to iterated powering,
-    raising OrderOverflow past the cap.
+    raising OrderOverflow past ``_ORDER_CAP`` powers.  ``jordan_type``
+    raises ValueError on a singular matrix.
     """
-    if a.det() == 0:
-        raise ValueError("matrix is singular")
     p = a.p
     try:
         jd = jordan_type(a)
@@ -749,8 +739,8 @@ def element_order(a: Matrix, cap: int = 10**7) -> int:
         while not power.is_identity():
             power = power @ a
             k += 1
-            if k > cap:
-                raise OrderOverflow(f"element order exceeds cap {cap}")
+            if k > _ORDER_CAP:
+                raise OrderOverflow(f"element order exceeds cap {_ORDER_CAP}")
         return k
     semisimple = 1
     for eig, _ in set(jd.blocks):

@@ -126,6 +126,18 @@ class TestCertify:
             assert check.detail == f"(r+1)!={text} offenders=2:order=7"
 
 
+    def test_order_overflow_is_an_offender(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        monkeypatch.setattr(engine, "_ORDER_CAP", 2)
+        space = FormSpace.symplectic(2, 5)
+        # non-split spectrum, order 3: powering passes the cap
+        cert = certify(Hypotheses(space, [Matrix([[0, 4], [1, 4]], 5)], r=2))
+        check = next(c for c in cert.checks if c.name == "order_or_pseudoreflection")
+        assert not check.passed
+        assert check.detail.endswith(" offenders=0:order-overflow")
+
+
 class TestCrossValidate:
     def test_hyperelliptic_g1_f5(self):
         system = hyperelliptic_system(1, 5)
@@ -174,6 +186,24 @@ class TestCommutatorProbe:
         assert rho == Matrix([[1, 0, 0], [0, 1, 0], [0, 1, p - 1]], p)
         assert sigma == Matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]], p)
         assert comm == Matrix([[1, 1, p - 2], [0, 1, 0], [0, 0, 1]], p)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("roots", [[2], [2, 3]])
+    def test_restrictions_are_the_action_on_the_basis(self, roots, p):
+        system = twist_family_system(roots, p)
+        witness = commutator_probe(system)
+        assert witness is not None
+        mats = system.tuple.matrices
+        acting = {
+            "reflection": mats[witness.reflection_index],
+            "shear": mats[witness.shear_index],
+            "commutator": witness.commutator,
+        }
+        assert set(witness.restrictions) == set(acting)
+        basis_t = witness.basis.array.T
+        for name, m in acting.items():
+            r = witness.restrictions[name].array
+            assert np.array_equal((basis_t @ r) % p, (m.array @ basis_t) % p), name
 
     def test_commutator_matches_restriction_order(self):
         system = twist_family_system([2], 7)

@@ -165,6 +165,29 @@ class TestClassify:
         assert TRANSVECTION not in tags
         assert ISOTROPIC_SHEAR not in tags  # symmetric shears need dim >= 4
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize(
+        "make,dim",
+        [(FormSpace.symplectic, n) for n in (2, 4, 6)] + [(FormSpace.dot, n) for n in range(2, 7)],
+    )
+    def test_drop_one_tag_follows_the_determinant(self, make, dim, p):
+        # g^T G g = G gives det(g)^2 = 1, so a drop-1 isometry is tagged by
+        # whether its determinant is -1
+        space = make(dim, p)
+        rng = Random(1000 * p + dim)
+        drop_one = 0
+        for _ in range(30):
+            g = random_isometry(space, rng, rng.randrange(0, 3)) @ random_isometry(
+                space, rng, rng.randrange(0, 3)
+            )
+            det = g.det()
+            assert det in (1, p - 1)
+            cls = classify_element(g, space)
+            if cls.drop == 1:
+                drop_one += 1
+                assert cls.tag == (REFLECTION if det == p - 1 else TRANSVECTION)
+        assert drop_one
+
 
 # in dimensions 3 and 4 the unreduced builder products (up to n p^4 and
 # n p^3) and the chained pairing (n^2 p^3) overflow int64 at this modulus,

@@ -434,6 +434,11 @@ class TestElementOrder:
     def test_identity(self):
         assert element_order(Matrix.identity(3, 5)) == 1
 
+    def test_singular_matrix_is_refused(self):
+        # the check lives in jordan_type, which element_order calls first
+        with pytest.raises(ValueError, match="matrix is singular"):
+            element_order(Matrix([[1, 2], [2, 4]], 5))
+
     def test_unipotent_in_char_5(self):
         assert element_order(Matrix([[1, 1], [0, 1]], 5)) == 5
 
@@ -452,12 +457,14 @@ class TestElementOrder:
         assert (a ** k).is_identity()
         assert k > 1
 
-    def test_order_overflow(self):
+    def test_order_overflow(self, monkeypatch):
+        import monodromy.group_engine as engine
         from monodromy.errors import OrderOverflow
 
+        monkeypatch.setattr(engine, "_ORDER_CAP", 2)
         a = Matrix([[0, 4], [1, 4]], 5)  # non-split, order 3
         with pytest.raises(OrderOverflow):
-            element_order(a, cap=2)
+            element_order(a)
 
     def test_divides_group_order_and_is_minimal(self):
         rng = Random(3)
@@ -1019,22 +1026,24 @@ class TestTopDownChain:
     """Bounded builds complete level 0, then level 1, and so on."""
 
     @staticmethod
-    def _count_schreier_rows(monkeypatch) -> list[int]:
+    def _count_schreier_rows(monkeypatch) -> tuple[list[int], list]:
+        """Rows of every Schreier block formed, and the level of every pass."""
         import monodromy.group_engine as engine
 
         blocks = engine._Chain._schreier_blocks
-        rows = []
+        rows, passes = [], []
 
         def counted(chain, lvl):
+            passes.append(lvl)
             for block in blocks(chain, lvl):
                 rows.append(len(block))
                 yield block
 
         monkeypatch.setattr(engine._Chain, "_schreier_blocks", counted)
-        return rows
+        return rows, passes
 
     def test_bounded_sp83_forms_few_schreier_generators(self, monkeypatch):
-        rows = self._count_schreier_rows(monkeypatch)
+        rows, _ = self._count_schreier_rows(monkeypatch)
         system = hyperelliptic_system(4, 3)
         bound, _ = _order_bound(system.space, list(system.generators))
         chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
@@ -1045,7 +1054,7 @@ class TestTopDownChain:
     def test_unreached_bound_matches_reference(self, monkeypatch):
         import monodromy.group_engine as engine
 
-        rows = self._count_schreier_rows(monkeypatch)
+        rows, passes = self._count_schreier_rows(monkeypatch)
         complete, extend = engine._Chain._complete, engine._Chain._extend
         done = set()
 
@@ -1064,11 +1073,14 @@ class TestTopDownChain:
             if bound is not None:
                 continue  # each bounded system also appears without its bound
             rows.clear()
+            passes.clear()
             done.clear()
             group = GeneratedGroup(gens)
             chain = group._ensure_chain(lambda: 2 * order)
             assert not chain.stopped, name
             assert done == set(range(len(chain.levels))), name
+            # one pass over the Schreier generators of each level
+            assert sorted(map(id, passes)) == sorted(map(id, chain.levels)), name
             # each pair (point, generator) is sifted once
             assert sum(rows) == sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
             reference = ReferenceGroup(gens)
