@@ -33,6 +33,7 @@ from .classical_groups import (
     FormSpace,
     GroupOrders,
     classify_element,
+    derived_containment,
     invariant_pairing,
     is_isometry,
     isometry_group_orders,
@@ -45,7 +46,6 @@ from .classical_groups import (
 from .group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
-    derived_containment,
     element_order,
     group_order,
     is_irreducible,

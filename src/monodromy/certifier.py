@@ -27,12 +27,12 @@ from .classical_groups import (
     REFLECTION,
     TRANSVECTION,
     classify_element,
+    derived_containment,
     is_isometry,
 )
 from .errors import Inconclusive, NotAnIsometry, OrderOverflow
 from .ff_linalg import Matrix, _kernel_basis, _least_factor, _rref, _solve
-from .group_engine import GeneratedGroup, derived_containment, element_order, is_irreducible
-from .families import MonodromySystem
+from .group_engine import GeneratedGroup, element_order, is_irreducible
 
 __all__ = [
     "Hypotheses",
@@ -124,7 +124,7 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     """Evaluate the generator criterion and return the certificate.
 
     Witness elements are only searched among the generators themselves,
-    never among products; the packaged families always expose them as
+    never among products; the packaged family systems always expose them as
     inertia generators, and a missing witness comes back as
     NotCertified(no-witness) rather than a group search.  An orthogonal
     certificate is left "unrefined"; ``cross_validate`` fills in the exact
@@ -219,9 +219,6 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     return Certificate(tuple(checks), conclusion)
 
 
-_BIG_ORTHOGONAL_CLASSES = {"FullO", "KerSpinor", "KerSpinorDet"}
-
-
 @dataclass(frozen=True)
 class CrossReport:
     certificate: Certificate
@@ -236,7 +233,11 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
 
     Disagreement means the certificate claimed big monodromy and the exact
     computation refutes it; a NotCertified certificate never disagrees (the
-    criterion is sufficient, not necessary).
+    criterion is sufficient, not necessary).  A certified group agrees
+    exactly when it contains the derived subgroup: an orthogonal
+    certificate needs a generator tagged Reflection, of determinant -1, so
+    a certified orthogonal group that contains Omega has class FullO,
+    KerSpinor or KerSpinorDet.
     """
     group = GeneratedGroup(h.generators, limit=limit)
     # builds the chain with the known order bound; the order reads that chain
@@ -246,10 +247,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))
 
-    agreement = not cert.certified or (
-        derived
-        and (cert.conclusion.kind == "FullSp" or exact_class in _BIG_ORTHOGONAL_CLASSES)
-    )
+    agreement = not cert.certified or derived
     return CrossReport(cert, exact_order, derived, exact_class, agreement)
 
 
@@ -259,7 +257,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
 
 @dataclass(frozen=True)
 class ProbeWitness:
-    """A non-commuting reflection/shear pair with a long commutator.
+    """A non-commuting reflection/shear pair and their commutator, of order p.
 
     ``basis`` rows span the three-dimensional subspace (x, y, z) on which
     the pair acts in the canonical triangular shape; ``restrictions`` holds
@@ -275,54 +273,45 @@ class ProbeWitness:
     restrictions: dict
 
 
-def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
-    """Search generator pairs for a reflection/shear commutator of order >= p.
+def commutator_probe(h: Hypotheses) -> Optional[ProbeWitness]:
+    """The first non-commuting reflection/shear pair among the generators.
 
-    Returns the first non-commuting pair whose commutator has order at
-    least p, together with the three-dimensional restriction data in the
-    basis (x, y, z) = (shear displacement of the root, a shear-fixed vector
-    moved onto the root, the root).  Commuting pairs (root inside the fixed
-    space of the shear) are skipped.  Returns None when no pair qualifies.
+    Let rho be the reflection in the root z, sigma the isotropic shear,
+    N = sigma - 1 and x = N z.  The pair commutes exactly when x = 0; such
+    pairs are skipped.  Otherwise ker N is the orthogonal complement of the
+    isotropic space im N, which does not hold the anisotropic z, so some
+    shear-fixed y has (rho - 1) y = z after rescaling.  Then (x, y, z) has
+    rank 3, and the commutator rho_z rho_(z+x) is unipotent with one Jordan
+    block of size 3, so its order is exactly p.  The witness holds that
+    basis and the restrictions to it.  Returns None when every pair
+    commutes.
     """
-    space = system.space
+    space = h.space
     p = space.p
-    mats = system.tuple.matrices
-    refl_idx = [i for i, c in enumerate(system.classifications) if c.tag == REFLECTION]
-    shear_idx = [
-        i for i, c in enumerate(system.classifications) if c.tag == ISOTROPIC_SHEAR
-    ]
+    mats = h.generators
+    classes = _classify_all(h)
+    refl_idx = [i for i, c in enumerate(classes) if c.tag == REFLECTION]
+    shear_idx = [i for i, c in enumerate(classes) if c.tag == ISOTROPIC_SHEAR]
     if not refl_idx or not shear_idx:
         raise ValueError("need a reflection and an isotropic shear among generators")
     eye = np.eye(space.dim, dtype=np.int64)
     for i in refl_idx:
         rho = mats[i]
         rho_shift = (rho.array - eye) % p
-        # the root line of the reflection
-        root_rows = _rref(rho_shift.T, p)[0][:1]
-        z = root_rows[0]
+        # the root z of the reflection, scaled to 1 at its pivot k, so
+        # (rho - 1) v = (rho_shift[k] @ v) z
+        root_rows, pivots = _rref(rho_shift.T, p)
+        z, k = root_rows[0], pivots[0]
         for j in shear_idx:
             sigma = mats[j]
-            if rho @ sigma == sigma @ rho:
+            shift = (sigma.array - eye) % p
+            x = (shift @ z) % p
+            if not x.any():
                 continue
-            # y: a sigma-fixed vector with (rho - 1) y = c z, rescaled so c = 1
-            y = None
-            for cand in _kernel_basis((sigma.array - eye) % p, p):
-                img = (rho_shift @ cand) % p
-                coeffs = _solve(root_rows.T, img.reshape(-1, 1), p)
-                if coeffs is not None and coeffs[0, 0]:
-                    y = (cand * pow(int(coeffs[0, 0]), -1, p)) % p
-                    break
-            if y is None:
-                continue
-            x = ((sigma.array - eye) @ z) % p
+            cand = next(v for v in _kernel_basis(shift, p) if (rho_shift[k] @ v) % p)
+            y = (cand * pow(int((rho_shift[k] @ cand) % p), -1, p)) % p
             basis_rows = np.stack([x, y, z])
-            _, pivots = _rref(basis_rows, p)
-            if len(pivots) < 3:
-                continue
             comm = rho @ sigma @ rho @ sigma.inv()
-            order = element_order(comm)
-            if order < p:
-                continue
             # span(x, y, z) is invariant under rho and sigma, so each solve succeeds;
             # column b holds the coordinates of m applied to basis row b
             restrictions = {
@@ -333,7 +322,7 @@ def commutator_probe(system: MonodromySystem) -> Optional[ProbeWitness]:
                 reflection_index=i,
                 shear_index=j,
                 commutator=comm,
-                order=order,
+                order=element_order(comm),
                 basis=Matrix(basis_rows, p),
                 restrictions=restrictions,
             )

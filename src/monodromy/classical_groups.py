@@ -9,9 +9,14 @@ transvections (determinant +1), and a non-trivial unipotent element with
 as the discriminant of Wall's form on the image of 1 - g, the standard
 orders of the finite symplectic and orthogonal groups, and the image of
 (determinant, spinor norm) on a set of generators, which names the class
-of an orthogonal group that contains the derived subgroup (returned by
-``group_engine.derived_containment``).  It finds the pairing a basis of
-invariant forms spans (``invariant_pairing``).
+of an orthogonal group that contains the derived subgroup.  It finds the
+pairing a basis of invariant forms spans (``invariant_pairing``).
+
+Containment of the derived subgroup of the isometry group
+(``derived_containment``) is decided from the group order alone, with the
+image of (determinant, spinor norm) in the orthogonal case; no derived
+generators are built, and the bound |Sp(V)|, or |Omega| times the size of
+that image, stops the build of the ``GeneratedGroup`` chain.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from .errors import NotAnIsometry
 from .ff_linalg import Matrix, _det, _rref, _vectors
+from .group_engine import GeneratedGroup
 
 __all__ = [
     "IDENTITY",
@@ -39,6 +45,7 @@ __all__ = [
     "square_class",
     "spinor_norm",
     "isometry_group_orders",
+    "derived_containment",
     "reflection",
     "transvection",
     "siegel_shear",
@@ -484,3 +491,51 @@ def _det_spinor_image(gens: Sequence[Matrix], space: FormSpace) -> frozenset:
         new = {(a * pair[0], b * pair[1]) for a, b in image}
         image |= new
     return frozenset(image)
+
+
+def _order_bound(space: FormSpace, gens: Sequence[Matrix]) -> tuple[int, Optional[frozenset]]:
+    """An upper bound on the order of a group of isometries of ``space``.
+
+    |Sp(V)| for an alternating space.  For a symmetric one, |Omega| times the
+    size of the image of (det, theta) on ``gens``, returned as well: G meets
+    Omega = ker(det, theta) in a subgroup of index |image|.  The bound is
+    attained exactly when G contains the derived subgroup.  The caller must
+    know that every generator is an isometry.
+    """
+    orders = isometry_group_orders(space)
+    if space.parity == "alternating":
+        return orders.full_order, None
+    image = _det_spinor_image(gens, space)
+    return orders.derived_order * len(image), image
+
+
+def derived_containment(
+    group: GeneratedGroup, space: FormSpace
+) -> tuple[bool, Optional[str]]:
+    """Whether the group contains the derived subgroup of the isometry group, with its class.
+
+    Decided by orders alone.  In the orthogonal case the derived subgroup is
+    Omega = ker(det, theta), of index 4 in O(V) (index 2 in O(1), where it
+    is trivial), with theta the spinor norm.  The quotient of G by its
+    intersection with Omega is the image of (det, theta) on G, which the
+    images of the generators generate, so G contains Omega exactly when
+    |G| = |Omega| * |image|.  In the symplectic case the derived subgroup
+    is taken to be Sp(V) itself, so the test is |G| = |Sp(V)|.  See Taylor,
+    The Geometry of the Classical Groups (1992), ch. 11, and
+    Kleidman-Liebeck, The Subgroup Structure of the Finite Classical Groups
+    (1990), 2.5-2.6.
+
+    The class of an orthogonal group that contains Omega is looked up from
+    the same image: "Omega", "SO", "KerSpinor", "KerSpinorDet" or "FullO".
+    It is None for symplectic groups and for groups that do not contain the
+    derived subgroup.  The bound of ``_order_bound`` is passed to the chain,
+    so a group that reaches it stops building early.  The identity holds
+    only inside the isometry group, so a generator that is not an isometry
+    raises NotAnIsometry.
+    """
+    for g in group.gens:
+        _require_isometry(g, space)
+    bound, image = _order_bound(space, group.gens)
+    if group._ensure_chain(lambda: bound).order() != bound:
+        return False, None
+    return True, None if image is None else _CLASS_BY_IMAGE[image]

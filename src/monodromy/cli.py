@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from .certifier import Certificate, CrossReport, Hypotheses, certify, cross_validate
-from .classical_groups import FormSpace, classify_element, invariant_pairing
+from .classical_groups import FormSpace, classify_element, invariant_pairing, _order_bound
 from .convolution import (
     INFINITY,
     Label,
@@ -36,7 +36,7 @@ from .convolution import (
 from .errors import MonodromyError, NonSplitSpectrum
 from .families import hyperelliptic_system, twist_family_system
 from .ff_linalg import Matrix, jordan_type, invariant_forms, _check_modulus, _check_products
-from .group_engine import GeneratedGroup, _order_bound
+from .group_engine import GeneratedGroup
 
 __all__ = ["main", "parse_tuple", "emit_tuple"]
 

@@ -246,20 +246,31 @@ def _det(a: np.ndarray, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the builtin int64 dtype is a singleton: entries of that dtype skip the checks
+_INT64 = np.dtype(np.int64)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 class Matrix:
     """An immutable matrix over F_p.
 
     Entries are reduced into [0, p).  Arithmetic (``@``, ``+``, ``-``,
     integer ``*``, ``**``) stays exact; ``**`` accepts negative exponents
     for invertible matrices.  A product sums up to max(rows, cols) terms
-    of size (p-1)^2 in int64, so larger moduli are rejected.
+    of size (p-1)^2 in int64, so larger moduli are rejected.  Entries that
+    are not integers or booleans fitting in int64 raise ValueError.
     """
 
     __slots__ = ("array", "p")
 
     def __init__(self, entries, p: int):
         p = _check_modulus(p)
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
+        if arr.dtype is not _INT64:
+            kind = arr.dtype.kind
+            if arr.size and (kind not in "iub" or (kind == "u" and arr.max() > _INT64_MAX)):
+                raise ValueError(f"matrix entries must be integers that fit in int64, not {arr.dtype}")
+            arr = arr.astype(np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix entries must be two-dimensional")
         _check_products(max(arr.shape), p)

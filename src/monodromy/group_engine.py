@@ -33,10 +33,6 @@ codes, strong generators, their inverses and every product stay int64, so
 products are exact under the guards ``ff_linalg._check_products`` (on
 every ``Matrix``) and p^n < 2^63 (on every chain).
 
-Containment of the derived subgroup of the isometry group is decided from
-the group order alone, with the image of (determinant, spinor norm) in the
-orthogonal case; no derived generators are built, and the bound
-|Sp(V)|, or |Omega| times the size of that image, stops the build.
 Irreducibility is decided on small spaces by spinning one line per G-orbit
 on lines (spans held as ``Subspace``, orbits grown a frontier of lines at a
 time) and above that by a meataxe-style search with Norton's certificate.
@@ -53,13 +49,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .classical_groups import (
-    FormSpace,
-    isometry_group_orders,
-    _CLASS_BY_IMAGE,
-    _det_spinor_image,
-    _require_isometry,
-)
 from .errors import Inconclusive, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
     Matrix, Subspace, jordan_type, _codes, _inv, _kernel_basis, _prime_factors, _vectors
@@ -71,7 +60,6 @@ __all__ = [
     "group_order",
     "is_irreducible",
     "element_order",
-    "derived_containment",
     "naive_closure",
 ]
 
@@ -439,11 +427,11 @@ class GeneratedGroup:
     finished chain, so every answer is exact.  A build that fails publishes
     nothing, and the next query tries again.  Every answer is deterministic.
 
-    ``derived_containment`` knows an upper bound on the order before it asks
-    for it (see ``_order_bound``) and passes it to the first build, which
-    then stops as soon as its orbit product reaches the bound; so does the
-    CLI's ``order`` when the tuple has one non-degenerate invariant form,
-    which it solves for only when a chain is to be built.  Every other
+    The derived-subgroup test knows an upper bound on the order of a group
+    of isometries before it asks for it, and passes it to the first build,
+    which then stops as soon as its orbit product reaches the bound; so
+    does the CLI's ``order`` when the tuple has one non-degenerate
+    invariant form, which it solves for only when a chain is to be built.  Every other
     build stops at ``_det_bound``.  A stopped chain stores the same orbits
     and gives the same answers as the same build run to completion, which
     is the build given a bound it cannot reach; a group that never reaches
@@ -749,56 +737,4 @@ def element_order(a: Matrix) -> int:
     unipotent = 1
     while unipotent < max_block:
         unipotent *= p
-    return semisimple * (unipotent if max_block > 1 else 1)
-
-
-# ---------------------------------------------------------------------------
-# derived subgroup
-
-
-def _order_bound(space: FormSpace, gens: Sequence[Matrix]) -> tuple[int, Optional[frozenset]]:
-    """An upper bound on the order of a group of isometries of ``space``.
-
-    |Sp(V)| for an alternating space.  For a symmetric one, |Omega| times the
-    size of the image of (det, theta) on ``gens``, returned as well: G meets
-    Omega = ker(det, theta) in a subgroup of index |image|.  The bound is
-    attained exactly when G contains the derived subgroup.  The caller must
-    know that every generator is an isometry.
-    """
-    orders = isometry_group_orders(space)
-    if space.parity == "alternating":
-        return orders.full_order, None
-    image = _det_spinor_image(gens, space)
-    return orders.derived_order * len(image), image
-
-
-def derived_containment(
-    group: GeneratedGroup, space: FormSpace
-) -> tuple[bool, Optional[str]]:
-    """Whether the group contains the derived subgroup of the isometry group, with its class.
-
-    Decided by orders alone.  In the orthogonal case the derived subgroup is
-    Omega = ker(det, theta), of index 4 in O(V) (index 2 in O(1), where it
-    is trivial), with theta the spinor norm.  The quotient of G by its
-    intersection with Omega is the image of (det, theta) on G, which the
-    images of the generators generate, so G contains Omega exactly when
-    |G| = |Omega| * |image|.  In the symplectic case the derived subgroup
-    is taken to be Sp(V) itself, so the test is |G| = |Sp(V)|.  See Taylor,
-    The Geometry of the Classical Groups (1992), ch. 11, and
-    Kleidman-Liebeck, The Subgroup Structure of the Finite Classical Groups
-    (1990), 2.5-2.6.
-
-    The class of an orthogonal group that contains Omega is looked up from
-    the same image: "Omega", "SO", "KerSpinor", "KerSpinorDet" or "FullO".
-    It is None for symplectic groups and for groups that do not contain the
-    derived subgroup.  The bound of ``_order_bound`` is passed to the chain,
-    so a group that reaches it stops building early.  The identity holds
-    only inside the isometry group, so a generator that is not an isometry
-    raises NotAnIsometry.
-    """
-    for g in group.gens:
-        _require_isometry(g, space)
-    bound, image = _order_bound(space, group.gens)
-    if group._ensure_chain(lambda: bound).order() != bound:
-        return False, None
-    return True, None if image is None else _CLASS_BY_IMAGE[image]
+    return semisimple * unipotent

@@ -1,6 +1,6 @@
 """Generators of the derived subgroup, built explicitly, kept as a test oracle.
 
-``monodromy.group_engine.derived_containment`` decides containment by order
+``monodromy.classical_groups.derived_containment`` decides containment by order
 arithmetic; this is the construction it replaced: transvections in the
 alternating case, closed reflection commutators in the symmetric case, each
 accepted only once its Schreier-Sims order matches the derived order.

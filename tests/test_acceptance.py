@@ -198,7 +198,7 @@ def test_criterion_6_commutator_probe():
     with verdict("criterion 6 (commutator probe finds order >= p witnesses)"):
         for d, p in itertools.product((2, 3), (5, 7)):
             system, _ = _twist_report(d, p)
-            witness = commutator_probe(system)
+            witness = commutator_probe(Hypotheses(system.space, system.generators))
             assert witness is not None, (d, p)
             assert witness.order >= p, (d, p, witness.order)
 

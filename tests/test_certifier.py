@@ -18,15 +18,51 @@ from monodromy.classical_groups import (
     anisotropic_vectors,
     random_isometry,
     reflection,
+    siegel_shear,
     transvection,
 )
 from monodromy.families import hyperelliptic_system, twist_family_system
-from monodromy.ff_linalg import Matrix
+from monodromy.ff_linalg import Matrix, jordan_type, kernel
 from monodromy.group_engine import GeneratedGroup
 
 
 def family_hypotheses(system, r):
     return Hypotheses(system.space, system.generators, frozenset(), r)
+
+
+def isotropic_plane(space, rng):
+    """A random totally isotropic plane (u, w); the space must have Witt index >= 2."""
+    p = space.p
+    while True:
+        u = random_vector(space, rng)
+        if space.q(u):
+            continue
+        perp = kernel(Matrix([(u @ space.gram.array) % p], p)).basis
+        for _ in range(10 * p):
+            w = random_vector(space, rng, perp)
+            if space.q(w) == 0 and Matrix(np.stack([u, w]), p).rank() == 2:
+                return u, w
+
+
+def random_vector(space, rng, within=None):
+    """A random non-zero vector, in the row space of ``within`` when given."""
+    p = space.p
+    while True:
+        if within is None:
+            v = np.array([rng.randrange(p) for _ in range(space.dim)], dtype=np.int64)
+        else:
+            coeffs = np.array([rng.randrange(p) for _ in range(len(within))], dtype=np.int64)
+            v = (coeffs @ within) % p
+        if v.any():
+            return v
+
+
+def random_root(space, rng, within=None):
+    """A random anisotropic vector, in the row space of ``within`` when given."""
+    while True:
+        v = random_vector(space, rng, within)
+        if space.q(v):
+            return v
 
 
 class TestCertify:
@@ -171,14 +207,14 @@ class TestCrossValidate:
 class TestCommutatorProbe:
     def test_twist_d2_f5_witness(self):
         system = twist_family_system([2], 5)
-        witness = commutator_probe(system)
+        witness = commutator_probe(Hypotheses(system.space, system.generators))
         assert witness is not None
         assert witness.order >= 5
 
     def test_restriction_shapes(self):
         p = 5
         system = twist_family_system([2, 3], p)
-        witness = commutator_probe(system)
+        witness = commutator_probe(Hypotheses(system.space, system.generators))
         assert witness is not None
         rho = witness.restrictions["reflection"]
         sigma = witness.restrictions["shear"]
@@ -191,7 +227,7 @@ class TestCommutatorProbe:
     @pytest.mark.parametrize("roots", [[2], [2, 3]])
     def test_restrictions_are_the_action_on_the_basis(self, roots, p):
         system = twist_family_system(roots, p)
-        witness = commutator_probe(system)
+        witness = commutator_probe(Hypotheses(system.space, system.generators))
         assert witness is not None
         mats = system.tuple.matrices
         acting = {
@@ -207,7 +243,7 @@ class TestCommutatorProbe:
 
     def test_commutator_matches_restriction_order(self):
         system = twist_family_system([2], 7)
-        witness = commutator_probe(system)
+        witness = commutator_probe(Hypotheses(system.space, system.generators))
         assert witness is not None
         assert witness.order >= 7
         mats = system.tuple.matrices
@@ -240,6 +276,89 @@ class TestCommutatorProbe:
         assert root is not None
         rho = reflection(space, root)
         assert rho @ sigma == sigma @ rho  # root inside the fixed space
+
+
+class TestAgreementIdentity:
+    """A certified orthogonal group contains Omega exactly when its class is big.
+
+    ``cross_validate`` reads agreement from containment alone; an orthogonal
+    certificate needs a generator tagged Reflection, of determinant -1, so
+    a certified group that contains Omega has a determinant -1 pair in its
+    (det, theta) image.
+    """
+
+    @pytest.mark.parametrize(
+        "space",
+        [FormSpace.hyperbolic(4, 5), FormSpace.dot(5, 5), FormSpace.dot(4, 7)],
+        ids=["O4+(5)", "O5(5)", "dot(4,7)"],
+    )
+    def test_certified_class_is_big_exactly_when_derived(self, space):
+        rng = Random(10 * space.dim + space.p)
+        shear = siegel_shear(space, *isotropic_plane(space, rng))
+        certified = 0
+        for _ in range(30):
+            gens = [reflection(space, random_root(space, rng)) for _ in range(rng.randrange(1, 4))]
+            g = random_isometry(space, rng, length=3)
+            gens.append(g @ shear @ g.inv())
+            if rng.random() < 0.5:
+                gens.append(random_isometry(space, rng, length=2))
+            rng.shuffle(gens)
+            report = cross_validate(Hypotheses(space, gens, r=2))
+            assert report.agreement
+            if report.certificate.conclusion.kind == "OrthogonalBig":
+                certified += 1
+                big = report.exact_class in {"FullO", "KerSpinor", "KerSpinorDet"}
+                assert big == report.exact_contains_derived, report.exact_class
+        assert certified
+
+
+class TestReflectionShearIdentity:
+    """The facts that let ``commutator_probe`` return the first non-commuting pair.
+
+    For a reflection rho in the root z and an isotropic shear sigma with
+    N = sigma - 1 and x = N z: the pair commutes exactly when x = 0;
+    otherwise <x, z> = 0, some shear-fixed vector is moved by rho,
+    (x, y, z) has rank 3, and the commutator is unipotent with one Jordan
+    block of size 3, of order p.
+    """
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize(
+        "kind, dim", [("dot", 4), ("dot", 5), ("dot", 6), ("hyperbolic", 4), ("hyperbolic", 6)]
+    )
+    def test_random_reflection_shear_pairs(self, kind, dim, p):
+        rng = Random(100 * p + dim)
+        space = getattr(FormSpace, kind)(dim, p)
+        shear = siegel_shear(space, *isotropic_plane(space, rng))
+        eye = Matrix.identity(dim, p)
+        for _ in range(12):
+            g = random_isometry(space, rng, length=4)
+            sigma = g @ shear @ g.inv()
+            fixed = kernel(sigma - eye).basis
+            # in dimension 4 the fixed space of a shear is its isotropic image
+            in_fixed = dim > 4 and rng.random() < 0.3
+            z = random_root(space, rng, fixed if in_fixed else None)
+            rho = reflection(space, z)
+            x = ((sigma - eye).array @ z) % p
+            witness = commutator_probe(Hypotheses(space, [rho, sigma]))
+            assert (rho @ sigma == sigma @ rho) == (not x.any())
+            if not x.any():
+                assert witness is None
+                continue
+            assert space.pair(x, z) == 0
+            assert any(space.pair(v, z) for v in fixed)
+            assert witness.basis.rank() == 3
+            x_w, y_w, z_w = witness.basis.array
+            assert np.array_equal(x_w, ((sigma - eye).array @ z_w) % p)
+            assert not ((sigma - eye).array @ y_w % p).any()
+            assert np.array_equal(((rho - eye).array @ y_w) % p, z_w)
+            assert witness.order == p
+            blocks = sorted(jordan_type(witness.commutator).blocks)
+            assert blocks == [(1, 1)] * (dim - 3) + [(1, 3)]
+            basis_t = witness.basis.array.T
+            for name, m in (("reflection", rho), ("shear", sigma), ("commutator", witness.commutator)):
+                r = witness.restrictions[name].array
+                assert np.array_equal((basis_t @ r) % p, (m.array @ basis_t) % p), name
 
 
 class TestSoundnessSample:

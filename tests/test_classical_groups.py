@@ -15,6 +15,7 @@ from monodromy.classical_groups import (
     TRANSVECTION,
     anisotropic_vectors,
     classify_element,
+    derived_containment,
     is_isometry,
     isometry_group_orders,
     isotropic_vectors,
@@ -29,7 +30,7 @@ from monodromy.classical_groups import (
 from monodromy.errors import NotAnIsometry
 from monodromy.ff_linalg import Matrix, random_invertible
 from monodromy.families import twist_family_system
-from monodromy.group_engine import GeneratedGroup, derived_containment, naive_closure
+from monodromy.group_engine import GeneratedGroup, naive_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import nonzero_vectors_per_index
 from spinor_reference import apply, reference_spinor_norm

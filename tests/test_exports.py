@@ -84,3 +84,42 @@ def test_no_unused_imports(path):
     exported = {name for _, name in _package_imports()} if path.name == "__init__.py" else set()
     unused = _unused_imports(path, exported)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _package_module_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every ``from .module import name`` or ``from monodromy.module import name``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("monodromy."):
+            module = node.module.removeprefix("monodromy.")
+        else:
+            continue
+        out += [(module, alias.name) for alias in node.names]
+    return out
+
+
+# the derived-subgroup decision and the class table that names its result
+# live in classical_groups, which alone reads these names
+_CLASSICAL_GROUPS_PRIVATE = {"_CLASS_BY_IMAGE", "_det_spinor_image", "_require_isometry"}
+
+
+def test_module_layering():
+    imports = {
+        path.stem: _package_module_imports(path)
+        for path in sorted(Path(monodromy.__file__).parent.glob("*.py"))
+    }
+    engine = {module for module, _ in imports["group_engine"]}
+    assert engine <= {"errors", "ff_linalg"}, f"group_engine imports from {sorted(engine)}"
+    certifier = {module for module, _ in imports["certifier"]}
+    assert "families" not in certifier, "certifier imports from families"
+    leaked = [
+        f"{name} from {module} in {importer}"
+        for importer, pairs in imports.items()
+        for module, name in pairs
+        if name in _CLASSICAL_GROUPS_PRIVATE
+    ]
+    assert not leaked, f"private names of classical_groups imported elsewhere: {leaked}"

@@ -89,7 +89,7 @@ class TestHyperellipticSystem:
         assert system.tuple.punctures == (2, 5)
 
     def test_irreducible_and_contains_derived(self):
-        from monodromy.group_engine import derived_containment
+        from monodromy.classical_groups import derived_containment
 
         system = hyperelliptic_system(1, 5)
         group = GeneratedGroup(system.generators)

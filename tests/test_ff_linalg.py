@@ -131,6 +131,17 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[1]], 2)
 
+    def test_rejects_entries_that_are_not_int64_integers(self):
+        # a float used to be truncated, and a 70-bit integer raised OverflowError
+        for entries in ([[1.7]], [[2**70]], [[2**63]], np.array([[2.0]])):
+            with pytest.raises(ValueError, match="integers"):
+                Matrix(entries, 5)
+        assert Matrix([[True, False], [-1, 2**62]], 5) == Matrix([[1, 0], [4, 4]], 5)
+        assert Matrix(np.array([[7]], dtype=np.uint8), 5) == Matrix([[2]], 5)
+        # empty entries of any dtype still give an empty matrix
+        assert Matrix([[]], 5).array.shape == (1, 0)
+        assert Matrix(np.zeros((0, 3)), 5).array.shape == (0, 3)
+
     def test_rejects_modulus_too_large_for_int64(self):
         # at 2^31 - 1 a 3x3 product needs 3 (p-1)^2 > 2^63
         with pytest.raises(ValueError, match="too large"):

@@ -13,11 +13,13 @@ import pytest
 from monodromy.classical_groups import (
     FormSpace,
     anisotropic_vectors,
+    derived_containment,
     isometry_group_orders,
     random_isometry,
     reflection,
     siegel_shear,
     transvection,
+    _order_bound,
 )
 from monodromy.errors import NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system, twist_family_system
@@ -25,13 +27,11 @@ from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms, rando
 from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
-    derived_containment,
     element_order,
     group_order,
     is_irreducible,
     naive_closure,
     _multiplicative_order,
-    _order_bound,
 )
 from closure_reference import reference_closure
 from derived_reference import derived_subgroup_generators
