@@ -10,6 +10,7 @@ from .errors import (
     DegenerateQuotient,
     FamilyCheckFailed,
     Inconclusive,
+    InvalidInput,
     MonodromyError,
     NegativeDimension,
     NonSplitSpectrum,
@@ -49,7 +50,6 @@ from .group_engine import (
     element_order,
     group_order,
     is_irreducible,
-    naive_closure,
 )
 from .convolution import (
     PuncturedTuple,

@@ -15,7 +15,7 @@ failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,9 @@ from .classical_groups import (
     REFLECTION,
     TRANSVECTION,
     classify_element,
-    derived_containment,
-    is_isometry,
+    _derived_containment,
 )
-from .errors import Inconclusive, NotAnIsometry, OrderOverflow
+from .errors import Inconclusive, InvalidInput, OrderOverflow
 from .ff_linalg import Matrix, _kernel_basis, _least_factor, _rref, _solve
 from .group_engine import GeneratedGroup, element_order, is_irreducible
 
@@ -49,26 +48,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hypotheses:
-    """A generator set with its exempt subset and drop bound."""
+    """A generator set with its exempt subset and drop bound.
+
+    Every generator must be an isometry of ``space``; the constructor
+    checks this once, by classifying each one, and keeps the classes.
+    Everything that takes a ``Hypotheses`` relies on that check and does
+    not repeat it.
+    """
 
     space: FormSpace
     generators: tuple[Matrix, ...]
     s0: frozenset[int] = frozenset()
     r: int = 1
+    classes: tuple[ElementClass, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "s0", frozenset(self.s0))
         if not self.generators:
-            raise ValueError("need at least one generator")
+            raise InvalidInput("need at least one generator")
         if self.r < 1:
-            raise ValueError("r must be >= 1")
+            raise InvalidInput("r must be >= 1")
         for i in self.s0:
             if not 0 <= i < len(self.generators):
-                raise ValueError(f"exempt index {i} out of range")
-        for g in self.generators:
-            if not is_isometry(g, self.space):
-                raise NotAnIsometry("all generators must preserve the pairing")
+                raise InvalidInput(f"exempt index {i} out of range")
+        # classify_element raises NotAnIsometry on a generator of another
+        # modulus or size, or one that does not preserve the pairing
+        classes = tuple(classify_element(g, self.space) for g in self.generators)
+        object.__setattr__(self, "classes", classes)
 
 
 @dataclass(frozen=True)
@@ -116,10 +123,6 @@ def _has_prime_factor_at_most(m: int, k: int) -> bool:
     return 1 < _least_factor(m, k) <= k
 
 
-def _classify_all(h: Hypotheses) -> list[ElementClass]:
-    return [classify_element(g, h.space) for g in h.generators]
-
-
 def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     """Evaluate the generator criterion and return the certificate.
 
@@ -132,7 +135,7 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     """
     space = h.space
     checks: list[CheckResult] = []
-    classes = _classify_all(h)
+    classes = h.classes
     symmetric = space.parity == "symmetric"
 
     min_prime = 5 if symmetric else 3
@@ -241,7 +244,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     """
     group = GeneratedGroup(h.generators, limit=limit)
     # builds the chain with the known order bound; the order reads that chain
-    derived, exact_class = derived_containment(group, h.space)
+    derived, exact_class = _derived_containment(group, h.space)
     exact_order = group.order()
     cert = certify(h, seed=seed)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
@@ -289,11 +292,11 @@ def commutator_probe(h: Hypotheses) -> Optional[ProbeWitness]:
     space = h.space
     p = space.p
     mats = h.generators
-    classes = _classify_all(h)
+    classes = h.classes
     refl_idx = [i for i, c in enumerate(classes) if c.tag == REFLECTION]
     shear_idx = [i for i, c in enumerate(classes) if c.tag == ISOTROPIC_SHEAR]
     if not refl_idx or not shear_idx:
-        raise ValueError("need a reflection and an isotropic shear among generators")
+        raise InvalidInput("need a reflection and an isotropic shear among generators")
     eye = np.eye(space.dim, dtype=np.int64)
     for i in refl_idx:
         rho = mats[i]

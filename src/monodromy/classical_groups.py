@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAnIsometry
+from .errors import InvalidInput, NotAnIsometry
 from .ff_linalg import Matrix, _det, _rref, _vectors
 from .group_engine import GeneratedGroup
 
@@ -88,17 +88,17 @@ class FormSpace:
     def __post_init__(self):
         g = self.gram
         if g.rows != g.cols:
-            raise ValueError("gram matrix must be square")
+            raise InvalidInput("gram matrix must be square")
         if self.parity == "symmetric":
             if g.T != g:
-                raise ValueError("gram matrix is not symmetric")
+                raise InvalidInput("gram matrix is not symmetric")
         elif self.parity == "alternating":
             if g.T != -g:
-                raise ValueError("gram matrix is not antisymmetric")
+                raise InvalidInput("gram matrix is not antisymmetric")
         else:
-            raise ValueError(f"unknown parity {self.parity!r}")
+            raise InvalidInput(f"unknown parity {self.parity!r}")
         if g.det() == 0:
-            raise ValueError("the pairing must be non-degenerate")
+            raise InvalidInput("the pairing must be non-degenerate")
 
     @property
     def dim(self) -> int:
@@ -123,7 +123,7 @@ class FormSpace:
     def symplectic(dim: int, p: int) -> "FormSpace":
         """Standard alternating space: <e_i, f_j> = delta_ij on e's then f's."""
         if dim % 2 != 0:
-            raise ValueError("symplectic dimension must be even")
+            raise InvalidInput("symplectic dimension must be even")
         m = dim // 2
         g = np.zeros((dim, dim), dtype=np.int64)
         g[:m, m:] = np.eye(m, dtype=np.int64)
@@ -139,7 +139,7 @@ class FormSpace:
     def hyperbolic(dim: int, p: int) -> "FormSpace":
         """Symmetric space of maximal Witt index: <e_i, f_j> = delta_ij."""
         if dim % 2 != 0:
-            raise ValueError("hyperbolic dimension must be even")
+            raise InvalidInput("hyperbolic dimension must be even")
         m = dim // 2
         g = np.zeros((dim, dim), dtype=np.int64)
         g[:m, m:] = np.eye(m, dtype=np.int64)
@@ -152,7 +152,7 @@ class FormSpace:
             return FormSpace(gram, "symmetric")
         if gram.T == -gram:
             return FormSpace(gram, "alternating")
-        raise ValueError("gram matrix is neither symmetric nor antisymmetric")
+        raise InvalidInput("gram matrix is neither symmetric nor antisymmetric")
 
     def __repr__(self) -> str:
         kind = "Sp" if self.parity == "alternating" else "O"
@@ -285,7 +285,7 @@ def square_class(a: int, p: int) -> int:
     """+1 for nonzero squares mod p, -1 for nonsquares (Euler's criterion)."""
     a = int(a) % p
     if a == 0:
-        raise ValueError("0 has no square class")
+        raise InvalidInput("0 has no square class")
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
@@ -320,12 +320,12 @@ def isotropic_vectors(space: FormSpace, count: int) -> list[np.ndarray]:
 def reflection(space: FormSpace, root: np.ndarray) -> Matrix:
     """The reflection x -> x - 2<x,r>/<r,r> r in an anisotropic root r."""
     if space.parity != "symmetric":
-        raise ValueError("reflections live in orthogonal groups")
+        raise InvalidInput("reflections live in orthogonal groups")
     p = space.p
     r = np.asarray(root, dtype=np.int64) % p
     qr = space.q(r)
     if qr == 0:
-        raise ValueError("root must be anisotropic")
+        raise InvalidInput("root must be anisotropic")
     c = (2 * pow(qr, -1, p)) % p
     row = (c * ((space.gram.array @ r) % p)) % p
     m = (np.eye(space.dim, dtype=np.int64) - np.outer(r, row)) % p
@@ -335,11 +335,11 @@ def reflection(space: FormSpace, root: np.ndarray) -> Matrix:
 def transvection(space: FormSpace, v: np.ndarray, c: int = 1) -> Matrix:
     """The symplectic transvection x -> x + c <v,x> v."""
     if space.parity != "alternating":
-        raise ValueError("transvections live in symplectic groups")
+        raise InvalidInput("transvections live in symplectic groups")
     p = space.p
     v = np.asarray(v, dtype=np.int64) % p
     if not v.any():
-        raise ValueError("direction must be nonzero")
+        raise InvalidInput("direction must be nonzero")
     row = ((c % p) * ((space.gram.array.T @ v) % p)) % p
     m = (np.eye(space.dim, dtype=np.int64) + np.outer(v, row)) % p
     return Matrix(m, p)
@@ -355,7 +355,7 @@ def siegel_shear(space: FormSpace, u: np.ndarray, w: np.ndarray) -> Matrix:
     u = np.asarray(u, dtype=np.int64) % p
     w = np.asarray(w, dtype=np.int64) % p
     if space.q(u) or space.q(w) or space.pair(u, w):
-        raise ValueError("u and w must span a totally isotropic plane")
+        raise InvalidInput("u and w must span a totally isotropic plane")
     gt = space.gram.array.T
     m = (
         np.eye(space.dim, dtype=np.int64)
@@ -395,8 +395,13 @@ def spinor_norm(g: Matrix, space: FormSpace) -> int:
     convention that the reflection in r has norm the square class of <r,r>.
     """
     if space.parity != "symmetric":
-        raise ValueError("spinor norm is defined on orthogonal groups")
+        raise InvalidInput("spinor norm is defined on orthogonal groups")
     _require_isometry(g, space)
+    return _spinor_norm(g, space)
+
+
+def _spinor_norm(g: Matrix, space: FormSpace) -> int:
+    """``spinor_norm`` of an isometry ``g`` of the symmetric ``space``, unchecked."""
     p = space.p
     shift = (np.eye(space.dim, dtype=np.int64) - g.array) % p
     pivots = list(_rref(shift, p)[1])
@@ -484,8 +489,8 @@ def _det_spinor_image(gens: Sequence[Matrix], space: FormSpace) -> frozenset:
     """The subgroup of {+-1} x {+-1} generated by (determinant, spinor norm) of ``gens``."""
     image = {(1, 1)}
     for g in gens:
-        # spinor_norm rejects non-isometries, whose determinant may not be +-1
-        theta = spinor_norm(g, space)
+        # the caller knows g is an isometry, so its determinant is +-1
+        theta = _spinor_norm(g, space)
         pair = (1 if g.det() == 1 else -1, theta)
         # close the image under the group law of {+-1} x {+-1}
         new = {(a * pair[0], b * pair[1]) for a, b in image}
@@ -535,6 +540,13 @@ def derived_containment(
     """
     for g in group.gens:
         _require_isometry(g, space)
+    return _derived_containment(group, space)
+
+
+def _derived_containment(
+    group: GeneratedGroup, space: FormSpace
+) -> tuple[bool, Optional[str]]:
+    """``derived_containment``, unchecked: every generator must be an isometry of ``space``."""
     bound, image = _order_bound(space, group.gens)
     if group._ensure_chain(lambda: bound).order() != bound:
         return False, None

@@ -33,7 +33,7 @@ from .convolution import (
     middle_convolve,
     predict_rank,
 )
-from .errors import MonodromyError, NonSplitSpectrum
+from .errors import InvalidInput, MonodromyError, NonSplitSpectrum
 from .families import hyperelliptic_system, twist_family_system
 from .ff_linalg import Matrix, jordan_type, invariant_forms, _check_modulus, _check_products
 from .group_engine import GeneratedGroup
@@ -75,7 +75,7 @@ def parse_tuple(text: str) -> PuncturedTuple:
         raise TupleFileError(f"line {lineno}: rank and puncture count must be positive")
     try:
         _check_products(n, _check_modulus(p))
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise TupleFileError(f"line {lineno}: {exc}") from None
     body = lines[1:]
     expected = r * (n + 1)
@@ -114,7 +114,7 @@ def parse_tuple(text: str) -> PuncturedTuple:
         matrices.append(Matrix(rows, p))
     try:
         return PuncturedTuple(punctures, matrices)
-    except (ValueError, TypeError) as exc:
+    except InvalidInput as exc:
         raise TupleFileError(str(exc)) from None
 
 
@@ -131,11 +131,14 @@ def emit_tuple(t: PuncturedTuple) -> str:
 
 
 def _read_tuple(args, stdin: TextIO) -> PuncturedTuple:
-    if getattr(args, "file", None) and args.file != "-":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = stdin.read()
+    try:
+        if getattr(args, "file", None) and args.file != "-":
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = stdin.read()
+    except UnicodeDecodeError as exc:
+        raise TupleFileError(f"tuple file is not UTF-8 text: {exc}") from None
     return parse_tuple(text)
 
 
@@ -252,7 +255,12 @@ def _hypotheses_from(args, stdin) -> tuple[Hypotheses, FormSpace]:
     space = invariant_pairing(invariant_forms(t.matrices))
     if space is None:
         raise TupleFileError("no non-degenerate invariant pairing of definite parity")
-    s0 = frozenset(int(tok) for tok in args.s0.split(",") if tok.strip()) if args.s0 else frozenset()
+    s0 = set()
+    for tok in filter(str.strip, args.s0.split(",")):
+        try:
+            s0.add(int(tok))
+        except ValueError:
+            raise TupleFileError(f"--s0: {tok.strip()!r} is not an integer index") from None
     return Hypotheses(space, t.matrices, s0, args.r), space
 
 
@@ -343,7 +351,7 @@ def main(
     args = parser.parse_args(argv)
     try:
         return args.func(args, stdin, stdout)
-    except (MonodromyError, ValueError, OSError) as exc:
+    except (MonodromyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

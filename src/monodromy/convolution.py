@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateQuotient, NotInCategory
+from .errors import DegenerateQuotient, InvalidInput, NotInCategory
 from .ff_linalg import (
     JordanData,
     Matrix,
@@ -55,13 +55,13 @@ def _validate_label(label: Label, p: int) -> Label:
     if isinstance(label, (int, np.integer)):
         label = int(label)
         if not 0 <= label < p:
-            raise ValueError(f"residue label {label} outside [0, {p})")
+            raise InvalidInput(f"residue label {label} outside [0, {p})")
         return label
     if isinstance(label, str):
         if not label or label.isdigit() or label == INFINITY or any(c.isspace() for c in label):
-            raise ValueError(f"bad symbolic label {label!r}")
+            raise InvalidInput(f"bad symbolic label {label!r}")
         return label
-    raise TypeError(f"labels are residues or symbols, got {type(label).__name__}")
+    raise InvalidInput(f"labels are residues or symbols, got {type(label).__name__}")
 
 
 class PuncturedTuple:
@@ -77,17 +77,17 @@ class PuncturedTuple:
 
     def __init__(self, punctures: Sequence[Label], matrices: Sequence[Matrix]):
         if len(punctures) != len(matrices):
-            raise ValueError("one matrix per puncture")
+            raise InvalidInput("one matrix per puncture")
         if not punctures:
-            raise ValueError("need at least one puncture")
+            raise InvalidInput("need at least one puncture")
         p = matrices[0].p
         n = matrices[0].n
         labels = [_validate_label(lab, p) for lab in punctures]
         if len(set(labels)) != len(labels):
-            raise ValueError("puncture labels repeat")
+            raise InvalidInput("puncture labels repeat")
         for m in matrices:
             if m.p != p or m.n != n:
-                raise ValueError("matrices must share size and modulus")
+                raise InvalidInput("matrices must share size and modulus")
         order = _canonical_order(labels)
         labels = [labels[i] for i in order]
         mats = [matrices[i] for i in order]
@@ -97,8 +97,8 @@ class PuncturedTuple:
         # a product is invertible exactly when every factor is
         try:
             infinity = product.inv()
-        except ValueError:
-            raise ValueError("puncture matrices must be invertible") from None
+        except InvalidInput:
+            raise InvalidInput("puncture matrices must be invertible") from None
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "punctures", tuple(labels))
@@ -156,10 +156,10 @@ def predict_rank(
     p = infinity.p
     lam = int(lam) % p
     if lam == 0:
-        raise ValueError("lambda must be nonzero")
+        raise InvalidInput("lambda must be nonzero")
     dims = {d.dim for d in finite} | {infinity.dim}
     if len(dims) != 1:
-        raise ValueError("local data dimensions disagree across punctures")
+        raise InvalidInput("local data dimensions disagree across punctures")
     codims = sum(d.codim_fixed for d in finite)
     return codims - infinity.tensor(lam).fixed_dim
 
@@ -176,7 +176,7 @@ def map_local_jordan(data: JordanData, lam: int) -> JordanData:
     p = data.p
     lam = int(lam) % p
     if lam == 0:
-        raise ValueError("lambda must be nonzero")
+        raise InvalidInput("lambda must be nonzero")
     nontrivial = data.nontrivial()
     if lam == 1:
         return nontrivial
@@ -236,12 +236,12 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     coordinates.  The quotient
     dimension is checked against the local rank formula; a mismatch raises
     DegenerateQuotient.  Products on the r*n-dimensional space sum r*n
-    terms of size (p-1)^2 in int64, so larger moduli raise ValueError.
+    terms of size (p-1)^2 in int64, so larger moduli raise InvalidInput.
     """
     p = t.p
     lam = int(lam) % p
     if lam == 0:
-        raise ValueError("lambda must be nonzero")
+        raise InvalidInput("lambda must be nonzero")
     r = len(t.punctures)
     n = t.rank
     if n == 1 and t.nontrivial_count() < 2:
@@ -318,7 +318,7 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
 
     try:
         return PuncturedTuple(t.punctures, out_mats)
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise DegenerateQuotient(f"quotient matrices are degenerate: {exc}") from exc
 
 
@@ -333,7 +333,7 @@ def twist_quadratic(t: PuncturedTuple, points: Sequence[Label]) -> PuncturedTupl
     """
     labels = [_validate_label(lab, t.p) for lab in points]
     if len(set(labels)) != len(labels):
-        raise ValueError("twist points repeat")
+        raise InvalidInput("twist points repeat")
     new_punctures = list(t.punctures)
     new_matrices = [m for m in t.matrices]
     minus_one = -Matrix.identity(t.rank, t.p)

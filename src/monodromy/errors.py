@@ -2,6 +2,7 @@
 
 __all__ = [
     "MonodromyError",
+    "InvalidInput",
     "NonSplitSpectrum",
     "NotAnIsometry",
     "ResourceLimit",
@@ -17,6 +18,13 @@ __all__ = [
 
 class MonodromyError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidInput(MonodromyError, ValueError):
+    """An argument is outside the domain of the function it was passed to.
+
+    Also a ValueError, so callers that catch the builtin keep working.
+    """
 
 
 class NonSplitSpectrum(MonodromyError):

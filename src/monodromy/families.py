@@ -28,7 +28,7 @@ from .classical_groups import (
     invariant_pairing,
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
-from .errors import BadLocus, FamilyCheckFailed, NegativeDimension
+from .errors import BadLocus, FamilyCheckFailed, InvalidInput, NegativeDimension
 from .ff_linalg import Matrix, invariant_forms, _check_modulus
 
 __all__ = [
@@ -71,7 +71,7 @@ def kummer_tuple(points: Sequence[Label], p: int) -> PuncturedTuple:
     """Rank-one tuple with local monodromy -1 at each given point."""
     minus_one = Matrix([[p - 1]], p)
     if len(points) < 2:
-        raise ValueError("need at least two points")
+        raise InvalidInput("need at least two points")
     return PuncturedTuple(list(points), [minus_one] * len(points))
 
 
@@ -89,11 +89,11 @@ def hyperelliptic_system(
     and a transvection at every finite puncture.
     """
     if genus < 1:
-        raise ValueError("genus must be >= 1")
+        raise InvalidInput("genus must be >= 1")
     if points is None:
         points = _default_branch_points(2 * genus, p)
     if len(points) != 2 * genus:
-        raise ValueError(f"need exactly {2 * genus} branch points")
+        raise InvalidInput(f"need exactly {2 * genus} branch points")
     base = kummer_tuple(points, p)
     out = middle_convolve(base, p - 1)
     if out.rank != 2 * genus:
@@ -114,7 +114,7 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     at every root.
     """
     if _check_modulus(p) < 5:
-        raise ValueError(f"modulus must be a prime >= 5, got {p}")
+        raise InvalidInput(f"modulus must be a prime >= 5, got {p}")
     roots = list(g_roots)
     if not roots:
         raise BadLocus("need at least one root (d >= 2)")
@@ -142,7 +142,7 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
 def dim_formula(deg_m: int, deg_a: int, genus: int) -> int:
     """deg(M) + 2 deg(A) + 4 (genus - 1), rejecting the invalid regime."""
     if deg_m < 0 or deg_a < 0 or genus < 0:
-        raise ValueError("degrees and genus must be non-negative")
+        raise InvalidInput("degrees and genus must be non-negative")
     value = deg_m + 2 * deg_a + 4 * (genus - 1)
     if value < 0:
         raise NegativeDimension(f"dimension formula gave {value}")

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonSplitSpectrum
+from .errors import InvalidInput, NonSplitSpectrum
 
 __all__ = [
     "is_prime",
@@ -60,18 +60,18 @@ def _prime_factors(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _check_modulus(p: int) -> int:
-    """``p`` as an int, or ValueError; int64 range first, then primality, once per modulus."""
+    """``p`` as an int, or InvalidInput; int64 range first, then primality, once per modulus."""
     p = int(p)
     _check_products(1, p)
     if p < 3 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
+        raise InvalidInput(f"modulus must be an odd prime >= 3, got {p}")
     return p
 
 
 def _check_products(size: int, p: int) -> None:
     """Reject a modulus whose int64 products of ``size`` terms could overflow."""
     if size * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"modulus {p} is too large for exact int64 products of size {size}")
+        raise InvalidInput(f"modulus {p} is too large for exact int64 products of size {size}")
 
 
 def _codes(vecs: np.ndarray, p: int) -> np.ndarray:
@@ -232,7 +232,7 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
 def _inv(a: np.ndarray, p: int) -> np.ndarray:
     x = _solve(a, np.eye(a.shape[0], dtype=np.int64), p)
     if x is None:
-        raise ValueError("matrix is singular")
+        raise InvalidInput("matrix is singular")
     return x
 
 
@@ -258,7 +258,7 @@ class Matrix:
     integer ``*``, ``**``) stays exact; ``**`` accepts negative exponents
     for invertible matrices.  A product sums up to max(rows, cols) terms
     of size (p-1)^2 in int64, so larger moduli are rejected.  Entries that
-    are not integers or booleans fitting in int64 raise ValueError.
+    are not integers or booleans fitting in int64 raise InvalidInput.
     """
 
     __slots__ = ("array", "p")
@@ -269,10 +269,10 @@ class Matrix:
         if arr.dtype is not _INT64:
             kind = arr.dtype.kind
             if arr.size and (kind not in "iub" or (kind == "u" and arr.max() > _INT64_MAX)):
-                raise ValueError(f"matrix entries must be integers that fit in int64, not {arr.dtype}")
+                raise InvalidInput(f"matrix entries must be integers that fit in int64, not {arr.dtype}")
             arr = arr.astype(np.int64)
         if arr.ndim != 2:
-            raise ValueError("matrix entries must be two-dimensional")
+            raise InvalidInput("matrix entries must be two-dimensional")
         _check_products(max(arr.shape), p)
         arr = arr % p
         arr.setflags(write=False)
@@ -313,7 +313,7 @@ class Matrix:
     @property
     def n(self) -> int:
         if self.rows != self.cols:
-            raise ValueError("matrix is not square")
+            raise InvalidInput("matrix is not square")
         return self.rows
 
     @property
@@ -324,9 +324,9 @@ class Matrix:
 
     def _coerce(self, other: "Matrix") -> None:
         if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other).__name__}")
+            raise InvalidInput(f"expected Matrix, got {type(other).__name__}")
         if other.p != self.p:
-            raise ValueError("mixed moduli")
+            raise InvalidInput("mixed moduli")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._coerce(other)
@@ -370,7 +370,7 @@ class Matrix:
 
     def inv(self) -> "Matrix":
         if self.rows != self.cols:  # a wide matrix may have right inverses
-            raise ValueError("matrix is not square")
+            raise InvalidInput("matrix is not square")
         return Matrix(_inv(self.array, self.p), self.p)
 
     def rank(self) -> int:
@@ -504,9 +504,9 @@ class JordanData:
             eig = int(eig) % p
             size = int(size)
             if eig == 0:
-                raise ValueError("eigenvalue 0 is not allowed (invertible matrices only)")
+                raise InvalidInput("eigenvalue 0 is not allowed (invertible matrices only)")
             if size < 1:
-                raise ValueError("block sizes must be >= 1")
+                raise InvalidInput("block sizes must be >= 1")
             norm.append((eig, size))
         object.__setattr__(self, "blocks", tuple(sorted(norm)))
         object.__setattr__(self, "p", p)
@@ -532,15 +532,8 @@ class JordanData:
     def tensor(self, c: int) -> "JordanData":
         c = int(c) % self.p
         if c == 0:
-            raise ValueError("cannot tensor by 0")
+            raise InvalidInput("cannot tensor by 0")
         return JordanData((((eig * c) % self.p, size) for eig, size in self.blocks), self.p)
-
-    def rank_of_power(self, a: int, k: int) -> int:
-        """Rank of (A - a)^k reconstructed from the block data."""
-        a = int(a) % self.p
-        return sum(
-            max(size - k, 0) if eig == a else size for eig, size in self.blocks
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -579,7 +572,7 @@ def jordan_type(a: Matrix) -> JordanData:
     n = a.n
     p = a.p
     if a.det() == 0:
-        raise ValueError("matrix is singular")
+        raise InvalidInput("matrix is singular")
     blocks = []
     total = 0
     eye = np.eye(n, dtype=np.int64)
@@ -618,14 +611,14 @@ def invariant_forms(gens: Sequence[Matrix]) -> list[Matrix]:
     """
     gens = list(gens)
     if not gens:
-        raise ValueError("need at least one generator")
+        raise InvalidInput("need at least one generator")
     n = gens[0].n
     p = gens[0].p
     for g in gens:
         if g.p != p or g.n != n:
-            raise ValueError("generators must share size and modulus")
+            raise InvalidInput("generators must share size and modulus")
         if g.det() == 0:
-            raise ValueError("generators must be invertible")
+            raise InvalidInput("generators must be invertible")
     eye = np.eye(n * n, dtype=np.int64)
     rows = []
     for g in gens:

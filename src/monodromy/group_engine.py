@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import Inconclusive, NonSplitSpectrum, OrderOverflow, ResourceLimit
+from .errors import Inconclusive, InvalidInput, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
     Matrix, Subspace, jordan_type, _codes, _inv, _kernel_basis, _prime_factors, _vectors
 )
@@ -60,7 +60,6 @@ __all__ = [
     "group_order",
     "is_irreducible",
     "element_order",
-    "naive_closure",
 ]
 
 
@@ -441,16 +440,16 @@ class GeneratedGroup:
     def __init__(self, gens: Sequence[Matrix], limit: int = 10**7):
         gens = [g for g in gens]
         if not gens:
-            raise ValueError("need at least one generator")
+            raise InvalidInput("need at least one generator")
         p = gens[0].p
         dim = gens[0].n
         dets = set()
         for g in gens:
             if g.p != p or g.n != dim:
-                raise ValueError("generators must share dimension and modulus")
+                raise InvalidInput("generators must share dimension and modulus")
             d = g.det()
             if d == 0:
-                raise ValueError("generators must be invertible")
+                raise InvalidInput("generators must be invertible")
             dets.add(d)
         self.gens = tuple(gens)
         self.p = p
@@ -510,41 +509,6 @@ def group_order(group: GeneratedGroup) -> int:
     The chain stops at |SL(n, p)| |<det g_i>|, with the order of the full build.
     """
     return group.order()
-
-
-def naive_closure(gens: Sequence[Matrix], limit: int = 200_000) -> set[Matrix]:
-    """Brute-force closure of the generated set; the small-order oracle.
-
-    Grows the set from the identity a frontier at a time: a block of
-    frontier matrices is multiplied by every generator in one product, and
-    each product is looked up in a set keyed by the bytes of its int64
-    entries, from which the matrices are read back.  Raises ResourceLimit
-    when the group has more than ``limit`` elements; the limit is checked
-    after each block, so storage passes it by at most one block.
-    """
-    p = gens[0].p
-    n = gens[0].n
-    stack = np.array([g.array for g in gens], dtype=np.int64)
-
-    def matrices(keys) -> np.ndarray:
-        return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, n, n)
-
-    batch = max(1, _BLOCK_ENTRIES // (len(stack) * n * n))
-    frontier = np.eye(n, dtype=np.int64)[None]
-    found = {frontier[0].tobytes()}
-    while len(frontier):
-        fresh = []
-        for a in range(0, len(frontier), batch):
-            images = (frontier[a : a + batch, None] @ stack).reshape(-1, n, n) % p
-            for m in images:
-                key = m.tobytes()
-                if key not in found:
-                    found.add(key)
-                    fresh.append(key)
-            if len(found) > limit:
-                raise ResourceLimit(f"closure exceeded {limit} elements")
-        frontier = matrices(fresh)
-    return {Matrix(a, p) for a in matrices(found)}
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +666,7 @@ def _multiplicative_order(a: int, p: int) -> int:
     """Order of a in F_p^x: p - 1 with each prime q of p - 1 divided out while a^(order/q) = 1."""
     a %= p
     if a == 0:
-        raise ValueError("0 has no multiplicative order")
+        raise InvalidInput("0 has no multiplicative order")
     order = p - 1
     for q in _prime_factors(p - 1):
         while order % q == 0 and pow(a, order // q, p) == 1:
@@ -713,10 +677,12 @@ def _multiplicative_order(a: int, p: int) -> int:
 def element_order(a: Matrix) -> int:
     """Multiplicative order of an invertible matrix.
 
-    Uses the Jordan data when the spectrum splits (semisimple order times
-    the unipotent p-power); otherwise falls back to iterated powering,
-    raising OrderOverflow past ``_ORDER_CAP`` powers.  ``jordan_type``
-    raises ValueError on a singular matrix.
+    When the spectrum splits, the order is read from the Jordan data: the
+    lcm of the eigenvalue orders in F_p^x times the least power of p that
+    is at least the largest block size.  Otherwise the matrix is powered
+    until it reaches the identity, raising OrderOverflow past
+    ``_ORDER_CAP`` powers.  A singular matrix raises InvalidInput (from
+    ``jordan_type``).
     """
     p = a.p
     try:

@@ -42,9 +42,9 @@ from monodromy.group_engine import (
     element_order,
     group_order,
     is_irreducible,
-    naive_closure,
 )
 
+from closure_reference import naive_closure
 from tests.test_convolution import in_category, random_split_tuple
 
 

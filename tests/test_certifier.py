@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import monodromy.classical_groups as classical_groups
 from monodromy.certifier import (
     Hypotheses,
     certify,
@@ -16,11 +17,13 @@ from monodromy.certifier import (
 from monodromy.classical_groups import (
     FormSpace,
     anisotropic_vectors,
+    classify_element,
     random_isometry,
     reflection,
     siegel_shear,
     transvection,
 )
+from monodromy.errors import NotAnIsometry
 from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, jordan_type, kernel
 from monodromy.group_engine import GeneratedGroup
@@ -172,6 +175,40 @@ class TestCertify:
         check = next(c for c in cert.checks if c.name == "order_or_pseudoreflection")
         assert not check.passed
         assert check.detail.endswith(" offenders=0:order-overflow")
+
+
+class TestIsometryCheck:
+    """``Hypotheses`` checks each generator once; what takes a ``Hypotheses`` trusts it."""
+
+    @pytest.mark.parametrize(
+        "generator", [Matrix.identity(2, 5), Matrix.identity(3, 7)], ids=["size", "modulus"]
+    )
+    def test_generator_of_another_space(self, generator):
+        with pytest.raises(NotAnIsometry, match="does not match the space"):
+            Hypotheses(FormSpace.dot(3, 5), [generator])
+
+    def test_generator_that_moves_the_pairing(self):
+        with pytest.raises(NotAnIsometry, match="does not preserve the pairing"):
+            Hypotheses(FormSpace.dot(2, 5), [Matrix([[2, 0], [0, 1]], 5)])
+
+    def test_classes_are_those_of_the_generators(self):
+        system = twist_family_system([2, 3], 5)
+        h = family_hypotheses(system, 2)
+        assert h.classes == tuple(classify_element(g, system.space) for g in system.generators)
+
+    def test_cross_validate_checks_each_generator_once(self, monkeypatch):
+        system = twist_family_system([2, 3], 5)
+        calls = []
+
+        def counted(g, space, check=classical_groups.is_isometry):
+            calls.append(g)
+            return check(g, space)
+
+        monkeypatch.setattr(classical_groups, "is_isometry", counted)
+        report = cross_validate(family_hypotheses(system, 2))
+        assert report.agreement
+        assert len(system.generators) == 4
+        assert calls == list(system.generators)
 
 
 class TestCrossValidate:

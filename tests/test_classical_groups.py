@@ -30,7 +30,8 @@ from monodromy.classical_groups import (
 from monodromy.errors import NotAnIsometry
 from monodromy.ff_linalg import Matrix, random_invertible
 from monodromy.families import twist_family_system
-from monodromy.group_engine import GeneratedGroup, naive_closure
+from monodromy.group_engine import GeneratedGroup
+from closure_reference import naive_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import nonzero_vectors_per_index
 from spinor_reference import apply, reference_spinor_norm
@@ -341,6 +342,13 @@ class TestBuilders:
 class TestSpinorNorm:
     def test_identity_is_trivial(self):
         assert spinor_norm(Matrix.identity(3, 5), FormSpace.dot(3, 5)) == 1
+
+    def test_non_isometry_rejected(self):
+        space = FormSpace.dot(2, 5)
+        with pytest.raises(NotAnIsometry, match="does not preserve the pairing"):
+            spinor_norm(Matrix([[2, 0], [0, 1]], 5), space)
+        with pytest.raises(NotAnIsometry, match="does not match the space"):
+            spinor_norm(Matrix.identity(2, 7), space)
 
     def test_single_reflection_square_classes(self):
         space = FormSpace.dot(3, 5)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import subprocess
 import sys
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -217,6 +218,37 @@ class TestSubcommands:
         rc, out = run_cli(["order", str(path)])
         assert rc == 0
         assert out.startswith("ORDER:")
+
+
+class TestInputErrors:
+    """Each rejected input exits 2 with one ``error:`` line; other errors are not caught."""
+
+    def test_undecodable_tuple_file(self, tmp_path, capsys):
+        path = tmp_path / "tuple.bin"
+        path.write_bytes(b"MODULUS 5 RANK 1 PUNCTURES 1\nAT 0\n\xff\n")
+        assert run_cli(["classify", str(path)]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: tuple file is not UTF-8 text")
+
+    def test_undecodable_stdin(self, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"MODULUS 5 \xc3( RANK 1"), encoding="utf-8")
+        assert main(["order"], stdin=stdin, stdout=io.StringIO()) == 2
+        assert capsys.readouterr().err.startswith("error: tuple file is not UTF-8 text")
+
+    @pytest.mark.parametrize("token", ["x", "1.5"])
+    def test_exempt_index_that_is_no_integer(self, token, capsys):
+        text = emit_tuple(hyperelliptic_system(1, 5).tuple)
+        assert run_cli(["certify", "--r", "1", "--s0", f"0,{token}"], text) == (2, "")
+        assert capsys.readouterr().err == f"error: --s0: {token!r} is not an integer index\n"
+
+    def test_a_bare_value_error_escapes(self, monkeypatch):
+        import monodromy.cli as cli
+
+        def broken(gens):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli, "invariant_forms", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            run_cli(["classify"], SAMPLE)
 
 
 def _record_groups(monkeypatch) -> list:
@@ -433,8 +465,93 @@ def _tuple_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FUZZ_MODULI = (2, 3, 4, 5, 7, 9, 11, 13)
+
+
+def _fuzz_case(rng: Random) -> tuple[list[str], bytes]:
+    """Arguments for one tuple subcommand, and a tuple file with at most one fault.
+
+    The modulus need not be an odd prime and the rank and puncture count
+    may be 0.  The fault is a repeated label, a residue outside [0, p), a
+    ragged row, or bytes that are not UTF-8.  A tuple's matrices are all
+    dense, all diagonal with entries +-1 (so the tuple preserves a
+    pairing), or each upper or lower triangular with a nonzero diagonal;
+    most are invertible, and many tuples reach the subcommand.
+    """
+    p = rng.choice(_FUZZ_MODULI)
+    n, r = rng.randrange(5), rng.randrange(5)
+    fault = rng.choice(["none", "none", "label", "residue", "ragged", "bytes"])
+    labels = [str(k) if k < p else f"s{k}" for k in range(r)]
+    if fault == "label" and r > 1:
+        labels[-1] = labels[0]
+    lines = [f"MODULUS {p} RANK {n} PUNCTURES {r}"]
+    rows = []
+    kind = rng.choice(["triangular", "signs", "dense"])
+    for label in labels:
+        lines.append(f"AT {label}")
+        shape = rng.choice(["upper", "lower"]) if kind == "triangular" else kind
+        for i in range(n):
+            row = []
+            for j in range(n):
+                free = {"dense": True, "upper": j > i, "lower": j < i}.get(shape, False)
+                if free:
+                    row.append(rng.randrange(p))
+                elif i != j:
+                    row.append(0)
+                else:
+                    row.append(rng.choice([1, p - 1]) if shape == "signs" else rng.randrange(1, p))
+            rows.append(len(lines))
+            lines.append(row)
+    if rows and fault in ("residue", "ragged"):
+        row = lines[rng.choice(rows)]
+        if fault == "residue":
+            row[rng.randrange(n)] = rng.choice([p, p + 1, -1, 10**20])
+        elif rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(1)
+    text = "\n".join(line if isinstance(line, str) else " ".join(map(str, line)) for line in lines)
+    data = (text + "\n").encode()
+    if fault == "bytes":
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + rng.choice([b"\xff", b"\xc3(", b"\x80", b"\xe2\x82"]) + data[at:]
+    lam = rng.choice(["-1", "1", "2", "0", str(p)])
+    r_flag = rng.choice(["1", "2", "3", "0", "-1", "x"])
+    s0 = rng.choice(["", "0", "0,1", "1,", "-1", "9", "x", "1.5", ","])
+    command = rng.choice(
+        [
+            ["classify"],
+            ["order"],
+            ["convolve", "--lambda", lam],
+            ["predict", "--lambda", lam],
+            ["certify", "--r", r_flag, "--s0", s0],
+            ["cross-validate", "--r", r_flag, "--s0", s0],
+        ]
+    )
+    return ["--limit", "20000"] + command, data
+
+
 class TestFuzz:
     """Malformed and odd inputs end in a typed error or an exit status, never a traceback."""
+
+    def test_seeded_malformed_inputs_exit_0_1_or_2(self):
+        rng = Random(21)
+        codes = Counter()
+        for _ in range(300):
+            argv, data = _fuzz_case(rng)
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv, stdin=stdin, stdout=io.StringIO())
+                except SystemExit as exc:  # argparse's usage errors, as for --r x
+                    rc = exc.code
+            assert rc in (0, 1, 2), (argv, data)
+            if rc == 2:
+                assert err.getvalue().startswith(("error: ", "usage: ")), (argv, data)
+            codes[rc] += 1
+        # the cases reach every outcome, not only the parser's errors
+        assert set(codes) == {0, 1, 2}, codes
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(text=_tuple_texts())

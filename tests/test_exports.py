@@ -123,3 +123,25 @@ def test_module_layering():
         if name in _CLASSICAL_GROUPS_PRIVATE
     ]
     assert not leaked, f"private names of classical_groups imported elsewhere: {leaked}"
+
+
+def _builtin_raises(path: Path) -> list[str]:
+    """Each ``raise ValueError`` or ``raise TypeError`` in ``path``, with its line."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+            out.append(f"{exc.id} (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(monodromy.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_builtin_value_or_type_error_raised(path):
+    # a rejected argument raises errors.InvalidInput, which the CLI reports
+    # with exit status 2; a bare builtin error would escape it as a traceback
+    raised = _builtin_raises(path)
+    assert not raised, f"{path.name} raises {raised}; raise errors.InvalidInput instead"

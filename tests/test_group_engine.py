@@ -30,10 +30,9 @@ from monodromy.group_engine import (
     element_order,
     group_order,
     is_irreducible,
-    naive_closure,
     _multiplicative_order,
 )
-from closure_reference import reference_closure
+from closure_reference import naive_closure, reference_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import multiplicative_order_divisor_scan
 from irreducibility_reference import exhaustive_irreducibility
