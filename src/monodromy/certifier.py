@@ -67,8 +67,8 @@ class Hypotheses:
         object.__setattr__(self, "s0", frozenset(self.s0))
         if not self.generators:
             raise InvalidInput("need at least one generator")
-        if self.r < 1:
-            raise InvalidInput("r must be >= 1")
+        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
+            raise InvalidInput(f"r must be an integer >= 1, got {self.r!r}")
         for i in self.s0:
             if not 0 <= i < len(self.generators):
                 raise InvalidInput(f"exempt index {i} out of range")
@@ -147,9 +147,8 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
         )
     )
 
-    group = GeneratedGroup(h.generators)
     try:
-        report = is_irreducible(group, seed)
+        report = is_irreducible(h.generators, seed)
         checks.append(
             CheckResult(
                 "irreducibility",

@@ -548,6 +548,6 @@ def _derived_containment(
 ) -> tuple[bool, Optional[str]]:
     """``derived_containment``, unchecked: every generator must be an isometry of ``space``."""
     bound, image = _order_bound(space, group.gens)
-    if group._ensure_chain(lambda: bound).order() != bound:
+    if group.order(lambda: bound) != bound:
         return False, None
     return True, None if image is None else _CLASS_BY_IMAGE[image]

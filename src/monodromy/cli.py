@@ -217,7 +217,7 @@ def _cmd_order(args, stdin, stdout) -> int:
         space = invariant_pairing(forms) if len(forms) == 1 else None
         return None if space is None else _order_bound(space, t.matrices)[0]
 
-    print(f"ORDER: {group._ensure_chain(bound).order()}", file=stdout)
+    print(f"ORDER: {group.order(bound)}", file=stdout)
     return 0
 
 

@@ -58,9 +58,16 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
 def _check_modulus(p: int) -> int:
-    """``p`` as an int, or InvalidInput; int64 range first, then primality, once per modulus."""
+    """``p`` as an int, or InvalidInput; the type is checked here, as the cache takes 5.0 for 5."""
+    if not isinstance(p, (int, np.integer)):
+        raise InvalidInput(f"modulus must be an integer, not {type(p).__name__}")
+    return _checked_modulus(p)
+
+
+@lru_cache(maxsize=None)
+def _checked_modulus(p: int) -> int:
+    """``_check_modulus`` of an integer: int64 range first, then primality, once per modulus."""
     p = int(p)
     _check_products(1, p)
     if p < 3 or not is_prime(p):
@@ -322,22 +329,24 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other: "Matrix") -> None:
+    def _coerce(self, other: "Matrix", op: str) -> None:
         if not isinstance(other, Matrix):
             raise InvalidInput(f"expected Matrix, got {type(other).__name__}")
         if other.p != self.p:
             raise InvalidInput("mixed moduli")
+        if (self.cols != other.rows) if op == "@" else (self.array.shape != other.array.shape):
+            raise InvalidInput(f"shapes {self.rows}x{self.cols} {op} {other.rows}x{other.cols} do not match")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._coerce(other)
+        self._coerce(other, "@")
         return Matrix(self.array @ other.array, self.p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._coerce(other)
+        self._coerce(other, "+")
         return Matrix(self.array + other.array, self.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._coerce(other)
+        self._coerce(other, "-")
         return Matrix(self.array - other.array, self.p)
 
     def __neg__(self) -> "Matrix":
@@ -602,6 +611,20 @@ def jordan_type(a: Matrix) -> JordanData:
     return JordanData(blocks, p)
 
 
+def _check_generators(gens: Iterable[Matrix]) -> tuple[tuple[Matrix, ...], int, int, tuple[int, ...]]:
+    """(gens, n, p, dets), or InvalidInput unless gens are one or more invertible n x n matrices mod p."""
+    gens = tuple(gens)
+    if not gens or not all(isinstance(g, Matrix) for g in gens):
+        raise InvalidInput("need at least one generator, each a Matrix")
+    n, p = gens[0].n, gens[0].p
+    if any(g.p != p or g.n != n for g in gens):
+        raise InvalidInput("generators must share size and modulus")
+    dets = tuple(g.det() for g in gens)
+    if 0 in dets:
+        raise InvalidInput("generators must be invertible")
+    return gens, n, p, dets
+
+
 def invariant_forms(gens: Sequence[Matrix]) -> list[Matrix]:
     """Basis of the space of bilinear forms fixed by every generator.
 
@@ -609,16 +632,7 @@ def invariant_forms(gens: Sequence[Matrix]) -> list[Matrix]:
     system on the n^2 matrix entries.  The empty list means there is no
     nonzero invariant form.
     """
-    gens = list(gens)
-    if not gens:
-        raise InvalidInput("need at least one generator")
-    n = gens[0].n
-    p = gens[0].p
-    for g in gens:
-        if g.p != p or g.n != n:
-            raise InvalidInput("generators must share size and modulus")
-        if g.det() == 0:
-            raise InvalidInput("generators must be invertible")
+    gens, n, p, _ = _check_generators(gens)
     eye = np.eye(n * n, dtype=np.int64)
     rows = []
     for g in gens:

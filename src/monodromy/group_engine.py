@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import Inconclusive, InvalidInput, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
-    Matrix, Subspace, jordan_type, _codes, _inv, _kernel_basis, _prime_factors, _vectors
+    Matrix, Subspace, jordan_type, _check_generators, _codes, _inv, _kernel_basis,
+    _prime_factors, _vectors,
 )
 
 __all__ = [
@@ -193,10 +194,9 @@ class _Level:
         self.closed = 0
 
     def admit(self, g: np.ndarray, g_inv: np.ndarray) -> None:
-        """Append ``g`` and its inverse ``g_inv`` unless ``g`` is a generator already."""
-        if not np.all(self.gens == g, axis=(1, 2)).any():
-            self.gens = np.concatenate([self.gens, g[None]])
-            self.gens_inv = np.concatenate([self.gens_inv, g_inv[None]])
+        """Append the generator ``g`` and its inverse ``g_inv``."""
+        self.gens = np.concatenate([self.gens, g[None]])
+        self.gens_inv = np.concatenate([self.gens_inv, g_inv[None]])
 
 
 class _Reached(Exception):
@@ -218,8 +218,8 @@ class _Chain:
     completing a level forms its Schreier generators in one pass.
 
     Identity matrices in ``gens`` are dropped before anything else, and
-    repeated ones are admitted once, so a stack of identities gives an
-    empty chain that computes no vector code.
+    repeated ones kept once, in their first place, so a stack of
+    identities gives an empty chain that computes no vector code.
 
     ``bound`` is called once, only when levels are about to be built, and
     returns an upper bound on the group order; so a costly bound is never
@@ -251,6 +251,7 @@ class _Chain:
         gens = gens[~self._is_id(gens)]
         if len(gens):
             # with only identities the chain is empty and no code is computed
+            gens = np.array(list({g.tobytes(): g for g in gens}.values()))
             if p**n >= 2**63:
                 raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
             self.bound = bound()
@@ -392,7 +393,10 @@ class _Chain:
     def _extend(self, h: np.ndarray, i: int, j: int) -> None:
         """Add the residue of a sift to levels i+1..j and grow their orbits.
 
-        Each of those levels is completed later, in its turn.
+        Each of those levels is completed later, in its turn.  None holds
+        ``h`` yet: level j would then hold it too (``h`` fixes the base
+        points of levels i+1..j-1), but its orbit is closed under its
+        generators, and ``h`` moves the base point out of it.
         """
         if j == len(self.levels):
             self.levels.append(_Level(self._pick_base(h[None]), self.n, self.p, self.dtype))
@@ -406,12 +410,14 @@ class _Chain:
 class GeneratedGroup:
     """A matrix group given by generators, with a lazily built stabilizer chain.
 
-    The chain (see ``_Chain``) works on integer-coded vector orbits and
-    keeps each strong generator and transversal element with its inverse.
-    It is handed the generators as given and drops identities and repeats
-    itself.  ``limit`` caps the number of orbit vectors stored over all
-    levels; it is checked after each batch of images, so storage never
-    passes it by more than one batch before ``ResourceLimit`` is raised.
+    The group is its chain (see ``_Chain``), reached only by ``order``,
+    ``contains_array`` and ``in``.  The chain works on integer-coded vector
+    orbits, keeps each strong generator and transversal element with its
+    inverse, and drops identity and repeated generators itself; the
+    constructor checks them with ``ff_linalg._check_generators``.
+    ``limit`` caps the number of orbit vectors stored over all levels; it
+    is checked after each batch of images, so storage never passes it by
+    more than one batch before ``ResourceLimit`` is raised.
     Each stored vector keeps itself and two n x n transversal matrices in
     the narrowest integer dtype that holds p - 1: n + 2 n^2 bytes at
     p <= 127 (twice that up to p = 32767, four times below 2^31), plus its
@@ -426,36 +432,19 @@ class GeneratedGroup:
     finished chain, so every answer is exact.  A build that fails publishes
     nothing, and the next query tries again.  Every answer is deterministic.
 
-    The derived-subgroup test knows an upper bound on the order of a group
-    of isometries before it asks for it, and passes it to the first build,
-    which then stops as soon as its orbit product reaches the bound; so
-    does the CLI's ``order`` when the tuple has one non-degenerate
-    invariant form, which it solves for only when a chain is to be built.  Every other
-    build stops at ``_det_bound``.  A stopped chain stores the same orbits
-    and gives the same answers as the same build run to completion, which
-    is the build given a bound it cannot reach; a group that never reaches
-    its bound gets that full build.
+    ``order(bound)`` takes a callable that returns an upper bound on the
+    order, or None, and only the call that builds the chain calls it: the
+    derived-subgroup test passes the bound of a group of isometries, the
+    CLI's ``order`` that of a lone non-degenerate invariant form, solved
+    for only then.  Other builds stop at ``_det_bound``.  A stopped chain
+    stores the same orbits and gives the same answers as the same build
+    run to completion, which is the build given a bound it cannot reach; a
+    group that never reaches its bound gets that full build.
     """
 
     def __init__(self, gens: Sequence[Matrix], limit: int = 10**7):
-        gens = [g for g in gens]
-        if not gens:
-            raise InvalidInput("need at least one generator")
-        p = gens[0].p
-        dim = gens[0].n
-        dets = set()
-        for g in gens:
-            if g.p != p or g.n != dim:
-                raise InvalidInput("generators must share dimension and modulus")
-            d = g.det()
-            if d == 0:
-                raise InvalidInput("generators must be invertible")
-            dets.add(d)
-        self.gens = tuple(gens)
-        self.p = p
-        self.dim = dim
+        self.gens, self.dim, self.p, self._dets = _check_generators(gens)
         self.limit = limit
-        self._dets = dets
         self._chain: Optional[_Chain] = None
         self._lock = threading.Lock()
 
@@ -475,21 +464,19 @@ class GeneratedGroup:
         chain = self._chain
         if chain is not None:
             return chain
-
-        def chain_bound() -> int:
-            known = bound() if bound is not None else None
-            return self._det_bound() if known is None else known
-
         with self._lock:
             if self._chain is None:
                 gens = np.array([g.array for g in self.gens], dtype=np.int64)
-                self._chain = _Chain(gens, self.p, self.dim, self.limit, chain_bound)
+                self._chain = _Chain(
+                    gens, self.p, self.dim, self.limit, lambda: (bound and bound()) or self._det_bound()
+                )
             return self._chain
 
     # -- public surface ----------------------------------------------------
 
-    def order(self) -> int:
-        return self._ensure_chain().order()
+    def order(self, bound: Optional[Callable[[], Optional[int]]] = None) -> int:
+        """The exact order; a chain built by this call stops at ``bound()`` unless it is None."""
+        return self._ensure_chain(bound).order()
 
     def contains_array(self, a: np.ndarray) -> bool:
         return bool(self._ensure_chain().contains(np.asarray(a)[None])[0])
@@ -562,8 +549,8 @@ def _line_positions(vecs: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray
     return (p**n - p ** (n - lead)) // (p - 1) + codes // p ** (lead + 1)
 
 
-def is_irreducible(group: GeneratedGroup, seed: int = 0) -> IrreducibilityReport:
-    """Decide whether the natural module is irreducible.
+def is_irreducible(generators: Sequence[Matrix], seed: int = 0) -> IrreducibilityReport:
+    """Decide whether the natural module of the group the generators generate is irreducible.
 
     Small spaces (at most ``_EXHAUSTIVE_CAP`` lines) are settled exactly.
     Lines are walked in the order of ``_line_positions``, and one line per
@@ -577,10 +564,10 @@ def is_irreducible(group: GeneratedGroup, seed: int = 0) -> IrreducibilityReport
     finds nothing, is reported reducible with the witness span(e_1) before
     any trial.  The meataxe draws its group-algebra elements from a
     ``Random(seed)``.  Raises Inconclusive if ``_MAX_TRIALS`` trials pass
-    without a verdict.
+    without a verdict.  No chain is built; ``_check_generators`` checks the generators.
     """
-    n, p = group.dim, group.p
-    gens = np.array([g.array for g in group.gens], dtype=np.int64)
+    generators, n, p, _ = _check_generators(generators)
+    gens = np.array([g.array for g in generators], dtype=np.int64)
     gens_t = gens.transpose(0, 2, 1)
     if n == 1:
         return IrreducibilityReport(True, None, "dimension-one")

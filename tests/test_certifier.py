@@ -23,7 +23,7 @@ from monodromy.classical_groups import (
     siegel_shear,
     transvection,
 )
-from monodromy.errors import NotAnIsometry
+from monodromy.errors import InvalidInput, NotAnIsometry
 from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, jordan_type, kernel
 from monodromy.group_engine import GeneratedGroup
@@ -191,6 +191,17 @@ class TestIsometryCheck:
         with pytest.raises(NotAnIsometry, match="does not preserve the pairing"):
             Hypotheses(FormSpace.dot(2, 5), [Matrix([[2, 0], [0, 1]], 5)])
 
+    @pytest.mark.parametrize("r", ["1", 1.0, None, 0], ids=repr)
+    def test_r_must_be_a_positive_integer(self, r):
+        # "1" used to raise a bare TypeError from the comparison, and 1.0 passed
+        with pytest.raises(InvalidInput, match="r must be an integer >= 1"):
+            Hypotheses(FormSpace.dot(3, 5), [Matrix.identity(3, 5)], frozenset(), r)
+
+    def test_numpy_integer_r_is_accepted(self):
+        gens = [Matrix.identity(3, 5)]
+        h = Hypotheses(FormSpace.dot(3, 5), gens, frozenset(), np.int64(2))
+        assert h == Hypotheses(FormSpace.dot(3, 5), gens, frozenset(), 2)
+
     def test_classes_are_those_of_the_generators(self):
         system = twist_family_system([2, 3], 5)
         h = family_hypotheses(system, 2)
@@ -209,6 +220,31 @@ class TestIsometryCheck:
         assert report.agreement
         assert len(system.generators) == 4
         assert calls == list(system.generators)
+
+
+class TestGroupsBuilt:
+    """``certify`` builds no ``GeneratedGroup``; ``cross_validate`` builds one."""
+
+    @pytest.mark.parametrize(
+        "system,r",
+        [(lambda: hyperelliptic_system(2, 5), 1), (lambda: twist_family_system([2, 3], 5), 2)],
+        ids=["Sp(4,5)", "O(5,5)"],
+    )
+    def test_one_group_per_cross_validation(self, system, r, monkeypatch):
+        h = family_hypotheses(system(), r)
+        built = []
+        init = GeneratedGroup.__init__
+
+        def counted(group, *args, **kwargs):
+            built.append(group)
+            init(group, *args, **kwargs)
+
+        monkeypatch.setattr(GeneratedGroup, "__init__", counted)
+        cert = certify(h)
+        assert cert.certified and built == []
+        report = cross_validate(h)
+        assert report.agreement and len(built) == 1
+        assert report.exact_order == built[0].order()
 
 
 class TestCrossValidate:

@@ -135,7 +135,7 @@ class TestKummerConvolution:
 
     def test_output_irreducible(self):
         out = middle_convolve(kummer([0, 1, 2, 3], 5), -1)
-        assert is_irreducible(GeneratedGroup(out.matrices)).irreducible
+        assert is_irreducible(out.matrices).irreducible
 
 
 class TestPredictRank:
@@ -264,7 +264,7 @@ def in_category(t):
         return t.nontrivial_count() >= 2
     if t.nontrivial_count() < 2:
         return False
-    return is_irreducible(GeneratedGroup(t.matrices)).irreducible
+    return is_irreducible(t.matrices).irreducible
 
 
 class TestLocalCalculusContract:

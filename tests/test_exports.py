@@ -145,3 +145,67 @@ def test_no_builtin_value_or_type_error_raised(path):
     # with exit status 2; a bare builtin error would escape it as a traceback
     raised = _builtin_raises(path)
     assert not raised, f"{path.name} raises {raised}; raise errors.InvalidInput instead"
+
+
+def _src_modules() -> list[tuple[str, ast.Module]]:
+    return [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(monodromy.__file__).parent.glob("*.py"))
+    ]
+
+
+def test_only_group_engine_reaches_into_the_chain():
+    # ``GeneratedGroup.order(bound)``, ``contains_array`` and ``in`` are the
+    # doors to the stabilizer chain; no other module builds or reads it
+    reached = [
+        f"{module}: .{node.attr} (line {node.lineno})"
+        for module, tree in _src_modules()
+        if module != "group_engine"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_ensure_chain", "_chain")
+    ]
+    assert not reached, f"modules other than group_engine reach into the chain: {reached}"
+    imported = [
+        f"{name} in {path.stem}"
+        for path in sorted(Path(monodromy.__file__).parent.glob("*.py"))
+        for module, name in _package_module_imports(path)
+        if module == "group_engine" and name in ("_Chain", "_Level")
+    ]
+    assert not imported, f"chain classes imported outside group_engine: {imported}"
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) for every function and method in ``tree``."""
+    stack = [("", node) for node in tree.body]
+    while stack:
+        prefix, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            stack += [(f"{name}.", child) for child in node.body]
+
+
+def _raised_messages(fn: ast.FunctionDef) -> list[str]:
+    """The leading string of each ``raise InvalidInput(...)`` in ``fn``."""
+    out = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            arg = node.exc.args[0]
+            if isinstance(arg, ast.JoinedStr):
+                arg = arg.values[0] if arg.values else arg
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                out.append(arg.value)
+    return out
+
+
+def test_one_generator_list_check():
+    # GeneratedGroup, invariant_forms and is_irreducible share one check of
+    # a generator list: non-empty, one size, one modulus, all invertible
+    checkers = sorted(
+        f"{module}.{name}"
+        for module, tree in _src_modules()
+        for name, fn in _functions(tree)
+        if any(message.startswith("generators must") for message in _raised_messages(fn))
+    )
+    assert checkers == ["ff_linalg._check_generators"]

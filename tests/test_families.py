@@ -93,7 +93,7 @@ class TestHyperellipticSystem:
 
         system = hyperelliptic_system(1, 5)
         group = GeneratedGroup(system.generators)
-        assert is_irreducible(group).irreducible
+        assert is_irreducible(system.generators).irreducible
         assert derived_containment(group, system.space) == (True, None)
 
     def test_wrong_point_count(self):
@@ -149,7 +149,7 @@ class TestTwistFamilySystem:
 
     def test_irreducible(self):
         system = twist_family_system([2, 3], 5)
-        assert is_irreducible(GeneratedGroup(system.generators)).irreducible
+        assert is_irreducible(system.generators).irreducible
 
     def test_shears_are_unipotent_of_order_p(self):
         from monodromy.group_engine import element_order

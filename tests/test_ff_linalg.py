@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import operator
+import re
 from random import Random
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monodromy.ff_linalg as ff
-from monodromy.errors import NonSplitSpectrum
+from monodromy.errors import InvalidInput, NonSplitSpectrum
 from monodromy.ff_linalg import (
     JordanData,
     Matrix,
@@ -131,6 +133,17 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[1]], 2)
 
+    @pytest.mark.parametrize("p", [5.9, 5.0, "x", "5", None, [5]], ids=repr)
+    def test_rejects_a_modulus_that_is_not_an_integer(self, p):
+        # 5.9 used to be truncated to 5, and "x" raised int()'s bare ValueError
+        for make in (lambda: Matrix([[7]], p), lambda: Subspace([[1]], 1, p)):
+            with pytest.raises(InvalidInput, match="modulus must be an integer"):
+                make()
+
+    def test_numpy_integer_modulus_is_an_int(self):
+        m = Matrix([[7]], np.int64(5))
+        assert type(m.p) is int and m == Matrix([[2]], 5)
+
     def test_rejects_entries_that_are_not_int64_integers(self):
         # a float used to be truncated, and a 70-bit integer raised OverflowError
         for entries in ([[1.7]], [[2**70]], [[2**63]], np.array([[2.0]])):
@@ -188,6 +201,28 @@ class TestMatrix:
         assert (a - a).is_zero()
         assert (-b) == Matrix([[0, 6], [6, 0]], 7)
         assert 3 * b == Matrix([[0, 3], [3, 0]], 7)
+
+    @pytest.mark.parametrize(
+        "a,op,b",
+        [
+            # numpy used to broadcast these to [2 1; 1 2] and [0 1; 0 1]
+            ((1, 1), "+", (2, 2)),
+            ((1, 2), "-", (2, 1)),
+            ((2, 2), "+", (2, 3)),
+            ((2, 2), "@", (3, 3)),
+            ((2, 3), "@", (2, 3)),
+        ],
+    )
+    def test_rejects_operands_whose_shapes_do_not_fit(self, a, op, b):
+        apply = {"+": operator.add, "-": operator.sub, "@": operator.matmul}[op]
+        message = f"shapes {a[0]}x{a[1]} {op} {b[0]}x{b[1]} do not match"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            apply(Matrix(np.ones(a, dtype=np.int64), 5), Matrix(np.ones(b, dtype=np.int64), 5))
+
+    def test_product_of_fitting_rectangles(self):
+        wide, tall = Matrix([[1, 2, 3]], 5), Matrix([[1], [1], [1]], 5)
+        assert wide @ tall == Matrix([[1]], 5)
+        assert (tall @ wide).array.shape == (3, 3)
 
     def test_inverse_and_power(self):
         rng = Random(1)
@@ -637,7 +672,7 @@ def test_primality_is_tested_once_per_modulus(monkeypatch):
 
     calls = []
     monkeypatch.setattr(ff, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    ff._check_modulus.cache_clear()
+    ff._checked_modulus.cache_clear()
     q = 2**31 - 1
     for k in range(1, 335):
         Matrix([[k]], q)

@@ -21,7 +21,7 @@ from monodromy.classical_groups import (
     transvection,
     _order_bound,
 )
-from monodromy.errors import NotAnIsometry, ResourceLimit
+from monodromy.errors import InvalidInput, NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms, random_invertible
 from monodromy.group_engine import (
@@ -134,7 +134,7 @@ class TestNaiveClosure:
 
 class TestIrreducibility:
     def test_identity_only_reducible_with_line_witness(self):
-        report = is_irreducible(GeneratedGroup([Matrix.identity(2, 5)]))
+        report = is_irreducible([Matrix.identity(2, 5)])
         assert not report.irreducible
         assert report.witness.dim == 1
 
@@ -153,8 +153,8 @@ class TestIrreducibility:
             "assert out.getvalue() == 'ORDER: 1488000\\n'\n"
             "assert 'numpy.ma' not in sys.modules\n"
             "from monodromy.families import twist_family_system\n"
-            "from monodromy.group_engine import GeneratedGroup, is_irreducible\n"
-            "report = is_irreducible(GeneratedGroup(twist_family_system([2], 7).generators))\n"
+            "from monodromy.group_engine import is_irreducible\n"
+            "report = is_irreducible(twist_family_system([2], 7).generators)\n"
             "assert report.irreducible and report.method == 'exhaustive'\n"
             "print('numpy.ma' in sys.modules)\n"
         )
@@ -171,14 +171,14 @@ class TestIrreducibility:
             assert images != {tuple(v % 3)} or not all(
                 _collinear(np.array(w), v, 3) for w in images
             )
-        report = is_irreducible(GeneratedGroup(gens))
+        report = is_irreducible(gens)
         assert report.irreducible
         assert report.method == "exhaustive"
 
     def test_block_diagonal_reducible_coordinate_witness(self):
         a = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 5)
         b = Matrix([[1, 0, 0], [1, 1, 0], [0, 0, 2]], 5)
-        report = is_irreducible(GeneratedGroup([a, b]))
+        report = is_irreducible([a, b])
         assert not report.irreducible
         w = report.witness
         # invariance of the witness
@@ -194,7 +194,7 @@ class TestIrreducibility:
             p = rng.choice([3, 5])
             n = rng.randrange(2, 4)
             gens = [random_invertible(n, p, rng)]
-            report = is_irreducible(GeneratedGroup(gens))
+            report = is_irreducible(gens)
             if report.irreducible:
                 continue
             reducible_found += 1
@@ -213,7 +213,7 @@ class TestIrreducibility:
         rng = Random(2)
         gens = [random_isometry(space, rng, length=8) for _ in range(3)]
         monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 100)
-        report = is_irreducible(GeneratedGroup(gens), seed=3)
+        report = is_irreducible(gens, seed=3)
         if report.irreducible:
             assert report.method == "meataxe-norton"
         else:
@@ -225,23 +225,23 @@ class TestIrreducibility:
     def test_schur_check(self):
         # irreducible implies at most a line of invariant forms
         gens = SL2(5)
-        assert is_irreducible(GeneratedGroup(gens)).irreducible
+        assert is_irreducible(gens).irreducible
         assert len(invariant_forms(gens)) <= 1
 
     @pytest.mark.parametrize("c", [1, 2])
     def test_scalar_group_above_the_cap_is_reducible(self, c):
         # F_5^6 has 3906 lines, so the exhaustive branch does not run
-        report = is_irreducible(GeneratedGroup([Matrix.scalar(c, 6, 5)]))
+        report = is_irreducible([Matrix.scalar(c, 6, 5)])
         line = Subspace(np.eye(6, dtype=np.int64)[:1], 6, 5)
         assert report == IrreducibilityReport(False, line, "scalar")
 
     def test_scalars_keep_their_other_reports(self):
         # within the cap the exhaustive walk finds the same first line
-        report = is_irreducible(GeneratedGroup([Matrix.scalar(2, 3, 5)]))
+        report = is_irreducible([Matrix.scalar(2, 3, 5)])
         assert report.method == "exhaustive" and report.witness.dim == 1
         # one non-scalar generator sends the group to the meataxe as before
         gens = [Matrix.scalar(2, 6, 5)] + list(hyperelliptic_system(3, 5).generators)
-        report = is_irreducible(GeneratedGroup(gens), seed=1)
+        report = is_irreducible(gens, seed=1)
         assert report.irreducible and report.method.startswith("meataxe")
 
     def test_inconclusive_when_trials_exhausted(self, monkeypatch):
@@ -249,12 +249,38 @@ class TestIrreducibility:
         from monodromy.errors import Inconclusive
 
         space = FormSpace.dot(5, 7)
-        group = GeneratedGroup([random_isometry(space, Random(5))])
+        gens = [random_isometry(space, Random(5))]
         monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 10)
         monkeypatch.setattr(engine, "_MAX_TRIALS", 0)
         with pytest.raises(Inconclusive) as excinfo:
-            is_irreducible(group)
+            is_irreducible(gens)
         assert excinfo.value.trials == 0
+
+
+class TestGeneratorCheck:
+    """``GeneratedGroup``, ``invariant_forms`` and ``is_irreducible`` check a generator list alike."""
+
+    @pytest.mark.parametrize(
+        "gens,message",
+        [
+            ([], "need at least one generator"),
+            ([np.eye(2, dtype=np.int64)], "each a Matrix"),
+            ([Matrix.identity(2, 5), Matrix.identity(3, 5)], "share size and modulus"),
+            ([Matrix.identity(2, 5), Matrix.identity(2, 7)], "share size and modulus"),
+            ([Matrix.identity(2, 5), Matrix([[1, 1], [1, 1]], 5)], "must be invertible"),
+            ([Matrix([[1, 2, 3]], 5)], "not square"),
+        ],
+        ids=["empty", "array", "size", "modulus", "singular", "wide"],
+    )
+    def test_each_refuses_the_same_lists(self, gens, message):
+        for check in (GeneratedGroup, invariant_forms, is_irreducible):
+            with pytest.raises(InvalidInput, match=message):
+                check(gens)
+
+    def test_generators_may_be_any_iterable(self):
+        gens = SL2(3)
+        assert is_irreducible(iter(gens)) == is_irreducible(gens)
+        assert GeneratedGroup(iter(gens)).gens == tuple(gens)
 
 
 def _collinear(a, b, p):
@@ -344,7 +370,7 @@ class TestIrreducibilityOracle:
                 builders.append(lambda: _block_triangular_generators(rng, p, n))
             for build in builders:
                 group = GeneratedGroup(build())
-                report = is_irreducible(group)
+                report = is_irreducible(group.gens)
                 expected = exhaustive_irreducibility(group)
                 assert report == expected, (p, n, group.gens)
                 kinds[report.irreducible] += 1
@@ -359,7 +385,7 @@ class TestIrreducibilityOracle:
         verdicts = set()
         for gens in cases:
             group = GeneratedGroup(gens)
-            report = is_irreducible(group)
+            report = is_irreducible(group.gens)
             assert report == exhaustive_irreducibility(group), gens
             verdicts.add(report.irreducible)
         assert verdicts == {True, False}
@@ -376,7 +402,7 @@ class TestIrreducibilityOracle:
     )
     def test_matches_on_families(self, system):
         group = GeneratedGroup(system().generators)
-        report = is_irreducible(group)
+        report = is_irreducible(group.gens)
         assert report == exhaustive_irreducibility(group)
         assert report.irreducible and report.method == "exhaustive"
 
@@ -392,7 +418,7 @@ class TestIrreducibilityOracle:
             return spin(*args)
 
         monkeypatch.setattr(engine, "_spin", counted)
-        report = is_irreducible(GeneratedGroup(gens))
+        report = is_irreducible(gens)
         assert report.irreducible and report.method == "exhaustive"
         assert len(calls) == _line_orbit_count(gens, 4, 7) < 400
 
@@ -408,11 +434,10 @@ class TestIrreducibilityOracle:
         cases += [_isometry_generators(rng, p, n) for _ in range(3)]
         verdicts = set()
         for gens in cases:
-            group = GeneratedGroup(gens)
-            meataxe = is_irreducible(group, seed=1)
+            meataxe = is_irreducible(gens, seed=1)
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "_EXHAUSTIVE_CAP", 4000)
-                exact = is_irreducible(group)
+                exact = is_irreducible(gens)
             assert meataxe.method.startswith("meataxe") and exact.method == "exhaustive"
             assert meataxe.irreducible == exact.irreducible, gens
             for report in (meataxe, exact):
@@ -804,7 +829,7 @@ class TestKnownOrderStop:
             cands = _membership_candidates(gens, Random(bound % 101))
             answers = [group.contains_array(c.array) for c in cands]
             assert answers == [reference.contains_array(c.array) for c in cands]
-            reducible += not is_irreducible(group).irreducible
+            reducible += not is_irreducible(gens).irreducible
         assert reducible >= 2
 
     def test_one_build_order_with_or_without_a_bound(self):
@@ -927,6 +952,22 @@ class TestLevelGenerators:
             for a, b in zip(got.levels, want.levels):
                 assert np.array_equal(a.gens, b.gens)
                 assert np.array_equal(a.gens_inv, b.gens_inv)
+
+    def test_no_level_holds_a_generator_twice(self):
+        # the caller's repeats are dropped once, before the top level is
+        # filled; a residue never joins a level that holds it already
+        admitted = 0
+        for name, gens, bound, _ in _incremental_cases():
+            group = GeneratedGroup(gens + gens[::-1])
+            # a bound the chain cannot reach forces the full build
+            chains = [group._ensure_chain(lambda: 2 * group._det_bound())]
+            if bound is not None:
+                chains.append(GeneratedGroup(gens)._ensure_chain(lambda: bound))
+            for chain in chains:
+                for lvl in chain.levels:
+                    assert len({g.tobytes() for g in lvl.gens}) == len(lvl.gens), name
+                admitted += sum(len(lvl.gens) for lvl in chain.levels[1:])
+        assert admitted > 100
 
 
 def _incremental_cases() -> list[tuple[str, list[Matrix], object, int]]:
