@@ -31,7 +31,7 @@ from .classical_groups import (
 )
 from .errors import Inconclusive, InvalidInput, OrderOverflow
 from .ff_linalg import Matrix, _kernel_basis, _least_factor, _rref, _solve
-from .group_engine import GeneratedGroup, element_order, is_irreducible
+from .group_engine import element_order, is_irreducible
 
 __all__ = [
     "Hypotheses",
@@ -70,8 +70,8 @@ class Hypotheses:
         if not isinstance(self.r, (int, np.integer)) or self.r < 1:
             raise InvalidInput(f"r must be an integer >= 1, got {self.r!r}")
         for i in self.s0:
-            if not 0 <= i < len(self.generators):
-                raise InvalidInput(f"exempt index {i} out of range")
+            if not isinstance(i, (int, np.integer)) or not 0 <= i < len(self.generators):
+                raise InvalidInput(f"exempt index {i!r} is not an integer in range({len(self.generators)})")
         # classify_element raises NotAnIsometry on a generator of another
         # modulus or size, or one that does not preserve the pairing
         classes = tuple(classify_element(g, self.space) for g in self.generators)
@@ -241,10 +241,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     a certified orthogonal group that contains Omega has class FullO,
     KerSpinor or KerSpinorDet.
     """
-    group = GeneratedGroup(h.generators, limit=limit)
-    # builds the chain with the known order bound; the order reads that chain
-    derived, exact_class = _derived_containment(group, h.space)
-    exact_order = group.order()
+    derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit)
     cert = certify(h, seed=seed)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))

@@ -249,7 +249,7 @@ def is_isometry(g: Matrix, space: FormSpace) -> bool:
 
 
 def _require_isometry(g: Matrix, space: FormSpace) -> None:
-    if g.p != space.p or g.rows != space.dim or g.cols != space.dim:
+    if not isinstance(g, Matrix) or g.p != space.p or g.rows != space.dim or g.cols != space.dim:
         raise NotAnIsometry("matrix does not match the space")
     if not is_isometry(g, space):
         raise NotAnIsometry("matrix does not preserve the pairing")
@@ -515,9 +515,9 @@ def _order_bound(space: FormSpace, gens: Sequence[Matrix]) -> tuple[int, Optiona
 
 
 def derived_containment(
-    group: GeneratedGroup, space: FormSpace
+    gens: Sequence[Matrix], space: FormSpace, limit: int = 10**7
 ) -> tuple[bool, Optional[str]]:
-    """Whether the group contains the derived subgroup of the isometry group, with its class.
+    """Whether <gens> contains the derived subgroup of the isometry group, with its class.
 
     Decided by orders alone.  In the orthogonal case the derived subgroup is
     Omega = ker(det, theta), of index 4 in O(V) (index 2 in O(1), where it
@@ -533,21 +533,23 @@ def derived_containment(
     The class of an orthogonal group that contains Omega is looked up from
     the same image: "Omega", "SO", "KerSpinor", "KerSpinorDet" or "FullO".
     It is None for symplectic groups and for groups that do not contain the
-    derived subgroup.  The bound of ``_order_bound`` is passed to the chain,
-    so a group that reaches it stops building early.  The identity holds
-    only inside the isometry group, so a generator that is not an isometry
-    raises NotAnIsometry.
+    derived subgroup.  The group is built as ``GeneratedGroup(gens, limit,
+    bound)`` with the bound of ``_order_bound``, so a group that reaches it
+    stops building early.  The identity holds only inside the isometry
+    group, so a generator that is not an isometry raises NotAnIsometry.
     """
-    for g in group.gens:
+    gens = tuple(gens)
+    for g in gens:
         _require_isometry(g, space)
-    return _derived_containment(group, space)
+    return _derived_containment(gens, space, limit)[:2]
 
 
 def _derived_containment(
-    group: GeneratedGroup, space: FormSpace
-) -> tuple[bool, Optional[str]]:
-    """``derived_containment``, unchecked: every generator must be an isometry of ``space``."""
-    bound, image = _order_bound(space, group.gens)
-    if group.order(lambda: bound) != bound:
-        return False, None
-    return True, None if image is None else _CLASS_BY_IMAGE[image]
+    gens: Sequence[Matrix], space: FormSpace, limit: int
+) -> tuple[bool, Optional[str], int]:
+    """``derived_containment`` and |<gens>|, unchecked: every generator must be an isometry of ``space``."""
+    bound, image = _order_bound(space, gens)
+    order = GeneratedGroup(gens, limit, lambda: bound).order()
+    if order != bound:
+        return False, None, order
+    return True, None if image is None else _CLASS_BY_IMAGE[image], order

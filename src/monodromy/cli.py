@@ -208,7 +208,6 @@ def _cmd_classify(args, stdin, stdout) -> int:
 
 def _cmd_order(args, stdin, stdout) -> int:
     t = _read_tuple(args, stdin)
-    group = GeneratedGroup(t.matrices, limit=args.limit)
 
     def bound() -> Optional[int]:
         # a lone invariant pairing bounds |G| and so lets the chain stop
@@ -217,7 +216,7 @@ def _cmd_order(args, stdin, stdout) -> int:
         space = invariant_pairing(forms) if len(forms) == 1 else None
         return None if space is None else _order_bound(space, t.matrices)[0]
 
-    print(f"ORDER: {group.order(bound)}", file=stdout)
+    print(f"ORDER: {GeneratedGroup(t.matrices, args.limit, bound).order()}", file=stdout)
     return 0
 
 

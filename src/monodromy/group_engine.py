@@ -42,7 +42,6 @@ Everything is exact; randomized searches take an explicit seed.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -206,7 +205,9 @@ class _Reached(Exception):
 class _Chain:
     """A deterministic Schreier-Sims stabilizer chain on vectors of F_p^n.
 
-    Vectors are handled as integer codes sum(v_i p^i).  Orbits grow by whole
+    Built whole by its constructor, which ``GeneratedGroup`` calls once;
+    queries (``order``, ``contains``) read it and change nothing.  Vectors
+    are handled as integer codes sum(v_i p^i).  Orbits grow by whole
     frontiers, transversal elements and their inverses are built by batched
     products from the level's generators and their stored inverses, and
     Schreier generators go through the sift a block at a time.  Any base gives a
@@ -408,16 +409,17 @@ class _Chain:
 
 
 class GeneratedGroup:
-    """A matrix group given by generators, with a lazily built stabilizer chain.
+    """A matrix group given by generators, with its stabilizer chain.
 
-    The group is its chain (see ``_Chain``), reached only by ``order``,
-    ``contains_array`` and ``in``.  The chain works on integer-coded vector
-    orbits, keeps each strong generator and transversal element with its
-    inverse, and drops identity and repeated generators itself; the
-    constructor checks them with ``ff_linalg._check_generators``.
-    ``limit`` caps the number of orbit vectors stored over all levels; it
-    is checked after each batch of images, so storage never passes it by
-    more than one batch before ``ResourceLimit`` is raised.
+    The constructor checks the generators with
+    ``ff_linalg._check_generators`` and builds the chain (see ``_Chain``),
+    which works on integer-coded vector orbits, keeps each strong generator
+    and transversal element with its inverse, and drops identity and
+    repeated generators itself.  The group is then immutable, and its chain
+    is reached only by ``order``, ``contains_array`` and ``in``.
+    ``limit``, an integer >= 0, caps the number of orbit vectors stored over
+    all levels; it is checked after each batch of images, so storage never
+    passes it by more than one batch before ``ResourceLimit`` is raised.
     Each stored vector keeps itself and two n x n transversal matrices in
     the narrowest integer dtype that holds p - 1: n + 2 n^2 bytes at
     p <= 127 (twice that up to p = 32767, four times below 2^31), plus its
@@ -426,27 +428,24 @@ class GeneratedGroup:
     never wrap; a group of identities has an empty chain and computes no
     code.
 
-    The chain is built once, on the first query, under a lock, and published
-    only when complete.  Concurrent callers of ``order``, ``contains_array``
-    and ``in`` on one group wait for that single build and then read the
-    finished chain, so every answer is exact.  A build that fails publishes
-    nothing, and the next query tries again.  Every answer is deterministic.
-
-    ``order(bound)`` takes a callable that returns an upper bound on the
-    order, or None, and only the call that builds the chain calls it: the
+    ``bound`` is a callable that returns an upper bound on the order, or
+    None; it is called only when levels are about to be built: the
     derived-subgroup test passes the bound of a group of isometries, the
     CLI's ``order`` that of a lone non-degenerate invariant form, solved
-    for only then.  Other builds stop at ``_det_bound``.  A stopped chain
-    stores the same orbits and gives the same answers as the same build
-    run to completion, which is the build given a bound it cannot reach; a
-    group that never reaches its bound gets that full build.
+    for only then.  Without it the build stops at ``_det_bound``.  A
+    stopped chain stores the same orbits and gives the same answers as the
+    same build run to completion, which is the build given a bound it
+    cannot reach; a group that never reaches its bound gets that full build.
     """
 
-    def __init__(self, gens: Sequence[Matrix], limit: int = 10**7):
+    def __init__(
+        self, gens: Sequence[Matrix], limit: int = 10**7, bound: Optional[Callable[[], Optional[int]]] = None
+    ):
         self.gens, self.dim, self.p, self._dets = _check_generators(gens)
-        self.limit = limit
-        self._chain: Optional[_Chain] = None
-        self._lock = threading.Lock()
+        if not isinstance(limit, (int, np.integer)) or limit < 0:
+            raise InvalidInput(f"limit must be an integer >= 0, got {limit!r}")
+        arrays = np.array([g.array for g in self.gens], dtype=np.int64)
+        self._chain = _Chain(arrays, self.p, self.dim, limit, lambda: (bound and bound()) or self._det_bound())
 
     def _det_bound(self) -> int:
         """|SL(n, p)| |<det g_i>|, an upper bound on the order.
@@ -459,30 +458,21 @@ class GeneratedGroup:
         sl = p ** (n * (n - 1) // 2) * math.prod(p**i - 1 for i in range(2, n + 1))
         return sl * math.lcm(*(_multiplicative_order(d, p) for d in self._dets))
 
-    def _ensure_chain(self, bound: Optional[Callable[[], Optional[int]]] = None) -> _Chain:
-        """The chain, built on first use, stopped at ``bound`` (see ``_Chain``) or ``_det_bound``."""
-        chain = self._chain
-        if chain is not None:
-            return chain
-        with self._lock:
-            if self._chain is None:
-                gens = np.array([g.array for g in self.gens], dtype=np.int64)
-                self._chain = _Chain(
-                    gens, self.p, self.dim, self.limit, lambda: (bound and bound()) or self._det_bound()
-                )
-            return self._chain
-
     # -- public surface ----------------------------------------------------
 
-    def order(self, bound: Optional[Callable[[], Optional[int]]] = None) -> int:
-        """The exact order; a chain built by this call stops at ``bound()`` unless it is None."""
-        return self._ensure_chain(bound).order()
+    def order(self) -> int:
+        """The exact order."""
+        return self._chain.order()
 
     def contains_array(self, a: np.ndarray) -> bool:
-        return bool(self._ensure_chain().contains(np.asarray(a)[None])[0])
+        """Membership of the n x n integer array ``a``, read mod p; other entries raise InvalidInput."""
+        residues = Matrix(a, self.p).array
+        if residues.shape != (self.dim, self.dim):
+            raise InvalidInput(f"expected a {self.dim}x{self.dim} array, got shape {residues.shape}")
+        return bool(self._chain.contains(residues[None])[0])
 
     def __contains__(self, m: Matrix) -> bool:
-        if m.p != self.p or m.n != self.dim:
+        if not isinstance(m, Matrix) or m.p != self.p or m.array.shape != (self.dim, self.dim):
             return False
         return self.contains_array(m.array)
 
@@ -491,10 +481,7 @@ class GeneratedGroup:
 
 
 def group_order(group: GeneratedGroup) -> int:
-    """Exact order of the generated group (Schreier-Sims on vector orbits).
-
-    The chain stops at |SL(n, p)| |<det g_i>|, with the order of the full build.
-    """
+    """Exact order of the generated group, read from the chain its constructor built."""
     return group.order()
 
 

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from monodromy.ff_linalg import Subspace, _echelon_reduce
-from monodromy.group_engine import GeneratedGroup, IrreducibilityReport
+from monodromy.ff_linalg import Matrix, Subspace, _echelon_reduce
+from monodromy.group_engine import IrreducibilityReport
 
 
 class _SpinBasis:
@@ -80,10 +80,10 @@ def _lines(n: int, p: int):
             yield v
 
 
-def exhaustive_irreducibility(group: GeneratedGroup) -> IrreducibilityReport:
-    """Spin every line of F_p^n in order; the first proper span is the witness."""
-    n, p = group.dim, group.p
-    gens = [np.array(g.array, dtype=np.int64) for g in group.gens]
+def exhaustive_irreducibility(generators: Sequence[Matrix]) -> IrreducibilityReport:
+    """Spin every line of F_p^n in order under the generators; the first proper span is the witness."""
+    n, p = generators[0].n, generators[0].p
+    gens = [np.array(g.array, dtype=np.int64) for g in generators]
     if n == 1:
         return IrreducibilityReport(True, None, "dimension-one")
     for v in _lines(n, p):

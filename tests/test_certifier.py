@@ -202,6 +202,18 @@ class TestIsometryCheck:
         h = Hypotheses(FormSpace.dot(3, 5), gens, frozenset(), np.int64(2))
         assert h == Hypotheses(FormSpace.dot(3, 5), gens, frozenset(), 2)
 
+    @pytest.mark.parametrize("index", [1.5, "a", None, 4, -1], ids=repr)
+    def test_exempt_indices_must_be_integers_in_range(self, index):
+        # 1.5 used to be counted by exempt_bound yet exempt no generator
+        system = twist_family_system([2, 3], 5)
+        with pytest.raises(InvalidInput, match="exempt index"):
+            Hypotheses(system.space, system.generators, frozenset({index}), 2)
+
+    def test_numpy_integer_exempt_index_is_accepted(self):
+        system = twist_family_system([2, 3], 5)
+        h = Hypotheses(system.space, system.generators, frozenset({np.int64(1)}), 2)
+        assert h == Hypotheses(system.space, system.generators, frozenset({1}), 2)
+
     def test_classes_are_those_of_the_generators(self):
         system = twist_family_system([2, 3], 5)
         h = family_hypotheses(system, 2)
@@ -277,7 +289,25 @@ class TestCrossValidate:
         assert report.agreement  # not-certified cannot disagree
 
 
+class TestInconclusive:
+    def test_irreducibility_without_a_verdict_fails_its_check(self, monkeypatch):
+        import monodromy.group_engine as engine
+
+        # F_3^8 has 3280 lines, above the exhaustive cap, so the meataxe decides
+        monkeypatch.setattr(engine, "_MAX_TRIALS", 0)
+        cert = certify(family_hypotheses(hyperelliptic_system(4, 3), 1))
+        check = next(c for c in cert.checks if c.name == "irreducibility")
+        assert not check.passed and check.detail == "inconclusive after 0 trials"
+        assert str(cert.conclusion) == "NotCertified(irreducibility)"
+
+
 class TestCommutatorProbe:
+    def test_needs_a_reflection_and_a_shear(self):
+        # a hyperelliptic tuple holds transvections only
+        system = hyperelliptic_system(2, 5)
+        with pytest.raises(InvalidInput, match="need a reflection and an isotropic shear"):
+            commutator_probe(family_hypotheses(system, 1))
+
     def test_twist_d2_f5_witness(self):
         system = twist_family_system([2], 5)
         witness = commutator_probe(Hypotheses(system.space, system.generators))

@@ -27,10 +27,9 @@ from monodromy.classical_groups import (
     transvection,
     _nonzero_vectors,
 )
-from monodromy.errors import NotAnIsometry
+from monodromy.errors import InvalidInput, NotAnIsometry
 from monodromy.ff_linalg import Matrix, random_invertible
 from monodromy.families import twist_family_system
-from monodromy.group_engine import GeneratedGroup
 from closure_reference import naive_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import nonzero_vectors_per_index
@@ -343,6 +342,25 @@ class TestSpinorNorm:
     def test_identity_is_trivial(self):
         assert spinor_norm(Matrix.identity(3, 5), FormSpace.dot(3, 5)) == 1
 
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: spinor_norm(Matrix.identity(2, 5), FormSpace.symplectic(2, 5)),
+             InvalidInput, "defined on orthogonal groups"),
+            # an array is not a Matrix: no bare AttributeError escapes
+            (lambda: spinor_norm(np.eye(2, dtype=np.int64), FormSpace.dot(2, 5)),
+             NotAnIsometry, "does not match the space"),
+            (lambda: classify_element(np.eye(2, dtype=np.int64), FormSpace.dot(2, 5)),
+             NotAnIsometry, "does not match the space"),
+            (lambda: derived_containment([np.eye(2, dtype=np.int64)], FormSpace.dot(2, 5)),
+             NotAnIsometry, "does not match the space"),
+        ],
+        ids=["alternating", "array-spinor", "array-classify", "array-derived"],
+    )
+    def test_typed_rejections(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_non_isometry_rejected(self):
         space = FormSpace.dot(2, 5)
         with pytest.raises(NotAnIsometry, match="does not preserve the pairing"):
@@ -532,7 +550,7 @@ def _all_transvections(space):
 
 def _class_of(gens, space):
     """The class ``derived_containment`` gives a group known to contain Omega."""
-    derived, cls = derived_containment(GeneratedGroup(gens), space)
+    derived, cls = derived_containment(gens, space)
     assert derived
     return cls
 

@@ -79,6 +79,10 @@ class TestTupleFormat:
         with pytest.raises(TupleFileError):
             parse_tuple(SAMPLE.replace("AT 1", "AT 0"))
 
+    def test_rejects_a_text_of_comments_only(self):
+        with pytest.raises(TupleFileError, match="empty tuple file"):
+            parse_tuple("# a comment\n\n   \n# another\n")
+
 
 class TestSubcommands:
     def test_hyperelliptic_emits_tuple(self):
@@ -306,7 +310,7 @@ class TestOrderBound:
         # the identity tuple has an empty chain, which computes no bound
         t = parse_tuple(text)
         assert len(invariant_forms(t.matrices)) == forms
-        full = GeneratedGroup(t.matrices)._ensure_chain(lambda: 2 * 372000 * 4)
+        full = GeneratedGroup(t.matrices, bound=lambda: 2 * 372000 * 4)._chain
         assert not full.stopped
         groups = _record_groups(monkeypatch)
         assert run_cli(["order"], text) == (0, f"ORDER: {full.order()}\n")

@@ -15,7 +15,7 @@ from monodromy.convolution import (
     predict_rank,
     twist_quadratic,
 )
-from monodromy.errors import NotInCategory
+from monodromy.errors import InvalidInput, NotInCategory
 from monodromy.families import hyperelliptic_system, kummer_tuple
 from monodromy.ff_linalg import (
     JordanData,
@@ -38,6 +38,23 @@ def product_is_identity(t):
     for m in t.matrices:
         acc = acc @ m
     return (acc @ t.infinity_matrix).is_identity()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: PuncturedTuple([0, 1], [Matrix.identity(2, 5)]), "one matrix per puncture"),
+        (lambda: PuncturedTuple([], []), "need at least one puncture"),
+        (lambda: PuncturedTuple([0, 1], [Matrix.identity(2, 5), Matrix.identity(3, 5)]),
+         "must share size and modulus"),
+        (lambda: map_local_jordan(JordanData([(2, 1)], 5), 10), "lambda must be nonzero"),
+        (lambda: twist_quadratic(kummer([0], 5), [1, 2, 1]), "twist points repeat"),
+    ],
+    ids=["lengths", "no-puncture", "mixed-sizes", "lambda-0", "repeated-twist"],
+)
+def test_typed_rejections(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
 
 
 class TestPuncturedTuple:

@@ -92,9 +92,8 @@ class TestHyperellipticSystem:
         from monodromy.classical_groups import derived_containment
 
         system = hyperelliptic_system(1, 5)
-        group = GeneratedGroup(system.generators)
         assert is_irreducible(system.generators).irreducible
-        assert derived_containment(group, system.space) == (True, None)
+        assert derived_containment(system.generators, system.space) == (True, None)
 
     def test_wrong_point_count(self):
         with pytest.raises(ValueError):
@@ -166,6 +165,8 @@ class TestTwistFamilySystem:
             twist_family_system([1], 7)
         with pytest.raises(BadLocus):
             twist_family_system([], 5)
+        with pytest.raises(BadLocus, match="twist roots repeat"):
+            twist_family_system([2, 2], 5)
 
     def test_needs_p_at_least_five(self):
         with pytest.raises(ValueError):

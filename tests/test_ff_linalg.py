@@ -579,6 +579,19 @@ class TestJordanData:
         with pytest.raises(ValueError):
             JordanData([(0, 1)], 5)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: Matrix(np.zeros((2, 2, 2), dtype=np.int64), 5), "two-dimensional"),
+            (lambda: JordanData([(2, 0)], 5), "block sizes must be >= 1"),
+            (lambda: JordanData([(1, 2)], 5).tensor(10), "cannot tensor by 0"),
+        ],
+        ids=["3-D matrix", "block-size-0", "tensor-0"],
+    )
+    def test_typed_rejections(self, call, message):
+        with pytest.raises(InvalidInput, match=message):
+            call()
+
 
 @pytest.mark.usefixtures("elimination_path")
 class TestInvariantForms:

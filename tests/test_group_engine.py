@@ -92,9 +92,8 @@ class TestGroupOrder:
         assert Matrix([[2, 0], [0, 1]], 5) not in group  # det 2
 
     def test_resource_limit(self):
-        group = GeneratedGroup(SL2(7), limit=3)
         with pytest.raises(ResourceLimit):
-            group.order()
+            GeneratedGroup(SL2(7), limit=3)
 
     def test_deterministic_across_runs(self):
         a = GeneratedGroup(SL2(5)).order()
@@ -283,6 +282,56 @@ class TestGeneratorCheck:
         assert GeneratedGroup(iter(gens)).gens == tuple(gens)
 
 
+class TestGroupArguments:
+    """The constructor checks ``limit``, ``contains_array`` its array and ``in`` its operand."""
+
+    @pytest.mark.parametrize("limit", ["x", None, 2.5, -1], ids=repr)
+    def test_limit_must_be_a_non_negative_integer(self, limit):
+        # "x" and None used to raise a bare TypeError inside the chain build
+        with pytest.raises(InvalidInput, match="limit must be an integer >= 0"):
+            GeneratedGroup(SL2(5), limit=limit)
+
+    def test_integer_limits_are_accepted(self):
+        # a group of identities stores no orbit vector, so it fits any cap
+        assert GeneratedGroup([Matrix.identity(3, 5)], limit=0).order() == 1
+        assert GeneratedGroup(SL2(5), limit=np.int64(29)).order() == 120
+
+    @pytest.mark.parametrize(
+        "array,message",
+        [
+            (np.eye(2) * 1.7, "integers"),
+            (np.eye(3, dtype=np.int64), "expected a 2x2 array"),
+            (np.ones((2, 3), dtype=np.int64), "expected a 2x2 array"),
+            (np.eye(2, dtype=np.int64)[None], "two-dimensional"),
+        ],
+        ids=["float", "3x3", "2x3", "3-D"],
+    )
+    def test_contains_array_refuses_other_arrays(self, array, message):
+        # the float array used to be truncated to the identity, a member
+        with pytest.raises(InvalidInput, match=message):
+            GeneratedGroup(SL2(5)).contains_array(array)
+
+    def test_contains_array_reads_integers_mod_p(self):
+        group = GeneratedGroup(SL2(5))
+        assert group.contains_array([[6, 0], [0, -4]])
+        assert not group.contains_array(np.array([[2, 0], [0, 1]], dtype=np.int8))
+
+    @pytest.mark.parametrize(
+        "operand",
+        [
+            [[1, 0], [0, 1]],
+            np.eye(2, dtype=np.int64),
+            None,
+            Matrix.identity(3, 5),
+            Matrix.identity(2, 7),
+            Matrix([[1, 0]], 5),
+        ],
+        ids=["list", "array", "None", "3x3", "mod 7", "1x2"],
+    )
+    def test_in_is_false_for_anything_but_a_matrix_of_the_group_shape(self, operand):
+        assert operand not in GeneratedGroup(SL2(5))
+
+
 def _collinear(a, b, p):
     return all((a[i] * b[j] - a[j] * b[i]) % p == 0 for i in range(len(a)) for j in range(len(a)))
 
@@ -369,10 +418,10 @@ class TestIrreducibilityOracle:
             if n > 1:
                 builders.append(lambda: _block_triangular_generators(rng, p, n))
             for build in builders:
-                group = GeneratedGroup(build())
-                report = is_irreducible(group.gens)
-                expected = exhaustive_irreducibility(group)
-                assert report == expected, (p, n, group.gens)
+                gens = build()
+                report = is_irreducible(gens)
+                expected = exhaustive_irreducibility(gens)
+                assert report == expected, (p, n, gens)
                 kinds[report.irreducible] += 1
         assert kinds[True] and kinds[False]
 
@@ -384,9 +433,8 @@ class TestIrreducibilityOracle:
         cases += [[random_invertible(2, p, rng)] for _ in range(4)]
         verdicts = set()
         for gens in cases:
-            group = GeneratedGroup(gens)
-            report = is_irreducible(group.gens)
-            assert report == exhaustive_irreducibility(group), gens
+            report = is_irreducible(gens)
+            assert report == exhaustive_irreducibility(gens), gens
             verdicts.add(report.irreducible)
         assert verdicts == {True, False}
 
@@ -401,9 +449,9 @@ class TestIrreducibilityOracle:
         ],
     )
     def test_matches_on_families(self, system):
-        group = GeneratedGroup(system().generators)
-        report = is_irreducible(group.gens)
-        assert report == exhaustive_irreducibility(group)
+        gens = system().generators
+        report = is_irreducible(gens)
+        assert report == exhaustive_irreducibility(gens)
         assert report.irreducible and report.method == "exhaustive"
 
     def test_spins_one_line_per_orbit(self, monkeypatch):
@@ -509,30 +557,28 @@ class TestContainsDerived:
         gens = []
         for v in ([1, 0], [0, 1], [1, 1], [1, 2]):
             gens.append(transvection(space, np.array(v)))
-        group = GeneratedGroup(gens)
-        assert group.order() == 24  # brute-force confirmed |Sp_2(F_3)|
-        assert derived_containment(group, space)[0]
+        assert GeneratedGroup(gens).order() == 24  # brute-force confirmed |Sp_2(F_3)|
+        assert derived_containment(gens, space)[0]
 
     def test_single_transvection_sp2_f5(self):
         space = FormSpace.symplectic(2, 5)
-        group = GeneratedGroup([transvection(space, np.array([1, 0]))])
-        assert group.order() == 5
-        assert not derived_containment(group, space)[0]
+        gens = [transvection(space, np.array([1, 0]))]
+        assert GeneratedGroup(gens).order() == 5
+        assert not derived_containment(gens, space)[0]
 
     def test_derived_generators_self_containment(self):
         space = FormSpace.dot(3, 5)
         gens = derived_subgroup_generators(space)
-        assert derived_containment(GeneratedGroup(gens), space)[0]
+        assert derived_containment(gens, space)[0]
 
     def test_monotone_in_generators(self):
         space = FormSpace.symplectic(2, 5)
         rng = Random(4)
         base = [transvection(space, np.array([1, 0])), transvection(space, np.array([0, 1]))]
-        group = GeneratedGroup(base)
-        if derived_containment(group, space)[0]:
+        if derived_containment(base, space)[0]:
             for _ in range(5):
                 extra = base + [random_isometry(space, rng)]
-                assert derived_containment(GeneratedGroup(extra), space)[0]
+                assert derived_containment(extra, space)[0]
 
     @pytest.mark.parametrize(
         "space",
@@ -551,22 +597,22 @@ class TestContainsDerived:
     def test_omega_inside_full_reflection_group(self):
         space = FormSpace.dot(3, 5)
         refls = [reflection(space, r) for r in anisotropic_vectors(space, 30)]
-        assert derived_containment(GeneratedGroup(refls), space)[0]
+        assert derived_containment(refls, space)[0]
 
     @pytest.mark.parametrize("gram", [[[1]], [[2]]])
     def test_one_dimensional_orthogonal_space(self, gram):
         # Omega(1) is trivial, so every subgroup of O(1) = <-1> contains it
         space = FormSpace.from_gram(Matrix(gram, 5))
-        assert derived_containment(GeneratedGroup([Matrix.scalar(-1, 1, 5)]), space)[0]
-        assert derived_containment(GeneratedGroup([Matrix.identity(1, 5)]), space)[0]
+        assert derived_containment([Matrix.scalar(-1, 1, 5)], space)[0]
+        assert derived_containment([Matrix.identity(1, 5)], space)[0]
 
     def test_non_isometry_raises(self):
         space = FormSpace.dot(2, 5)
         shear = Matrix([[1, 1], [0, 1]], 5)
         with pytest.raises(NotAnIsometry):
-            derived_containment(GeneratedGroup([reflection(space, np.array([1, 0])), shear]), space)
+            derived_containment([reflection(space, np.array([1, 0])), shear], space)
         with pytest.raises(NotAnIsometry):
-            derived_containment(GeneratedGroup([Matrix.identity(3, 5)]), space)
+            derived_containment([Matrix.identity(3, 5)], space)
 
     def test_order_identity_matches_derived_generators(self):
         """The order identity against membership of the explicit derived generators.
@@ -602,7 +648,7 @@ class TestContainsDerived:
 
             # the oracle's generators lie in every positive group by construction
             for gens in [dgens + isometries(k) for k in (0, 1, 1, 2, 2)]:
-                derived, cls = derived_containment(GeneratedGroup(gens), space)
+                derived, cls = derived_containment(gens, space)
                 assert derived, space
                 if space.parity == "symmetric":
                     classes.add(cls)
@@ -611,7 +657,7 @@ class TestContainsDerived:
                 gens = isometries(rng.randrange(1, 3))
                 reference = ReferenceGroup(gens)
                 expected = all(reference.contains_array(d.array) for d in dgens)
-                assert derived_containment(GeneratedGroup(gens), space)[0] == expected, space
+                assert derived_containment(gens, space)[0] == expected, space
                 answers.append(expected)
             assert not all(answers), space
         assert classes == {"Omega", "SO", "KerSpinor", "KerSpinorDet", "FullO"}
@@ -700,7 +746,7 @@ class TestEngineOracle:
                 gens = [random_isometry(space, rng, length=length) for _ in range(2)]
                 reference = ReferenceGroup(gens)
                 expected = all(reference.contains_array(d.array) for d in dgens)
-                assert derived_containment(GeneratedGroup(gens), space)[0] == expected
+                assert derived_containment(gens, space)[0] == expected
 
 
 def _diagonal_and_swap(p: int, k: int) -> list[Matrix]:
@@ -742,9 +788,10 @@ class TestStorageDtype:
         # Sp(6,5) stores 19527 orbit vectors over six levels, 6 + 2 * 36 bytes
         # each in int8 (1.5 MB), next to a 62 kB code table per level; int64
         # storage would take 12 MB (a traced peak of 13.4 MB)
-        group = GeneratedGroup(hyperelliptic_system(3, 5).generators)
+        gens = hyperelliptic_system(3, 5).generators
         tracemalloc.start()
         try:
+            group = GeneratedGroup(gens)
             assert group.order() == 457002000000000
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -787,11 +834,11 @@ class TestKnownOrderStop:
         system = _BOUNDED_SYSTEMS[name]()
         gens = list(system.generators)
         bound, _ = _order_bound(system.space, gens)
-        group = GeneratedGroup(gens)
-        chain = group._ensure_chain(lambda: bound)
+        group = GeneratedGroup(gens, bound=lambda: bound)
+        chain = group._chain
         assert chain.stopped
         # the same top-down build, given a bound it can never reach
-        full = GeneratedGroup(gens)._ensure_chain(lambda: 2 * bound)
+        full = GeneratedGroup(gens, bound=lambda: 2 * bound)._chain
         assert not full.stopped
         # the same base, stored orbits and strong generators as that build
         assert _levels(chain) == _levels(full)
@@ -820,12 +867,12 @@ class TestKnownOrderStop:
         reducible = 0
         for space, gens in cases:
             bound, _ = _order_bound(space, gens)
-            group = GeneratedGroup(gens)
-            chain = group._ensure_chain(lambda: bound)
+            group = GeneratedGroup(gens, bound=lambda: bound)
+            chain = group._chain
             reference = ReferenceGroup(gens)
             assert not chain.stopped
             assert group.order() == reference.order() < bound
-            assert _levels(chain) == _levels(GeneratedGroup(gens)._ensure_chain())
+            assert _levels(chain) == _levels(GeneratedGroup(gens)._chain)
             cands = _membership_candidates(gens, Random(bound % 101))
             answers = [group.contains_array(c.array) for c in cands]
             assert answers == [reference.contains_array(c.array) for c in cands]
@@ -836,9 +883,9 @@ class TestKnownOrderStop:
         # every build completes its levels top-down; a bound only stops it
         system = _BOUNDED_SYSTEMS["O(5,5)"]()
         bound, _ = _order_bound(system.space, list(system.generators))
-        bounded = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
+        bounded = GeneratedGroup(system.generators, bound=lambda: bound)._chain
         assert _levels(bounded) == [(0, 650), (1, 120), (2, 12), (4, 10)]
-        unbounded = GeneratedGroup(system.generators)._ensure_chain()
+        unbounded = GeneratedGroup(system.generators)._chain
         assert _levels(unbounded) == _levels(bounded)
 
     def test_no_stop_without_a_bound(self):
@@ -849,13 +896,24 @@ class TestKnownOrderStop:
         assert group._chain.bound == 5**6 * 24 * 124 * 624
         assert not group._chain.stopped
 
-    def test_derived_containment_passes_the_bound(self):
-        # cross_validate's order then reads the chain that stopped
+    def test_derived_containment_passes_the_bound(self, monkeypatch):
+        # the one group derived containment builds stops at the bound, and
+        # cross_validate reads its order from that group
+        import monodromy.classical_groups as classical
+
+        built = []
+
+        class Recorded(GeneratedGroup):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(classical, "GeneratedGroup", Recorded)
         for name in sorted(_BOUNDED_SYSTEMS):
             system = _BOUNDED_SYSTEMS[name]()
-            group = GeneratedGroup(system.generators)
-            assert derived_containment(group, system.space)[0]
-            assert group._chain.stopped, name
+            built.clear()
+            assert derived_containment(system.generators, system.space)[0]
+            assert len(built) == 1 and built[0]._chain.stopped, name
 
 
 def _gl_det_bound(gens: list[Matrix]) -> int:
@@ -881,7 +939,7 @@ class TestDeterminantBound:
         order = group.order()
         chain = group._chain
         # the same build, given a bound it can never reach
-        full = GeneratedGroup(gens)._ensure_chain(lambda: 2 * bound)
+        full = GeneratedGroup(gens, bound=lambda: 2 * bound)._chain
         # the vector-at-a-time reference takes seconds on GL(4,11); there the
         # full build, checked against it on the smaller groups, stands in
         n, p = gens[0].n, gens[0].p
@@ -925,7 +983,7 @@ class TestLevelGenerators:
 
     @pytest.mark.parametrize("name", sorted(_BOUNDED_SYSTEMS))
     def test_stored_inverses(self, name):
-        chain = GeneratedGroup(_BOUNDED_SYSTEMS[name]().generators)._ensure_chain()
+        chain = GeneratedGroup(_BOUNDED_SYSTEMS[name]().generators)._chain
         eye = np.eye(chain.n, dtype=np.int64)
         for lvl in chain.levels:
             assert lvl.gens.shape == lvl.gens_inv.shape
@@ -944,10 +1002,10 @@ class TestLevelGenerators:
             eye = Matrix.identity(n, p)
             padded = [eye] + gens + gens[::-1] + [eye]
             if not plain:
-                assert GeneratedGroup(padded)._ensure_chain().levels == []
+                assert GeneratedGroup(padded)._chain.levels == []
                 continue
-            want = GeneratedGroup(plain)._ensure_chain()
-            got = GeneratedGroup(padded)._ensure_chain()
+            want = GeneratedGroup(plain)._chain
+            got = GeneratedGroup(padded)._chain
             assert _levels(got) == _levels(want), (p, n, trial)
             for a, b in zip(got.levels, want.levels):
                 assert np.array_equal(a.gens, b.gens)
@@ -958,11 +1016,10 @@ class TestLevelGenerators:
         # filled; a residue never joins a level that holds it already
         admitted = 0
         for name, gens, bound, _ in _incremental_cases():
-            group = GeneratedGroup(gens + gens[::-1])
             # a bound the chain cannot reach forces the full build
-            chains = [group._ensure_chain(lambda: 2 * group._det_bound())]
+            chains = [GeneratedGroup(gens + gens[::-1], bound=lambda: 2 * _gl_det_bound(gens))._chain]
             if bound is not None:
-                chains.append(GeneratedGroup(gens)._ensure_chain(lambda: bound))
+                chains.append(GeneratedGroup(gens, bound=lambda: bound)._chain)
             for chain in chains:
                 for lvl in chain.levels:
                     assert len({g.tobytes() for g in lvl.gens}) == len(lvl.gens), name
@@ -1010,8 +1067,7 @@ class TestIncrementalChain:
 
         monkeypatch.setattr(engine._Chain, "_grow", checked_grow)
         for name, gens, bound, order in _incremental_cases():
-            group = GeneratedGroup(gens)
-            chain = group._ensure_chain(None if bound is None else lambda: bound)
+            chain = GeneratedGroup(gens, bound=lambda: bound)._chain
             assert chain.order() == order, name
             p, n = chain.p, chain.n
             eye = np.eye(n, dtype=np.int64)
@@ -1042,22 +1098,21 @@ class TestIncrementalChain:
         cases += [(f"random {k}", _random_generators(rng, (3, 5, 7)[k % 3], 3)) for k in range(8)]
         for name, gens in cases:
             rows.clear()
-            group = GeneratedGroup(gens)
             # a bound the chain cannot reach forces the full build
-            chain = group._ensure_chain(lambda: 2 * group._det_bound())
+            chain = GeneratedGroup(gens, bound=lambda: 2 * _gl_det_bound(gens))._chain
             assert not chain.stopped, name
             pairs = sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels)
             assert sum(rows) == pairs, name
             # the default bound stops the same build, sifting at most those pairs
             rows.clear()
-            default = GeneratedGroup(gens)._ensure_chain()
+            default = GeneratedGroup(gens)._chain
             assert default.stopped == (default.order() == default.bound), name
             assert _levels(default) == _levels(chain), name
             assert sum(rows) <= pairs, name
         for name, system in systems.items():
             rows.clear()
             bound, _ = _order_bound(system.space, list(system.generators))
-            chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
+            chain = GeneratedGroup(system.generators, bound=lambda: bound)._chain
             assert chain.stopped, name
             assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
 
@@ -1086,7 +1141,7 @@ class TestTopDownChain:
         rows, _ = self._count_schreier_rows(monkeypatch)
         system = hyperelliptic_system(4, 3)
         bound, _ = _order_bound(system.space, list(system.generators))
-        chain = GeneratedGroup(system.generators)._ensure_chain(lambda: bound)
+        chain = GeneratedGroup(system.generators, bound=lambda: bound)._chain
         assert chain.stopped and chain.order() == bound
         # a build that completed each lower level whenever it gained a generator formed 21,697
         assert sum(rows) < 1000
@@ -1115,8 +1170,8 @@ class TestTopDownChain:
             rows.clear()
             passes.clear()
             done.clear()
-            group = GeneratedGroup(gens)
-            chain = group._ensure_chain(lambda: 2 * order)
+            group = GeneratedGroup(gens, bound=lambda: 2 * order)
+            chain = group._chain
             assert not chain.stopped, name
             assert done == set(range(len(chain.levels))), name
             # one pass over the Schreier generators of each level
@@ -1173,10 +1228,10 @@ class TestChainRobustness:
         space = system.space
         member = gens[0] @ gens[1] @ gens[2]
         outsider = Matrix.scalar(2, 4, 5)
-        group = GeneratedGroup(gens)
+        group = GeneratedGroup(gens, bound=lambda: _order_bound(space, gens)[0])  # |Sp(4,5)|
 
         def query():
-            derived = derived_containment(group, space)[0]  # builds with |Sp(4,5)|
+            derived = derived_containment(gens, space)[0]
             return derived, group.order(), group.contains_array(member.array), outsider in group
 
         assert _query_concurrently(query) == [(True, 9360000, True, False)] * 4
@@ -1184,19 +1239,19 @@ class TestChainRobustness:
 
     def test_cap_is_checked_while_the_orbit_grows(self):
         system = hyperelliptic_system(3, 5)  # Sp(6,5): root orbit of 15624 vectors
-        group = GeneratedGroup(system.generators, limit=1000)
+        gens = system.generators
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimit):
-                group.order()
+                GeneratedGroup(gens, limit=1000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the 15624 root-orbit vectors alone take 750 kB, their transversal 1.1 MB
         assert peak < 700_000
-        # a failed build publishes nothing: asking again fails again
+        # a failed build leaves nothing behind: building again fails again
         with pytest.raises(ResourceLimit):
-            group.order()
+            GeneratedGroup(gens, limit=1000)
 
     def test_vector_codes_must_fit_in_int64(self):
         def shear(n):
@@ -1206,11 +1261,8 @@ class TestChainRobustness:
 
         assert 3**39 < 2**63 <= 3**40
         assert GeneratedGroup([shear(39)]).order() == 3
-        group = GeneratedGroup([shear(40)])
         with pytest.raises(ResourceLimit):
-            group.order()
-        with pytest.raises(ResourceLimit):
-            group.contains_array(shear(40).array)
+            GeneratedGroup([shear(40)])
         # a group of identities has an empty chain and computes no code
         trivial = GeneratedGroup([Matrix(np.eye(40, dtype=np.int64), 3)])
         assert trivial.order() == 1
