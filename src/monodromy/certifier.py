@@ -28,6 +28,7 @@ from .classical_groups import (
     TRANSVECTION,
     classify_element,
     _derived_containment,
+    _witness,
 )
 from .errors import Inconclusive, InvalidInput, OrderOverflow
 from .ff_linalg import Matrix, _kernel_basis, _least_factor, _rref, _solve
@@ -241,7 +242,8 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     a certified orthogonal group that contains Omega has class FullO,
     KerSpinor or KerSpinorDet.
     """
-    derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit)
+    witness = _witness(h.space, h.generators, h.classes)
+    derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit, witness)
     cert = certify(h, seed=seed)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))

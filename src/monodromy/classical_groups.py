@@ -13,10 +13,12 @@ of an orthogonal group that contains the derived subgroup.  It finds the
 pairing a basis of invariant forms spans (``invariant_pairing``).
 
 Containment of the derived subgroup of the isometry group
-(``derived_containment``) is decided from the group order alone, with the
-image of (determinant, spinor norm) in the orthogonal case; no derived
-generators are built, and the bound |Sp(V)|, or |Omega| times the size of
-that image, stops the build of the ``GeneratedGroup`` chain.
+(``derived_containment``) is decided with no derived generators.  When a
+generator is a transvection or a reflection, the orbit of one vector
+decides it, with no stabilizer chain.  Otherwise the group order decides,
+with the image of (determinant, spinor norm) in the orthogonal case: the
+bound |Sp(V)|, or |Omega| times the size of that image, stops the build of
+the ``GeneratedGroup`` chain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotAnIsometry
 from .ff_linalg import Matrix, _det, _rref, _vectors
-from .group_engine import GeneratedGroup
+from .group_engine import GeneratedGroup, _orbit_reaches
 
 __all__ = [
     "IDENTITY",
@@ -129,22 +131,6 @@ class FormSpace:
         g[:m, m:] = np.eye(m, dtype=np.int64)
         g[m:, :m] = -np.eye(m, dtype=np.int64)
         return FormSpace(Matrix(g, p), "alternating")
-
-    @staticmethod
-    def dot(dim: int, p: int) -> "FormSpace":
-        """Standard symmetric space with the identity Gram matrix."""
-        return FormSpace(Matrix.identity(dim, p), "symmetric")
-
-    @staticmethod
-    def hyperbolic(dim: int, p: int) -> "FormSpace":
-        """Symmetric space of maximal Witt index: <e_i, f_j> = delta_ij."""
-        if dim % 2 != 0:
-            raise InvalidInput("hyperbolic dimension must be even")
-        m = dim // 2
-        g = np.zeros((dim, dim), dtype=np.int64)
-        g[:m, m:] = np.eye(m, dtype=np.int64)
-        g[m:, :m] = np.eye(m, dtype=np.int64)
-        return FormSpace(Matrix(g, p), "symmetric")
 
     @staticmethod
     def from_gram(gram: Matrix) -> "FormSpace":
@@ -450,6 +436,21 @@ def _witt_sign(space: FormSpace) -> int:
     return square_class(disc, space.p)
 
 
+def _norm_class_size(space: FormSpace, c: int) -> int:
+    """The number of vectors w of a symmetric space with Q(w) = c, for c != 0.
+
+    Q(w) = w^T G w.  With eta the quadratic character (``square_class``),
+    it is p^(2m) + eta((-1)^m c det G) p^m for n = 2m + 1, and
+    p^(2m-1) - eta((-1)^m det G) p^(m-1) for n = 2m, which does not depend
+    on c (Lidl-Niederreiter, Finite Fields, 1997, Theorems 6.26-6.27).
+    """
+    p, n = space.p, space.dim
+    m = n // 2
+    if n % 2:
+        return p ** (2 * m) + square_class((-1) ** m * c * space.gram.det(), p) * p**m
+    return p ** (2 * m - 1) - _witt_sign(space) * p ** (m - 1)
+
+
 def isometry_group_orders(space: FormSpace) -> GroupOrders:
     """|Sp(V)| or |O(V)| together with the order of the derived subgroup."""
     p, n = space.p, space.dim
@@ -519,37 +520,84 @@ def derived_containment(
 ) -> tuple[bool, Optional[str]]:
     """Whether <gens> contains the derived subgroup of the isometry group, with its class.
 
-    Decided by orders alone.  In the orthogonal case the derived subgroup is
-    Omega = ker(det, theta), of index 4 in O(V) (index 2 in O(1), where it
-    is trivial), with theta the spinor norm.  The quotient of G by its
-    intersection with Omega is the image of (det, theta) on G, which the
-    images of the generators generate, so G contains Omega exactly when
-    |G| = |Omega| * |image|.  In the symplectic case the derived subgroup
-    is taken to be Sp(V) itself, so the test is |G| = |Sp(V)|.  See Taylor,
-    The Geometry of the Classical Groups (1992), ch. 11, and
-    Kleidman-Liebeck, The Subgroup Structure of the Finite Classical Groups
-    (1990), 2.5-2.6.
+    In the orthogonal case the derived subgroup is Omega = ker(det, theta),
+    of index 4 in O(V) (index 2 in O(1), where it is trivial), with theta
+    the spinor norm.  The quotient of G by its intersection with Omega is
+    the image of (det, theta) on G, which the images of the generators
+    generate, so G contains Omega exactly when |G| = |Omega| * |image|.  In
+    the symplectic case the derived subgroup is taken to be Sp(V) itself,
+    so the test is |G| = |Sp(V)|.  See Taylor, The Geometry of the
+    Classical Groups (1992), ch. 11, and Kleidman-Liebeck, The Subgroup
+    Structure of the Finite Classical Groups (1990), 2.5-2.6.
 
     The class of an orthogonal group that contains Omega is looked up from
     the same image: "Omega", "SO", "KerSpinor", "KerSpinorDet" or "FullO".
     It is None for symplectic groups and for groups that do not contain the
-    derived subgroup.  The group is built as ``GeneratedGroup(gens, limit,
-    bound)`` with the bound of ``_order_bound``, so a group that reaches it
-    stops building early.  The identity holds only inside the isometry
-    group, so a generator that is not an isometry raises NotAnIsometry.
+    derived subgroup.  A generator that is a transvection or a reflection
+    can decide containment from the orbit of one vector, with no chain
+    (see ``_derived_containment``); otherwise the order decides, from
+    ``GeneratedGroup(gens, limit, bound)`` with the bound of
+    ``_order_bound``, so a group that reaches it stops building early.  The
+    identities hold only inside the isometry group, so a generator that is
+    not an isometry raises NotAnIsometry.
     """
     gens = tuple(gens)
-    for g in gens:
-        _require_isometry(g, space)
-    return _derived_containment(gens, space, limit)[:2]
+    # classify_element raises NotAnIsometry on a generator that is not one
+    classes = [classify_element(g, space) for g in gens]
+    return _derived_containment(gens, space, limit, _witness(space, gens, classes))[:2]
+
+
+def _witness(space: FormSpace, gens: Sequence[Matrix], classes: Sequence[ElementClass]) -> Optional[Matrix]:
+    """The first generator whose vector orbit decides derived containment, or None.
+
+    A transvection of an alternating space other than F_3^2, or a
+    reflection of a symmetric space of dimension at least 5, tagged so in
+    ``classes``.  For Sp(2, 3), and for symmetric spaces of dimension at
+    most 4, the generation statements behind ``_derived_containment`` have
+    exceptions that no oracle has settled here, so those groups keep the
+    chain.
+    """
+    if space.parity == "alternating":
+        tag, settled = TRANSVECTION, (space.dim, space.p) != (2, 3)
+    else:
+        tag, settled = REFLECTION, space.dim >= 5
+    if not settled:
+        return None
+    return next((g for g, c in zip(gens, classes) if c.tag == tag), None)
 
 
 def _derived_containment(
-    gens: Sequence[Matrix], space: FormSpace, limit: int
+    gens: Sequence[Matrix], space: FormSpace, limit: int, witness: Optional[Matrix]
 ) -> tuple[bool, Optional[str], int]:
-    """``derived_containment`` and |<gens>|, unchecked: every generator must be an isometry of ``space``."""
+    """``derived_containment`` and |<gens>|, unchecked: every generator must be an isometry of ``space``.
+
+    ``witness`` is None or a generator chosen by ``_witness``: a
+    transvection t_v, or a reflection r_v, with v a nonzero column of
+    witness - 1.  Since g t_v g^-1 = t_gv and g r_v g^-1 = r_gv, G holds the
+    transvection, or the reflection, of every vector in the orbit G v.
+    When that orbit is all of V - 0, G holds every transvection of the
+    parameter of t_v, and these generate Sp(V); when it is every w with
+    Q(w) = Q(v), G holds every reflection of that norm, and these generate a
+    group that contains Omega.  Either way G contains the derived subgroup,
+    so |G| is the bound of ``_order_bound``, and no chain is built (Taylor,
+    The Geometry of the Classical Groups, 1992, ch. 8 and 11).  A shorter
+    orbit, or no witness, leaves the decision to the order of the chain
+    that the bound stops.  The orbit is walked by
+    ``group_engine._orbit_reaches``, which stores at most ``limit`` vectors
+    as a chain does.
+    """
     bound, image = _order_bound(space, gens)
-    order = GeneratedGroup(gens, limit, lambda: bound).order()
-    if order != bound:
-        return False, None, order
-    return True, None if image is None else _CLASS_BY_IMAGE[image], order
+    if witness is None or not _witness_orbit_is_full(gens, space, witness, limit):
+        order = GeneratedGroup(gens, limit, lambda: bound).order()
+        if order != bound:
+            return False, None, order
+    return True, None if image is None else _CLASS_BY_IMAGE[image], bound
+
+
+def _witness_orbit_is_full(gens: Sequence[Matrix], space: FormSpace, witness: Matrix, limit: int) -> bool:
+    """Whether the orbit of the witness vector v is V - 0, or every w with Q(w) = Q(v)."""
+    p, n = space.p, space.dim
+    shift = (witness.array - np.eye(n, dtype=np.int64)) % p
+    v = shift[:, np.flatnonzero(shift.any(axis=0))[0]]
+    size = p**n - 1 if space.parity == "alternating" else _norm_class_size(space, space.q(v))
+    return _orbit_reaches(gens, v, size, limit)

@@ -25,7 +25,9 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from .certifier import Certificate, CrossReport, Hypotheses, certify, cross_validate
-from .classical_groups import FormSpace, classify_element, invariant_pairing, _order_bound
+from .classical_groups import (
+    FormSpace, classify_element, invariant_pairing, _derived_containment, _witness,
+)
 from .convolution import (
     INFINITY,
     Label,
@@ -206,17 +208,35 @@ def _cmd_classify(args, stdin, stdout) -> int:
     return 0
 
 
+class _OrderFound(Exception):
+    """Carries the order of a tuple with a lone invariant pairing, found before its chain builds a level."""
+
+
 def _cmd_order(args, stdin, stdout) -> int:
+    """Print the order of the group the tuple generates.
+
+    The chain's bound callable runs only when levels are about to be
+    built, so a tuple of identities, or one whose vector codes do not fit
+    in 64 bits, never solves the n^2 x n^2 form system.  With a lone
+    invariant pairing the order is that of ``_derived_containment``: a
+    witness orbit, or else a chain that stops at the isometry bound.
+    Without one the chain stops at its determinant bound.
+    """
     t = _read_tuple(args, stdin)
 
     def bound() -> Optional[int]:
-        # a lone invariant pairing bounds |G| and so lets the chain stop
-        # early; the n^2 x n^2 form system is solved only if a chain is built
         forms = invariant_forms(t.matrices)
         space = invariant_pairing(forms) if len(forms) == 1 else None
-        return None if space is None else _order_bound(space, t.matrices)[0]
+        if space is None:
+            return None
+        witness = _witness(space, t.matrices, [classify_element(g, space) for g in t.matrices])
+        raise _OrderFound(_derived_containment(t.matrices, space, args.limit, witness)[2])
 
-    print(f"ORDER: {GeneratedGroup(t.matrices, args.limit, bound).order()}", file=stdout)
+    try:
+        order = GeneratedGroup(t.matrices, args.limit, bound).order()
+    except _OrderFound as found:
+        (order,) = found.args
+    print(f"ORDER: {order}", file=stdout)
     return 0
 
 

@@ -20,7 +20,10 @@ residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
 after it is completed; each level is completed once (bounded Sp(8,3)
 forms 384 Schreier generators, where completing each lower level again
-whenever it gained a generator formed 21,697).
+whenever it gained a generator formed 21,697).  ``_orbit_reaches`` runs
+the same orbit loop on a level of its own, based at any vector, and stops
+at a given orbit size; ``classical_groups`` decides derived containment
+from one such witness orbit.
 
 Orbit points, transversal elements and their inverses are stored in the
 narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
@@ -162,10 +165,45 @@ def _orbit(lvl: _Level, p: int, cap: int):
     return chunks, steps
 
 
+def _check_codes(p: int, n: int) -> None:
+    """Raise ResourceLimit unless every vector code of F_p^n fits in 64 bits."""
+    if p**n >= 2**63:
+        raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
+
+
+def _over_limit(limit: int) -> ResourceLimit:
+    """The error of an orbit walk or a chain that would store more than ``limit`` vectors."""
+    return ResourceLimit(f"orbit storage exceeded the configured cap of {limit} vectors")
+
+
+def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: int) -> bool:
+    """Whether the orbit of the nonzero vector ``base`` under ``gens`` has ``size`` vectors.
+
+    The caller knows that the orbit has at most ``size`` vectors.  It is
+    walked by ``_orbit``, on a level based at ``base``, and the walk stops
+    as soon as ``size`` vectors are stored, so a full orbit is never
+    closed.  ResourceLimit is raised as a chain raises it: when vector
+    codes of F_p^n do not fit in 64 bits, and when the orbit has more than
+    ``limit`` vectors, checked after each batch of images.
+    """
+    p = gens[0].p
+    _check_codes(p, len(base))
+    lvl = _Level(base, p, np.min_scalar_type(-(p - 1)))
+    lvl.gens = np.array([g.array for g in gens], dtype=np.int64)
+    chunks, _ = _orbit(lvl, p, min(size, limit + 1))
+    stored = 1 + sum(map(len, chunks))
+    if stored > limit:
+        raise _over_limit(limit)
+    return stored == size
+
+
 class _Level:
     """One level of the chain: a base point, strong generators and its orbit.
 
-    The base point is the standard basis vector ``e_col``.  ``gens`` is the
+    The base point is the nonzero vector ``base``.  A chain level's is a
+    standard basis vector e_col, whose image under a matrix ``_Chain._sift``
+    reads as column ``col``; ``_orbit_reaches`` walks the orbit of any
+    vector on a level of its own, which is never sifted.  ``gens`` is the
     stack of distinct strong generators and ``gens_inv[k]`` the inverse of
     ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
     vector (row 0 the base point), ``index`` maps vector codes to rows,
@@ -182,14 +220,14 @@ class _Level:
 
     __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "closed")
 
-    def __init__(self, col: int, n: int, p: int, dtype: np.dtype):
-        eye = np.eye(n, dtype=dtype)
-        self.col = col
+    def __init__(self, base: np.ndarray, p: int, dtype: np.dtype):
+        n = len(base)
+        self.col = int(np.flatnonzero(base)[0])
         self.gens = self.gens_inv = np.zeros((0, n, n), dtype=np.int64)
-        self.points = eye[col : col + 1]
-        self.trans = self.trans_inv = eye[None]
+        self.points = base[None].astype(dtype)
+        self.trans = self.trans_inv = np.eye(n, dtype=dtype)[None]
         self.index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
-        self.index.add(np.array([p**col], dtype=np.int64), np.zeros(1, dtype=np.int64))
+        self.index.add(_codes(base[None], p), np.zeros(1, dtype=np.int64))
         self.closed = 0
 
     def admit(self, g: np.ndarray, g_inv: np.ndarray) -> None:
@@ -253,10 +291,9 @@ class _Chain:
         if len(gens):
             # with only identities the chain is empty and no code is computed
             gens = np.array(list({g.tobytes(): g for g in gens}.values()))
-            if p**n >= 2**63:
-                raise ResourceLimit(f"vector codes of F_{p}^{n} do not fit in 64 bits")
+            _check_codes(p, n)
             self.bound = bound()
-            top = _Level(self._pick_base(gens), n, p, self.dtype)
+            top = _Level(self._pick_base(gens), p, self.dtype)
             for g in gens:
                 top.admit(g, _inv(g, p))
             self.levels.append(top)
@@ -280,12 +317,12 @@ class _Chain:
 
     # -- orbits -----------------------------------------------------------
 
-    def _pick_base(self, gens: np.ndarray) -> int:
+    def _pick_base(self, gens: np.ndarray) -> np.ndarray:
         """The first standard basis vector that some generator in ``gens`` moves.
 
         Both callers pass a stack holding a non-identity matrix.
         """
-        return int(np.flatnonzero((gens != self.eye).any(axis=(0, 1)))[0])
+        return self.eye[np.flatnonzero((gens != self.eye).any(axis=(0, 1)))[0]]
 
     def _grow(self, idx: int) -> None:
         """Extend the orbit of level ``idx`` and its transversal to its generators.
@@ -300,9 +337,7 @@ class _Chain:
         )
         chunks, steps = _orbit(lvl, self.p, budget + 1)
         if len(lvl.points) + sum(map(len, chunks)) > budget:
-            raise ResourceLimit(
-                f"orbit storage exceeded the configured cap of {self.limit} vectors"
-            )
+            raise _over_limit(self.limit)
         lvl.closed = len(lvl.gens)
         if not chunks:
             return
@@ -400,7 +435,7 @@ class _Chain:
         generators, and ``h`` moves the base point out of it.
         """
         if j == len(self.levels):
-            self.levels.append(_Level(self._pick_base(h[None]), self.n, self.p, self.dtype))
+            self.levels.append(_Level(self._pick_base(h[None]), self.p, self.dtype))
         h_inv = _inv(h, self.p)
         for lvl in self.levels[i + 1 : j + 1]:
             lvl.admit(h, h_inv)

@@ -45,6 +45,7 @@ from monodromy.group_engine import (
 )
 
 from closure_reference import naive_closure
+import form_spaces
 from tests.test_convolution import in_category, random_split_tuple
 
 
@@ -207,8 +208,8 @@ def _sweep_spaces():
     return [
         ("Sp4(F3)", FormSpace.symplectic(4, 3)),
         ("Sp2(F5)", FormSpace.symplectic(2, 5)),
-        ("O4(F5)", FormSpace.hyperbolic(4, 5)),
-        ("O5(F5)", FormSpace.dot(5, 5)),
+        ("O4(F5)", form_spaces.hyperbolic(4, 5)),
+        ("O5(F5)", form_spaces.dot(5, 5)),
     ]
 
 
@@ -283,7 +284,7 @@ def test_criterion_8_property_suites():
             assert jordan_type(g.inv() @ d @ g) == jordan_type(d)
 
         # spinor norm is multiplicative
-        space = FormSpace.dot(4, 5)
+        space = form_spaces.dot(4, 5)
         for _ in range(25):
             a = random_isometry(space, rng)
             b = random_isometry(space, rng)
@@ -296,7 +297,7 @@ def test_criterion_8_property_suites():
             [Matrix([[1, 1], [0, 1]], 3), Matrix([[1, 0], [1, 1]], 3)],
             [Matrix([[1, 1], [0, 1]], 5), Matrix([[1, 0], [1, 1]], 5)],
             [Matrix([[1, 1], [0, 1]], 7), Matrix([[1, 0], [1, 1]], 7)],
-            [reflection(FormSpace.dot(3, 5), r) for r in anisotropic_vectors(FormSpace.dot(3, 5), 12)],
+            [reflection(form_spaces.dot(3, 5), r) for r in anisotropic_vectors(form_spaces.dot(3, 5), 12)],
         ]
         for gens in cases:
             closure = naive_closure(gens)

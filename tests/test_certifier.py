@@ -28,6 +28,8 @@ from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, jordan_type, kernel
 from monodromy.group_engine import GeneratedGroup
 
+import form_spaces
+
 
 def family_hypotheses(system, r):
     return Hypotheses(system.space, system.generators, frozenset(), r)
@@ -91,7 +93,7 @@ class TestCertify:
 
     def test_symmetric_needs_p_at_least_five(self):
         # a perfectly good generator set over F_3 must still be refused
-        space = FormSpace.dot(3, 3)
+        space = form_spaces.dot(3, 3)
         gens = tuple(
             reflection(space, r) for r in anisotropic_vectors(space, 4)
         )
@@ -185,22 +187,22 @@ class TestIsometryCheck:
     )
     def test_generator_of_another_space(self, generator):
         with pytest.raises(NotAnIsometry, match="does not match the space"):
-            Hypotheses(FormSpace.dot(3, 5), [generator])
+            Hypotheses(form_spaces.dot(3, 5), [generator])
 
     def test_generator_that_moves_the_pairing(self):
         with pytest.raises(NotAnIsometry, match="does not preserve the pairing"):
-            Hypotheses(FormSpace.dot(2, 5), [Matrix([[2, 0], [0, 1]], 5)])
+            Hypotheses(form_spaces.dot(2, 5), [Matrix([[2, 0], [0, 1]], 5)])
 
     @pytest.mark.parametrize("r", ["1", 1.0, None, 0], ids=repr)
     def test_r_must_be_a_positive_integer(self, r):
         # "1" used to raise a bare TypeError from the comparison, and 1.0 passed
         with pytest.raises(InvalidInput, match="r must be an integer >= 1"):
-            Hypotheses(FormSpace.dot(3, 5), [Matrix.identity(3, 5)], frozenset(), r)
+            Hypotheses(form_spaces.dot(3, 5), [Matrix.identity(3, 5)], frozenset(), r)
 
     def test_numpy_integer_r_is_accepted(self):
         gens = [Matrix.identity(3, 5)]
-        h = Hypotheses(FormSpace.dot(3, 5), gens, frozenset(), np.int64(2))
-        assert h == Hypotheses(FormSpace.dot(3, 5), gens, frozenset(), 2)
+        h = Hypotheses(form_spaces.dot(3, 5), gens, frozenset(), np.int64(2))
+        assert h == Hypotheses(form_spaces.dot(3, 5), gens, frozenset(), 2)
 
     @pytest.mark.parametrize("index", [1.5, "a", None, 4, -1], ids=repr)
     def test_exempt_indices_must_be_integers_in_range(self, index):
@@ -235,14 +237,19 @@ class TestIsometryCheck:
 
 
 class TestGroupsBuilt:
-    """``certify`` builds no ``GeneratedGroup``; ``cross_validate`` builds one."""
+    """``certify`` builds no ``GeneratedGroup``; ``cross_validate`` builds one only without a full witness orbit."""
 
     @pytest.mark.parametrize(
-        "system,r",
-        [(lambda: hyperelliptic_system(2, 5), 1), (lambda: twist_family_system([2, 3], 5), 2)],
-        ids=["Sp(4,5)", "O(5,5)"],
+        "system,r,groups",
+        [
+            (lambda: hyperelliptic_system(2, 5), 1, 0),
+            (lambda: twist_family_system([2, 3], 5), 2, 0),
+            # a symmetric space of dimension 4 keeps the chain
+            (lambda: twist_family_system([2], 7), 2, 1),
+        ],
+        ids=["Sp(4,5)", "O(5,5)", "O(4,7)"],
     )
-    def test_one_group_per_cross_validation(self, system, r, monkeypatch):
+    def test_one_group_per_cross_validation(self, system, r, groups, monkeypatch):
         h = family_hypotheses(system(), r)
         built = []
         init = GeneratedGroup.__init__
@@ -255,8 +262,13 @@ class TestGroupsBuilt:
         cert = certify(h)
         assert cert.certified and built == []
         report = cross_validate(h)
-        assert report.agreement and len(built) == 1
-        assert report.exact_order == built[0].order()
+        assert report.agreement and report.exact_contains_derived and len(built) == groups
+        if groups:
+            # the chain stops at the bound, and the order is read from it
+            assert built[0]._chain.stopped
+            assert report.exact_order == built[0].order()
+        # the witness orbit gives the order a full build gives
+        assert report.exact_order == GeneratedGroup(h.generators).order()
 
 
 class TestCrossValidate:
@@ -392,7 +404,7 @@ class TestAgreementIdentity:
 
     @pytest.mark.parametrize(
         "space",
-        [FormSpace.hyperbolic(4, 5), FormSpace.dot(5, 5), FormSpace.dot(4, 7)],
+        [form_spaces.hyperbolic(4, 5), form_spaces.dot(5, 5), form_spaces.dot(4, 7)],
         ids=["O4+(5)", "O5(5)", "dot(4,7)"],
     )
     def test_certified_class_is_big_exactly_when_derived(self, space):
@@ -431,7 +443,7 @@ class TestReflectionShearIdentity:
     )
     def test_random_reflection_shear_pairs(self, kind, dim, p):
         rng = Random(100 * p + dim)
-        space = getattr(FormSpace, kind)(dim, p)
+        space = getattr(form_spaces, kind)(dim, p)
         shear = siegel_shear(space, *isotropic_plane(space, rng))
         eye = Matrix.identity(dim, p)
         for _ in range(12):

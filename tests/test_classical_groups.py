@@ -26,6 +26,7 @@ from monodromy.classical_groups import (
     square_class,
     transvection,
     _nonzero_vectors,
+    _norm_class_size,
 )
 from monodromy.errors import InvalidInput, NotAnIsometry
 from monodromy.ff_linalg import Matrix, random_invertible
@@ -33,6 +34,7 @@ from monodromy.families import twist_family_system
 from closure_reference import naive_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import nonzero_vectors_per_index
+import form_spaces
 from spinor_reference import apply, reference_spinor_norm
 
 
@@ -70,8 +72,8 @@ def siegel_element_on_hyperbolic_o4(p=5):
 class TestFormSpace:
     def test_standard_models(self):
         assert FormSpace.symplectic(4, 3).parity == "alternating"
-        assert FormSpace.dot(3, 5).parity == "symmetric"
-        assert FormSpace.hyperbolic(4, 5).parity == "symmetric"
+        assert form_spaces.dot(3, 5).parity == "symmetric"
+        assert form_spaces.hyperbolic(4, 5).parity == "symmetric"
 
     def test_alternating_needs_even_dim(self):
         with pytest.raises(ValueError):
@@ -116,20 +118,20 @@ class TestFormSpace:
 
 class TestDrop:
     def test_identity(self):
-        assert classify_element(Matrix.identity(3, 5), FormSpace.dot(3, 5)).drop == 0
+        assert classify_element(Matrix.identity(3, 5), form_spaces.dot(3, 5)).drop == 0
 
     def test_diagonal_reflection(self):
-        assert classify_element(Matrix.diagonal([-1, 1, 1], 5), FormSpace.dot(3, 5)).drop == 1
+        assert classify_element(Matrix.diagonal([-1, 1, 1], 5), form_spaces.dot(3, 5)).drop == 1
 
     def test_siegel_element(self):
-        space = FormSpace.hyperbolic(4, 5)
+        space = form_spaces.hyperbolic(4, 5)
         sigma = siegel_element_on_hyperbolic_o4()
         assert is_isometry(sigma, space)
         assert classify_element(sigma, space).drop == 2
 
     def test_non_isometry_rejected(self):
         with pytest.raises(NotAnIsometry):
-            classify_element(Matrix([[2, 0], [0, 1]], 5), FormSpace.dot(2, 5))
+            classify_element(Matrix([[2, 0], [0, 1]], 5), form_spaces.dot(2, 5))
 
 
 class TestClassify:
@@ -139,11 +141,11 @@ class TestClassify:
         assert cls.tag == TRANSVECTION and cls.drop == 1
 
     def test_reflection(self):
-        cls = classify_element(Matrix.diagonal([-1, 1, 1], 5), FormSpace.dot(3, 5))
+        cls = classify_element(Matrix.diagonal([-1, 1, 1], 5), form_spaces.dot(3, 5))
         assert cls.tag == REFLECTION and cls.drop == 1
 
     def test_siegel_element_is_isotropic_shear(self):
-        space = FormSpace.hyperbolic(4, 5)
+        space = form_spaces.hyperbolic(4, 5)
         sigma = siegel_element_on_hyperbolic_o4()
         cls = classify_element(sigma, space)
         assert cls.tag == ISOTROPIC_SHEAR and cls.drop == 2
@@ -152,13 +154,13 @@ class TestClassify:
         assert space.q([1, 0, 0, 0]) == 0 and space.q([0, 1, 0, 0]) == 0
 
     def test_identity_and_other(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         assert classify_element(Matrix.identity(3, 5), space).tag == IDENTITY
         assert classify_element(Matrix.scalar(-1, 3, 5), space).tag == OTHER
 
     def test_no_transvections_or_shears_in_o3_f5(self):
         # exhaustive over the whole group, via reflection closure
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         refls = [reflection(space, r) for r in anisotropic_vectors(space, 40)]
         group = naive_closure(refls)
         assert len(group) == 240
@@ -169,7 +171,7 @@ class TestClassify:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     @pytest.mark.parametrize(
         "make,dim",
-        [(FormSpace.symplectic, n) for n in (2, 4, 6)] + [(FormSpace.dot, n) for n in range(2, 7)],
+        [(FormSpace.symplectic, n) for n in (2, 4, 6)] + [(form_spaces.dot, n) for n in range(2, 7)],
     )
     def test_drop_one_tag_follows_the_determinant(self, make, dim, p):
         # g^T G g = G gives det(g)^2 = 1, so a drop-1 isometry is tagged by
@@ -223,6 +225,21 @@ def _python_map(n, p, image):
     return [[cols[j][i] % p for j in range(n)] for i in range(n)]
 
 
+class TestNormClassSize:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_a_count_of_every_vector(self, n, p):
+        # every vector of F_p^n, counted by its norm, on random symmetric grams
+        rng = Random(10 * p + n)
+        vecs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+        for _ in range(4):
+            space, g = _random_gram(n, p, rng, "symmetric")
+            norms = np.einsum("ki,ij,kj->k", vecs, np.array(g, dtype=np.int64), vecs) % p
+            counts = np.bincount(norms, minlength=p)
+            for c in range(1, p):
+                assert _norm_class_size(space, c) == counts[c], (g, c)
+
+
 class TestBuilders:
     def test_evaluate_exact_at_large_modulus(self):
         rng = Random(1)
@@ -269,7 +286,7 @@ class TestBuilders:
         # span a totally isotropic plane of a non-diagonal Gram matrix
         p = LARGE_P
         rng = Random(1)
-        hyp = FormSpace.hyperbolic(4, p).gram
+        hyp = form_spaces.hyperbolic(4, p).gram
         for _ in range(10):
             a = random_invertible(4, p, rng)
             gram = a.T @ hyp @ a
@@ -290,7 +307,7 @@ class TestBuilders:
             assert is_isometry(s, space)
 
     def test_reflection_is_involution_fixing_perp(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         for r in anisotropic_vectors(space, 10):
             s = reflection(space, r)
             assert is_isometry(s, space)
@@ -310,7 +327,7 @@ class TestBuilders:
             assert classify_element(t, space).tag == TRANSVECTION
 
     def test_siegel_shear_builder(self):
-        space = FormSpace.hyperbolic(4, 5)
+        space = form_spaces.hyperbolic(4, 5)
         e1 = np.array([1, 0, 0, 0])
         e2 = np.array([0, 1, 0, 0])
         s = siegel_shear(space, e1, e2)
@@ -319,7 +336,7 @@ class TestBuilders:
 
     def test_isotropic_vectors_in_counting_order(self):
         # coordinate 0 is the fastest digit, as in idx = sum v_k p^k
-        space = FormSpace.hyperbolic(4, 3)
+        space = form_spaces.hyperbolic(4, 3)
         counting = (np.array(t[::-1]) for t in itertools.product(range(3), repeat=4))
         expected = [v for v in counting if v.any() and space.q(v) == 0]
         assert len(expected) == 32
@@ -333,14 +350,14 @@ class TestBuilders:
 
     def test_random_isometry_is_isometry(self):
         rng = Random(1)
-        for space in (FormSpace.dot(3, 5), FormSpace.symplectic(2, 7)):
+        for space in (form_spaces.dot(3, 5), FormSpace.symplectic(2, 7)):
             for _ in range(10):
                 assert is_isometry(random_isometry(space, rng), space)
 
 
 class TestSpinorNorm:
     def test_identity_is_trivial(self):
-        assert spinor_norm(Matrix.identity(3, 5), FormSpace.dot(3, 5)) == 1
+        assert spinor_norm(Matrix.identity(3, 5), form_spaces.dot(3, 5)) == 1
 
     @pytest.mark.parametrize(
         "call,error,message",
@@ -348,11 +365,11 @@ class TestSpinorNorm:
             (lambda: spinor_norm(Matrix.identity(2, 5), FormSpace.symplectic(2, 5)),
              InvalidInput, "defined on orthogonal groups"),
             # an array is not a Matrix: no bare AttributeError escapes
-            (lambda: spinor_norm(np.eye(2, dtype=np.int64), FormSpace.dot(2, 5)),
+            (lambda: spinor_norm(np.eye(2, dtype=np.int64), form_spaces.dot(2, 5)),
              NotAnIsometry, "does not match the space"),
-            (lambda: classify_element(np.eye(2, dtype=np.int64), FormSpace.dot(2, 5)),
+            (lambda: classify_element(np.eye(2, dtype=np.int64), form_spaces.dot(2, 5)),
              NotAnIsometry, "does not match the space"),
-            (lambda: derived_containment([np.eye(2, dtype=np.int64)], FormSpace.dot(2, 5)),
+            (lambda: derived_containment([np.eye(2, dtype=np.int64)], form_spaces.dot(2, 5)),
              NotAnIsometry, "does not match the space"),
         ],
         ids=["alternating", "array-spinor", "array-classify", "array-derived"],
@@ -362,14 +379,14 @@ class TestSpinorNorm:
             call()
 
     def test_non_isometry_rejected(self):
-        space = FormSpace.dot(2, 5)
+        space = form_spaces.dot(2, 5)
         with pytest.raises(NotAnIsometry, match="does not preserve the pairing"):
             spinor_norm(Matrix([[2, 0], [0, 1]], 5), space)
         with pytest.raises(NotAnIsometry, match="does not match the space"):
             spinor_norm(Matrix.identity(2, 7), space)
 
     def test_single_reflection_square_classes(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         square_root = np.array([1, 0, 0])  # q = 1, a square
         nonsquare_root = np.array([1, 1, 0])  # q = 2, a nonsquare mod 5
         assert square_class(1, 5) == 1 and square_class(2, 5) == -1
@@ -377,14 +394,14 @@ class TestSpinorNorm:
         assert spinor_norm(reflection(space, nonsquare_root), space) == -1
 
     def test_depends_only_on_root_square_class(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         for r in anisotropic_vectors(space, 20):
             s = reflection(space, r)
             assert spinor_norm(s, space) == square_class(space.q(r), 5)
 
     def test_minus_identity_o3_f5(self):
         # explicit 3-reflection factorization through the orthogonal basis
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         eye = np.eye(3, dtype=np.int64)
         product = reflection(space, eye[0]) @ reflection(space, eye[1]) @ reflection(
             space, eye[2]
@@ -395,9 +412,9 @@ class TestSpinorNorm:
     @pytest.mark.parametrize(
         "space",
         [
-            FormSpace.dot(3, 5),
-            FormSpace.dot(4, 5),
-            FormSpace.hyperbolic(4, 7),
+            form_spaces.dot(3, 5),
+            form_spaces.dot(4, 5),
+            form_spaces.hyperbolic(4, 7),
             # the twist family's own non-diagonal Gram matrices, O(8,5) included
             twist_family_system([2], 5).space,
             twist_family_system([2, 3], 5).space,
@@ -422,7 +439,7 @@ class TestSpinorNorm:
 
     def test_multiplicative(self):
         rng = Random(3)
-        space = FormSpace.dot(4, 5)
+        space = form_spaces.dot(4, 5)
         for _ in range(25):
             a = random_isometry(space, rng)
             b = random_isometry(space, rng)
@@ -444,7 +461,7 @@ class TestSpinorNorm:
         if kind == "twist":
             space = twist_family_system(list(arg), p).space
         else:
-            space = getattr(FormSpace, kind)(arg, p)
+            space = getattr(form_spaces, kind)(arg, p)
         rng = Random(4)
         elements = [random_isometry(space, rng, length) for length in range(10) for _ in range(3)]
         elements.append(Matrix.scalar(-1, space.dim, space.p))
@@ -475,7 +492,7 @@ class TestGroupOrders:
         assert isometry_group_orders(space).full_order == 24
 
     def test_o3_f5_brute_force(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         assert len(brute_force_isometries(space)) == 240
         assert isometry_group_orders(space).full_order == 240
 
@@ -485,15 +502,15 @@ class TestGroupOrders:
             (FormSpace.symplectic(2, 3), 24),
             (FormSpace.symplectic(2, 5), 120),
             (FormSpace.symplectic(4, 3), 51840),
-            (FormSpace.dot(3, 3), 48),
-            (FormSpace.dot(3, 5), 240),
-            (FormSpace.hyperbolic(2, 5), 8),  # O_2^+: dihedral of order 2(p-1)
-            (FormSpace.dot(2, 5), 8),  # disc -1 is a square mod 5: plus type
+            (form_spaces.dot(3, 3), 48),
+            (form_spaces.dot(3, 5), 240),
+            (form_spaces.hyperbolic(2, 5), 8),  # O_2^+: dihedral of order 2(p-1)
+            (form_spaces.dot(2, 5), 8),  # disc -1 is a square mod 5: plus type
             (FormSpace.from_gram(Matrix.diagonal([1, 2], 5)), 12),  # minus type
-            (FormSpace.hyperbolic(4, 5), 28800),
-            (FormSpace.dot(4, 5), 28800),  # disc 1: plus type
+            (form_spaces.hyperbolic(4, 5), 28800),
+            (form_spaces.dot(4, 5), 28800),  # disc 1: plus type
             (FormSpace.from_gram(Matrix.diagonal([1, 1, 1, 2], 5)), 31200),
-            (FormSpace.dot(5, 5), 18720000),
+            (form_spaces.dot(5, 5), 18720000),
         ],
     )
     def test_order_formulas(self, space, expected):
@@ -509,13 +526,13 @@ class TestGroupOrders:
         [
             FormSpace.symplectic(2, 3),
             FormSpace.symplectic(2, 5),
-            FormSpace.dot(2, 3),
-            FormSpace.hyperbolic(2, 3),
-            FormSpace.dot(3, 3),
+            form_spaces.dot(2, 3),
+            form_spaces.hyperbolic(2, 3),
+            form_spaces.dot(3, 3),
             FormSpace.symplectic(4, 3),
-            FormSpace.dot(4, 3),
-            FormSpace.hyperbolic(4, 3),
-            FormSpace.hyperbolic(4, 5),
+            form_spaces.dot(4, 3),
+            form_spaces.hyperbolic(4, 3),
+            form_spaces.hyperbolic(4, 5),
             FormSpace.from_gram(Matrix.diagonal([1, 1, 1, 2], 5)),
         ],
     )
@@ -530,7 +547,7 @@ class TestGroupOrders:
 
     def test_derived_index(self):
         assert isometry_group_orders(FormSpace.symplectic(4, 5)).index_classes == 1
-        assert isometry_group_orders(FormSpace.dot(4, 5)).index_classes == 4
+        assert isometry_group_orders(form_spaces.dot(4, 5)).index_classes == 4
 
 
 def _all_transvections(space):
@@ -557,7 +574,7 @@ def _class_of(gens, space):
 
 class TestSubgroupClass:
     def test_reflections_of_both_square_classes_give_full_o(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         gens = list(derived_subgroup_generators(space)) + [
             reflection(space, np.array([1, 0, 0])),  # square class +1
             reflection(space, np.array([1, 1, 0])),  # square class -1
@@ -565,18 +582,18 @@ class TestSubgroupClass:
         assert _class_of(gens, space) == "FullO"
 
     def test_omega_generators_plus_square_reflection_give_ker_spinor(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         gens = list(derived_subgroup_generators(space))
         gens.append(reflection(space, np.array([1, 0, 0])))
         assert _class_of(gens, space) == "KerSpinor"
 
     def test_omega_generators_alone(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         gens = derived_subgroup_generators(space)
         assert _class_of(gens, space) == "Omega"
 
     def test_so_image(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         # product of reflections in roots of different square classes:
         # determinant +1, spinor norm -1
         g = reflection(space, np.array([1, 0, 0])) @ reflection(

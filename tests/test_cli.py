@@ -256,7 +256,12 @@ class TestInputErrors:
 
 
 def _record_groups(monkeypatch) -> list:
-    """Make the CLI's groups inspectable after a run."""
+    """Make the groups ``order`` builds inspectable after a run.
+
+    With a lone invariant pairing the chain is built by the derived
+    containment test in ``classical_groups``, otherwise by the CLI itself.
+    """
+    import monodromy.classical_groups as classical
     import monodromy.cli as cli
 
     groups = []
@@ -267,19 +272,23 @@ def _record_groups(monkeypatch) -> list:
             groups.append(self)
 
     monkeypatch.setattr(cli, "GeneratedGroup", Recorded)
+    monkeypatch.setattr(classical, "GeneratedGroup", Recorded)
     return groups
 
 
 class TestOrderBound:
-    """``order`` stops its chain at the bound that a lone invariant pairing gives."""
+    """``order`` with a lone invariant pairing: a full witness orbit, or a chain stopped at its bound."""
 
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            # |Sp(6,5)|, |Sp(8,3)| and |O(5,5)|/2, as printed by full builds
+            # |Sp(6,5)|, |Sp(8,3)| and |O(5,5)|/2, as printed by full builds;
+            # a witness orbit gives each with no chain
             (["hyperelliptic", "--genus", "3", "--prime", "5"], "ORDER: 457002000000000\n"),
             (["hyperelliptic", "--genus", "4", "--prime", "3"], "ORDER: 131569513308979200\n"),
             (["twist-family", "--roots", "2,3", "--prime", "5"], "ORDER: 9360000\n"),
+            # |O+(4,7)|/4, from a chain: symmetric spaces of dimension 4 keep it
+            (["twist-family", "--roots", "2", "--prime", "7"], "ORDER: 112896\n"),
         ],
     )
     def test_order_is_byte_identical(self, argv, expected, monkeypatch):
@@ -287,7 +296,10 @@ class TestOrderBound:
         groups = _record_groups(monkeypatch)
         rc, out = run_cli(["order"], tuple_text)
         assert rc == 0 and out == expected
-        assert groups[0]._chain.stopped
+        if argv[1:3] == ["--roots", "2"]:  # O(4,7)
+            assert len(groups) == 1 and groups[0]._chain.stopped
+        else:
+            assert groups == []
 
     def test_twist_order_matches_the_full_build(self):
         _, tuple_text = run_cli(["twist-family", "--roots", "2,3", "--prime", "5"])

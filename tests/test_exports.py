@@ -104,7 +104,9 @@ def _package_module_imports(path: Path) -> list[tuple[str, str]]:
 
 # the derived-subgroup decision and the class table that names its result
 # live in classical_groups, which alone reads these names
-_CLASSICAL_GROUPS_PRIVATE = {"_CLASS_BY_IMAGE", "_det_spinor_image", "_require_isometry"}
+_CLASSICAL_GROUPS_PRIVATE = {
+    "_CLASS_BY_IMAGE", "_det_spinor_image", "_norm_class_size", "_require_isometry", "_witness_orbit_is_full",
+}
 
 
 def test_module_layering():

@@ -20,6 +20,8 @@ from monodromy.families import (
 from monodromy.ff_linalg import JordanData, Matrix, Subspace, invariant_forms
 from monodromy.group_engine import GeneratedGroup, is_irreducible
 
+import form_spaces
+
 
 class TestKummerTuple:
     def test_two_points_trivial_infinity(self):
@@ -245,7 +247,7 @@ class TestFamilyChecks:
             (
                 lambda: hyperelliptic_system(2, 5),
                 "invariant_pairing",
-                lambda forms: FormSpace.dot(forms[0].n, forms[0].p),
+                lambda forms: form_spaces.dot(forms[0].n, forms[0].p),
                 "hyperelliptic pairing must be alternating",
             ),
             (

@@ -19,7 +19,11 @@ from monodromy.classical_groups import (
     reflection,
     siegel_shear,
     transvection,
+    classify_element,
+    _derived_containment,
     _order_bound,
+    _witness,
+    _witness_orbit_is_full,
 )
 from monodromy.errors import InvalidInput, NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system, twist_family_system
@@ -27,6 +31,7 @@ from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms, rando
 from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
+    _orbit_reaches,
     element_order,
     group_order,
     is_irreducible,
@@ -35,6 +40,7 @@ from monodromy.group_engine import (
 from closure_reference import naive_closure, reference_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import multiplicative_order_divisor_scan
+import form_spaces
 from irreducibility_reference import exhaustive_irreducibility
 from schreier_sims_reference import ReferenceGroup
 
@@ -111,7 +117,7 @@ class TestNaiveClosure:
         if entries is not None:  # a few frontier matrices per block
             monkeypatch.setattr(closure_reference, "_BLOCK_ENTRIES", entries)
         rng = Random(21)
-        space = FormSpace.dot(3, 3)
+        space = form_spaces.dot(3, 3)
         cases = [SL2(3), SL2(5), [Matrix.identity(3, 5)], [Matrix.scalar(-1, 4, 5)]]
         cases.append([reflection(space, r) for r in anisotropic_vectors(space, 12)])
         cases += [_random_generators(rng, p, n) for p, n in ((3, 2), (3, 3), (5, 2), (7, 2))]
@@ -208,7 +214,7 @@ class TestIrreducibility:
         # dim 5 over F_7 exceeds the exhaustive cap; Norton's certificate kicks in
         import monodromy.group_engine as engine
 
-        space = FormSpace.dot(5, 7)
+        space = form_spaces.dot(5, 7)
         rng = Random(2)
         gens = [random_isometry(space, rng, length=8) for _ in range(3)]
         monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 100)
@@ -247,7 +253,7 @@ class TestIrreducibility:
         import monodromy.group_engine as engine
         from monodromy.errors import Inconclusive
 
-        space = FormSpace.dot(5, 7)
+        space = form_spaces.dot(5, 7)
         gens = [random_isometry(space, Random(5))]
         monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 10)
         monkeypatch.setattr(engine, "_MAX_TRIALS", 0)
@@ -351,7 +357,7 @@ def _isometry_generators(rng: Random, p: int, n: int) -> list[Matrix]:
         v[rng.randrange(n)] = 1
         gens = [transvection(space, v, rng.randrange(1, p))]
     else:
-        space = FormSpace.hyperbolic(n, p) if n % 2 == 0 else FormSpace.dot(n, p)
+        space = form_spaces.hyperbolic(n, p) if n % 2 == 0 else form_spaces.dot(n, p)
         pool = anisotropic_vectors(space, 4 * n)
         gens = [reflection(space, pool[rng.randrange(len(pool))])]
     if n >= 4 and n % 2 == 0 and rng.randrange(2):
@@ -567,7 +573,7 @@ class TestContainsDerived:
         assert not derived_containment(gens, space)[0]
 
     def test_derived_generators_self_containment(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         gens = derived_subgroup_generators(space)
         assert derived_containment(gens, space)[0]
 
@@ -586,8 +592,8 @@ class TestContainsDerived:
             FormSpace.symplectic(2, 3),
             FormSpace.symplectic(2, 5),
             FormSpace.symplectic(4, 3),
-            FormSpace.dot(3, 5),
-            FormSpace.hyperbolic(4, 5),
+            form_spaces.dot(3, 5),
+            form_spaces.hyperbolic(4, 5),
         ],
     )
     def test_derived_generators_have_derived_order(self, space):
@@ -595,7 +601,7 @@ class TestContainsDerived:
         assert GeneratedGroup(gens).order() == isometry_group_orders(space).derived_order
 
     def test_omega_inside_full_reflection_group(self):
-        space = FormSpace.dot(3, 5)
+        space = form_spaces.dot(3, 5)
         refls = [reflection(space, r) for r in anisotropic_vectors(space, 30)]
         assert derived_containment(refls, space)[0]
 
@@ -607,7 +613,7 @@ class TestContainsDerived:
         assert derived_containment([Matrix.identity(1, 5)], space)[0]
 
     def test_non_isometry_raises(self):
-        space = FormSpace.dot(2, 5)
+        space = form_spaces.dot(2, 5)
         shear = Matrix([[1, 1], [0, 1]], 5)
         with pytest.raises(NotAnIsometry):
             derived_containment([reflection(space, np.array([1, 0])), shear], space)
@@ -627,16 +633,16 @@ class TestContainsDerived:
             FormSpace.symplectic(2, 3),
             FormSpace.symplectic(4, 3),
             FormSpace.symplectic(2, 5),
-            FormSpace.dot(2, 5),
-            FormSpace.hyperbolic(2, 5),
+            form_spaces.dot(2, 5),
+            form_spaces.hyperbolic(2, 5),
             FormSpace.from_gram(Matrix.diagonal([1, 2], 5)),  # O2-(5)
-            FormSpace.dot(3, 3),
-            FormSpace.dot(3, 7),
-            FormSpace.dot(4, 5),
-            FormSpace.hyperbolic(4, 5),
+            form_spaces.dot(3, 3),
+            form_spaces.dot(3, 7),
+            form_spaces.dot(4, 5),
+            form_spaces.hyperbolic(4, 5),
             FormSpace.from_gram(Matrix.diagonal([1, 1, 1, 2], 5)),  # O4-(5)
-            FormSpace.hyperbolic(4, 3),
-            FormSpace.dot(5, 5),
+            form_spaces.hyperbolic(4, 3),
+            form_spaces.dot(5, 5),
         ):
             dgens = derived_subgroup_generators(space)
 
@@ -669,7 +675,7 @@ def _random_generators(rng: Random, p: int, n: int) -> list[Matrix]:
     if kind == 0:
         return [random_invertible(n, p, rng) for _ in range(2)]
     if kind == 1:
-        space = FormSpace.symplectic(n, p) if n % 2 == 0 else FormSpace.dot(n, p)
+        space = FormSpace.symplectic(n, p) if n % 2 == 0 else form_spaces.dot(n, p)
         return [random_isometry(space, rng) for _ in range(rng.randrange(1, 4))]
     if kind == 2:
         return [random_invertible(n, p, rng)]
@@ -740,7 +746,7 @@ class TestEngineOracle:
 
     def test_derived_containment_batch_matches_one_by_one(self):
         rng = Random(11)
-        for space in (FormSpace.symplectic(4, 3), FormSpace.dot(3, 5), FormSpace.hyperbolic(4, 5)):
+        for space in (FormSpace.symplectic(4, 3), form_spaces.dot(3, 5), form_spaces.hyperbolic(4, 5)):
             dgens = derived_subgroup_generators(space)
             for length in (1, 2, 6):
                 gens = [random_isometry(space, rng, length=length) for _ in range(2)]
@@ -856,7 +862,7 @@ class TestKnownOrderStop:
         sp = hyperelliptic_system(2, 5)
         o = twist_family_system([2], 7)
         e = np.eye(4, dtype=np.int64)
-        sym, dot = FormSpace.symplectic(4, 5), FormSpace.dot(4, 5)
+        sym, dot = FormSpace.symplectic(4, 5), form_spaces.dot(4, 5)
         cases = [
             (sp.space, list(sp.generators[:2])),
             (sp.space, list(sp.generators[1:4])),
@@ -897,8 +903,10 @@ class TestKnownOrderStop:
         assert not group._chain.stopped
 
     def test_derived_containment_passes_the_bound(self, monkeypatch):
-        # the one group derived containment builds stops at the bound, and
-        # cross_validate reads its order from that group
+        # without a witness the one group derived containment builds stops
+        # at the bound, and its order is the order returned; with one, a
+        # full witness orbit decides Sp(6,3), Sp(4,5) and O(5,5) with no
+        # group, and O(4,7), of dimension 4, keeps the chain
         import monodromy.classical_groups as classical
 
         built = []
@@ -911,9 +919,185 @@ class TestKnownOrderStop:
         monkeypatch.setattr(classical, "GeneratedGroup", Recorded)
         for name in sorted(_BOUNDED_SYSTEMS):
             system = _BOUNDED_SYSTEMS[name]()
+            gens, space = list(system.generators), system.space
             built.clear()
-            assert derived_containment(system.generators, system.space)[0]
-            assert len(built) == 1 and built[0]._chain.stopped, name
+            derived, cls, order = _derived_containment(gens, space, 10**7, None)
+            assert derived and len(built) == 1 and built[0]._chain.stopped, name
+            assert order == built[0].order() == _order_bound(space, gens)[0]
+            built.clear()
+            assert derived_containment(gens, space) == (True, cls)
+            if name == "O(4,7)":
+                assert len(built) == 1 and built[0]._chain.stopped
+            else:
+                assert built == [], name
+
+
+# the family systems of the golden file whose reports include an exact
+# order, and two larger ones; Sp(2,3) and the orthogonal spaces of
+# dimension 4 have no witness
+_FAMILY_SYSTEMS = {
+    "Sp(2,3)": lambda: hyperelliptic_system(1, 3),
+    "Sp(2,5)": lambda: hyperelliptic_system(1, 5),
+    "Sp(4,5)": lambda: hyperelliptic_system(2, 5),
+    "Sp(6,3)": lambda: hyperelliptic_system(3, 3),
+    "Sp(6,5)": lambda: hyperelliptic_system(3, 5),
+    "Sp(8,3)": lambda: hyperelliptic_system(4, 3),
+    "O(4,5)": lambda: twist_family_system([2], 5),
+    "O(4,7)": lambda: twist_family_system([2], 7),
+    "O(5,5)": lambda: twist_family_system([2, 3], 5),
+    "O(5,7)": lambda: twist_family_system([2, 3], 7),
+}
+
+
+def _witnesses(gens: list[Matrix], space) -> list[Matrix]:
+    """Every generator ``_witness`` would pick on its own; it picks the first of them."""
+    return [g for g in gens if _witness(space, [g], [classify_element(g, space)]) is g]
+
+
+def _chain_contains_derived(gens: list[Matrix], space) -> bool:
+    bound, _ = _order_bound(space, gens)
+    return GeneratedGroup(gens, 10**7, lambda: bound).order() == bound
+
+
+def _reflection_groups(space, rng: Random) -> list[list[Matrix]]:
+    """Random, reducible and imprimitive groups generated by reflections of ``space``.
+
+    The reducible ones reflect in vectors of the hyperplane x_n = 0.  The
+    imprimitive ones are monomial: reflections in the vectors b_i of an
+    orthogonal basis and in b_i +- b_j where Q(b_i) = Q(b_j), which swap
+    the lines of b_i and b_j, moved by a random isometry.
+    """
+    n, p = space.dim, space.p
+
+    def anisotropic(dim):
+        v = np.zeros(n, dtype=np.int64)
+        while not space.q(v):
+            v[:dim] = [rng.randrange(p) for _ in range(dim)]
+        return v
+
+    basis = _orthogonal_basis(space)
+    roots = basis + [
+        (basis[i] + s * basis[j]) % p
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in (1, -1)
+        if space.q(basis[i]) == space.q(basis[j])
+    ]
+    groups = []
+    for k in (2, n, n + 1, n + 3):
+        groups.append([reflection(space, anisotropic(n)) for _ in range(k)])
+        groups.append([reflection(space, anisotropic(n - 1)) for _ in range(k)])
+        g = random_isometry(space, rng, 3)
+        picked = [roots[rng.randrange(len(roots))] for _ in range(k)]
+        groups.append([g @ reflection(space, r) @ g.inv() for r in picked])
+    return groups
+
+
+def _orthogonal_basis(space) -> list[np.ndarray]:
+    """An orthogonal basis of anisotropic vectors, by Gram-Schmidt on a vector scan."""
+    p = space.p
+    basis = []
+    for v in anisotropic_vectors(space, space.p ** space.dim):
+        w = np.array(v, dtype=np.int64)
+        for b in basis:
+            w = (w - space.pair(w, b) * pow(space.q(b), -1, p) * b) % p
+        if w.any() and space.q(w):
+            basis.append(w)
+        if len(basis) == space.dim:
+            return basis
+    raise AssertionError("no orthogonal basis found")
+
+
+def _transvection_groups(space, rng: Random) -> list[list[Matrix]]:
+    """Random and reducible groups generated by transvections of ``space``.
+
+    Over F_p, p odd, an irreducible group generated by transvections is
+    Sp(V) (McLaughlin, 1967), so a proper one is reducible: its vectors
+    lie in a proper subspace.
+    """
+    n, p = space.dim, space.p
+
+    def vector(dim):
+        v = np.zeros(n, dtype=np.int64)
+        while not v.any():
+            v[:dim] = [rng.randrange(p) for _ in range(dim)]
+        return v
+
+    groups = []
+    for k in (2, n, n + 1, n + 3):
+        groups.append([transvection(space, vector(n), rng.randrange(1, p)) for _ in range(k)])
+        groups.append([transvection(space, vector(n - 1), rng.randrange(1, p)) for _ in range(k)])
+    return groups
+
+
+class TestWitnessOrbit:
+    """The witness orbit against the chain it replaces: full exactly when the chain reaches the bound."""
+
+    @pytest.mark.parametrize("name", sorted(_FAMILY_SYSTEMS))
+    def test_matches_the_chain_on_family_systems(self, name):
+        system = _FAMILY_SYSTEMS[name]()
+        gens, space = list(system.generators), system.space
+        witnesses = _witnesses(gens, space)
+        assert bool(witnesses) == (name not in ("Sp(2,3)", "O(4,5)", "O(4,7)"))
+        expected = _chain_contains_derived(gens, space)
+        assert expected
+        for w in witnesses:
+            assert _witness_orbit_is_full(gens, space, w, 10**7) == expected
+            # so is every proper subset of the generators that still holds w,
+            # where the chains of these smaller groups are cheap
+            for drop in range(len(gens) if space.dim <= 5 else 0):
+                if gens[drop] is not w:
+                    rest = gens[:drop] + gens[drop + 1 :]
+                    assert _witness_orbit_is_full(rest, space, w, 10**7) == _chain_contains_derived(rest, space)
+
+    @pytest.mark.parametrize(
+        "kind,n,p",
+        [("alternating", n, p) for n, p in ((2, 5), (2, 7), (4, 3), (4, 5), (6, 3))]
+        + [("symmetric", n, p) for n, p in ((5, 3), (5, 5), (6, 3), (7, 3))],
+    )
+    def test_matches_the_chain_on_random_groups(self, kind, n, p):
+        rng = Random(1000 * n + p)
+        # a random form: the standard one in a random basis
+        a = random_invertible(n, p, rng)
+        standard = FormSpace.symplectic(n, p) if kind == "alternating" else form_spaces.dot(n, p)
+        space = FormSpace(a.T @ standard.gram @ a, kind)
+        make = _transvection_groups if kind == "alternating" else _reflection_groups
+        outcomes = []
+        for gens in make(space, rng):
+            witness = _witness(space, gens, [classify_element(g, space) for g in gens])
+            assert witness is gens[0]
+            expected = _chain_contains_derived(gens, space)
+            assert _witness_orbit_is_full(gens, space, witness, 10**7) == expected
+            assert _derived_containment(gens, space, 10**7, witness) == _derived_containment(
+                gens, space, 10**7, None
+            )
+            outcomes.append(expected)
+        # groups that contain the derived subgroup and groups that do not
+        assert outcomes.count(False) >= 4 and outcomes.count(True) >= 1, outcomes
+
+    def test_walk_respects_the_limit(self):
+        system = hyperelliptic_system(3, 5)  # Sp(6,5): the witness orbit has 15624 vectors
+        gens, space = list(system.generators), system.space
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                derived_containment(gens, space, limit=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 700_000
+        # the orbit fits under a limit of its own size, and builds no chain
+        assert derived_containment(gens, space, limit=5**6 - 1) == (True, None)
+        with pytest.raises(ResourceLimit):
+            derived_containment(gens, space, limit=5**6 - 2)
+
+    def test_walk_refuses_codes_past_int64(self):
+        a = np.eye(40, dtype=np.int64)
+        a[0, 1] = 1
+        base = np.zeros(40, dtype=np.int64)
+        base[0] = 1
+        with pytest.raises(ResourceLimit):
+            _orbit_reaches([Matrix(a, 3)], base, 2, 10**7)
 
 
 def _gl_det_bound(gens: list[Matrix]) -> int:
