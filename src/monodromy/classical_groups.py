@@ -576,15 +576,17 @@ def _derived_containment(
     witness - 1.  Since g t_v g^-1 = t_gv and g r_v g^-1 = r_gv, G holds the
     transvection, or the reflection, of every vector in the orbit G v.
     When that orbit is all of V - 0, G holds every transvection of the
-    parameter of t_v, and these generate Sp(V); when it is every w with
-    Q(w) = Q(v), G holds every reflection of that norm, and these generate a
-    group that contains Omega.  Either way G contains the derived subgroup,
-    so |G| is the bound of ``_order_bound``, and no chain is built (Taylor,
-    The Geometry of the Classical Groups, 1992, ch. 8 and 11).  A shorter
-    orbit, or no witness, leaves the decision to the order of the chain
-    that the bound stops.  The orbit is walked by
-    ``group_engine._orbit_reaches``, which stores at most ``limit`` vectors
-    as a chain does.
+    parameter of t_v; when it is every w with Q(w) = Q(v), G holds every
+    reflection of that norm.  These generate a normal subgroup of the
+    isometry group that is not central, so it contains the derived
+    subgroup wherever that is perfect and simple modulo its centre: Sp(V)
+    other than Sp(2, 3), and Omega for n >= 5.  Then G contains the
+    derived subgroup, |G| is the bound of ``_order_bound``, and no chain is
+    built (Taylor, The Geometry of the Classical Groups, 1992, ch. 8 and
+    11).  A shorter orbit, or no witness, leaves the decision to the order
+    of the chain that the bound stops.  The orbit is walked by
+    ``group_engine._orbit_reaches``, which, like a chain, raises
+    ResourceLimit once more than ``limit`` vectors are stored.
     """
     bound, image = _order_bound(space, gens)
     if witness is None or not _witness_orbit_is_full(gens, space, witness, limit):

@@ -465,9 +465,10 @@ class GeneratedGroup:
 
     ``bound`` is a callable that returns an upper bound on the order, or
     None; it is called only when levels are about to be built: the
-    derived-subgroup test passes the bound of a group of isometries, the
-    CLI's ``order`` that of a lone non-degenerate invariant form, solved
-    for only then.  Without it the build stops at ``_det_bound``.  A
+    derived-subgroup test passes the bound of a group of isometries, and
+    the CLI's ``order`` solves for the invariant forms only then (with a
+    lone pairing it hands the group to that test and abandons this build
+    before any level).  Without it the build stops at ``_det_bound``.  A
     stopped chain stores the same orbits and gives the same answers as the
     same build run to completion, which is the build given a bound it
     cannot reach; a group that never reaches its bound gets that full build.
