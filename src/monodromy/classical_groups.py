@@ -14,11 +14,12 @@ pairing a basis of invariant forms spans (``invariant_pairing``).
 
 Containment of the derived subgroup of the isometry group
 (``derived_containment``) is decided with no derived generators.  When a
-generator is a transvection or a reflection, the orbit of one vector
-decides it, with no stabilizer chain.  Otherwise the group order decides,
-with the image of (determinant, spinor norm) in the orthogonal case: the
-bound |Sp(V)|, or |Omega| times the size of that image, stops the build of
-the ``GeneratedGroup`` chain.
+generator is a transvection, or a reflection of a symmetric space of
+dimension at least 3 outside a few small cases over F_3, a full orbit of
+one vector proves it, with no stabilizer chain.  Otherwise the group
+order decides, with the image of (determinant, spinor norm) in the
+orthogonal case: the bound |Sp(V)|, or |Omega| times the size of that
+image, stops the build of the ``GeneratedGroup`` chain.
 """
 
 from __future__ import annotations
@@ -550,18 +551,25 @@ def derived_containment(
 def _witness(space: FormSpace, gens: Sequence[Matrix], classes: Sequence[ElementClass]) -> Optional[Matrix]:
     """The first generator whose vector orbit decides derived containment, or None.
 
-    A transvection of an alternating space other than F_3^2, or a
-    reflection of a symmetric space of dimension at least 5, tagged so in
-    ``classes``.  For Sp(2, 3), and for symmetric spaces of dimension at
-    most 4, the generation statements behind ``_derived_containment`` have
-    exceptions that no oracle has settled here, so those groups keep the
-    chain.
+    A transvection of an alternating space, or a reflection of a symmetric
+    space of dimension n >= 5, or of dimension 3 or 4 over F_p with
+    p >= 5, tagged so in ``classes``.  On these spaces a full witness
+    orbit proves that G contains the derived subgroup (see
+    ``_derived_containment``).  Symmetric spaces of dimension at most 2,
+    and of dimension 3 or 4 over F_3, keep the chain: Omega(2, p) is
+    abelian, and over F_3 the reflections of one norm class can generate
+    a group that misses Omega.  The three reflections in an orthogonal
+    basis of norm-1 vectors of F_3^3 generate a group of order 8, and
+    |Omega(3, 3)| = 12; each norm class of O+(4, 3) generates one of order
+    192, and |Omega+(4, 3)| = 288.  O-(4, 3), where Omega = PSL(2, 9) is
+    simple, is settled by the same proof, but keeps the chain for a
+    simpler rule.
     """
     if space.parity == "alternating":
-        tag, settled = TRANSVECTION, (space.dim, space.p) != (2, 3)
+        tag = TRANSVECTION
+    elif space.dim >= 5 or (space.dim >= 3 and space.p >= 5):
+        tag = REFLECTION
     else:
-        tag, settled = REFLECTION, space.dim >= 5
-    if not settled:
         return None
     return next((g for g, c in zip(gens, classes) if c.tag == tag), None)
 
@@ -575,16 +583,38 @@ def _derived_containment(
     transvection t_v, or a reflection r_v, with v a nonzero column of
     witness - 1.  Since g t_v g^-1 = t_gv and g r_v g^-1 = r_gv, G holds the
     transvection, or the reflection, of every vector in the orbit G v.
-    When that orbit is all of V - 0, G holds every transvection of the
-    parameter of t_v; when it is every w with Q(w) = Q(v), G holds every
-    reflection of that norm.  These generate a normal subgroup of the
-    isometry group that is not central, so it contains the derived
-    subgroup wherever that is perfect and simple modulo its centre: Sp(V)
-    other than Sp(2, 3), and Omega for n >= 5.  Then G contains the
-    derived subgroup, |G| is the bound of ``_order_bound``, and no chain is
-    built (Taylor, The Geometry of the Classical Groups, 1992, ch. 8 and
-    11).  A shorter orbit, or no witness, leaves the decision to the order
-    of the chain that the bound stops.  The orbit is walked by
+    Only one direction is used: a full orbit proves G contains the derived
+    subgroup, and then |G| is the bound of ``_order_bound`` and no chain is
+    built.  A shorter orbit, or no witness, leaves the decision to the
+    order of the chain that the bound stops, so no transitivity claim is
+    needed.
+
+    Alternating space: when G v = V - 0, G holds every transvection of the
+    parameter a of t_v.  They generate a normal subgroup of Sp(V) that is
+    not central, which is Sp(V) wherever Sp(V) is perfect and simple
+    modulo its centre, that is for Sp(V) other than Sp(2, 3).  Sp(2, 3) =
+    SL(2, 3), whose normal subgroups are 1, {+-1}, Q_8 and SL(2, 3);
+    transvections have order 3, so they generate SL(2, 3).
+
+    Symmetric space: when G v is every w with Q(w) = c = Q(v), G holds
+    the group N that the reflections of norm c generate.  N is normal in
+    O(V), since g r_w g^-1 = r_gw and Q(gw) = Q(w).  N meets Omega in
+    r_u r_w for u != +-w of norm c: it has determinant 1 and spinor norm
+    c^2, a square, and it fixes <u, w>^perp pointwise, a space of dimension
+    n - 2 >= 1, so it is neither 1 nor -1.  Then N contains Omega:
+    - n >= 5: Omega is perfect and simple modulo its centre {+-1} cap
+      Omega, so a normal subgroup of it not in the centre is Omega;
+    - n = 3 or n = 4 of minus type, p >= 5: Omega(3, p) = PSL(2, p) and
+      Omega-(4, p) = PSL(2, p^2) are simple;
+    - n = 4 of plus type, p >= 5: Omega+(4, p) = SL(2, p) o SL(2, p).
+      Modulo +-1 its only normal subgroups are 1, either factor and the
+      whole group.  A reflection swaps the two factors and normalizes N cap
+      Omega, so N cap Omega maps onto Omega / {+-1}.  Omega is perfect, so
+      N cap Omega contains [Omega, Omega] = Omega.
+    ``_witness`` picks a witness only on these spaces.  See Taylor, The
+    Geometry of the Classical Groups (1992), ch. 8 and 11, and
+    Kleidman-Liebeck, The Subgroup Structure of the Finite Classical Groups
+    (1990), 2.9, for the small isomorphisms.  The orbit is walked by
     ``group_engine._orbit_reaches``, which, like a chain, raises
     ResourceLimit once more than ``limit`` vectors are stored.
     """

@@ -219,8 +219,11 @@ def _cmd_order(args, stdin, stdout) -> int:
     built, so a tuple of identities, or one whose vector codes do not fit
     in 64 bits, never solves the n^2 x n^2 form system.  With a lone
     invariant pairing the order is that of ``_derived_containment``: a
-    witness orbit, or else a chain that stops at the isometry bound.
-    Without one the chain stops at its determinant bound.
+    full witness orbit, or else a chain that stops at the isometry bound.
+    A witness is a transvection of an alternating space, or a reflection
+    of a symmetric space of dimension n >= 5, or n = 3 or 4 at p >= 5
+    (``_witness``), so Sp(2, 3) and O+(4, p) for p >= 5 walk the orbit
+    too.  Without a lone pairing the chain stops at its determinant bound.
     """
     t = _read_tuple(args, stdin)
 

@@ -123,7 +123,7 @@ class _SortedIndex:
         self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(lvl: _Level, p: int, cap: int):
+def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> list[np.ndarray]:
     """Grow the stored orbit of ``lvl`` to closure under all its generators.
 
     The orbit is closed under the first ``lvl.closed`` generators.  The
@@ -133,12 +133,14 @@ def _orbit(lvl: _Level, p: int, cap: int):
     are distinct, so only codes already in ``lvl.index`` are dropped, and
     each new code enters the index at the row it will take.  Stops once at
     least ``cap`` points are stored, keeping at most one batch of images
-    past the cap.  Returns the new points, in chunks of the storage dtype,
-    and the steps (first row, parent rows, generator) that reached them.
+    past the cap.  Returns the new points, in chunks of the storage dtype.
+    When ``steps`` is a list, the step (first row, parent rows, generator)
+    that reached each chunk is appended to it: a chain builds its
+    transversal from them, and a bare orbit walk keeps none.
     """
     gens, points, index = lvl.gens, lvl.points, lvl.index
     batch = max(1, _BLOCK_ENTRIES // points.shape[1])
-    chunks, steps = [], []
+    chunks = []
     total = len(points)
     frontier, first, movers = points, 0, range(lvl.closed, len(gens))
     while total < cap:
@@ -152,7 +154,8 @@ def _orbit(lvl: _Level, p: int, cap: int):
                 if fresh.size:
                     index.add(codes[fresh], np.arange(total, total + fresh.size))
                     chunks.append(images[fresh].astype(points.dtype))
-                    steps.append((total, first + a + fresh, j))
+                    if steps is not None:
+                        steps.append((total, first + a + fresh, j))
                     total += fresh.size
                 if total >= cap:
                     break
@@ -162,7 +165,7 @@ def _orbit(lvl: _Level, p: int, cap: int):
             break
         frontier, first = np.concatenate(chunks[round_chunks:]), round_start
         movers = range(len(gens))
-    return chunks, steps
+    return chunks
 
 
 def _check_codes(p: int, n: int) -> None:
@@ -180,9 +183,9 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
     """Whether the orbit of the nonzero vector ``base`` under ``gens`` has ``size`` vectors.
 
     The caller knows that the orbit has at most ``size`` vectors.  It is
-    walked by ``_orbit``, on a level based at ``base``, and the walk stops
-    as soon as ``size`` vectors are stored, so a full orbit is never
-    closed.  ResourceLimit is raised as a chain raises it: when vector
+    walked by ``_orbit``, on a level based at ``base``, keeping no step
+    records, since no transversal is built.  The walk stops as soon as
+    ``size`` vectors are stored, so a full orbit is never closed.  ResourceLimit is raised as a chain raises it: when vector
     codes of F_p^n do not fit in 64 bits, and when the orbit has more than
     ``limit`` vectors, checked after each batch of images.
     """
@@ -190,7 +193,7 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
     _check_codes(p, len(base))
     lvl = _Level(base, p, np.min_scalar_type(-(p - 1)))
     lvl.gens = np.array([g.array for g in gens], dtype=np.int64)
-    chunks, _ = _orbit(lvl, p, min(size, limit + 1))
+    chunks = _orbit(lvl, p, min(size, limit + 1))
     stored = 1 + sum(map(len, chunks))
     if stored > limit:
         raise _over_limit(limit)
@@ -335,7 +338,8 @@ class _Chain:
         budget = self.limit - sum(
             len(other.points) for k, other in enumerate(self.levels) if k != idx
         )
-        chunks, steps = _orbit(lvl, self.p, budget + 1)
+        steps = []
+        chunks = _orbit(lvl, self.p, budget + 1, steps)
         if len(lvl.points) + sum(map(len, chunks)) > budget:
             raise _over_limit(self.limit)
         lvl.closed = len(lvl.gens)

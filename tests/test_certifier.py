@@ -239,18 +239,8 @@ class TestIsometryCheck:
 class TestGroupsBuilt:
     """``certify`` builds no ``GeneratedGroup``; ``cross_validate`` builds one only without a full witness orbit."""
 
-    @pytest.mark.parametrize(
-        "system,r,groups",
-        [
-            (lambda: hyperelliptic_system(2, 5), 1, 0),
-            (lambda: twist_family_system([2, 3], 5), 2, 0),
-            # a symmetric space of dimension 4 keeps the chain
-            (lambda: twist_family_system([2], 7), 2, 1),
-        ],
-        ids=["Sp(4,5)", "O(5,5)", "O(4,7)"],
-    )
-    def test_one_group_per_cross_validation(self, system, r, groups, monkeypatch):
-        h = family_hypotheses(system(), r)
+    @staticmethod
+    def _count_groups(monkeypatch) -> list:
         built = []
         init = GeneratedGroup.__init__
 
@@ -259,16 +249,41 @@ class TestGroupsBuilt:
             init(group, *args, **kwargs)
 
         monkeypatch.setattr(GeneratedGroup, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize(
+        "system,r",
+        [
+            (lambda: hyperelliptic_system(2, 5), 1),
+            (lambda: twist_family_system([2, 3], 5), 2),
+            # O+(4,7): symmetric spaces of dimension 4 walk the orbit at p >= 5
+            (lambda: twist_family_system([2], 7), 2),
+        ],
+        ids=["Sp(4,5)", "O(5,5)", "O(4,7)"],
+    )
+    def test_one_group_per_cross_validation(self, system, r, monkeypatch):
+        h = family_hypotheses(system(), r)
+        built = self._count_groups(monkeypatch)
         cert = certify(h)
         assert cert.certified and built == []
         report = cross_validate(h)
-        assert report.agreement and report.exact_contains_derived and len(built) == groups
-        if groups:
-            # the chain stops at the bound, and the order is read from it
-            assert built[0]._chain.stopped
-            assert report.exact_order == built[0].order()
+        assert report.agreement and report.exact_contains_derived and built == []
         # the witness orbit gives the order a full build gives
         assert report.exact_order == GeneratedGroup(h.generators).order()
+
+    def test_one_stopped_chain_without_a_witness(self, monkeypatch):
+        # O+(4,3) has no witness: the one chain stops at the bound |O+(4,3)|,
+        # and the order is read from it
+        space = form_spaces.dot(4, 3)
+        e = np.eye(4, dtype=np.int64)
+        gens = [reflection(space, v) for v in (e[0], e[0] + e[1], e[0] + e[2], e.sum(axis=0))]
+        h = Hypotheses(space, gens, frozenset(), 1)
+        built = self._count_groups(monkeypatch)
+        report = cross_validate(h)
+        assert not report.certificate.certified and report.agreement
+        assert report.exact_contains_derived and report.exact_class == "FullO"
+        assert len(built) == 1 and built[0]._chain.stopped
+        assert report.exact_order == built[0].order() == 1152
 
 
 class TestCrossValidate:

@@ -27,10 +27,12 @@ from monodromy.classical_groups import (
     transvection,
     _nonzero_vectors,
     _norm_class_size,
+    _witness,
 )
 from monodromy.errors import InvalidInput, NotAnIsometry
 from monodromy.ff_linalg import Matrix, random_invertible
 from monodromy.families import twist_family_system
+from monodromy.group_engine import GeneratedGroup
 from closure_reference import naive_closure
 from derived_reference import derived_subgroup_generators
 from ff_linalg_reference import nonzero_vectors_per_index
@@ -601,3 +603,60 @@ class TestSubgroupClass:
         )
         gens = list(derived_subgroup_generators(space)) + [g]
         assert _class_of(gens, space) == "SO"
+
+
+def _settles(space: FormSpace, gens: list[Matrix]) -> bool:
+    return _witness(space, gens, [classify_element(g, space) for g in gens]) is not None
+
+
+# |N| on the spaces that _witness leaves on the chain, by (n, p, d, c)
+_CHAIN_ORDERS = {
+    # O(3,3): the class of three reflections (in an orthogonal basis)
+    # gives (Z/2)^3, of order 8, against 2 |Omega(3,3)| = 24
+    (3, 3, 1, 1): 8, (3, 3, 1, 2): 24, (3, 3, 2, 1): 24, (3, 3, 2, 2): 8,
+    # O+(4,3): each class gives 192, against 2 |Omega| = 576
+    (4, 3, 1, 1): 192, (4, 3, 1, 2): 192,
+    # O-(4,3): 720 = 2 |Omega|; the proof settles it, but the rule is
+    # simpler with every symmetric space of dimension 3 or 4 over F_3 on the chain
+    (4, 3, 2, 1): 720, (4, 3, 2, 2): 720,
+}
+
+
+class TestGenerationOracle:
+    """The generation statements behind ``_witness``, on every small space it might settle.
+
+    A full witness orbit puts in G every reflection of one norm c (every
+    transvection of one parameter).  The group N they generate must then
+    contain the derived subgroup wherever ``_witness`` settles the space.
+    Each N here is built from all its generators.
+    """
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reflections_of_one_norm_contain_omega_where_settled(self, n, p):
+        nonsquare = form_spaces.nonsquare(p)
+        for d in (1, nonsquare):  # both discriminants: both Witt types at n = 4
+            space = form_spaces.diagonal(n, p, d)
+            omega = isometry_group_orders(space).derived_order
+            for c in (1, nonsquare):
+                roots = [v for v in _nonzero_vectors(n, p) if space.q(v) == c]
+                assert len(roots) == _norm_class_size(space, c)
+                # r_v = r_-v: one generator per pair of roots
+                gens = list({reflection(space, v): None for v in roots})
+                order = GeneratedGroup(gens).order()
+                if _settles(space, gens):
+                    # (det, spinor norm) maps N onto {(1, 1), (-1, c)}
+                    assert order == 2 * omega, (n, p, d, c)
+                else:
+                    assert order == _CHAIN_ORDERS.get((n, p, d, c)), (n, p, d, c)
+                    assert order == len(naive_closure(gens))
+
+    def test_sp_2_3_is_settled_by_each_transvection_parameter(self):
+        # SL(2,3)'s normal subgroups are 1, +-1, Q_8 and SL(2,3); only the
+        # last holds elements of order 3
+        space = FormSpace.symplectic(2, 3)
+        for c in (1, 2):
+            gens = [transvection(space, v, c) for v in _nonzero_vectors(2, 3)]
+            assert _settles(space, gens)
+            assert GeneratedGroup(gens).order() == len(naive_closure(gens)) == 24
+            assert isometry_group_orders(space).full_order == 24

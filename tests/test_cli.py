@@ -282,12 +282,11 @@ class TestOrderBound:
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            # |Sp(6,5)|, |Sp(8,3)| and |O(5,5)|/2, as printed by full builds;
-            # a witness orbit gives each with no chain
+            # |Sp(6,5)|, |Sp(8,3)|, |O(5,5)|/2 and |O+(4,7)|/2, as printed by
+            # full builds; a witness orbit gives each with no chain
             (["hyperelliptic", "--genus", "3", "--prime", "5"], "ORDER: 457002000000000\n"),
             (["hyperelliptic", "--genus", "4", "--prime", "3"], "ORDER: 131569513308979200\n"),
             (["twist-family", "--roots", "2,3", "--prime", "5"], "ORDER: 9360000\n"),
-            # |O+(4,7)|/4, from a chain: symmetric spaces of dimension 4 keep it
             (["twist-family", "--roots", "2", "--prime", "7"], "ORDER: 112896\n"),
         ],
     )
@@ -296,10 +295,9 @@ class TestOrderBound:
         groups = _record_groups(monkeypatch)
         rc, out = run_cli(["order"], tuple_text)
         assert rc == 0 and out == expected
-        if argv[1:3] == ["--roots", "2"]:  # O(4,7)
-            assert len(groups) == 1 and groups[0]._chain.stopped
-        else:
-            assert groups == []
+        assert groups == []
+        if argv[1:3] == ["--roots", "2"]:  # O(4,7): the full build is cheap
+            assert out == f"ORDER: {GeneratedGroup(parse_tuple(tuple_text).matrices).order()}\n"
 
     def test_twist_order_matches_the_full_build(self):
         _, tuple_text = run_cli(["twist-family", "--roots", "2,3", "--prime", "5"])

@@ -832,6 +832,21 @@ def _membership_candidates(gens: list[Matrix], rng: Random) -> list[Matrix]:
     return words + others + [w @ o for w, o in zip(words, others)]
 
 
+def _record_groups(monkeypatch) -> list:
+    """Every ``GeneratedGroup`` that ``classical_groups`` builds from now on, in a list."""
+    import monodromy.classical_groups as classical
+
+    built = []
+
+    class Recorded(GeneratedGroup):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(classical, "GeneratedGroup", Recorded)
+    return built
+
+
 class TestKnownOrderStop:
     """Chains stopped at a known order bound against the reference engine."""
 
@@ -905,18 +920,9 @@ class TestKnownOrderStop:
     def test_derived_containment_passes_the_bound(self, monkeypatch):
         # without a witness the one group derived containment builds stops
         # at the bound, and its order is the order returned; with one, a
-        # full witness orbit decides Sp(6,3), Sp(4,5) and O(5,5) with no
-        # group, and O(4,7), of dimension 4, keeps the chain
-        import monodromy.classical_groups as classical
-
-        built = []
-
-        class Recorded(GeneratedGroup):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(classical, "GeneratedGroup", Recorded)
+        # full witness orbit decides every bounded system, O(4,7) included,
+        # with no group and the order of the full build
+        built = _record_groups(monkeypatch)
         for name in sorted(_BOUNDED_SYSTEMS):
             system = _BOUNDED_SYSTEMS[name]()
             gens, space = list(system.generators), system.space
@@ -925,16 +931,24 @@ class TestKnownOrderStop:
             assert derived and len(built) == 1 and built[0]._chain.stopped, name
             assert order == built[0].order() == _order_bound(space, gens)[0]
             built.clear()
+            witness = _witness(space, gens, [classify_element(g, space) for g in gens])
+            assert _derived_containment(gens, space, 10**7, witness) == (derived, cls, order)
             assert derived_containment(gens, space) == (True, cls)
-            if name == "O(4,7)":
-                assert len(built) == 1 and built[0]._chain.stopped
-            else:
-                assert built == [], name
+            assert built == [], name
+            assert order == GeneratedGroup(gens).order(), name
+        # O+(4,3) has no witness, so a reflection group there keeps the one
+        # chain, stopped at the bound |O+(4,3)|
+        space = form_spaces.dot(4, 3)
+        e = np.eye(4, dtype=np.int64)
+        gens = [reflection(space, r) for r in (e[0], e[0] + e[1], e[0] + e[2], e.sum(axis=0))]
+        built.clear()
+        assert derived_containment(gens, space) == (True, "FullO")
+        assert len(built) == 1 and built[0]._chain.stopped
+        assert built[0].order() == _order_bound(space, gens)[0] == 1152
 
 
 # the family systems of the golden file whose reports include an exact
-# order, and two larger ones; Sp(2,3) and the orthogonal spaces of
-# dimension 4 have no witness
+# order, and two larger ones; each has a witness
 _FAMILY_SYSTEMS = {
     "Sp(2,3)": lambda: hyperelliptic_system(1, 3),
     "Sp(2,5)": lambda: hyperelliptic_system(1, 5),
@@ -1030,15 +1044,38 @@ def _transvection_groups(space, rng: Random) -> list[list[Matrix]]:
     return groups
 
 
+def _random_form_space(kind: str, n: int, p: int) -> tuple[FormSpace, Random]:
+    """A standard space in a random basis, and the generator that drew the basis.
+
+    ``kind`` is "alternating", "symmetric" (identity Gram matrix) or
+    "symmetric-nonsquare" (Gram matrix diag(1, ..., 1, d), d a nonsquare:
+    the minus type in dimension 4, where the identity gives the plus type).
+    """
+    rng = Random(1000 * n + p + (kind == "symmetric-nonsquare"))
+    a = random_invertible(n, p, rng)
+    if kind == "alternating":
+        standard = FormSpace.symplectic(n, p)
+    elif kind == "symmetric":
+        standard = form_spaces.dot(n, p)
+    else:
+        standard = form_spaces.diagonal(n, p, form_spaces.nonsquare(p))
+    return FormSpace(a.T @ standard.gram @ a, standard.parity), rng
+
+
 class TestWitnessOrbit:
     """The witness orbit against the chain it replaces: full exactly when the chain reaches the bound."""
 
     @pytest.mark.parametrize("name", sorted(_FAMILY_SYSTEMS))
-    def test_matches_the_chain_on_family_systems(self, name):
+    def test_matches_the_chain_on_family_systems(self, name, monkeypatch):
         system = _FAMILY_SYSTEMS[name]()
         gens, space = list(system.generators), system.space
         witnesses = _witnesses(gens, space)
-        assert bool(witnesses) == (name not in ("Sp(2,3)", "O(4,5)", "O(4,7)"))
+        assert witnesses
+        # the first witness decides with no group, at the order of the full build
+        built = _record_groups(monkeypatch)
+        order = _derived_containment(gens, space, 10**7, witnesses[0])[2]
+        assert built == []
+        assert order == GeneratedGroup(gens).order()
         expected = _chain_contains_derived(gens, space)
         assert expected
         for w in witnesses:
@@ -1052,15 +1089,15 @@ class TestWitnessOrbit:
 
     @pytest.mark.parametrize(
         "kind,n,p",
-        [("alternating", n, p) for n, p in ((2, 5), (2, 7), (4, 3), (4, 5), (6, 3))]
-        + [("symmetric", n, p) for n, p in ((5, 3), (5, 5), (6, 3), (7, 3))],
+        [("alternating", n, p) for n, p in ((2, 3), (2, 5), (2, 7), (4, 3), (4, 5), (6, 3))]
+        + [
+            ("symmetric", n, p)
+            for n, p in ((3, 5), (3, 7), (4, 5), (4, 7), (5, 3), (5, 5), (6, 3), (7, 3))
+        ]
+        + [("symmetric-nonsquare", 4, p) for p in (5, 7)],
     )
     def test_matches_the_chain_on_random_groups(self, kind, n, p):
-        rng = Random(1000 * n + p)
-        # a random form: the standard one in a random basis
-        a = random_invertible(n, p, rng)
-        standard = FormSpace.symplectic(n, p) if kind == "alternating" else form_spaces.dot(n, p)
-        space = FormSpace(a.T @ standard.gram @ a, kind)
+        space, rng = _random_form_space(kind, n, p)
         make = _transvection_groups if kind == "alternating" else _reflection_groups
         outcomes = []
         for gens in make(space, rng):
@@ -1074,6 +1111,15 @@ class TestWitnessOrbit:
             outcomes.append(expected)
         # groups that contain the derived subgroup and groups that do not
         assert outcomes.count(False) >= 4 and outcomes.count(True) >= 1, outcomes
+
+    @pytest.mark.parametrize("kind", ["symmetric", "symmetric-nonsquare"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_no_witness_on_small_symmetric_spaces_over_f3(self, kind, n):
+        # there reflections of one norm can generate a group without Omega
+        # (see test_classical_groups.TestGenerationOracle), so the chain decides
+        space, rng = _random_form_space(kind, n, 3)
+        for gens in _reflection_groups(space, rng):
+            assert _witness(space, gens, [classify_element(g, space) for g in gens]) is None
 
     def test_walk_respects_the_limit(self):
         system = hyperelliptic_system(3, 5)  # Sp(6,5): the witness orbit has 15624 vectors
@@ -1090,6 +1136,20 @@ class TestWitnessOrbit:
         assert derived_containment(gens, space, limit=5**6 - 1) == (True, None)
         with pytest.raises(ResourceLimit):
             derived_containment(gens, space, limit=5**6 - 2)
+
+    def test_walk_keeps_no_step_records(self):
+        # Sp(8,5): the walk stores 390,624 vectors; their int8 chunks and the
+        # dense index take 4.5 MiB, and the int64 parent rows a chain would
+        # keep for its transversal another 3 MiB
+        system = hyperelliptic_system(4, 5)
+        gens, space = list(system.generators), system.space
+        tracemalloc.start()
+        try:
+            assert derived_containment(gens, space) == (True, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
 
     def test_walk_refuses_codes_past_int64(self):
         a = np.eye(40, dtype=np.int64)
