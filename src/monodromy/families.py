@@ -109,9 +109,12 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     """Quadratic twists of the rank-2 family with multiplicative locus {0, 1}.
 
     ``g_roots`` are the roots of the fixed part of the twisting polynomial;
-    with d = len(g_roots) + 1 the output dimension is 2d for even d and
-    2d - 1 for odd d.  Classifications: Reflection at 0 and 1, IsotropicShear
-    at every root.
+    with d = len(g_roots) + 1 the output dimension is ``dim_formula`` of the
+    reduction divisor on the genus-0 base: multiplicative locus {0, 1} and
+    d + 1 additive points (the d roots and infinity) for even d, so 2d;
+    multiplicative {0, 1, infinity} and the d roots additive for odd d, so
+    2d - 1.  Classifications: Reflection at 0 and 1, IsotropicShear at every
+    root.
     """
     if _check_modulus(p) < 5:
         raise InvalidInput(f"modulus must be a prime >= 5, got {p}")
@@ -127,7 +130,7 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     twisted = twist_quadratic(base, roots)
     out = middle_convolve(twisted, p - 1)
     d = len(roots) + 1
-    expected = 2 * d if d % 2 == 0 else 2 * d - 1
+    expected = dim_formula(2, d + 1, 0) if d % 2 == 0 else dim_formula(3, d, 0)
     if out.rank != expected:
         raise FamilyCheckFailed(f"twist family rank {out.rank} != expected {expected}")
     space = _family_space(out, "twist-family", "symmetric")

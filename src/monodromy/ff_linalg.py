@@ -268,7 +268,7 @@ class Matrix:
     are not integers or booleans fitting in int64 raise InvalidInput.
     """
 
-    __slots__ = ("array", "p")
+    __slots__ = ("array", "p", "_det")
 
     def __init__(self, entries, p: int):
         p = _check_modulus(p)
@@ -375,7 +375,17 @@ class Matrix:
     # -- queries -------------------------------------------------------------
 
     def det(self) -> int:
-        return _det(self.array, self.p)
+        """The determinant mod p, eliminated on the first call and kept in the ``_det`` slot.
+
+        The slot is filled with ``object.__setattr__`` and is not part of
+        ``__eq__`` or ``__hash__``.  Two threads that race on the first call
+        both store the same int, so the race is harmless.
+        """
+        det = getattr(self, "_det", None)
+        if det is None:
+            det = _det(self.array, self.p)
+            object.__setattr__(self, "_det", det)
+        return det
 
     def inv(self) -> "Matrix":
         if self.rows != self.cols:  # a wide matrix may have right inverses

@@ -36,16 +36,22 @@ codes, strong generators, their inverses and every product stay int64, so
 products are exact under the guards ``ff_linalg._check_products`` (on
 every ``Matrix``) and p^n < 2^63 (on every chain).
 
-Irreducibility is decided on small spaces by spinning one line per G-orbit
-on lines (spans held as ``Subspace``, orbits grown a frontier of lines at a
-time) and above that by a meataxe-style search with Norton's certificate.
-Everything is exact; randomized searches take an explicit seed.
+Irreducibility is decided on small spaces from the G-orbits on lines and
+above that by a meataxe-style search with Norton's certificate.  Each
+generator permutes the lines, and one pass of label propagation over those
+permutations labels every line with the least line of its orbit.  The span
+of an orbit is the spin of each of its lines, so V is reducible exactly
+when some orbit spans a proper subspace; an orbit of more lines than a
+hyperplane holds spans V, and only the smaller orbits are spanned, as one
+``Subspace`` each.  Everything is exact; randomized searches take an
+explicit seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -123,7 +129,7 @@ class _SortedIndex:
         self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> list[np.ndarray]:
+def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> tuple[int, list[np.ndarray]]:
     """Grow the stored orbit of ``lvl`` to closure under all its generators.
 
     The orbit is closed under the first ``lvl.closed`` generators.  The
@@ -133,10 +139,13 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> list[
     are distinct, so only codes already in ``lvl.index`` are dropped, and
     each new code enters the index at the row it will take.  Stops once at
     least ``cap`` points are stored, keeping at most one batch of images
-    past the cap.  Returns the new points, in chunks of the storage dtype.
-    When ``steps`` is a list, the step (first row, parent rows, generator)
-    that reached each chunk is appended to it: a chain builds its
-    transversal from them, and a bare orbit walk keeps none.
+    past the cap.  Returns the number of points then stored, and new points
+    in chunks of the storage dtype.  When ``steps`` is a list, those are all
+    the new points, and the step (first row, parent rows, generator) that
+    reached each chunk is appended to it: a chain builds its transversal
+    from them.  A bare orbit walk keeps no steps, and only the points of
+    the last round, its frontier: the chunks of each earlier round are
+    dropped once the next frontier is made from them.
     """
     gens, points, index = lvl.gens, lvl.points, lvl.index
     batch = max(1, _BLOCK_ENTRIES // points.shape[1])
@@ -164,8 +173,10 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> list[
         if len(chunks) == round_chunks:
             break
         frontier, first = np.concatenate(chunks[round_chunks:]), round_start
+        if steps is None:
+            chunks = []
         movers = range(len(gens))
-    return chunks
+    return total, chunks
 
 
 def _check_codes(p: int, n: int) -> None:
@@ -184,8 +195,10 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
 
     The caller knows that the orbit has at most ``size`` vectors.  It is
     walked by ``_orbit``, on a level based at ``base``, keeping no step
-    records, since no transversal is built.  The walk stops as soon as
-    ``size`` vectors are stored, so a full orbit is never closed.  ResourceLimit is raised as a chain raises it: when vector
+    records, since no transversal is built, and of the orbit vectors only
+    its last frontier; the index still marks every vector seen.  The walk
+    stops as soon as ``size`` vectors are stored, so a full orbit is never
+    closed.  ResourceLimit is raised as a chain raises it: when vector
     codes of F_p^n do not fit in 64 bits, and when the orbit has more than
     ``limit`` vectors, checked after each batch of images.
     """
@@ -193,8 +206,7 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
     _check_codes(p, len(base))
     lvl = _Level(base, p, np.min_scalar_type(-(p - 1)))
     lvl.gens = np.array([g.array for g in gens], dtype=np.int64)
-    chunks = _orbit(lvl, p, min(size, limit + 1))
-    stored = 1 + sum(map(len, chunks))
+    stored, _ = _orbit(lvl, p, min(size, limit + 1))
     if stored > limit:
         raise _over_limit(limit)
     return stored == size
@@ -339,8 +351,8 @@ class _Chain:
             len(other.points) for k, other in enumerate(self.levels) if k != idx
         )
         steps = []
-        chunks = _orbit(lvl, self.p, budget + 1, steps)
-        if len(lvl.points) + sum(map(len, chunks)) > budget:
+        stored, chunks = _orbit(lvl, self.p, budget + 1, steps)
+        if stored > budget:
             raise _over_limit(self.limit)
         lvl.closed = len(lvl.gens)
         if not chunks:
@@ -565,9 +577,7 @@ def _line_positions(vecs: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray
 
     Lines are ordered by the codes p^k + p^(k+1) i of their representatives
     with leading coefficient 1 (first by k, then by i); ``inverse[c]`` is the
-    inverse of c mod p.  Orbits are grown on lines, not vectors: an orbit
-    of lines is never larger than the number of lines, while its vectors
-    can be p - 1 times as many.
+    inverse of c mod p.
     """
     n = vecs.shape[1]
     lead = (vecs != 0).argmax(axis=1)
@@ -576,50 +586,91 @@ def _line_positions(vecs: np.ndarray, p: int, inverse: np.ndarray) -> np.ndarray
     return (p**n - p ** (n - lead)) // (p - 1) + codes // p ** (lead + 1)
 
 
+@lru_cache(maxsize=16)
+def _line_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The representatives of the lines of F_p^n in the order of lines, and the inverses mod p.
+
+    Both arrays are cached, so they are made read-only.
+    """
+    codes = np.concatenate([p**k + p ** (k + 1) * np.arange(p ** (n - k - 1)) for k in range(n)])
+    lines = _vectors(codes, n, p)
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)])
+    lines.setflags(write=False)
+    inverse.setflags(write=False)
+    return lines, inverse
+
+
+def _line_orbits(gens: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least line of the G-orbit of each line of F_p^n, and the size of each orbit.
+
+    Each generator permutes the lines: one product of the line table with
+    it, one ``_line_positions`` call.  Every line starts labelled by itself.
+    Each round pulls the label of pi(i) into line i and pushes the label of
+    i to pi(i), for every permutation pi, then replaces each label by the
+    label of the line it names; a label is always a line of the same orbit,
+    never larger than the line's own place.  The rounds stop when one
+    changes nothing: then every two lines that a generator joins carry the
+    same label, so it is constant on each orbit, and since the orbit's
+    least line carries no smaller line of its orbit, that constant is the
+    least line.  ``size[r]`` counts the lines labelled r, which is 0
+    unless r is the least line of its orbit.
+    """
+    n = gens.shape[1]
+    lines, inverse = _line_table(n, p)
+    perms = np.empty((len(gens), len(lines)), dtype=np.int64)
+    for j, g in enumerate(gens):
+        perms[j] = _line_positions((lines @ g.T) % p, p, inverse)
+    label = np.arange(len(lines))
+    while True:
+        before = label
+        label = label.copy()
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+            label[perm] = np.minimum(label[perm], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return label, np.bincount(label, minlength=len(lines))
+
+
 def is_irreducible(generators: Sequence[Matrix], seed: int = 0) -> IrreducibilityReport:
     """Decide whether the natural module of the group the generators generate is irreducible.
 
-    Small spaces (at most ``_EXHAUSTIVE_CAP`` lines) are settled exactly.
-    Lines are walked in the order of ``_line_positions``, and one line per
-    G-orbit on lines is spun: a line spins to V exactly when every line of
-    its orbit does (Holt-Rees, Testing modules for irreducibility, 1994).
-    So the first line that spans a proper subspace, the witness, is the one
-    a walk spinning every line would find.  Larger spaces use the meataxe
-    search: spin kernel vectors of singular elements of the group algebra,
-    with Norton's criterion giving an unconditional certificate when a
-    nullity-one element is found; a group of scalars, where that search
-    finds nothing, is reported reducible with the witness span(e_1) before
-    any trial.  The meataxe draws its group-algebra elements from a
-    ``Random(seed)``.  Raises Inconclusive if ``_MAX_TRIALS`` trials pass
-    without a verdict.  No chain is built; ``_check_generators`` checks the generators.
+    Small spaces (at most ``_EXHAUSTIVE_CAP`` lines) are settled exactly from
+    the G-orbits on lines (``_line_orbits``), taken in the order of their
+    least lines (``_line_positions``).  The spin of a vector v, the least
+    G-invariant subspace holding it, is the span of its orbit G v (that span
+    is G-invariant, and every invariant subspace holding v holds G v), so
+    each line of an orbit spins to the same subspace (Holt-Rees, Testing
+    modules for irreducibility, 1994), and V is reducible exactly when some
+    orbit spans a proper subspace.  A proper subspace holds at most
+    (p^(n-1) - 1) / (p - 1) lines, so an orbit with more lines spans V and
+    is skipped unspanned; each smaller orbit is spanned from its line
+    vectors, and the first proper span is the witness.  Spinning every line
+    in order would first find a proper span at the least line of that same
+    orbit, so the witness is the one that walk returns.
+
+    Larger spaces use the meataxe search: spin kernel vectors of singular
+    elements of the group algebra, with Norton's criterion giving an
+    unconditional certificate when a nullity-one element is found; a group
+    of scalars, where that search finds nothing, is reported reducible with
+    the witness span(e_1) before any trial.  The meataxe draws its
+    group-algebra elements from a ``Random(seed)``.  Raises Inconclusive if
+    ``_MAX_TRIALS`` trials pass without a verdict.  No chain is built;
+    ``_check_generators`` checks the generators.
     """
     generators, n, p, _ = _check_generators(generators)
     gens = np.array([g.array for g in generators], dtype=np.int64)
-    gens_t = gens.transpose(0, 2, 1)
     if n == 1:
         return IrreducibilityReport(True, None, "dimension-one")
 
     if (p**n - 1) // (p - 1) <= _EXHAUSTIVE_CAP:
-        codes = np.concatenate(
-            [p**k + p ** (k + 1) * np.arange(p ** (n - k - 1)) for k in range(n)]
-        )
-        lines = _vectors(codes, n, p)
-        inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)])
-        marked = np.zeros(len(lines), dtype=bool)
-        while not marked.all():
-            i = int(np.argmin(marked))
-            space = _spin(lines[i : i + 1], gens, p)
+        label, size = _line_orbits(gens, p)
+        lines, _ = _line_table(n, p)
+        in_hyperplane = (p ** (n - 1) - 1) // (p - 1)
+        for r in np.flatnonzero((size > 0) & (size <= in_hyperplane)):
+            space = Subspace(lines[label == r], n, p)
             if space.dim < n:
                 return IrreducibilityReport(False, space, "exhaustive")
-            marked[i] = True
-            frontier = lines[i : i + 1]
-            while len(frontier):
-                images = (frontier @ gens_t).reshape(-1, n) % p
-                fresh = np.zeros_like(marked)
-                fresh[_line_positions(images, p, inverse)] = True
-                fresh &= ~marked
-                marked |= fresh
-                frontier = lines[fresh]
         return IrreducibilityReport(True, None, "exhaustive")
 
     eye = np.eye(n, dtype=np.int64)
@@ -628,6 +679,7 @@ def is_irreducible(generators: Sequence[Matrix], seed: int = 0) -> Irreducibilit
         # never spin a vector; every line is invariant
         return IrreducibilityReport(False, Subspace(eye[:1], n, p), "scalar")
 
+    gens_t = gens.transpose(0, 2, 1)
     rng = Random(seed)
     for trial in range(1, _MAX_TRIALS + 1):
         theta = _random_algebra_element(gens, p, rng)

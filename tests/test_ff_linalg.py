@@ -241,6 +241,25 @@ class TestMatrix:
             b = random_invertible(3, 7, rng)
             assert (a @ b).det() == (a.det() * b.det()) % 7
 
+    def test_det_is_eliminated_once(self, monkeypatch):
+        calls = []
+        eliminate = ff._eliminate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(ff, "_eliminate", counted)
+        a = Matrix([[2, 1], [1, 1]], 7)
+        assert a.det() == 1 and len(calls) == 1
+        assert a.det() == 1 and len(calls) == 1
+        # the kept determinant is not part of equality or the hash
+        b = Matrix([[2, 1], [1, 1]], 7)
+        assert a == b and hash(a) == hash(b)
+        assert Matrix([[1, 1], [1, 1]], 3).det() == 0 and len(calls) == 2
+        with pytest.raises(AttributeError, match="immutable"):
+            a._det = 3
+
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
             Matrix([[1, 1], [1, 1]], 3).inv()

@@ -1,5 +1,6 @@
 """Group orders, irreducibility, element orders, derived containment."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -145,8 +146,9 @@ class TestIrreducibility:
 
     def test_line_orbits_do_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, which every CLI
-        # process would pay for; the line orbits are marked with a mask.
-        # Nor does the CLI's start-up or its ``order`` on a generic GL(3,5)
+        # process would pay for; the line orbits are labelled by their least
+        # lines and counted with np.bincount, on irreducible inputs and on
+        # one that leaves by its witness.  Nor does the CLI's start-up or its ``order`` on a generic GL(3,5)
         # tuple, which stops at the determinant bound, import it.
         code = (
             "import io, sys\n"
@@ -161,6 +163,11 @@ class TestIrreducibility:
             "from monodromy.group_engine import is_irreducible\n"
             "report = is_irreducible(twist_family_system([2], 7).generators)\n"
             "assert report.irreducible and report.method == 'exhaustive'\n"
+            "report = is_irreducible(twist_family_system([2, 3], 5).generators)\n"
+            "assert report.irreducible and report.method == 'exhaustive'\n"
+            "from monodromy.ff_linalg import Matrix\n"
+            "report = is_irreducible([Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]], 5)])\n"
+            "assert not report.irreducible and report.witness.dim == 1\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -381,8 +388,8 @@ def _block_triangular_generators(rng: Random, p: int, n: int) -> list[Matrix]:
     return gens
 
 
-def _line_orbit_count(gens: list[Matrix], n: int, p: int) -> int:
-    """G-orbits on the lines of F_p^n by breadth-first search over tuples."""
+def _line_orbit_sizes(gens: list[Matrix], n: int, p: int) -> list[int]:
+    """Sizes of the G-orbits on the lines of F_p^n by breadth-first search over tuples."""
 
     def normalized(v):
         lead = next(x for x in v if x % p)
@@ -391,10 +398,10 @@ def _line_orbit_count(gens: list[Matrix], n: int, p: int) -> int:
 
     arrays = [g.array for g in gens]
     unseen = {normalized(v) for v in np.ndindex(*(p,) * n) if any(v)}
-    orbits = 0
+    sizes = []
     while unseen:
-        orbits += 1
         frontier = [unseen.pop()]
+        sizes.append(1)
         while frontier:
             v = np.array(frontier.pop())
             for g in arrays:
@@ -402,7 +409,28 @@ def _line_orbit_count(gens: list[Matrix], n: int, p: int) -> int:
                 if image in unseen:
                     unseen.remove(image)
                     frontier.append(image)
-    return orbits
+                    sizes[-1] += 1
+    return sizes
+
+
+def _singer_cycle(n: int, p: int) -> Matrix:
+    """The companion matrix of the first primitive polynomial of degree n over F_p.
+
+    Its order is p^n - 1, so it permutes the nonzero vectors of F_p^n in
+    one cycle, and the lines in one orbit.
+    """
+    order = p**n - 1
+    primes = [q for q in range(2, order + 1) if order % q == 0 and all(q % d for d in range(2, q))]
+    for tail in itertools.product(range(p), repeat=n):
+        if not tail[0]:
+            continue
+        c = np.zeros((n, n), dtype=np.int64)
+        c[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+        c[:, -1] = [-x for x in tail]
+        m = Matrix(c, p)
+        if (m**order).is_identity() and not any((m ** (order // q)).is_identity() for q in primes):
+            return m
+    raise AssertionError(f"no primitive polynomial of degree {n} over F_{p}")
 
 
 class TestIrreducibilityOracle:
@@ -460,21 +488,60 @@ class TestIrreducibilityOracle:
         assert report == exhaustive_irreducibility(gens)
         assert report.irreducible and report.method == "exhaustive"
 
-    def test_spins_one_line_per_orbit(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build,n,p",
+        [
+            (lambda: twist_family_system([2], 7).generators, 4, 7),
+            (lambda: twist_family_system([2, 3], 5).generators, 5, 5),
+            # order 10 in GL(4,3), outside F_9: irreducible, 8 orbits of 5 lines
+            (lambda: [_singer_cycle(4, 3) ** 8], 4, 3),
+            (lambda: hyperelliptic_system(2, 3).generators, 4, 3),
+        ],
+        ids=["O(4,7)", "O(5,5)", "Singer^8 in GL(4,3)", "Sp(4,3)"],
+    )
+    def test_spans_each_orbit_that_fits_in_a_hyperplane(self, monkeypatch, build, n, p):
+        # an orbit of more lines than a hyperplane holds spans V unspanned
         import monodromy.group_engine as engine
 
-        gens = twist_family_system([2], 7).generators
-        spin = engine._spin
-        calls = []
+        gens = build()
+        spans = []
 
         def counted(*args):
-            calls.append(1)
-            return spin(*args)
+            spans.append(1)
+            return Subspace(*args)
 
-        monkeypatch.setattr(engine, "_spin", counted)
+        monkeypatch.setattr(engine, "_spin", None)
+        monkeypatch.setattr(engine, "Subspace", counted)
         report = is_irreducible(gens)
-        assert report.irreducible and report.method == "exhaustive"
-        assert len(calls) == _line_orbit_count(gens, 4, 7) < 400
+        assert report == IrreducibilityReport(True, None, "exhaustive")
+        in_hyperplane = (p ** (n - 1) - 1) // (p - 1)
+        sizes = _line_orbit_sizes(gens, n, p)
+        assert len(spans) == sum(size <= in_hyperplane for size in sizes)
+
+    @pytest.mark.parametrize("n,p", [(3, 5), (4, 3), (5, 3)])
+    def test_hyperplane_orbit_of_exactly_the_bound(self, n, p):
+        # a Singer cycle on H = span(e_1 .. e_(n-1)) moves the (p^(n-1) - 1) / (p - 1)
+        # lines of H in one orbit; a shear e_n -> e_n + e_1 ties the other
+        # lines to H, so H is the only invariant subspace, and it is missed
+        # unless an orbit of exactly that many lines is spanned
+        h = np.eye(n, dtype=np.int64)
+        h[: n - 1, : n - 1] = _singer_cycle(n - 1, p).array
+        shear = np.eye(n, dtype=np.int64)
+        shear[0, n - 1] = 1
+        gens = [Matrix(h, p), Matrix(shear, p)]
+        sizes = _line_orbit_sizes(gens, n, p)
+        assert (p ** (n - 1) - 1) // (p - 1) in sizes
+        report = is_irreducible(gens)
+        assert report == exhaustive_irreducibility(gens)
+        assert report.witness == Subspace(np.eye(n, dtype=np.int64)[: n - 1], n, p)
+
+    @pytest.mark.parametrize("n,p", [(5, 3), (4, 5), (3, 13), (7, 3)])
+    def test_singer_cycle_is_one_orbit(self, n, p):
+        gens = [_singer_cycle(n, p)]
+        assert _line_orbit_sizes(gens, n, p) == [(p**n - 1) // (p - 1)]
+        report = is_irreducible(gens)
+        assert report == exhaustive_irreducibility(gens)
+        assert report == IrreducibilityReport(True, None, "exhaustive")
 
     def test_meataxe_agrees_with_orbits_above_the_cap(self, monkeypatch):
         # F_5^6 has 3906 lines: the meataxe by default, the orbit path at 4000
@@ -1151,6 +1218,21 @@ class TestWitnessOrbit:
             tracemalloc.stop()
         assert peak < 7.5 * 2**20
 
+    def test_walk_keeps_only_its_frontier(self):
+        # Sp(8,5): holding every one of the 390,624 orbit vectors until the
+        # walk returns (1.5 MiB of int8 rows) put the peak at 6.4 MiB; the
+        # walk keeps the last round's vectors and the 3 MiB dense index
+        system = hyperelliptic_system(4, 5)
+        gens, space = list(system.generators), system.space
+        witness = _witness(space, gens, [classify_element(g, space) for g in gens])
+        tracemalloc.start()
+        try:
+            assert _witness_orbit_is_full(gens, space, witness, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.8 * 2**20
+
     def test_walk_refuses_codes_past_int64(self):
         a = np.eye(40, dtype=np.int64)
         a[0, 1] = 1
@@ -1465,6 +1547,19 @@ class TestChainRobustness:
             return group.order(), group.contains_array(member.array), outsider in group
 
         assert _query_concurrently(query) == [(9360000, True, False)] * 4
+
+    def test_concurrent_first_determinants_agree(self):
+        # each constructor reads det() of the shared generators, whose first
+        # call fills the kept determinant; racing threads store the same int
+        gens = [Matrix(g.array, 5) for g in hyperelliptic_system(2, 5).generators]
+        shared = gens + [Matrix.diagonal([2, 1, 1, 1], 5)]
+
+        def query():
+            return GeneratedGroup(shared).order(), [g.det() for g in shared]
+
+        results = _query_concurrently(query)
+        fresh = [Matrix(g.array, 5) for g in shared]
+        assert results == [(GeneratedGroup(fresh).order(), [1] * len(gens) + [2])] * 4
 
     def test_concurrent_first_queries_with_a_bound_are_exact(self):
         system = hyperelliptic_system(2, 5)
