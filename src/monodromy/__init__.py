@@ -26,8 +26,6 @@ from .ff_linalg import (
     invariant_forms,
     is_prime,
     jordan_type,
-    kernel,
-    random_invertible,
 )
 from .classical_groups import (
     ElementClass,
@@ -38,11 +36,7 @@ from .classical_groups import (
     invariant_pairing,
     is_isometry,
     isometry_group_orders,
-    random_isometry,
-    reflection,
-    siegel_shear,
     spinor_norm,
-    transvection,
 )
 from .group_engine import (
     GeneratedGroup,
@@ -53,7 +47,6 @@ from .group_engine import (
 )
 from .convolution import (
     PuncturedTuple,
-    map_local_jordan,
     middle_convolve,
     predict_rank,
     twist_quadratic,
@@ -71,9 +64,7 @@ from .certifier import (
     Conclusion,
     CrossReport,
     Hypotheses,
-    ProbeWitness,
     certify,
-    commutator_probe,
     cross_validate,
 )
 

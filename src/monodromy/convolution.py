@@ -6,9 +6,11 @@ punctures is the identity.  The convolution MC_lambda is realized as the
 block construction on the r*n-dimensional space followed by the quotient
 by its two canonical invariant subspaces.  The contract it must satisfy is
 the local calculus: the output rank equals ``predict_rank`` and the
-nontrivial Jordan blocks at each finite puncture transform by
-``map_local_jordan``; a wrong-rank quotient is a hard error rather than a
-silently wrong answer.
+nontrivial Jordan blocks at each finite puncture transform by the block
+map (for lambda != 1, unipotent blocks shrink by one and take eigenvalue
+lambda, blocks with eigenvalue 1/lambda grow by one and become unipotent,
+and the rest scale by lambda); a wrong-rank quotient is a hard error rather
+than a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "PuncturedTuple",
     "middle_convolve",
     "predict_rank",
-    "map_local_jordan",
     "twist_quadratic",
     "INFINITY",
 ]
@@ -108,6 +109,10 @@ class PuncturedTuple:
     def __setattr__(self, name, value):
         raise AttributeError("PuncturedTuple is immutable")
 
+    def __reduce__(self):
+        # rebuilt like ``Matrix``: the constructor derives the infinity matrix again
+        return PuncturedTuple, (self.punctures, self.matrices)
+
     def matrix_at(self, label: Label) -> Matrix:
         if label == INFINITY:
             return self.infinity_matrix
@@ -162,34 +167,6 @@ def predict_rank(
         raise InvalidInput("local data dimensions disagree across punctures")
     codims = sum(d.codim_fixed for d in finite)
     return codims - infinity.tensor(lam).fixed_dim
-
-
-def map_local_jordan(data: JordanData, lam: int) -> JordanData:
-    """Image of the nontrivial Jordan blocks under the convolution block map.
-
-    For lambda = 1 the blocks are unchanged.  Otherwise unipotent blocks
-    shrink by one and acquire eigenvalue lambda, blocks with eigenvalue
-    1/lambda grow by one and become unipotent, and everything else is
-    scaled by lambda.  Trivial blocks are bookkeeping handled by
-    ``predict_rank``, not by this map.
-    """
-    p = data.p
-    lam = int(lam) % p
-    if lam == 0:
-        raise InvalidInput("lambda must be nonzero")
-    nontrivial = data.nontrivial()
-    if lam == 1:
-        return nontrivial
-    lam_inv = pow(lam, -1, p)
-    out = []
-    for eig, size in nontrivial.blocks:
-        if eig == 1:
-            out.append((lam, size - 1))
-        elif eig == lam_inv:
-            out.append((1, size + 1))
-        else:
-            out.append(((eig * lam) % p, size))
-    return JordanData(out, p)
 
 
 def _fixed_rows(t: PuncturedTuple, lam: int) -> np.ndarray:

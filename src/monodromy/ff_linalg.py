@@ -25,10 +25,8 @@ __all__ = [
     "Matrix",
     "Subspace",
     "JordanData",
-    "kernel",
     "jordan_type",
     "invariant_forms",
-    "random_invertible",
 ]
 
 
@@ -289,6 +287,11 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the default slot
+        # restore writes through ``__setattr__``, which refuses
+        return Matrix, (self.array, self.p)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -456,6 +459,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __reduce__(self):
+        return Subspace, (self.basis, self.ambient, self.p)
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -533,6 +539,9 @@ class JordanData:
     def __setattr__(self, name, value):
         raise AttributeError("JordanData is immutable")
 
+    def __reduce__(self):
+        return JordanData, (self.blocks, self.p)
+
     @property
     def dim(self) -> int:
         return sum(size for _, size in self.blocks)
@@ -573,11 +582,6 @@ class JordanData:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def kernel(m: Matrix) -> Subspace:
-    """The full solution space of M x = 0, in echelon form."""
-    return Subspace(_kernel_rows(m.array, m.p), m.cols, m.p)
 
 
 def jordan_type(a: Matrix) -> JordanData:
@@ -651,13 +655,3 @@ def invariant_forms(gens: Sequence[Matrix]) -> list[Matrix]:
     system = np.concatenate(rows, axis=0)
     basis = _kernel_basis(system, p)
     return [Matrix(row.reshape(n, n), p) for row in basis]
-
-
-def random_invertible(n: int, p: int, rng) -> Matrix:
-    """Uniform-ish random invertible matrix, by rejection sampling."""
-    while True:
-        arr = np.array(
-            [[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64
-        )
-        if _det(arr, p) != 0:
-            return Matrix(arr, p)

@@ -533,7 +533,11 @@ class GeneratedGroup:
 
 
 def group_order(group: GeneratedGroup) -> int:
-    """Exact order of the generated group, read from the chain its constructor built."""
+    """Exact order of the generated group, read from the chain its constructor built.
+
+    Nothing in the package calls it: it is kept as the entry point the
+    benchmark's convolution jobs import (``perfbench/child.py``).
+    """
     return group.order()
 
 

@@ -5,8 +5,10 @@ read the common fixed space of the B_k off one r*n x r*n matrix: it stacks
 every B_k - 1 into an (r^2 n x r n) system and reduces against a
 hand-built echelon basis of the junk space.  ``reference_fixed_space`` is
 that one-matrix construction of the fixed space, from before it came from
-n-dimensional data.  Tests compare the library against both; the library
-does not import them.
+n-dimensional data.  Tests compare the library against both.
+``map_local_jordan`` maps the Jordan blocks at a puncture to the blocks
+its convolution has there, the oracle for ``middle_convolve``'s local data.
+The library imports none of them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from monodromy.convolution import PuncturedTuple
-from monodromy.errors import DegenerateQuotient, NotInCategory
-from monodromy.ff_linalg import Matrix, _check_products, _echelon_reduce, _kernel_basis, _rref
+from monodromy.errors import DegenerateQuotient, InvalidInput, NotInCategory
+from monodromy.ff_linalg import JordanData, Matrix, _check_products, _echelon_reduce, _kernel_basis, _rref
 
 
 def reference_fixed_space(t: PuncturedTuple, lam: int) -> np.ndarray:
@@ -129,3 +131,31 @@ def reference_middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
         return PuncturedTuple(t.punctures, out_mats)
     except ValueError as exc:
         raise DegenerateQuotient(f"quotient matrices are degenerate: {exc}") from exc
+
+
+def map_local_jordan(data: JordanData, lam: int) -> JordanData:
+    """Image of the nontrivial Jordan blocks under the convolution block map.
+
+    For lambda = 1 the blocks are unchanged.  Otherwise unipotent blocks
+    shrink by one and acquire eigenvalue lambda, blocks with eigenvalue
+    1/lambda grow by one and become unipotent, and everything else is
+    scaled by lambda.  Trivial blocks are bookkeeping handled by
+    ``predict_rank``, not by this map.
+    """
+    p = data.p
+    lam = int(lam) % p
+    if lam == 0:
+        raise InvalidInput("lambda must be nonzero")
+    nontrivial = data.nontrivial()
+    if lam == 1:
+        return nontrivial
+    lam_inv = pow(lam, -1, p)
+    out = []
+    for eig, size in nontrivial.blocks:
+        if eig == 1:
+            out.append((lam, size - 1))
+        elif eig == lam_inv:
+            out.append((1, size + 1))
+        else:
+            out.append(((eig * lam) % p, size))
+    return JordanData(out, p)

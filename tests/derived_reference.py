@@ -13,15 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from monodromy.classical_groups import (
-    FormSpace,
-    anisotropic_vectors,
-    isometry_group_orders,
-    reflection,
-    transvection,
-)
+from monodromy.classical_groups import FormSpace, isometry_group_orders
 from monodromy.ff_linalg import Matrix
 from monodromy.group_engine import GeneratedGroup
+
+from form_spaces import anisotropic_vectors, reflection, transvection
 
 _DERIVED_CACHE: dict[tuple, list[Matrix]] = {}
 

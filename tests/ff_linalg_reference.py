@@ -10,10 +10,13 @@ The integer primitives have oracles too.  ``multiplicative_order_divisor_scan``
 is ``group_engine._multiplicative_order`` as it was before it divided the
 primes of p - 1 out of p - 1: the first d in the ascending divisors of
 p - 1 with a^d = 1.  ``nonzero_vectors_per_index`` is
-``classical_groups._nonzero_vectors`` before it decoded blocks of codes:
+``form_spaces.nonzero_vectors`` before it decoded blocks of codes:
 one vector per index, its digits taken one Python division at a time.
-``primes_below`` is a sieve of Eratosthenes for ``is_prime``.  The library
-imports none of them.
+``primes_below`` is a sieve of Eratosthenes for ``is_prime``.
+
+Two helpers build test inputs: ``random_invertible`` draws a seeded random
+invertible matrix, and ``kernel`` is the solution space of M x = 0 as a
+``Subspace``.  The library imports none of these.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from monodromy.errors import NonSplitSpectrum
-from monodromy.ff_linalg import JordanData, Matrix, _rank
+from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_rows, _rank
 
 
 def jordan_type_full_scan(a: Matrix) -> JordanData:
@@ -114,3 +117,18 @@ def primes_below(limit: int) -> list[int]:
         if sieve[d]:
             sieve[d * d :: d] = [False] * len(range(d * d, limit, d))
     return [n for n, prime in enumerate(sieve) if prime]
+
+
+def random_invertible(n: int, p: int, rng) -> Matrix:
+    """Uniform-ish random invertible matrix, by rejection sampling."""
+    while True:
+        arr = np.array(
+            [[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64
+        )
+        if _det(arr, p) != 0:
+            return Matrix(arr, p)
+
+
+def kernel(m: Matrix) -> Subspace:
+    """The full solution space of M x = 0, in echelon form."""
+    return Subspace(_kernel_rows(m.array, m.p), m.cols, m.p)

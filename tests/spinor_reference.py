@@ -14,14 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from monodromy.classical_groups import (
-    FormSpace,
-    _vector_stream,
-    is_isometry,
-    reflection,
-    square_class,
-)
+from monodromy.classical_groups import FormSpace, is_isometry, square_class
 from monodromy.ff_linalg import Matrix
+
+from form_spaces import reflection, vector_stream
 
 
 def apply(m: Matrix, vec) -> np.ndarray:
@@ -47,7 +43,7 @@ def reference_spinor_norm(g: Matrix, space: FormSpace) -> int:
         if reflections_used >= 2 * n:
             raise AssertionError(f"no reflection factorization within {2 * n} reflections")
         v = None
-        for cand in _vector_stream(n, p):
+        for cand in vector_stream(n, p):
             if space.q(cand) == 0:
                 continue
             if any((cand @ gram @ u) % p for u in pinned):

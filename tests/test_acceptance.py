@@ -11,31 +11,23 @@ from random import Random
 import numpy as np
 import pytest
 
-from monodromy.certifier import Hypotheses, certify, commutator_probe, cross_validate
+from monodromy.certifier import Hypotheses, certify, cross_validate
 from monodromy.classical_groups import (
     FormSpace,
     ISOTROPIC_SHEAR,
     REFLECTION,
     TRANSVECTION,
-    anisotropic_vectors,
     classify_element,
     isometry_group_orders,
-    isotropic_vectors,
-    random_isometry,
-    reflection,
-    siegel_shear,
     spinor_norm,
-    transvection,
 )
-from monodromy.convolution import INFINITY, middle_convolve, predict_rank, map_local_jordan
+from monodromy.convolution import INFINITY, middle_convolve, predict_rank
 from monodromy.errors import ResourceLimit
 from monodromy.families import dim_formula, hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import (
     Matrix,
     invariant_forms,
     jordan_type,
-    kernel,
-    random_invertible,
 )
 from monodromy.group_engine import (
     GeneratedGroup,
@@ -45,7 +37,18 @@ from monodromy.group_engine import (
 )
 
 from closure_reference import naive_closure
+from convolution_reference import map_local_jordan
+from ff_linalg_reference import kernel, random_invertible
 import form_spaces
+from form_spaces import (
+    anisotropic_vectors,
+    isotropic_vectors,
+    random_isometry,
+    reflection,
+    siegel_shear,
+    transvection,
+)
+from probe_reference import commutator_probe
 from tests.test_convolution import in_category, random_split_tuple
 
 

@@ -10,25 +10,19 @@ import monodromy.classical_groups as classical_groups
 from monodromy.certifier import (
     Hypotheses,
     certify,
-    commutator_probe,
     cross_validate,
     _has_prime_factor_at_most,
 )
-from monodromy.classical_groups import (
-    FormSpace,
-    anisotropic_vectors,
-    classify_element,
-    random_isometry,
-    reflection,
-    siegel_shear,
-    transvection,
-)
+from monodromy.classical_groups import FormSpace, classify_element
 from monodromy.errors import InvalidInput, NotAnIsometry
 from monodromy.families import hyperelliptic_system, twist_family_system
-from monodromy.ff_linalg import Matrix, jordan_type, kernel
+from monodromy.ff_linalg import Matrix, jordan_type
 from monodromy.group_engine import GeneratedGroup
 
 import form_spaces
+from ff_linalg_reference import kernel
+from form_spaces import anisotropic_vectors, random_isometry, reflection, siegel_shear, transvection
+from probe_reference import commutator_probe
 
 
 def family_hypotheses(system, r):
@@ -395,8 +389,6 @@ class TestCommutatorProbe:
         ]
         sigma = mats[shear_idx[0]]
         eye = Matrix.identity(space.dim, space.p)
-        from monodromy.ff_linalg import kernel
-
         fixed = kernel(sigma - eye)
         root = None
         for row in fixed.basis:

@@ -13,30 +13,32 @@ from monodromy.classical_groups import (
     OTHER,
     REFLECTION,
     TRANSVECTION,
-    anisotropic_vectors,
     classify_element,
     derived_containment,
     is_isometry,
     isometry_group_orders,
-    isotropic_vectors,
-    random_isometry,
-    reflection,
-    siegel_shear,
     spinor_norm,
     square_class,
-    transvection,
-    _nonzero_vectors,
     _norm_class_size,
     _witness,
 )
 from monodromy.errors import InvalidInput, NotAnIsometry
-from monodromy.ff_linalg import Matrix, random_invertible
+from monodromy.ff_linalg import Matrix
 from monodromy.families import twist_family_system
 from monodromy.group_engine import GeneratedGroup
 from closure_reference import naive_closure
 from derived_reference import derived_subgroup_generators
-from ff_linalg_reference import nonzero_vectors_per_index
+from ff_linalg_reference import nonzero_vectors_per_index, random_invertible
 import form_spaces
+from form_spaces import (
+    anisotropic_vectors,
+    isotropic_vectors,
+    nonzero_vectors,
+    random_isometry,
+    reflection,
+    siegel_shear,
+    transvection,
+)
 from spinor_reference import apply, reference_spinor_norm
 
 
@@ -347,7 +349,7 @@ class TestBuilders:
 
     @pytest.mark.parametrize("n, p", [(1, 3), (2, 5), (3, 3), (3, 7), (4, 3)])
     def test_nonzero_vectors_match_the_per_index_decode(self, n, p):
-        found = [v.tolist() for v in _nonzero_vectors(n, p)]
+        found = [v.tolist() for v in nonzero_vectors(n, p)]
         assert found == [v.tolist() for v in nonzero_vectors_per_index(n, p)]
 
     def test_random_isometry_is_isometry(self):
@@ -639,7 +641,7 @@ class TestGenerationOracle:
             space = form_spaces.diagonal(n, p, d)
             omega = isometry_group_orders(space).derived_order
             for c in (1, nonsquare):
-                roots = [v for v in _nonzero_vectors(n, p) if space.q(v) == c]
+                roots = [v for v in nonzero_vectors(n, p) if space.q(v) == c]
                 assert len(roots) == _norm_class_size(space, c)
                 # r_v = r_-v: one generator per pair of roots
                 gens = list({reflection(space, v): None for v in roots})
@@ -656,7 +658,7 @@ class TestGenerationOracle:
         # last holds elements of order 3
         space = FormSpace.symplectic(2, 3)
         for c in (1, 2):
-            gens = [transvection(space, v, c) for v in _nonzero_vectors(2, 3)]
+            gens = [transvection(space, v, c) for v in nonzero_vectors(2, 3)]
             assert _settles(space, gens)
             assert GeneratedGroup(gens).order() == len(naive_closure(gens)) == 24
             assert isometry_group_orders(space).full_order == 24

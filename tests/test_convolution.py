@@ -10,7 +10,6 @@ from monodromy.convolution import (
     INFINITY,
     PuncturedTuple,
     _fixed_rows,
-    map_local_jordan,
     middle_convolve,
     predict_rank,
     twist_quadratic,
@@ -23,10 +22,10 @@ from monodromy.ff_linalg import (
     Subspace,
     invariant_forms,
     jordan_type,
-    random_invertible,
 )
 from monodromy.group_engine import GeneratedGroup, is_irreducible
-from convolution_reference import reference_fixed_space, reference_middle_convolve
+from convolution_reference import map_local_jordan, reference_fixed_space, reference_middle_convolve
+from ff_linalg_reference import random_invertible
 
 
 def kummer(points, p):

@@ -1,13 +1,16 @@
-"""Every exported name resolves, and the package re-exports only exported names."""
+"""Every exported name resolves and has a caller, and the package re-exports only exported names."""
 
 import ast
+import copy
 import importlib
+import pickle
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import monodromy
+from monodromy import FormSpace, Hypotheses, JordanData, Matrix, PuncturedTuple, Subspace
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(monodromy.__path__) if info.name != "__main__"
@@ -20,6 +23,47 @@ def test_every_name_in_all_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"monodromy.{name}.__all__ names {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# Exported names that nothing in the package calls, each with the reason it
+# stays.  The CLI commands and the result types need no entry: ``__main__``
+# calls ``cli.main``, and each result type is built by the function that
+# returns it.
+ENTRY_POINTS = {
+    "group_engine.group_order": "the benchmark's convolution jobs import it (perfbench/child.py)",
+    "classical_groups.spinor_norm": "documented checked wrapper: it rejects a non-isometry",
+    "classical_groups.derived_containment": "documented checked wrapper: it rejects a non-isometry",
+}
+
+
+def _uncalled_exports() -> set[str]:
+    """``module.name`` for every name in a module's ``__all__`` that no module reads.
+
+    A name counts as read where a module other than ``__init__`` loads it
+    as a variable or an attribute.
+    """
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for module, tree in _src_modules()
+        if module != "__init__"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+    return {
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in importlib.import_module(f"monodromy.{name}").__all__
+        if attr not in read
+    }
+
+
+def test_every_exported_name_has_a_caller_or_is_an_entry_point():
+    # code the pipeline does not call lives next to the tests that use it
+    uncalled = _uncalled_exports()
+    extra = sorted(uncalled - ENTRY_POINTS.keys())
+    assert not extra, f"exported names with no caller in src/ and no entry in ENTRY_POINTS: {extra}"
+    stale = sorted(ENTRY_POINTS.keys() - uncalled)
+    assert not stale, f"ENTRY_POINTS names that are called in src/ or no longer exported: {stale}"
 
 
 def _package_imports():
@@ -214,3 +258,33 @@ def test_one_generator_list_check():
         if any(message.startswith("generators must") for message in _raised_messages(fn))
     )
     assert checkers == ["ff_linalg._check_generators"]
+
+
+_SHEAR = Matrix([[1, 1], [0, 1]], 5)
+_SYMPLECTIC = FormSpace(Matrix([[0, 1], [4, 0]], 5), "alternating")
+VALUES = {
+    "Matrix": _SHEAR,
+    "Subspace": Subspace([[1, 2, 0], [0, 1, 1]], 3, 5),
+    "Subspace-zero": Subspace([], 3, 5),
+    "JordanData": JordanData([(1, 2), (3, 1)], 5),
+    "FormSpace": _SYMPLECTIC,
+    "Hypotheses": Hypotheses(_SYMPLECTIC, (_SHEAR, _SHEAR.T), frozenset({1}), 1),
+    "PuncturedTuple": PuncturedTuple([0, 1, "a"], [_SHEAR, _SHEAR.T, _SHEAR]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_immutable_values_copy_and_pickle(name, round_trip):
+    # the immutable value types refuse attribute writes, so they rebuild
+    # through their constructors rather than by restoring slots
+    value = VALUES[name]
+    if isinstance(value, Matrix):
+        value.det()  # fills the cached determinant slot
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value

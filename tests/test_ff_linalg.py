@@ -28,10 +28,8 @@ from monodromy.ff_linalg import (
     invariant_forms,
     is_prime,
     jordan_type,
-    kernel,
-    random_invertible,
 )
-from ff_linalg_reference import det_numpy_loop, jordan_type_full_scan, primes_below
+from ff_linalg_reference import det_numpy_loop, jordan_type_full_scan, kernel, primes_below, random_invertible
 
 # cutoffs that send every elimination to one kernel, and the module's own
 PYTHON_INTS, NUMPY = 10**18, 0

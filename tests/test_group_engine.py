@@ -13,13 +13,8 @@ import pytest
 
 from monodromy.classical_groups import (
     FormSpace,
-    anisotropic_vectors,
     derived_containment,
     isometry_group_orders,
-    random_isometry,
-    reflection,
-    siegel_shear,
-    transvection,
     classify_element,
     _derived_containment,
     _order_bound,
@@ -28,7 +23,7 @@ from monodromy.classical_groups import (
 )
 from monodromy.errors import InvalidInput, NotAnIsometry, ResourceLimit
 from monodromy.families import hyperelliptic_system, twist_family_system
-from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms, random_invertible
+from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms
 from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
@@ -40,8 +35,9 @@ from monodromy.group_engine import (
 )
 from closure_reference import naive_closure, reference_closure
 from derived_reference import derived_subgroup_generators
-from ff_linalg_reference import multiplicative_order_divisor_scan
+from ff_linalg_reference import multiplicative_order_divisor_scan, random_invertible
 import form_spaces
+from form_spaces import anisotropic_vectors, random_isometry, reflection, siegel_shear, transvection
 from irreducibility_reference import exhaustive_irreducibility
 from schreier_sims_reference import ReferenceGroup
 
