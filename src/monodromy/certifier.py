@@ -31,7 +31,7 @@ from .classical_groups import (
     _witness,
 )
 from .errors import Inconclusive, InvalidInput, OrderOverflow
-from .ff_linalg import Matrix, _least_factor
+from .ff_linalg import Matrix, _check_integer, _least_factor
 from .group_engine import element_order, is_irreducible
 
 __all__ = [
@@ -66,8 +66,7 @@ class Hypotheses:
         object.__setattr__(self, "s0", frozenset(self.s0))
         if not self.generators:
             raise InvalidInput("need at least one generator")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
-            raise InvalidInput(f"r must be an integer >= 1, got {self.r!r}")
+        _check_integer(self.r, "r", least=1)
         for i in self.s0:
             if not isinstance(i, (int, np.integer)) or not 0 <= i < len(self.generators):
                 raise InvalidInput(f"exempt index {i!r} is not an integer in range({len(self.generators)})")

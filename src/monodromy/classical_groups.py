@@ -154,6 +154,8 @@ def invariant_pairing(forms: Sequence[Matrix]) -> Optional[FormSpace]:
     ``_greedy_nondegenerate``); a transpose of an invariant form is
     invariant, so both parts are.
     """
+    if not all(isinstance(form, Matrix) for form in forms):
+        raise InvalidInput("invariant forms must each be a Matrix")
     if not forms:
         return None
     cand = _pair_form(forms)

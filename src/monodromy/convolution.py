@@ -24,6 +24,7 @@ from .ff_linalg import (
     JordanData,
     Matrix,
     Subspace,
+    _check_integer,
     _check_products,
     _kernel_basis,
     _kernel_rows,
@@ -81,6 +82,8 @@ class PuncturedTuple:
             raise InvalidInput("one matrix per puncture")
         if not punctures:
             raise InvalidInput("need at least one puncture")
+        if not all(isinstance(m, Matrix) for m in matrices):
+            raise InvalidInput("puncture matrices must each be a Matrix")
         p = matrices[0].p
         n = matrices[0].n
         labels = [_validate_label(lab, p) for lab in punctures]
@@ -159,7 +162,7 @@ def predict_rank(
     gives 3 here and 1 from ``middle_convolve(t, 1).rank``.
     """
     p = infinity.p
-    lam = int(lam) % p
+    lam = _check_integer(lam, "lambda") % p
     if lam == 0:
         raise InvalidInput("lambda must be nonzero")
     dims = {d.dim for d in finite} | {infinity.dim}
@@ -216,7 +219,7 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     terms of size (p-1)^2 in int64, so larger moduli raise InvalidInput.
     """
     p = t.p
-    lam = int(lam) % p
+    lam = _check_integer(lam, "lambda") % p
     if lam == 0:
         raise InvalidInput("lambda must be nonzero")
     r = len(t.punctures)

@@ -29,7 +29,7 @@ from .classical_groups import (
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
 from .errors import BadLocus, FamilyCheckFailed, InvalidInput, NegativeDimension
-from .ff_linalg import Matrix, invariant_forms, _check_modulus
+from .ff_linalg import Matrix, invariant_forms, _check_integer, _check_modulus
 
 __all__ = [
     "MonodromySystem",
@@ -88,8 +88,9 @@ def hyperelliptic_system(
     The output has rank 2g, a one-dimensional alternating invariant pairing,
     and a transvection at every finite puncture.
     """
-    if genus < 1:
+    if _check_integer(genus, "genus") < 1:
         raise InvalidInput("genus must be >= 1")
+    p = _check_modulus(p)
     if points is None:
         points = _default_branch_points(2 * genus, p)
     if len(points) != 2 * genus:
@@ -144,6 +145,8 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
 
 def dim_formula(deg_m: int, deg_a: int, genus: int) -> int:
     """deg(M) + 2 deg(A) + 4 (genus - 1), rejecting the invalid regime."""
+    for name, value in (("deg_m", deg_m), ("deg_a", deg_a), ("genus", genus)):
+        _check_integer(value, name)
     if deg_m < 0 or deg_a < 0 or genus < 0:
         raise InvalidInput("degrees and genus must be non-negative")
     value = deg_m + 2 * deg_a + 4 * (genus - 1)

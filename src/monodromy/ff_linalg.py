@@ -56,11 +56,20 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def _check_integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int, or InvalidInput unless it is an ``int`` or numpy integer >= ``least``.
+
+    Floats, strings and other types are refused, never truncated.
+    """
+    if isinstance(value, (int, np.integer)) and (least is None or value >= least):
+        return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def _check_modulus(p: int) -> int:
     """``p`` as an int, or InvalidInput; the type is checked here, as the cache takes 5.0 for 5."""
-    if not isinstance(p, (int, np.integer)):
-        raise InvalidInput(f"modulus must be an integer, not {type(p).__name__}")
-    return _checked_modulus(p)
+    return _checked_modulus(_check_integer(p, "modulus"))
 
 
 @lru_cache(maxsize=None)
@@ -256,6 +265,17 @@ _INT64 = np.dtype(np.int64)
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _int64_entries(entries, name: str) -> np.ndarray:
+    """``entries`` as an int64 array, or InvalidInput unless they are integers or booleans fitting in int64."""
+    arr = np.asarray(entries)
+    if arr.dtype is not _INT64:
+        kind = arr.dtype.kind
+        if arr.size and (kind not in "iub" or (kind == "u" and arr.max() > _INT64_MAX)):
+            raise InvalidInput(f"{name} entries must be integers that fit in int64, not {arr.dtype}")
+        arr = arr.astype(np.int64)
+    return arr
+
+
 class Matrix:
     """An immutable matrix over F_p.
 
@@ -270,12 +290,7 @@ class Matrix:
 
     def __init__(self, entries, p: int):
         p = _check_modulus(p)
-        arr = np.asarray(entries)
-        if arr.dtype is not _INT64:
-            kind = arr.dtype.kind
-            if arr.size and (kind not in "iub" or (kind == "u" and arr.max() > _INT64_MAX)):
-                raise InvalidInput(f"matrix entries must be integers that fit in int64, not {arr.dtype}")
-            arr = arr.astype(np.int64)
+        arr = _int64_entries(entries, "matrix")
         if arr.ndim != 2:
             raise InvalidInput("matrix entries must be two-dimensional")
         _check_products(max(arr.shape), p)
@@ -430,7 +445,7 @@ class Subspace:
     def __init__(self, basis, ambient: int, p: int):
         p = _check_modulus(p)
         _check_products(ambient, p)
-        arr = np.asarray(basis, dtype=np.int64).reshape(-1, ambient) % p
+        arr = _int64_entries(basis, "subspace basis").reshape(-1, ambient) % p
         reduced, pivots = _rref(arr, p)
         self._set(reduced[: len(pivots)], pivots, ambient, p)
 
@@ -526,10 +541,10 @@ class JordanData:
         p = _check_modulus(p)
         norm = []
         for eig, size in blocks:
-            eig = int(eig) % p
-            size = int(size)
+            eig = _check_integer(eig, "eigenvalue") % p
             if eig == 0:
                 raise InvalidInput("eigenvalue 0 is not allowed (invertible matrices only)")
+            size = _check_integer(size, "block size")
             if size < 1:
                 raise InvalidInput("block sizes must be >= 1")
             norm.append((eig, size))
@@ -558,7 +573,7 @@ class JordanData:
         return JordanData((b for b in self.blocks if b != (1, 1)), self.p)
 
     def tensor(self, c: int) -> "JordanData":
-        c = int(c) % self.p
+        c = _check_integer(c, "tensor factor") % self.p
         if c == 0:
             raise InvalidInput("cannot tensor by 0")
         return JordanData((((eig * c) % self.p, size) for eig, size in self.blocks), self.p)

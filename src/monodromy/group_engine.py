@@ -1,12 +1,13 @@
 """Exact computation with finitely generated matrix groups over F_p.
 
-Group orders come from a deterministic Schreier-Sims stabilizer chain
-acting on (column) vectors, each base point the first standard basis
-vector that the level's generators move.  Vectors are handled as integer
-codes sum(v_i p^i) from ``ff_linalg._codes``: each level keeps its orbit
-as an array of points with a code-to-row index, grown a whole frontier at
-a time, and stores every transversal element together with its inverse,
-both built by batched products.  When a level gains generators its orbit
+A ``GeneratedGroup`` is a deterministic Schreier-Sims stabilizer chain,
+built whole by its constructor, acting on (column) vectors, each base
+point the first standard basis vector that the level's generators move.
+Vectors are handled as integer codes sum(v_i p^i) from
+``ff_linalg._codes``: each level keeps its orbit as an array of points
+with a code-to-row index, grown a whole frontier at a time, and stores
+every transversal element together with its inverse, both built by
+batched products.  When a level gains generators its orbit
 is extended in place.  A level's Schreier generators are formed in one
 pass over its points and generators when the level is completed, and the
 chain sifts them in blocks.  The build stops as soon as the
@@ -30,8 +31,9 @@ narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
 up to 32767, then int32 and int64), n + 2 n^2 entries per orbit vector.  A
 block gathered from them is widened to int64 just before it enters a
 product: each frontier block in ``_orbit``, the parent transversals in
-``_Chain._grow``, the transversal inverses in ``_Chain._sift``, and the
-points, transversals and inverses in ``_Chain._schreier_blocks``.  Vector
+``GeneratedGroup._grow``, the transversal inverses in
+``GeneratedGroup._sift``, and the points, transversals and inverses in
+``GeneratedGroup._schreier_blocks``.  Vector
 codes, strong generators, their inverses and every product stay int64, so
 products are exact under the guards ``ff_linalg._check_products`` (on
 every ``Matrix``) and p^n < 2^63 (on every chain).
@@ -59,8 +61,8 @@ import numpy as np
 
 from .errors import Inconclusive, InvalidInput, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
-    Matrix, Subspace, jordan_type, _check_generators, _codes, _inv, _kernel_basis,
-    _prime_factors, _vectors,
+    Matrix, Subspace, jordan_type, _check_generators, _check_integer, _codes, _inv,
+    _kernel_basis, _prime_factors, _vectors,
 )
 
 __all__ = [
@@ -198,10 +200,12 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
     records, since no transversal is built, and of the orbit vectors only
     its last frontier; the index still marks every vector seen.  The walk
     stops as soon as ``size`` vectors are stored, so a full orbit is never
-    closed.  ResourceLimit is raised as a chain raises it: when vector
-    codes of F_p^n do not fit in 64 bits, and when the orbit has more than
-    ``limit`` vectors, checked after each batch of images.
+    closed.  ``limit`` is checked, and ResourceLimit raised, as a
+    ``GeneratedGroup`` does it: when vector codes of F_p^n do not fit in 64
+    bits, and when the orbit has more than ``limit`` vectors, checked after
+    each batch of images.
     """
+    limit = _check_integer(limit, "limit", least=0)
     p = gens[0].p
     _check_codes(p, len(base))
     lvl = _Level(base, p, np.min_scalar_type(-(p - 1)))
@@ -215,10 +219,11 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
 class _Level:
     """One level of the chain: a base point, strong generators and its orbit.
 
-    The base point is the nonzero vector ``base``.  A chain level's is a
-    standard basis vector e_col, whose image under a matrix ``_Chain._sift``
-    reads as column ``col``; ``_orbit_reaches`` walks the orbit of any
-    vector on a level of its own, which is never sifted.  ``gens`` is the
+    The base point is the nonzero vector ``base``.  A level of a
+    ``GeneratedGroup`` has a standard basis vector e_col, whose image under
+    a matrix ``GeneratedGroup._sift`` reads as column ``col``;
+    ``_orbit_reaches`` walks the orbit of any vector on a level of its own,
+    which is never sifted.  ``gens`` is the
     stack of distinct strong generators and ``gens_inv[k]`` the inverse of
     ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
     vector (row 0 the base point), ``index`` maps vector codes to rows,
@@ -230,7 +235,7 @@ class _Level:
     that holds p - 1; ``gens`` and ``gens_inv`` stay int64.  A block
     gathered from the stored residues is widened to int64 before it enters
     a product.  The level's Schreier generators are formed once, when the
-    chain completes it (``_Chain._complete``).
+    group completes it (``GeneratedGroup._complete``).
     """
 
     __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "closed")
@@ -255,80 +260,109 @@ class _Reached(Exception):
     """Raised inside a chain build once the orbit product reaches the bound."""
 
 
-class _Chain:
-    """A deterministic Schreier-Sims stabilizer chain on vectors of F_p^n.
+class GeneratedGroup:
+    """A matrix group given by generators, as its Schreier-Sims stabilizer chain.
 
-    Built whole by its constructor, which ``GeneratedGroup`` calls once;
-    queries (``order``, ``contains``) read it and change nothing.  Vectors
-    are handled as integer codes sum(v_i p^i).  Orbits grow by whole
-    frontiers, transversal elements and their inverses are built by batched
-    products from the level's generators and their stored inverses, and
-    Schreier generators go through the sift a block at a time.  Any base gives a
-    valid chain; each level takes the first basis vector it moves.  A level
-    that gains generators extends its orbit.  Levels are completed in order,
-    levels appended on the way last, and each exactly once: a residue of
-    level i that sifts out of level j only joins levels i+1..j and grows
-    their orbits, so no level gains a generator after it is completed, and
-    completing a level forms its Schreier generators in one pass.
+    The constructor checks the generators with
+    ``ff_linalg._check_generators`` and builds the chain whole, as the
+    module docstring describes; the group is then immutable, and ``order``,
+    ``contains_array`` and ``in`` read the chain and change nothing.
+    ``levels`` is the list of ``_Level``s, top first; levels appended on
+    the way are completed last, and each exactly once (``_complete``).
 
-    Identity matrices in ``gens`` are dropped before anything else, and
-    repeated ones kept once, in their first place, so a stack of
-    identities gives an empty chain that computes no vector code.
+    Identity generators are dropped before anything else, and repeated
+    ones kept once, in their first place, so a group of identities has an
+    empty chain and computes no vector code.  ``limit``, an integer >= 0,
+    caps the number of orbit vectors stored over all levels; it is checked
+    after each batch of images, so storage never passes it by more than
+    one batch before ``ResourceLimit`` is raised.  Each stored vector keeps
+    itself and two n x n transversal matrices in the narrowest integer
+    dtype that holds p - 1: n + 2 n^2 bytes at p <= 127 (twice that up to
+    p = 32767, four times below 2^31), plus its entry in the code index.
+    ``ResourceLimit`` is also raised when levels are to be built and p^n
+    does not fit in 64 bits, so a vector code can never wrap.
 
-    ``bound`` is called once, only when levels are about to be built, and
-    returns an upper bound on the group order; so a costly bound is never
-    computed for a chain that is empty or refused.  Each level's generators
-    fix the earlier base points, so its orbit lies in the orbit of the true
-    point stabilizer, and the product of the orbit lengths never exceeds
-    |G|.  Once that product equals the bound after an orbit grows, every
-    orbit is a full stabilizer orbit, so the build stops there (``stopped``)
-    with no more sifting: the order, every membership answer and every
-    stored orbit are those of the same build run to completion.
+    ``bound`` is a callable that returns an upper bound on the order, or
+    None; it is called once, only when levels are about to be built, so a
+    costly bound is never computed for a chain that is empty or refused:
+    the derived-subgroup test passes the bound of a group of isometries,
+    and the CLI's ``order`` solves for the invariant forms only then (with
+    a lone pairing it hands the group to that test and abandons this build
+    before any level).  Without it the build stops at ``_det_bound``; the
+    bound used is kept as ``bound`` (None for an empty chain).  Each
+    level's generators fix the earlier base points, so its orbit lies in
+    the orbit of the true point stabilizer, and the product of the orbit
+    lengths never exceeds |G|.  Once that product equals the bound after an
+    orbit grows, every orbit is a full stabilizer orbit, so the build stops
+    there (``stopped``) with no more sifting: the order, every membership
+    answer and every stored orbit are those of the same build run to
+    completion, which is the build given a bound it cannot reach; a group
+    that never reaches its bound gets that full build.
     """
 
     def __init__(
-        self,
-        gens: np.ndarray,
-        p: int,
-        n: int,
-        limit: int,
-        bound: Callable[[], int],
+        self, gens: Sequence[Matrix], limit: int = 10**7, bound: Optional[Callable[[], Optional[int]]] = None
     ):
-        self.p = p
-        self.n = n
-        self.limit = limit
-        self.dtype = np.min_scalar_type(-(p - 1))
+        self.gens, self.dim, self.p, self._dets = _check_generators(gens)
+        self._limit = _check_integer(limit, "limit", least=0)
+        self._dtype = np.min_scalar_type(-(self.p - 1))
+        self._eye = np.eye(self.dim, dtype=np.int64)
+        self.levels: list[_Level] = []
         self.bound: Optional[int] = None
         self.stopped = False
-        self.eye = np.eye(n, dtype=np.int64)
-        self.levels: list[_Level] = []
-        gens = gens[~self._is_id(gens)]
-        if len(gens):
-            # with only identities the chain is empty and no code is computed
-            gens = np.array(list({g.tobytes(): g for g in gens}.values()))
-            _check_codes(p, n)
-            self.bound = bound()
-            top = _Level(self._pick_base(gens), p, self.dtype)
-            for g in gens:
-                top.admit(g, _inv(g, p))
-            self.levels.append(top)
-            try:
-                # levels appended on the way are completed after the others
-                i = 0
-                while i < len(self.levels):
-                    self._complete(i)
-                    i += 1
-            except _Reached:
-                self.stopped = True
+        arrays = np.array([g.array for g in self.gens], dtype=np.int64)
+        arrays = arrays[~self._is_id(arrays)]
+        if not len(arrays):
+            return
+        arrays = np.array(list({g.tobytes(): g for g in arrays}.values()))
+        _check_codes(self.p, self.dim)
+        self.bound = (bound and bound()) or self._det_bound()
+        top = _Level(self._pick_base(arrays), self.p, self._dtype)
+        for g in arrays:
+            top.admit(g, _inv(g, self.p))
+        self.levels.append(top)
+        try:
+            # levels appended on the way are completed after the others
+            i = 0
+            while i < len(self.levels):
+                self._complete(i)
+                i += 1
+        except _Reached:
+            self.stopped = True
+
+    def _det_bound(self) -> int:
+        """|SL(n, p)| |<det g_i>|, an upper bound on the order.
+
+        det maps G onto the subgroup of F_p^x that the determinants of the
+        generators generate, with kernel G meet SL(n, p); F_p^x is cyclic,
+        so that subgroup has order the lcm of their orders.
+        """
+        n, p = self.dim, self.p
+        sl = p ** (n * (n - 1) // 2) * math.prod(p**i - 1 for i in range(2, n + 1))
+        return sl * math.lcm(*(_multiplicative_order(d, p) for d in self._dets))
+
+    # -- public surface ----------------------------------------------------
 
     def order(self) -> int:
+        """The exact order: the product of the stored orbit lengths."""
         return math.prod(len(lvl.points) for lvl in self.levels)
 
-    def contains(self, arrays: np.ndarray) -> np.ndarray:
-        """Membership of each matrix in the stack ``arrays``."""
-        residues = np.array(arrays, dtype=np.int64) % self.p
+    def contains_array(self, a: np.ndarray) -> bool:
+        """Membership of the n x n integer array ``a``, read mod p; other entries raise InvalidInput."""
+        residues = Matrix(a, self.p).array
+        if residues.shape != (self.dim, self.dim):
+            raise InvalidInput(f"expected a {self.dim}x{self.dim} array, got shape {residues.shape}")
+        residues = residues[None].copy()
         self._sift(residues, 0)
-        return self._is_id(residues)
+        return bool(self._is_id(residues)[0])
+
+    def __contains__(self, m: Matrix) -> bool:
+        if not isinstance(m, Matrix) or m.p != self.p or m.array.shape != (self.dim, self.dim):
+            return False
+        return self.contains_array(m.array)
+
+    def __repr__(self) -> str:
+        return f"GeneratedGroup({len(self.gens)} gens, dim {self.dim}, F_{self.p})"
 
     # -- orbits -----------------------------------------------------------
 
@@ -337,7 +371,7 @@ class _Chain:
 
         Both callers pass a stack holding a non-identity matrix.
         """
-        return self.eye[np.flatnonzero((gens != self.eye).any(axis=(0, 1)))[0]]
+        return self._eye[np.flatnonzero((gens != self._eye).any(axis=(0, 1)))[0]]
 
     def _grow(self, idx: int) -> None:
         """Extend the orbit of level ``idx`` and its transversal to its generators.
@@ -347,19 +381,19 @@ class _Chain:
         lvl = self.levels[idx]
         if lvl.closed == len(lvl.gens):
             return
-        budget = self.limit - sum(
+        budget = self._limit - sum(
             len(other.points) for k, other in enumerate(self.levels) if k != idx
         )
         steps = []
         stored, chunks = _orbit(lvl, self.p, budget + 1, steps)
         if stored > budget:
-            raise _over_limit(self.limit)
+            raise _over_limit(self._limit)
         lvl.closed = len(lvl.gens)
         if not chunks:
             return
-        p, old = self.p, len(lvl.points)
+        p, n, old = self.p, self.dim, len(lvl.points)
         points = np.concatenate([lvl.points, *chunks])
-        trans = np.empty((len(points), self.n, self.n), dtype=self.dtype)
+        trans = np.empty((len(points), n, n), dtype=self._dtype)
         trans_inv = np.empty_like(trans)
         trans[:old], trans_inv[:old] = lvl.trans, lvl.trans_inv
         for first, parents, j in steps:
@@ -373,7 +407,7 @@ class _Chain:
     # -- sifting ----------------------------------------------------------
 
     def _is_id(self, stack: np.ndarray) -> np.ndarray:
-        return np.all(stack == self.eye, axis=(1, 2))
+        return np.all(stack == self._eye, axis=(1, 2))
 
     def _sift(self, residues: np.ndarray, start: int) -> np.ndarray:
         """Sift a stack of matrices in place from level ``start`` on.
@@ -405,7 +439,7 @@ class _Chain:
         One pass over every point v and every generator s of the level, made
         once, when the level is completed.
         """
-        p, n = self.p, self.n
+        p, n = self.p, self.dim
         per_block = max(1, _BLOCK_ENTRIES // (n * n))
         for g0 in range(0, len(lvl.gens), per_block):
             gens = lvl.gens[g0 : g0 + per_block]
@@ -451,85 +485,12 @@ class _Chain:
         generators, and ``h`` moves the base point out of it.
         """
         if j == len(self.levels):
-            self.levels.append(_Level(self._pick_base(h[None]), self.p, self.dtype))
+            self.levels.append(_Level(self._pick_base(h[None]), self.p, self._dtype))
         h_inv = _inv(h, self.p)
         for lvl in self.levels[i + 1 : j + 1]:
             lvl.admit(h, h_inv)
         for idx in range(i + 1, j + 1):
             self._grow(idx)
-
-
-class GeneratedGroup:
-    """A matrix group given by generators, with its stabilizer chain.
-
-    The constructor checks the generators with
-    ``ff_linalg._check_generators`` and builds the chain (see ``_Chain``),
-    which works on integer-coded vector orbits, keeps each strong generator
-    and transversal element with its inverse, and drops identity and
-    repeated generators itself.  The group is then immutable, and its chain
-    is reached only by ``order``, ``contains_array`` and ``in``.
-    ``limit``, an integer >= 0, caps the number of orbit vectors stored over
-    all levels; it is checked after each batch of images, so storage never
-    passes it by more than one batch before ``ResourceLimit`` is raised.
-    Each stored vector keeps itself and two n x n transversal matrices in
-    the narrowest integer dtype that holds p - 1: n + 2 n^2 bytes at
-    p <= 127 (twice that up to p = 32767, four times below 2^31), plus its
-    entry in the code index.  ``ResourceLimit`` is also raised when a chain
-    is to be built and p^n does not fit in 64 bits, so a vector code can
-    never wrap; a group of identities has an empty chain and computes no
-    code.
-
-    ``bound`` is a callable that returns an upper bound on the order, or
-    None; it is called only when levels are about to be built: the
-    derived-subgroup test passes the bound of a group of isometries, and
-    the CLI's ``order`` solves for the invariant forms only then (with a
-    lone pairing it hands the group to that test and abandons this build
-    before any level).  Without it the build stops at ``_det_bound``.  A
-    stopped chain stores the same orbits and gives the same answers as the
-    same build run to completion, which is the build given a bound it
-    cannot reach; a group that never reaches its bound gets that full build.
-    """
-
-    def __init__(
-        self, gens: Sequence[Matrix], limit: int = 10**7, bound: Optional[Callable[[], Optional[int]]] = None
-    ):
-        self.gens, self.dim, self.p, self._dets = _check_generators(gens)
-        if not isinstance(limit, (int, np.integer)) or limit < 0:
-            raise InvalidInput(f"limit must be an integer >= 0, got {limit!r}")
-        arrays = np.array([g.array for g in self.gens], dtype=np.int64)
-        self._chain = _Chain(arrays, self.p, self.dim, limit, lambda: (bound and bound()) or self._det_bound())
-
-    def _det_bound(self) -> int:
-        """|SL(n, p)| |<det g_i>|, an upper bound on the order.
-
-        det maps G onto the subgroup of F_p^x that the determinants of the
-        generators generate, with kernel G meet SL(n, p); F_p^x is cyclic,
-        so that subgroup has order the lcm of their orders.
-        """
-        n, p = self.dim, self.p
-        sl = p ** (n * (n - 1) // 2) * math.prod(p**i - 1 for i in range(2, n + 1))
-        return sl * math.lcm(*(_multiplicative_order(d, p) for d in self._dets))
-
-    # -- public surface ----------------------------------------------------
-
-    def order(self) -> int:
-        """The exact order."""
-        return self._chain.order()
-
-    def contains_array(self, a: np.ndarray) -> bool:
-        """Membership of the n x n integer array ``a``, read mod p; other entries raise InvalidInput."""
-        residues = Matrix(a, self.p).array
-        if residues.shape != (self.dim, self.dim):
-            raise InvalidInput(f"expected a {self.dim}x{self.dim} array, got shape {residues.shape}")
-        return bool(self._chain.contains(residues[None])[0])
-
-    def __contains__(self, m: Matrix) -> bool:
-        if not isinstance(m, Matrix) or m.p != self.p or m.array.shape != (self.dim, self.dim):
-            return False
-        return self.contains_array(m.array)
-
-    def __repr__(self) -> str:
-        return f"GeneratedGroup({len(self.gens)} gens, dim {self.dim}, F_{self.p})"
 
 
 def group_order(group: GeneratedGroup) -> int:

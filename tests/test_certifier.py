@@ -276,7 +276,7 @@ class TestGroupsBuilt:
         report = cross_validate(h)
         assert not report.certificate.certified and report.agreement
         assert report.exact_contains_derived and report.exact_class == "FullO"
-        assert len(built) == 1 and built[0]._chain.stopped
+        assert len(built) == 1 and built[0].stopped
         assert report.exact_order == built[0].order() == 1152
 
 

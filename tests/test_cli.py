@@ -320,11 +320,11 @@ class TestOrderBound:
         # the identity tuple has an empty chain, which computes no bound
         t = parse_tuple(text)
         assert len(invariant_forms(t.matrices)) == forms
-        full = GeneratedGroup(t.matrices, bound=lambda: 2 * 372000 * 4)._chain
+        full = GeneratedGroup(t.matrices, bound=lambda: 2 * 372000 * 4)
         assert not full.stopped
         groups = _record_groups(monkeypatch)
         assert run_cli(["order"], text) == (0, f"ORDER: {full.order()}\n")
-        chain = groups[0]._chain
+        chain = groups[0]
         assert [(lvl.col, len(lvl.points)) for lvl in chain.levels] == [
             (lvl.col, len(lvl.points)) for lvl in full.levels
         ]
@@ -391,7 +391,7 @@ class TestDegenerateLine:
         # which a group of order 480 never reaches
         groups = _record_groups(monkeypatch)
         assert run_cli(["order"], DEGENERATE_LINE) == (0, "ORDER: 480\n")
-        assert groups[0]._chain.bound == 372000 * 4 and not groups[0]._chain.stopped
+        assert groups[0].bound == 372000 * 4 and not groups[0].stopped
 
     @pytest.mark.parametrize("command", ["certify", "cross-validate"])
     def test_certificates_exit_2(self, command, capsys):
@@ -566,6 +566,13 @@ class TestFuzz:
             codes[rc] += 1
         # the cases reach every outcome, not only the parser's errors
         assert set(codes) == {0, 1, 2}, codes
+
+    def test_negative_limit_is_refused_before_the_witness_walk(self, capsys):
+        # the witness orbit settles Sp(4,5), so no group is built; the walk
+        # checks the limit as a group build does
+        _, text = run_cli(["hyperelliptic", "--genus", "2", "--prime", "5"])
+        assert run_cli(["--limit", "-1", "cross-validate", "--r", "1"], text) == (2, "")
+        assert capsys.readouterr().err == "error: limit must be an integer >= 0, got -1\n"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(text=_tuple_texts())

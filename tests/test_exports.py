@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import functools
 import importlib
 import pickle
 import pkgutil
@@ -201,16 +202,17 @@ def _src_modules() -> list[tuple[str, ast.Module]]:
 
 
 def test_only_group_engine_reaches_into_the_chain():
-    # ``GeneratedGroup`` builds its stabilizer chain in its constructor, and
-    # ``order``, ``contains_array`` and ``in`` are the doors to it; no other
-    # module builds or reads it, and certificates reach a group only through
-    # the derived-containment test
+    # a ``GeneratedGroup`` is its stabilizer chain, built by its constructor;
+    # ``order``, ``contains_array`` and ``in`` are the doors to it, so no
+    # other module reads its levels, stop flag or bound, or imports the
+    # level class, and certificates reach a group only through the
+    # derived-containment test
     reached = [
         f"{module}: .{node.attr} (line {node.lineno})"
         for module, tree in _src_modules()
         if module != "group_engine"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_chain"
+        if isinstance(node, ast.Attribute) and node.attr in ("levels", "stopped", "bound")
     ]
     assert not reached, f"modules other than group_engine reach into the chain: {reached}"
     imported = [
@@ -218,9 +220,9 @@ def test_only_group_engine_reaches_into_the_chain():
         for path in sorted(Path(monodromy.__file__).parent.glob("*.py"))
         for module, name in _package_module_imports(path)
         if module == "group_engine"
-        and (name in ("_Chain", "_Level") or (path.stem == "certifier" and name == "GeneratedGroup"))
+        and (name == "_Level" or (path.stem == "certifier" and name == "GeneratedGroup"))
     ]
-    assert not imported, f"chain classes or groups imported where they should not be: {imported}"
+    assert not imported, f"the level class or groups imported where they should not be: {imported}"
 
 
 def _functions(tree: ast.Module):
@@ -288,3 +290,45 @@ def test_immutable_values_copy_and_pickle(name, round_trip):
     again = round_trip(value)
     assert type(again) is type(value)
     assert again == value
+
+
+@functools.lru_cache(maxsize=None)
+def _sp4_5():
+    return monodromy.hyperelliptic_system(2, 5)
+
+
+def _kummer_0123():
+    return monodromy.kummer_tuple([0, 1, 2, 3], 5)
+
+
+# (entry point, bad argument): each used to truncate the value, return a
+# wrong answer, or fail with an untyped or misleading error
+BAD_ARGUMENTS = {
+    "middle_convolve lambda 2.7": lambda: monodromy.middle_convolve(_kummer_0123(), 2.7),
+    "middle_convolve lambda '2'": lambda: monodromy.middle_convolve(_kummer_0123(), "2"),
+    "predict_rank lambda 2.5": lambda: monodromy.predict_rank(
+        [JordanData([(4, 1)], 5)] * 4, JordanData([(1, 1)], 5), 2.5
+    ),
+    "JordanData blocks (2.9, 1.7)": lambda: JordanData([(2.9, 1.7)], 5),
+    "JordanData.tensor 2.5": lambda: JordanData([(2, 1)], 5).tensor(2.5),
+    "Subspace row [0.5, 1]": lambda: Subspace([[0.5, 1]], 2, 5),
+    "GeneratedGroup limit 1.5": lambda: monodromy.GeneratedGroup(_sp4_5().generators, limit=1.5),
+    "derived_containment limit 1.5": lambda: monodromy.derived_containment(
+        _sp4_5().generators, _sp4_5().space, 1.5
+    ),
+    "cross_validate limit -1": lambda: monodromy.cross_validate(
+        Hypotheses(_sp4_5().space, _sp4_5().generators), limit=-1
+    ),
+    "Hypotheses r 1.5": lambda: Hypotheses(_sp4_5().space, _sp4_5().generators, r=1.5),
+    "hyperelliptic_system genus 2.5": lambda: monodromy.hyperelliptic_system(2.5, 5),
+    "hyperelliptic_system genus '2'": lambda: monodromy.hyperelliptic_system("2", 5),
+    "PuncturedTuple matrix [[1]]": lambda: PuncturedTuple([0], [[[1]]]),
+    "invariant_pairing form [[1]]": lambda: monodromy.invariant_pairing([[[1]]]),
+    "dim_formula deg_m 2.5": lambda: monodromy.dim_formula(2.5, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise_invalid_input(name):
+    with pytest.raises(monodromy.InvalidInput):
+        BAD_ARGUMENTS[name]()

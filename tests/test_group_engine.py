@@ -844,7 +844,7 @@ class TestStorageDtype:
         gens = list(gens())
         group = GeneratedGroup(gens)
         assert group.order() == order, name
-        for lvl in group._chain.levels:
+        for lvl in group.levels:
             assert lvl.trans.dtype == lvl.trans_inv.dtype == lvl.points.dtype == dtype, name
         reference = ReferenceGroup(gens)
         assert reference.order() == order, name
@@ -865,7 +865,7 @@ class TestStorageDtype:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(lvl.points) for lvl in group._chain.levels) == 19527
+        assert sum(len(lvl.points) for lvl in group.levels) == 19527
         assert peak < 4_000_000
 
 
@@ -919,14 +919,13 @@ class TestKnownOrderStop:
         gens = list(system.generators)
         bound, _ = _order_bound(system.space, gens)
         group = GeneratedGroup(gens, bound=lambda: bound)
-        chain = group._chain
-        assert chain.stopped
+        assert group.stopped
         # the same top-down build, given a bound it can never reach
-        full = GeneratedGroup(gens, bound=lambda: 2 * bound)._chain
+        full = GeneratedGroup(gens, bound=lambda: 2 * bound)
         assert not full.stopped
         # the same base, stored orbits and strong generators as that build
-        assert _levels(chain) == _levels(full)
-        for a, b in zip(chain.levels, full.levels):
+        assert _levels(group) == _levels(full)
+        for a, b in zip(group.levels, full.levels):
             assert np.array_equal(a.gens, b.gens)
         reference = ReferenceGroup(gens)
         assert group.order() == reference.order() == bound
@@ -952,11 +951,10 @@ class TestKnownOrderStop:
         for space, gens in cases:
             bound, _ = _order_bound(space, gens)
             group = GeneratedGroup(gens, bound=lambda: bound)
-            chain = group._chain
             reference = ReferenceGroup(gens)
-            assert not chain.stopped
+            assert not group.stopped
             assert group.order() == reference.order() < bound
-            assert _levels(chain) == _levels(GeneratedGroup(gens)._chain)
+            assert _levels(group) == _levels(GeneratedGroup(gens))
             cands = _membership_candidates(gens, Random(bound % 101))
             answers = [group.contains_array(c.array) for c in cands]
             assert answers == [reference.contains_array(c.array) for c in cands]
@@ -967,9 +965,9 @@ class TestKnownOrderStop:
         # every build completes its levels top-down; a bound only stops it
         system = _BOUNDED_SYSTEMS["O(5,5)"]()
         bound, _ = _order_bound(system.space, list(system.generators))
-        bounded = GeneratedGroup(system.generators, bound=lambda: bound)._chain
+        bounded = GeneratedGroup(system.generators, bound=lambda: bound)
         assert _levels(bounded) == [(0, 650), (1, 120), (2, 12), (4, 10)]
-        unbounded = GeneratedGroup(system.generators)._chain
+        unbounded = GeneratedGroup(system.generators)
         assert _levels(unbounded) == _levels(bounded)
 
     def test_no_stop_without_a_bound(self):
@@ -977,8 +975,8 @@ class TestKnownOrderStop:
         # = |SL(4,5)| (symplectic generators have det 1), which Sp(4,5) does not reach
         group = GeneratedGroup(hyperelliptic_system(2, 5).generators)
         assert group.order() == 9360000
-        assert group._chain.bound == 5**6 * 24 * 124 * 624
-        assert not group._chain.stopped
+        assert group.bound == 5**6 * 24 * 124 * 624
+        assert not group.stopped
 
     def test_derived_containment_passes_the_bound(self, monkeypatch):
         # without a witness the one group derived containment builds stops
@@ -991,7 +989,7 @@ class TestKnownOrderStop:
             gens, space = list(system.generators), system.space
             built.clear()
             derived, cls, order = _derived_containment(gens, space, 10**7, None)
-            assert derived and len(built) == 1 and built[0]._chain.stopped, name
+            assert derived and len(built) == 1 and built[0].stopped, name
             assert order == built[0].order() == _order_bound(space, gens)[0]
             built.clear()
             witness = _witness(space, gens, [classify_element(g, space) for g in gens])
@@ -1006,7 +1004,7 @@ class TestKnownOrderStop:
         gens = [reflection(space, r) for r in (e[0], e[0] + e[1], e[0] + e[2], e.sum(axis=0))]
         built.clear()
         assert derived_containment(gens, space) == (True, "FullO")
-        assert len(built) == 1 and built[0]._chain.stopped
+        assert len(built) == 1 and built[0].stopped
         assert built[0].order() == _order_bound(space, gens)[0] == 1152
 
 
@@ -1259,29 +1257,28 @@ class TestDeterminantBound:
         bound = _gl_det_bound(gens)
         group = GeneratedGroup(gens)
         order = group.order()
-        chain = group._chain
         # the same build, given a bound it can never reach
-        full = GeneratedGroup(gens, bound=lambda: 2 * bound)._chain
+        full = GeneratedGroup(gens, bound=lambda: 2 * bound)
         # the vector-at-a-time reference takes seconds on GL(4,11); there the
         # full build, checked against it on the smaller groups, stands in
         n, p = gens[0].n, gens[0].p
         reference = ReferenceGroup(gens) if p**n <= 7**4 else None
         assert order == full.order() <= bound, name
         assert not full.stopped, name
-        assert _levels(chain) == _levels(full), name
-        if chain.levels:
-            assert chain.bound == bound, name
+        assert _levels(group) == _levels(full), name
+        if group.levels:
+            assert group.bound == bound, name
         else:  # an empty chain computes no bound
-            assert chain.bound is None and order == 1, name
-        assert chain.stopped == (order == bound), name
+            assert group.bound is None and order == 1, name
+        assert group.stopped == (order == bound), name
         cands = _membership_candidates(gens, Random(order % 991))
         answers = [group.contains_array(c.array) for c in cands]
-        assert answers == [full.contains(c.array[None])[0] for c in cands], name
+        assert answers == [full.contains_array(c.array) for c in cands], name
         if reference is not None:
             assert reference.order() == order, name
             assert answers == [reference.contains_array(c.array) for c in cands], name
         assert answers[:10] == [True] * 10, name
-        return chain.stopped
+        return group.stopped
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1305,8 +1302,8 @@ class TestLevelGenerators:
 
     @pytest.mark.parametrize("name", sorted(_BOUNDED_SYSTEMS))
     def test_stored_inverses(self, name):
-        chain = GeneratedGroup(_BOUNDED_SYSTEMS[name]().generators)._chain
-        eye = np.eye(chain.n, dtype=np.int64)
+        chain = GeneratedGroup(_BOUNDED_SYSTEMS[name]().generators)
+        eye = np.eye(chain.dim, dtype=np.int64)
         for lvl in chain.levels:
             assert lvl.gens.shape == lvl.gens_inv.shape
             assert np.all((lvl.gens_inv @ lvl.gens) % chain.p == eye)
@@ -1324,10 +1321,10 @@ class TestLevelGenerators:
             eye = Matrix.identity(n, p)
             padded = [eye] + gens + gens[::-1] + [eye]
             if not plain:
-                assert GeneratedGroup(padded)._chain.levels == []
+                assert GeneratedGroup(padded).levels == []
                 continue
-            want = GeneratedGroup(plain)._chain
-            got = GeneratedGroup(padded)._chain
+            want = GeneratedGroup(plain)
+            got = GeneratedGroup(padded)
             assert _levels(got) == _levels(want), (p, n, trial)
             for a, b in zip(got.levels, want.levels):
                 assert np.array_equal(a.gens, b.gens)
@@ -1339,9 +1336,9 @@ class TestLevelGenerators:
         admitted = 0
         for name, gens, bound, _ in _incremental_cases():
             # a bound the chain cannot reach forces the full build
-            chains = [GeneratedGroup(gens + gens[::-1], bound=lambda: 2 * _gl_det_bound(gens))._chain]
+            chains = [GeneratedGroup(gens + gens[::-1], bound=lambda: 2 * _gl_det_bound(gens))]
             if bound is not None:
-                chains.append(GeneratedGroup(gens, bound=lambda: bound)._chain)
+                chains.append(GeneratedGroup(gens, bound=lambda: bound))
             for chain in chains:
                 for lvl in chain.levels:
                     assert len({g.tobytes() for g in lvl.gens}) == len(lvl.gens), name
@@ -1374,7 +1371,7 @@ class TestIncrementalChain:
     def test_level_invariants_after_growth(self, monkeypatch):
         import monodromy.group_engine as engine
 
-        grow = engine._Chain._grow
+        grow = engine.GeneratedGroup._grow
         regrown = []
 
         def checked_grow(chain, idx):
@@ -1387,11 +1384,11 @@ class TestIncrementalChain:
                 assert np.array_equal(new[:m], old)
             regrown.append(1 < m < len(lvl.points))
 
-        monkeypatch.setattr(engine._Chain, "_grow", checked_grow)
+        monkeypatch.setattr(engine.GeneratedGroup, "_grow", checked_grow)
         for name, gens, bound, order in _incremental_cases():
-            chain = GeneratedGroup(gens, bound=lambda: bound)._chain
+            chain = GeneratedGroup(gens, bound=lambda: bound)
             assert chain.order() == order, name
-            p, n = chain.p, chain.n
+            p, n = chain.p, chain.dim
             eye = np.eye(n, dtype=np.int64)
             for lvl in chain.levels:
                 points = lvl.points.astype(np.int64)
@@ -1405,7 +1402,7 @@ class TestIncrementalChain:
     def test_each_pair_is_sifted_once(self, monkeypatch):
         import monodromy.group_engine as engine
 
-        blocks = engine._Chain._schreier_blocks
+        blocks = engine.GeneratedGroup._schreier_blocks
         rows = []
 
         def counted(chain, lvl):
@@ -1413,7 +1410,7 @@ class TestIncrementalChain:
                 rows.append(len(block))
                 yield block
 
-        monkeypatch.setattr(engine._Chain, "_schreier_blocks", counted)
+        monkeypatch.setattr(engine.GeneratedGroup, "_schreier_blocks", counted)
         systems = {name: _BOUNDED_SYSTEMS[name]() for name in ("Sp(6,3)", "O(5,5)")}
         rng = Random(500)
         cases = [(name, list(s.generators)) for name, s in systems.items()]
@@ -1421,20 +1418,20 @@ class TestIncrementalChain:
         for name, gens in cases:
             rows.clear()
             # a bound the chain cannot reach forces the full build
-            chain = GeneratedGroup(gens, bound=lambda: 2 * _gl_det_bound(gens))._chain
+            chain = GeneratedGroup(gens, bound=lambda: 2 * _gl_det_bound(gens))
             assert not chain.stopped, name
             pairs = sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels)
             assert sum(rows) == pairs, name
             # the default bound stops the same build, sifting at most those pairs
             rows.clear()
-            default = GeneratedGroup(gens)._chain
+            default = GeneratedGroup(gens)
             assert default.stopped == (default.order() == default.bound), name
             assert _levels(default) == _levels(chain), name
             assert sum(rows) <= pairs, name
         for name, system in systems.items():
             rows.clear()
             bound, _ = _order_bound(system.space, list(system.generators))
-            chain = GeneratedGroup(system.generators, bound=lambda: bound)._chain
+            chain = GeneratedGroup(system.generators, bound=lambda: bound)
             assert chain.stopped, name
             assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
 
@@ -1447,7 +1444,7 @@ class TestTopDownChain:
         """Rows of every Schreier block formed, and the level of every pass."""
         import monodromy.group_engine as engine
 
-        blocks = engine._Chain._schreier_blocks
+        blocks = engine.GeneratedGroup._schreier_blocks
         rows, passes = [], []
 
         def counted(chain, lvl):
@@ -1456,14 +1453,14 @@ class TestTopDownChain:
                 rows.append(len(block))
                 yield block
 
-        monkeypatch.setattr(engine._Chain, "_schreier_blocks", counted)
+        monkeypatch.setattr(engine.GeneratedGroup, "_schreier_blocks", counted)
         return rows, passes
 
     def test_bounded_sp83_forms_few_schreier_generators(self, monkeypatch):
         rows, _ = self._count_schreier_rows(monkeypatch)
         system = hyperelliptic_system(4, 3)
         bound, _ = _order_bound(system.space, list(system.generators))
-        chain = GeneratedGroup(system.generators, bound=lambda: bound)._chain
+        chain = GeneratedGroup(system.generators, bound=lambda: bound)
         assert chain.stopped and chain.order() == bound
         # a build that completed each lower level whenever it gained a generator formed 21,697
         assert sum(rows) < 1000
@@ -1472,7 +1469,7 @@ class TestTopDownChain:
         import monodromy.group_engine as engine
 
         rows, passes = self._count_schreier_rows(monkeypatch)
-        complete, extend = engine._Chain._complete, engine._Chain._extend
+        complete, extend = engine.GeneratedGroup._complete, engine.GeneratedGroup._extend
         done = set()
 
         def completed(chain, i):
@@ -1484,8 +1481,8 @@ class TestTopDownChain:
             assert done.isdisjoint(range(i + 1, j + 1))
             extend(chain, h, i, j)
 
-        monkeypatch.setattr(engine._Chain, "_complete", completed)
-        monkeypatch.setattr(engine._Chain, "_extend", checked_extend)
+        monkeypatch.setattr(engine.GeneratedGroup, "_complete", completed)
+        monkeypatch.setattr(engine.GeneratedGroup, "_extend", checked_extend)
         for name, gens, bound, order in _incremental_cases():
             if bound is not None:
                 continue  # each bounded system also appears without its bound
@@ -1493,13 +1490,12 @@ class TestTopDownChain:
             passes.clear()
             done.clear()
             group = GeneratedGroup(gens, bound=lambda: 2 * order)
-            chain = group._chain
-            assert not chain.stopped, name
-            assert done == set(range(len(chain.levels))), name
+            assert not group.stopped, name
+            assert done == set(range(len(group.levels))), name
             # one pass over the Schreier generators of each level
-            assert sorted(map(id, passes)) == sorted(map(id, chain.levels)), name
+            assert sorted(map(id, passes)) == sorted(map(id, group.levels)), name
             # each pair (point, generator) is sifted once
-            assert sum(rows) == sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
+            assert sum(rows) == sum(len(lvl.points) * len(lvl.gens) for lvl in group.levels), name
             reference = ReferenceGroup(gens)
             assert group.order() == reference.order() == order, name
             cands = _membership_candidates(gens, Random(order % 997))
@@ -1570,7 +1566,7 @@ class TestChainRobustness:
             return derived, group.order(), group.contains_array(member.array), outsider in group
 
         assert _query_concurrently(query) == [(True, 9360000, True, False)] * 4
-        assert group._chain.stopped
+        assert group.stopped
 
     def test_cap_is_checked_while_the_orbit_grows(self):
         system = hyperelliptic_system(3, 5)  # Sp(6,5): root orbit of 15624 vectors
