@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotAnIsometry
-from .ff_linalg import Matrix, _det, _rref
+from .ff_linalg import Matrix, _check_integer, _check_modulus, _det, _rref
 from .group_engine import GeneratedGroup, _orbit_reaches
 
 __all__ = [
@@ -84,6 +84,8 @@ class FormSpace:
 
     def __post_init__(self):
         g = self.gram
+        if not isinstance(g, Matrix):
+            raise InvalidInput("gram matrix must be a Matrix")
         if g.rows != g.cols:
             raise InvalidInput("gram matrix must be square")
         if self.parity == "symmetric":
@@ -227,6 +229,8 @@ def _greedy_nondegenerate(forms: Sequence[Matrix]) -> Optional[Matrix]:
 
 
 def is_isometry(g: Matrix, space: FormSpace) -> bool:
+    if not isinstance(g, Matrix):
+        raise InvalidInput("an isometry must be a Matrix")
     gram = space.gram
     return g.T @ gram @ g == gram
 
@@ -266,7 +270,8 @@ def classify_element(g: Matrix, space: FormSpace) -> ElementClass:
 
 def square_class(a: int, p: int) -> int:
     """+1 for nonzero squares mod p, -1 for nonsquares (Euler's criterion)."""
-    a = int(a) % p
+    p = _check_modulus(p)
+    a = _check_integer(a, "a") % p
     if a == 0:
         raise InvalidInput("0 has no square class")
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
@@ -497,9 +502,9 @@ def _derived_containment(
     ``_witness`` picks a witness only on these spaces.  See Taylor, The
     Geometry of the Classical Groups (1992), ch. 8 and 11, and
     Kleidman-Liebeck, The Subgroup Structure of the Finite Classical Groups
-    (1990), 2.9, for the small isomorphisms.  The orbit is walked by
-    ``group_engine._orbit_reaches``, which, like a chain, raises
-    ResourceLimit once more than ``limit`` vectors are stored.
+    (1990), 2.9, for the small isomorphisms.  ``group_engine._orbit_reaches``
+    walks the orbit, keeping only its frontier and which codes it has seen;
+    like a chain, it raises ResourceLimit past ``limit`` vectors.
     """
     bound, image = _order_bound(space, gens)
     if witness is None or not _witness_orbit_is_full(gens, space, witness, limit):

@@ -161,6 +161,8 @@ def predict_rank(
     that is the input rank n.  The rank-1 Kummer tuple at 0, 1, 2, 3 mod 5
     gives 3 here and 1 from ``middle_convolve(t, 1).rank``.
     """
+    if not all(isinstance(d, JordanData) for d in [*finite, infinity]):
+        raise InvalidInput("local data must each be JordanData")
     p = infinity.p
     lam = _check_integer(lam, "lambda") % p
     if lam == 0:

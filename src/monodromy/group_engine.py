@@ -21,18 +21,18 @@ residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
 after it is completed; each level is completed once (bounded Sp(8,3)
 forms 384 Schreier generators, where completing each lower level again
-whenever it gained a generator formed 21,697).  ``_orbit_reaches`` runs
-the same orbit loop on a level of its own, based at any vector, and stops
-at a given orbit size; ``classical_groups`` decides derived containment
-from one such witness orbit.
+whenever it gained a generator formed 21,697).  ``_orbit_reaches`` walks
+the orbit of any vector up to a given size with no level, marking codes
+only as seen and keeping only its frontier; ``classical_groups`` decides
+derived containment from one such witness orbit.
 
 Orbit points, transversal elements and their inverses are stored in the
 narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
 up to 32767, then int32 and int64), n + 2 n^2 entries per orbit vector.  A
 block gathered from them is widened to int64 just before it enters a
-product: each frontier block in ``_orbit``, the parent transversals in
-``GeneratedGroup._grow``, the transversal inverses in
-``GeneratedGroup._sift``, and the points, transversals and inverses in
+product: each frontier block in ``_orbit`` and ``_orbit_reaches``, the
+parent transversals in ``GeneratedGroup._grow``, the transversal inverses
+in ``GeneratedGroup._sift``, and the points, transversals and inverses in
 ``GeneratedGroup._schreier_blocks``.  Vector
 codes, strong generators, their inverses and every product stay int64, so
 products are exact under the guards ``ff_linalg._check_products`` (on
@@ -80,41 +80,35 @@ __all__ = [
 # chains, and did not make large chains faster.
 _BLOCK_ENTRIES = 1 << 13
 # Orbits in spaces with at most this many vectors index codes by a dense
-# table (at most 4 MiB per level); larger spaces use sorted codes.  The
-# dense table made both benchmark workloads 16-27 % faster than sorted codes
-# alone (their spaces have at most 5^6 vectors); the cutoff itself bounds
-# memory and was not tuned.
+# table from the start (at most 4 MiB per level); larger spaces use sorted
+# codes.  The dense table made both benchmark workloads 16-27 % faster than
+# sorted codes alone (their spaces have at most 5^6 vectors); the cutoff
+# itself bounds memory and was not tuned.
 _DENSE_CODES = 1 << 20
+# Sorted codes turn dense once they hold one code in this many: the table then
+# costs at most 8 times the runs.  Bounded O(8,7) chain, 2-CPU x86 host: sorted
+# only 7.2-7.9 s; dense at 1/8, 1/32, 1/64: 5.0, 3.5, 2.6 s at 194, 194, 213 MB.
+_DENSE_SHARE = 32
 
 
-class _DenseIndex:
-    """Code -> orbit position, as a table over every code (-1: not in the orbit)."""
+class _CodeIndex:
+    """Code -> orbit position over the codes 0 .. size - 1 (-1: not in the orbit).
 
-    __slots__ = ("table",)
-
-    def __init__(self, size: int):
-        self.table = np.full(size, -1, dtype=np.int32)
-
-    def find(self, codes: np.ndarray) -> np.ndarray:
-        return self.table[codes]
-
-    def add(self, codes: np.ndarray, positions: np.ndarray) -> None:
-        self.table[codes] = positions
-
-
-class _SortedIndex:
-    """Code -> orbit position by binary search over sorted runs of codes.
-
-    A new run is merged into the last one while that one is at most twice
-    its size, so m codes sit in O(log m) runs.
+    Dense, ``table`` holds the position of every code.  Sorted, ``runs`` are
+    sorted runs of codes with their positions, binary searched; a new run is
+    merged into the last one while that one is at most twice its size, so m
+    codes sit in O(log m) runs.  The index is dense from its first code when
+    size <= ``_DENSE_CODES``, else once it holds size / ``_DENSE_SHARE``.
     """
 
-    __slots__ = ("runs",)
+    __slots__ = ("size", "count", "runs", "table")
 
-    def __init__(self):
-        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+    def __init__(self, size: int):
+        self.size, self.count, self.runs, self.table = size, 0, [], None
 
     def find(self, codes: np.ndarray) -> np.ndarray:
+        if self.table is not None:
+            return self.table[codes]
         out = np.full(codes.shape, -1, dtype=np.int64)
         for keys, positions in self.runs:
             at = np.minimum(np.searchsorted(keys, codes), keys.size - 1)
@@ -123,15 +117,25 @@ class _SortedIndex:
         return out
 
     def add(self, codes: np.ndarray, positions: np.ndarray) -> None:
-        while self.runs and self.runs[-1][0].size <= 2 * codes.size:
-            keys, old = self.runs.pop()
-            codes = np.concatenate([keys, codes])
-            positions = np.concatenate([old, positions])
-        order = np.argsort(codes)
-        self.runs.append((codes[order], positions[order]))
+        self.count += codes.size
+        if self.table is None and (self.size <= _DENSE_CODES or _DENSE_SHARE * self.count >= self.size):
+            # every position is below size
+            self.table = np.full(self.size, -1, dtype=np.int32 if self.size <= 2**31 else np.int64)
+            for keys, old in self.runs:
+                self.table[keys] = old
+            self.runs = []
+        if self.table is not None:
+            self.table[codes] = positions
+        elif codes.size:  # an empty run would break the binary search
+            while self.runs and self.runs[-1][0].size <= 2 * codes.size:
+                keys, old = self.runs.pop()
+                codes = np.concatenate([keys, codes])
+                positions = np.concatenate([old, positions])
+            order = np.argsort(codes)
+            self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> tuple[int, list[np.ndarray]]:
+def _orbit(lvl: _Level, p: int, cap: int, steps: list) -> tuple[int, list[np.ndarray]]:
     """Grow the stored orbit of ``lvl`` to closure under all its generators.
 
     The orbit is closed under the first ``lvl.closed`` generators.  The
@@ -141,13 +145,10 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> tuple
     are distinct, so only codes already in ``lvl.index`` are dropped, and
     each new code enters the index at the row it will take.  Stops once at
     least ``cap`` points are stored, keeping at most one batch of images
-    past the cap.  Returns the number of points then stored, and new points
-    in chunks of the storage dtype.  When ``steps`` is a list, those are all
-    the new points, and the step (first row, parent rows, generator) that
-    reached each chunk is appended to it: a chain builds its transversal
-    from them.  A bare orbit walk keeps no steps, and only the points of
-    the last round, its frontier: the chunks of each earlier round are
-    dropped once the next frontier is made from them.
+    past the cap.  Returns the number of points then stored, and the new
+    points in chunks of the storage dtype; the step (first row, parent
+    rows, generator) that reached each chunk is appended to ``steps``, and
+    the chain builds its transversal from them.
     """
     gens, points, index = lvl.gens, lvl.points, lvl.index
     batch = max(1, _BLOCK_ENTRIES // points.shape[1])
@@ -165,8 +166,7 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> tuple
                 if fresh.size:
                     index.add(codes[fresh], np.arange(total, total + fresh.size))
                     chunks.append(images[fresh].astype(points.dtype))
-                    if steps is not None:
-                        steps.append((total, first + a + fresh, j))
+                    steps.append((total, first + a + fresh, j))
                     total += fresh.size
                 if total >= cap:
                     break
@@ -175,8 +175,6 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: Optional[list] = None) -> tuple
         if len(chunks) == round_chunks:
             break
         frontier, first = np.concatenate(chunks[round_chunks:]), round_start
-        if steps is None:
-            chunks = []
         movers = range(len(gens))
     return total, chunks
 
@@ -195,22 +193,52 @@ def _over_limit(limit: int) -> ResourceLimit:
 def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: int) -> bool:
     """Whether the orbit of the nonzero vector ``base`` under ``gens`` has ``size`` vectors.
 
-    The caller knows that the orbit has at most ``size`` vectors.  It is
-    walked by ``_orbit``, on a level based at ``base``, keeping no step
-    records, since no transversal is built, and of the orbit vectors only
-    its last frontier; the index still marks every vector seen.  The walk
-    stops as soon as ``size`` vectors are stored, so a full orbit is never
-    closed.  ``limit`` is checked, and ResourceLimit raised, as a
-    ``GeneratedGroup`` does it: when vector codes of F_p^n do not fit in 64
-    bits, and when the orbit has more than ``limit`` vectors, checked after
-    each batch of images.
+    The caller knows that the orbit has at most ``size`` vectors.  With
+    cap = min(size, limit + 1), seen codes are marked in a bool table over
+    all p^n codes when p^n <= 16 cap (no more than the 16 bytes per code of
+    sorted runs), else in a ``_CodeIndex``, so a small ``limit`` on a large
+    space never allocates p^n bytes.  Only the last round's vectors are
+    kept, in the narrowest signed dtype that holds p - 1, widened to int64 a
+    block at a time; a generator's images of a block are distinct, so only
+    codes already seen are dropped.  The walk stops once ``cap`` vectors
+    are seen.  ResourceLimit is raised as a ``GeneratedGroup`` raises it:
+    when p^n >= 2^63, and when more than ``limit`` vectors are seen,
+    checked after each batch of images.
     """
     limit = _check_integer(limit, "limit", least=0)
-    p = gens[0].p
-    _check_codes(p, len(base))
-    lvl = _Level(base, p, np.min_scalar_type(-(p - 1)))
-    lvl.gens = np.array([g.array for g in gens], dtype=np.int64)
-    stored, _ = _orbit(lvl, p, min(size, limit + 1))
+    p, n = gens[0].p, len(base)
+    _check_codes(p, n)
+    cap = min(size, limit + 1)
+    table = np.zeros(p**n, dtype=bool) if p**n <= 16 * cap else None
+    index = _CodeIndex(p**n)  # allocates nothing unless used
+
+    def unseen(codes: np.ndarray) -> np.ndarray:
+        if table is not None:
+            fresh = (~table[codes]).nonzero()[0]
+            table[codes[fresh]] = True
+            return fresh
+        fresh = (index.find(codes) < 0).nonzero()[0]
+        index.add(codes[fresh], fresh)  # any position marks a code seen
+        return fresh
+
+    powers = p ** np.arange(n, dtype=np.int64)
+    batch = max(1, _BLOCK_ENTRIES // n)
+    frontier = base[None].astype(np.min_scalar_type(-(p - 1)))
+    stored = len(unseen(base[None] @ powers))
+    while stored < cap and len(frontier):
+        chunks = []
+        for a in range(0, len(frontier), batch):
+            block = frontier[a : a + batch].astype(np.int64)
+            for g in gens:
+                images = (block @ g.array.T) % p
+                fresh = unseen(images @ powers)
+                chunks.append(images[fresh].astype(frontier.dtype))
+                stored += fresh.size
+                if stored >= cap:
+                    break
+            if stored >= cap:
+                break
+        frontier = np.concatenate(chunks)
     if stored > limit:
         raise _over_limit(limit)
     return stored == size
@@ -219,35 +247,31 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
 class _Level:
     """One level of the chain: a base point, strong generators and its orbit.
 
-    The base point is the nonzero vector ``base``.  A level of a
-    ``GeneratedGroup`` has a standard basis vector e_col, whose image under
-    a matrix ``GeneratedGroup._sift`` reads as column ``col``;
-    ``_orbit_reaches`` walks the orbit of any vector on a level of its own,
-    which is never sifted.  ``gens`` is the
-    stack of distinct strong generators and ``gens_inv[k]`` the inverse of
-    ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
-    vector (row 0 the base point), ``index`` maps vector codes to rows,
-    ``trans[k]`` maps the base point to ``points[k]`` and ``trans_inv[k]``
-    is its inverse.  The orbit only grows: rows keep their place and their
-    transversal elements, and new rows are appended.  The orbit is closed
-    under ``gens[:closed]``.  ``points``, ``trans`` and ``trans_inv`` hold
-    residues in the chain's storage dtype, the narrowest signed integer type
-    that holds p - 1; ``gens`` and ``gens_inv`` stay int64.  A block
-    gathered from the stored residues is widened to int64 before it enters
-    a product.  The level's Schreier generators are formed once, when the
-    group completes it (``GeneratedGroup._complete``).
+    The base point is the standard basis vector e_col, whose image under a
+    matrix ``GeneratedGroup._sift`` reads as column ``col``.  ``gens`` is
+    the stack of distinct strong generators and ``gens_inv[k]`` the inverse
+    of ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
+    vector (row 0 the base point), ``index``, a ``_CodeIndex``, maps vector
+    codes to rows, ``trans[k]`` maps the base point to ``points[k]`` and
+    ``trans_inv[k]`` is its inverse.  The orbit only grows: rows keep their
+    place and their transversal elements, and new rows are appended.  The
+    orbit is closed under ``gens[:closed]``.  ``points``, ``trans`` and
+    ``trans_inv`` hold residues in the chain's storage dtype, the narrowest
+    signed integer type that holds p - 1; ``gens`` and ``gens_inv`` stay
+    int64.  A block gathered from the stored residues is widened to int64
+    before it enters a product.  The level's Schreier generators are formed
+    once, when the group completes it (``GeneratedGroup._complete``).
     """
 
     __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "closed")
 
-    def __init__(self, base: np.ndarray, p: int, dtype: np.dtype):
-        n = len(base)
-        self.col = int(np.flatnonzero(base)[0])
+    def __init__(self, col: int, n: int, p: int, dtype: np.dtype):
+        self.col = col
         self.gens = self.gens_inv = np.zeros((0, n, n), dtype=np.int64)
-        self.points = base[None].astype(dtype)
         self.trans = self.trans_inv = np.eye(n, dtype=dtype)[None]
-        self.index = _DenseIndex(p**n) if p**n <= _DENSE_CODES else _SortedIndex()
-        self.index.add(_codes(base[None], p), np.zeros(1, dtype=np.int64))
+        self.points = np.eye(n, dtype=dtype)[col : col + 1]
+        self.index = _CodeIndex(p**n)
+        self.index.add(np.array([p**col]), np.zeros(1, dtype=np.int64))
         self.closed = 0
 
     def admit(self, g: np.ndarray, g_inv: np.ndarray) -> None:
@@ -317,7 +341,7 @@ class GeneratedGroup:
         arrays = np.array(list({g.tobytes(): g for g in arrays}.values()))
         _check_codes(self.p, self.dim)
         self.bound = (bound and bound()) or self._det_bound()
-        top = _Level(self._pick_base(arrays), self.p, self._dtype)
+        top = _Level(self._pick_base(arrays), self.dim, self.p, self._dtype)
         for g in arrays:
             top.admit(g, _inv(g, self.p))
         self.levels.append(top)
@@ -366,12 +390,12 @@ class GeneratedGroup:
 
     # -- orbits -----------------------------------------------------------
 
-    def _pick_base(self, gens: np.ndarray) -> np.ndarray:
-        """The first standard basis vector that some generator in ``gens`` moves.
+    def _pick_base(self, gens: np.ndarray) -> int:
+        """The index of the first standard basis vector that some generator in ``gens`` moves.
 
         Both callers pass a stack holding a non-identity matrix.
         """
-        return self._eye[np.flatnonzero((gens != self._eye).any(axis=(0, 1)))[0]]
+        return int(np.flatnonzero((gens != self._eye).any(axis=(0, 1)))[0])
 
     def _grow(self, idx: int) -> None:
         """Extend the orbit of level ``idx`` and its transversal to its generators.
@@ -485,7 +509,7 @@ class GeneratedGroup:
         generators, and ``h`` moves the base point out of it.
         """
         if j == len(self.levels):
-            self.levels.append(_Level(self._pick_base(h[None]), self.p, self._dtype))
+            self.levels.append(_Level(self._pick_base(h[None]), self.dim, self.p, self._dtype))
         h_inv = _inv(h, self.p)
         for lvl in self.levels[i + 1 : j + 1]:
             lvl.admit(h, h_inv)

@@ -6,7 +6,9 @@ sets are random reflections plus random isotropic shears, with total drop
 at least n, at r = 2.  Every set goes through ``cross_validate``: each
 must agree with the exact computation, and each certified one must contain
 the derived subgroup.  Sets whose witness orbit is not full are decided by
-the stabilizer chain, so the corpus checks the chain too.
+the stabilizer chain, so the corpus checks the chain too.  Every witness
+walk is checked against the walk on a position index
+(``walk_reference``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import numpy as np
 import pytest
 
 import form_spaces
+import monodromy.classical_groups as classical
 from monodromy import FormSpace, Hypotheses, cross_validate
 from monodromy.ff_linalg import _vectors
+from walk_reference import reference_orbit_reaches
 
 SETS_PER_SPACE = 60
 
@@ -76,7 +80,16 @@ SPACES = {
 
 
 @pytest.mark.parametrize("parity", sorted(SPACES))
-def test_certified_sets_agree_and_contain_the_derived_subgroup(parity):
+def test_certified_sets_agree_and_contain_the_derived_subgroup(parity, monkeypatch):
+    walk, walked = classical._orbit_reaches, []
+
+    def checked_walk(gens, base, size, limit):
+        full = walk(gens, base, size, limit)
+        assert full == reference_orbit_reaches(gens, base, size, limit)
+        walked.append(full)
+        return full
+
+    monkeypatch.setattr(classical, "_orbit_reaches", checked_walk)
     certified = {}
     for seed, (name, make) in enumerate(SPACES[parity]):
         space = make()
@@ -93,3 +106,5 @@ def test_certified_sets_agree_and_contain_the_derived_subgroup(parity):
                 assert report.exact_contains_derived, (name, gens)
                 certified[name] += 1
     assert sum(certified.values()) >= 100, certified
+    # full orbits and short ones, which leave the decision to the chain
+    assert walked.count(True) >= 50 and walked.count(False) >= 5, (walked.count(True), walked.count(False))

@@ -12,6 +12,7 @@ import pytest
 
 import monodromy
 from monodromy import FormSpace, Hypotheses, JordanData, Matrix, PuncturedTuple, Subspace
+from monodromy.classical_groups import square_class
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(monodromy.__path__) if info.name != "__main__"
@@ -325,6 +326,11 @@ BAD_ARGUMENTS = {
     "PuncturedTuple matrix [[1]]": lambda: PuncturedTuple([0], [[[1]]]),
     "invariant_pairing form [[1]]": lambda: monodromy.invariant_pairing([[[1]]]),
     "dim_formula deg_m 2.5": lambda: monodromy.dim_formula(2.5, 1, 0),
+    "square_class a 2.5": lambda: square_class(2.5, 5),
+    "square_class modulus 4": lambda: square_class(3, 4),
+    "FormSpace gram [[1]]": lambda: FormSpace([[1]], "symmetric"),
+    "is_isometry g [[1]]": lambda: monodromy.is_isometry([[1]], FormSpace.symplectic(2, 5)),
+    "predict_rank finite [[[1]]]": lambda: monodromy.predict_rank([[[1]]], JordanData([(1, 1)], 5), 2),
 }
 
 

@@ -27,6 +27,7 @@ from monodromy.ff_linalg import Matrix, Subspace, _codes, invariant_forms
 from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
+    _CodeIndex,
     _orbit_reaches,
     element_order,
     group_order,
@@ -40,6 +41,7 @@ import form_spaces
 from form_spaces import anisotropic_vectors, random_isometry, reflection, siegel_shear, transvection
 from irreducibility_reference import exhaustive_irreducibility
 from schreier_sims_reference import ReferenceGroup
+from walk_reference import SortedIndex, reference_orbit_reaches
 
 SL2 = lambda p: [Matrix([[1, 1], [0, 1]], p), Matrix([[1, 0], [1, 1]], p)]
 
@@ -1029,6 +1031,41 @@ def _witnesses(gens: list[Matrix], space) -> list[Matrix]:
     return [g for g in gens if _witness(space, [g], [classify_element(g, space)]) is g]
 
 
+# every family system above, and the two golden-file systems too large for
+# a full walk, walked under small limits
+_WALK_SYSTEMS = {
+    **_FAMILY_SYSTEMS,
+    "Sp(4,101)": lambda: hyperelliptic_system(2, 101),
+    "O(8,11)": lambda: twist_family_system([2, 3, 4], 11),
+}
+
+
+def _walk_arguments(gens: list[Matrix], space, witness: Matrix, monkeypatch) -> tuple[np.ndarray, int]:
+    """The base vector and the target size that ``_witness_orbit_is_full`` hands to the walk."""
+    import monodromy.classical_groups as classical
+
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(classical, "_orbit_reaches", lambda gens, base, size, limit: calls.append((base, size)))
+        _witness_orbit_is_full(gens, space, witness, 0)
+    return calls[0]
+
+
+def _walk_outcome(walk, *args):
+    """What the walk returns, or ResourceLimit when it raises that."""
+    try:
+        return walk(*args)
+    except ResourceLimit:
+        return ResourceLimit
+
+
+def _assert_walks_agree(gens: list[Matrix], base: np.ndarray, size: int, limits, name) -> None:
+    """The walk and the reference walk give the same answer, or both raise ResourceLimit, at each limit."""
+    for limit in limits:
+        new = _walk_outcome(_orbit_reaches, gens, base, size, limit)
+        assert new == _walk_outcome(reference_orbit_reaches, gens, base, size, limit), (name, limit)
+
+
 def _chain_contains_derived(gens: list[Matrix], space) -> bool:
     bound, _ = _order_bound(space, gens)
     return GeneratedGroup(gens, 10**7, lambda: bound).order() == bound
@@ -1153,11 +1190,14 @@ class TestWitnessOrbit:
         [("alternating", n, p) for n, p in ((2, 3), (2, 5), (2, 7), (4, 3), (4, 5), (6, 3))]
         + [
             ("symmetric", n, p)
-            for n, p in ((3, 5), (3, 7), (4, 5), (4, 7), (5, 3), (5, 5), (6, 3), (7, 3))
+            for n, p in ((3, 5), (3, 7), (4, 5), (4, 7), (5, 3), (5, 5), (6, 3), (7, 3), (3, 11), (3, 17))
         ]
-        + [("symmetric-nonsquare", 4, p) for p in (5, 7)],
+        + [("symmetric-nonsquare", 4, p) for p in (5, 7, 17)],
     )
-    def test_matches_the_chain_on_random_groups(self, kind, n, p):
+    def test_matches_the_chain_on_random_groups(self, kind, n, p, monkeypatch):
+        # a norm class has about p^(n-1) vectors, so from p = 11 on (with a
+        # limit of half the class) or p = 17 (with none) the walk marks
+        # codes in a _CodeIndex, not in a bool table over p^n codes
         space, rng = _random_form_space(kind, n, p)
         make = _transvection_groups if kind == "alternating" else _reflection_groups
         outcomes = []
@@ -1166,12 +1206,25 @@ class TestWitnessOrbit:
             assert witness is gens[0]
             expected = _chain_contains_derived(gens, space)
             assert _witness_orbit_is_full(gens, space, witness, 10**7) == expected
+            base, size = _walk_arguments(gens, space, witness, monkeypatch)
+            _assert_walks_agree(gens, base, size, (size // 2, 10**7), (kind, n, p))
             assert _derived_containment(gens, space, 10**7, witness) == _derived_containment(
                 gens, space, 10**7, None
             )
             outcomes.append(expected)
         # groups that contain the derived subgroup and groups that do not
         assert outcomes.count(False) >= 4 and outcomes.count(True) >= 1, outcomes
+
+    @pytest.mark.parametrize("name", sorted(_WALK_SYSTEMS))
+    def test_matches_the_reference_walk_on_family_and_golden_systems(self, name, monkeypatch):
+        system = _WALK_SYSTEMS[name]()
+        gens, space = list(system.generators), system.space
+        witnesses = _witnesses(gens, space)
+        assert witnesses
+        for w in witnesses:
+            base, size = _walk_arguments(gens, space, w, monkeypatch)
+            small = [0, 1, 100, 5000]
+            _assert_walks_agree(gens, base, size, small if size > 10**5 else small + [size - 1, size, 10**7], name)
 
     @pytest.mark.parametrize("kind", ["symmetric", "symmetric-nonsquare"])
     @pytest.mark.parametrize("n", [3, 4])
@@ -1214,8 +1267,9 @@ class TestWitnessOrbit:
 
     def test_walk_keeps_only_its_frontier(self):
         # Sp(8,5): holding every one of the 390,624 orbit vectors until the
-        # walk returns (1.5 MiB of int8 rows) put the peak at 6.4 MiB; the
-        # walk keeps the last round's vectors and the 3 MiB dense index
+        # walk returns (1.5 MiB of int8 rows) put the peak at 6.4 MiB, and
+        # the last round's vectors with a 1.5 MiB int32 position table at
+        # 4.4 MiB; the walk keeps that round and a 0.4 MiB bool table
         system = hyperelliptic_system(4, 5)
         gens, space = list(system.generators), system.space
         witness = _witness(space, gens, [classify_element(g, space) for g in gens])
@@ -1225,7 +1279,43 @@ class TestWitnessOrbit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.8 * 2**20
+        assert peak < 4 * 2**20
+
+    def test_walk_peak_memory_on_o87(self):
+        # O(8,7): the 7^8 codes take a 5.5 MiB seen table, next to one
+        # round's int8 frontier and the chunks and frontier of the next (at
+        # most 2.7 MiB each); the walk on the chain's orbit loop and its
+        # int32 position table peaked at 36.4 MiB
+        system = twist_family_system([2, 3, 4], 7)
+        gens, space = list(system.generators), system.space
+        witness = _witness(space, gens, [classify_element(g, space) for g in gens])
+        tracemalloc.start()
+        try:
+            assert _witness_orbit_is_full(gens, space, witness, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
+
+    def test_small_limit_on_a_large_space_allocates_no_table(self):
+        # the shear I + E_01 and the coordinate cycle generate SL(20, 3)
+        # extended by det -1, transitive on the 3^20 - 1 nonzero vectors; a
+        # bool table over the 3^20 codes would take 3.5 GB, so with a limit
+        # of 1000 the walk marks codes in sorted runs
+        n, p = 20, 3
+        shear = np.eye(n, dtype=np.int64)
+        shear[0, 1] = 1
+        cycle = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
+        gens = [Matrix(shear, p), Matrix(cycle, p)]
+        base = np.eye(n, dtype=np.int64)[0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="cap of 1000 vectors"):
+                _orbit_reaches(gens, base, p**n - 1, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_walk_refuses_codes_past_int64(self):
         a = np.eye(40, dtype=np.int64)
@@ -1365,6 +1455,19 @@ def _incremental_cases() -> list[tuple[str, list[Matrix], object, int]]:
     return cases
 
 
+def _assert_level_invariants(chain: GeneratedGroup, name: str) -> None:
+    """Each transversal element maps the base point to its row and has its inverse; the index finds every row."""
+    p, n = chain.p, chain.dim
+    eye = np.eye(n, dtype=np.int64)
+    for lvl in chain.levels:
+        points = lvl.points.astype(np.int64)
+        trans = lvl.trans.astype(np.int64)
+        assert np.array_equal(trans[:, :, lvl.col], points), name
+        assert np.all((lvl.trans_inv.astype(np.int64) @ trans) % p == eye), name
+        codes = _codes(points, p)
+        assert np.array_equal(lvl.index.find(codes), np.arange(len(points))), name
+
+
 class TestIncrementalChain:
     """Orbits grow in place, and each Schreier generator is sifted once."""
 
@@ -1388,15 +1491,7 @@ class TestIncrementalChain:
         for name, gens, bound, order in _incremental_cases():
             chain = GeneratedGroup(gens, bound=lambda: bound)
             assert chain.order() == order, name
-            p, n = chain.p, chain.dim
-            eye = np.eye(n, dtype=np.int64)
-            for lvl in chain.levels:
-                points = lvl.points.astype(np.int64)
-                trans = lvl.trans.astype(np.int64)
-                assert np.array_equal(trans[:, :, lvl.col], points), name
-                assert np.all((lvl.trans_inv.astype(np.int64) @ trans) % p == eye), name
-                codes = _codes(points, p)
-                assert np.array_equal(lvl.index.find(codes), np.arange(len(points))), name
+            _assert_level_invariants(chain, name)
         assert any(regrown)
 
     def test_each_pair_is_sifted_once(self, monkeypatch):
@@ -1434,6 +1529,53 @@ class TestIncrementalChain:
             chain = GeneratedGroup(system.generators, bound=lambda: bound)
             assert chain.stopped, name
             assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
+
+
+class TestDenseSwitch:
+    """A sorted code index turns dense once it holds one code in 32, and answers the same."""
+
+    def test_index_turns_dense_at_one_code_in_32(self):
+        size = 1 << 21
+        index = _CodeIndex(size)
+        codes = np.arange(0, size, 32, dtype=np.int64)[::-1].copy()
+        index.add(codes[:-1], np.arange(len(codes) - 1))
+        index.add(codes[:0], np.arange(0))  # an empty add stores nothing
+        assert index.table is None and len(index.runs) == 1
+        sorted_answers = index.find(np.arange(size))
+        index.add(codes[-1:], np.array([len(codes) - 1]))
+        assert index.table is not None and index.runs == []
+        expected = np.full(size, -1)
+        expected[codes] = np.arange(len(codes))
+        assert np.array_equal(index.find(np.arange(size)), expected)
+        assert np.array_equal(sorted_answers[codes[:-1]], expected[codes[:-1]])
+        assert np.count_nonzero(sorted_answers >= 0) == len(codes) - 1
+
+    @pytest.mark.parametrize(
+        "name,make,dense",
+        [
+            # 65537^2 codes, and orbits of 16 and 8 vectors: it stays sorted
+            ("C8 wr C2 mod 65537", lambda: _diagonal_and_swap(65537, 8), [False, False]),
+            # 1031^2 > 2^20 codes; the top orbit holds all but one of them
+            ("SL(2,1031)", lambda: SL2(1031), [True, False]),
+        ],
+    )
+    def test_matches_a_sorted_only_index(self, name, make, dense, monkeypatch):
+        import monodromy.group_engine as engine
+
+        gens = make()
+        group = GeneratedGroup(gens)
+        assert [lvl.index.table is not None for lvl in group.levels] == dense, name
+        _assert_level_invariants(group, name)
+        cands = _membership_candidates(gens, Random(31))
+        answers = [group.contains_array(c.array) for c in cands]
+        assert answers[:10] == [True] * 10, name
+        monkeypatch.setattr(engine, "_CodeIndex", SortedIndex)
+        sorted_only = GeneratedGroup(gens)
+        assert all(isinstance(lvl.index, SortedIndex) for lvl in sorted_only.levels), name
+        _assert_level_invariants(sorted_only, name)
+        assert sorted_only.order() == group.order(), name
+        assert _levels(sorted_only) == _levels(group), name
+        assert [sorted_only.contains_array(c.array) for c in cands] == answers, name
 
 
 class TestTopDownChain:
