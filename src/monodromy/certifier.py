@@ -31,7 +31,7 @@ from .classical_groups import (
     _witness,
 )
 from .errors import Inconclusive, InvalidInput, OrderOverflow
-from .ff_linalg import Matrix, _check_integer, _least_factor
+from .ff_linalg import Matrix, _check_integer, _check_type, _least_factor
 from .group_engine import element_order, is_irreducible
 
 __all__ = [
@@ -62,6 +62,7 @@ class Hypotheses:
     classes: tuple[ElementClass, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
+        _check_type(self.space, FormSpace, "space")
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "s0", frozenset(self.s0))
         if not self.generators:
@@ -131,7 +132,7 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     certificate is left "unrefined"; ``cross_validate`` fills in the exact
     subgroup class.
     """
-    space = h.space
+    space = _check_type(h, Hypotheses, "h").space
     checks: list[CheckResult] = []
     classes = h.classes
     symmetric = space.parity == "symmetric"
@@ -239,7 +240,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     a certified orthogonal group that contains Omega has class FullO,
     KerSpinor or KerSpinorDet.
     """
-    witness = _witness(h.space, h.generators, h.classes)
+    witness = _witness(_check_type(h, Hypotheses, "h").space, h.generators, h.classes)
     derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit, witness)
     cert = certify(h, seed=seed)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":

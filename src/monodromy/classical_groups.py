@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotAnIsometry
-from .ff_linalg import Matrix, _check_integer, _check_modulus, _det, _rref
+from .ff_linalg import Matrix, _check_integer, _check_modulus, _check_type, _det, _rref
 from .group_engine import GeneratedGroup, _orbit_reaches
 
 __all__ = [
@@ -83,9 +83,7 @@ class FormSpace:
     parity: str
 
     def __post_init__(self):
-        g = self.gram
-        if not isinstance(g, Matrix):
-            raise InvalidInput("gram matrix must be a Matrix")
+        g = _check_type(self.gram, Matrix, "gram")
         if g.rows != g.cols:
             raise InvalidInput("gram matrix must be square")
         if self.parity == "symmetric":
@@ -229,13 +227,13 @@ def _greedy_nondegenerate(forms: Sequence[Matrix]) -> Optional[Matrix]:
 
 
 def is_isometry(g: Matrix, space: FormSpace) -> bool:
-    if not isinstance(g, Matrix):
-        raise InvalidInput("an isometry must be a Matrix")
-    gram = space.gram
+    _check_type(g, Matrix, "g")
+    gram = _check_type(space, FormSpace, "space").gram
     return g.T @ gram @ g == gram
 
 
 def _require_isometry(g: Matrix, space: FormSpace) -> None:
+    _check_type(space, FormSpace, "space")
     if not isinstance(g, Matrix) or g.p != space.p or g.rows != space.dim or g.cols != space.dim:
         raise NotAnIsometry("matrix does not match the space")
     if not is_isometry(g, space):
@@ -288,7 +286,7 @@ def spinor_norm(g: Matrix, space: FormSpace) -> int:
     of 2^d det chi with d = rank(1 - g).  The factor 2^d matches the
     convention that the reflection in r has norm the square class of <r,r>.
     """
-    if space.parity != "symmetric":
+    if _check_type(space, FormSpace, "space").parity != "symmetric":
         raise InvalidInput("spinor norm is defined on orthogonal groups")
     _require_isometry(g, space)
     return _spinor_norm(g, space)
@@ -342,7 +340,7 @@ def _norm_class_size(space: FormSpace, c: int) -> int:
 
 def isometry_group_orders(space: FormSpace) -> GroupOrders:
     """|Sp(V)| or |O(V)| together with the order of the derived subgroup."""
-    p, n = space.p, space.dim
+    p, n = _check_type(space, FormSpace, "space").p, space.dim
     if space.parity == "alternating":
         m = n // 2
         full = p ** (m * m)
@@ -430,6 +428,7 @@ def derived_containment(
     identities hold only inside the isometry group, so a generator that is
     not an isometry raises NotAnIsometry.
     """
+    _check_type(space, FormSpace, "space")
     gens = tuple(gens)
     # classify_element raises NotAnIsometry on a generator that is not one
     classes = [classify_element(g, space) for g in gens]
@@ -508,7 +507,7 @@ def _derived_containment(
     """
     bound, image = _order_bound(space, gens)
     if witness is None or not _witness_orbit_is_full(gens, space, witness, limit):
-        order = GeneratedGroup(gens, limit, lambda: bound).order()
+        order = GeneratedGroup(gens, limit, bound).order()
         if order != bound:
             return False, None, order
     return True, None if image is None else _CLASS_BY_IMAGE[image], bound

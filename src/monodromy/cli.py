@@ -37,8 +37,8 @@ from .convolution import (
 )
 from .errors import InvalidInput, MonodromyError, NonSplitSpectrum
 from .families import hyperelliptic_system, twist_family_system
-from .ff_linalg import Matrix, jordan_type, invariant_forms, _check_modulus, _check_products
-from .group_engine import GeneratedGroup
+from .ff_linalg import Matrix, jordan_type, invariant_forms, _check_integer, _check_modulus, _check_products
+from .group_engine import GeneratedGroup, _check_codes
 
 __all__ = ["main", "parse_tuple", "emit_tuple"]
 
@@ -208,37 +208,31 @@ def _cmd_classify(args, stdin, stdout) -> int:
     return 0
 
 
-class _OrderFound(Exception):
-    """Carries the order of a tuple with a lone invariant pairing, found before its chain builds a level."""
-
-
 def _cmd_order(args, stdin, stdout) -> int:
     """Print the order of the group the tuple generates.
 
-    The chain's bound callable runs only when levels are about to be
-    built, so a tuple of identities, or one whose vector codes do not fit
-    in 64 bits, never solves the n^2 x n^2 form system.  With a lone
-    invariant pairing the order is that of ``_derived_containment``: a
-    full witness orbit, or else a chain that stops at the isometry bound.
-    A witness is a transvection of an alternating space, or a reflection
-    of a symmetric space of dimension n >= 5, or n = 3 or 4 at p >= 5
-    (``_witness``), so Sp(2, 3) and O+(4, p) for p >= 5 walk the orbit
-    too.  Without a lone pairing the chain stops at its determinant bound.
+    A tuple of identities, or one whose vector codes do not fit in 64
+    bits, never solves the n^2 x n^2 form system: the first has the empty
+    chain, the second is refused first.  With a lone invariant pairing
+    the order is that of ``_derived_containment``: a full witness orbit,
+    or else a chain that stops at the isometry bound.  A witness is a
+    transvection of an alternating space, or a reflection of a symmetric
+    space of dimension n >= 5, or n = 3 or 4 at p >= 5 (``_witness``), so
+    Sp(2, 3) and O+(4, p) for p >= 5 walk the orbit too.  Without a lone
+    pairing the chain stops at its determinant bound.
     """
     t = _read_tuple(args, stdin)
-
-    def bound() -> Optional[int]:
+    limit = _check_integer(args.limit, "limit", least=0)
+    space = None
+    if not all(m.is_identity() for m in t.matrices):
+        _check_codes(t.p, t.rank)
         forms = invariant_forms(t.matrices)
         space = invariant_pairing(forms) if len(forms) == 1 else None
-        if space is None:
-            return None
+    if space is None:
+        order = GeneratedGroup(t.matrices, limit).order()
+    else:
         witness = _witness(space, t.matrices, [classify_element(g, space) for g in t.matrices])
-        raise _OrderFound(_derived_containment(t.matrices, space, args.limit, witness)[2])
-
-    try:
-        order = GeneratedGroup(t.matrices, args.limit, bound).order()
-    except _OrderFound as found:
-        (order,) = found.args
+        order = _derived_containment(t.matrices, space, limit, witness)[2]
     print(f"ORDER: {order}", file=stdout)
     return 0
 

@@ -26,6 +26,7 @@ from .ff_linalg import (
     Subspace,
     _check_integer,
     _check_products,
+    _check_type,
     _kernel_basis,
     _kernel_rows,
     jordan_type,
@@ -220,7 +221,7 @@ def middle_convolve(t: PuncturedTuple, lam: int) -> PuncturedTuple:
     DegenerateQuotient.  Products on the r*n-dimensional space sum r*n
     terms of size (p-1)^2 in int64, so larger moduli raise InvalidInput.
     """
-    p = t.p
+    p = _check_type(t, PuncturedTuple, "t").p
     lam = _check_integer(lam, "lambda") % p
     if lam == 0:
         raise InvalidInput("lambda must be nonzero")
@@ -313,6 +314,7 @@ def twist_quadratic(t: PuncturedTuple, points: Sequence[Label]) -> PuncturedTupl
     puncture and is dropped.  The matrix at infinity is re-derived and
     picks up a sign (-1)^(number of points).
     """
+    _check_type(t, PuncturedTuple, "t")
     labels = [_validate_label(lab, t.p) for lab in points]
     if len(set(labels)) != len(labels):
         raise InvalidInput("twist points repeat")

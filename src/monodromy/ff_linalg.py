@@ -41,6 +41,7 @@ def _least_factor(m: int, bound: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    n = _check_integer(n, "n")
     return n >= 2 and _least_factor(n, n) == n
 
 
@@ -65,6 +66,13 @@ def _check_integer(value, name: str, least: Optional[int] = None) -> int:
         return int(value)
     bound = "" if least is None else f" >= {least}"
     raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_type(value, kind: type, name: str):
+    """``value``, or InvalidInput unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_modulus(p: int) -> int:
@@ -311,19 +319,20 @@ class Matrix:
 
     @staticmethod
     def identity(n: int, p: int) -> "Matrix":
-        return Matrix(np.eye(n, dtype=np.int64), p)
+        return Matrix(np.eye(_check_integer(n, "n", least=0), dtype=np.int64), p)
 
     @staticmethod
     def zeros(rows: int, cols: int, p: int) -> "Matrix":
-        return Matrix(np.zeros((rows, cols), dtype=np.int64), p)
+        shape = _check_integer(rows, "rows", least=0), _check_integer(cols, "cols", least=0)
+        return Matrix(np.zeros(shape, dtype=np.int64), p)
 
     @staticmethod
     def scalar(c: int, n: int, p: int) -> "Matrix":
-        return Matrix(np.eye(n, dtype=np.int64) * (c % p), p)
+        return Matrix(np.eye(_check_integer(n, "n", least=0), dtype=np.int64) * (c % p), p)
 
     @staticmethod
     def diagonal(entries: Sequence[int], p: int) -> "Matrix":
-        return Matrix(np.diag(np.asarray(entries, dtype=np.int64)), p)
+        return Matrix(np.diag(_int64_entries(entries, "diagonal")), p)
 
     # -- shape -------------------------------------------------------------
 
@@ -378,6 +387,7 @@ class Matrix:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Matrix":
+        k = _check_integer(k, "exponent")
         n = self.n
         if k < 0:
             return self.inv() ** (-k)
@@ -607,7 +617,7 @@ def jordan_type(a: Matrix) -> JordanData:
     (A - a)^k.  Raises NonSplitSpectrum when the generalized eigenspaces do
     not fill the space.
     """
-    n = a.n
+    n = _check_type(a, Matrix, "a").n
     p = a.p
     if a.det() == 0:
         raise InvalidInput("matrix is singular")

@@ -4,18 +4,19 @@ A ``GeneratedGroup`` is a deterministic Schreier-Sims stabilizer chain,
 built whole by its constructor, acting on (column) vectors, each base
 point the first standard basis vector that the level's generators move.
 Vectors are handled as integer codes sum(v_i p^i) from
-``ff_linalg._codes``: each level keeps its orbit as an array of points
-with a code-to-row index, grown a whole frontier at a time, and stores
-every transversal element together with its inverse, both built by
-batched products.  When a level gains generators its orbit
-is extended in place.  A level's Schreier generators are formed in one
-pass over its points and generators when the level is completed, and the
-chain sifts them in blocks.  The build stops as soon as the
-product of the stored orbit lengths reaches an upper bound B on the group
-order, the caller's or else |SL(n, p)| |<det g_i>|: that product never
-exceeds |G|, so it then equals |G|, every stored orbit is a full orbit of
-its point stabilizer and the chain sifts every element of G to the
-identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
+``ff_linalg._codes``: each level is based at a standard basis vector
+e_col, so its orbit vectors are column ``col`` of its transversal
+elements.  It stores every transversal element together with its
+inverse, both built by batched products, with a code-to-row index, and
+grows them a whole frontier at a time.  When a level gains generators
+its orbit is extended in place.  A level's Schreier generators are
+formed in one pass over its points and generators when the level is
+completed, and the chain sifts them in blocks.  The build stops as soon
+as the product of the stored orbit lengths reaches an upper bound B on
+the group order, the caller's or else |SL(n, p)| |<det g_i>|: that
+product never exceeds |G|, so it then equals |G|, every stored orbit is
+a full orbit of its point stabilizer and the chain sifts every element
+of G to the identity (Seress, Permutation Group Algorithms, 2003, ch. 4).
 Every build completes its levels top-down, in order 0, 1, 2, ...: a
 residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
@@ -26,13 +27,13 @@ the orbit of any vector up to a given size with no level, marking codes
 only as seen and keeping only its frontier; ``classical_groups`` decides
 derived containment from one such witness orbit.
 
-Orbit points, transversal elements and their inverses are stored in the
-narrowest signed integer dtype that holds p - 1 (int8 for p <= 127, int16
-up to 32767, then int32 and int64), n + 2 n^2 entries per orbit vector.  A
-block gathered from them is widened to int64 just before it enters a
-product: each frontier block in ``_orbit`` and ``_orbit_reaches``, the
-parent transversals in ``GeneratedGroup._grow``, the transversal inverses
-in ``GeneratedGroup._sift``, and the points, transversals and inverses in
+Transversal elements and their inverses are stored in the narrowest
+signed integer dtype that holds p - 1 (int8 for p <= 127, int16 up to
+32767, then int32 and int64), 2 n^2 entries per orbit vector.  A block
+gathered from them is widened to int64 just before it enters a product:
+each frontier block in ``_orbit`` and ``_orbit_reaches``, the parent
+transversals in ``GeneratedGroup._grow``, the transversal inverses in
+``GeneratedGroup._sift``, and the transversals and inverses in
 ``GeneratedGroup._schreier_blocks``.  Vector
 codes, strong generators, their inverses and every product stay int64, so
 products are exact under the guards ``ff_linalg._check_products`` (on
@@ -55,13 +56,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import Inconclusive, InvalidInput, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
-    Matrix, Subspace, jordan_type, _check_generators, _check_integer, _codes, _inv,
+    Matrix, Subspace, jordan_type, _check_generators, _check_integer, _check_type, _codes, _inv,
     _kernel_basis, _prime_factors, _vectors,
 )
 
@@ -94,11 +95,14 @@ _DENSE_SHARE = 32
 class _CodeIndex:
     """Code -> orbit position over the codes 0 .. size - 1 (-1: not in the orbit).
 
-    Dense, ``table`` holds the position of every code.  Sorted, ``runs`` are
-    sorted runs of codes with their positions, binary searched; a new run is
-    merged into the last one while that one is at most twice its size, so m
-    codes sit in O(log m) runs.  The index is dense from its first code when
-    size <= ``_DENSE_CODES``, else once it holds size / ``_DENSE_SHARE``.
+    ``add`` numbers its codes in order of arrival: the first code added
+    takes position 0, and each batch takes the next ``codes.size``
+    positions.  Dense, ``table`` holds the position of every code.
+    Sorted, ``runs`` are sorted runs of codes with their positions, binary
+    searched; a new run is merged into the last one while that one is at
+    most twice its size, so m codes sit in O(log m) runs.  The index is
+    dense from its first code when size <= ``_DENSE_CODES``, else once it
+    holds size / ``_DENSE_SHARE``.
     """
 
     __slots__ = ("size", "count", "runs", "table")
@@ -116,7 +120,8 @@ class _CodeIndex:
             out[hit] = positions[at[hit]]
         return out
 
-    def add(self, codes: np.ndarray, positions: np.ndarray) -> None:
+    def add(self, codes: np.ndarray) -> None:
+        positions = np.arange(self.count, self.count + codes.size)
         self.count += codes.size
         if self.table is None and (self.size <= _DENSE_CODES or _DENSE_SHARE * self.count >= self.size):
             # every position is below size
@@ -135,28 +140,27 @@ class _CodeIndex:
             self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(lvl: _Level, p: int, cap: int, steps: list) -> tuple[int, list[np.ndarray]]:
+def _orbit(lvl: _Level, p: int, cap: int, steps: list) -> int:
     """Grow the stored orbit of ``lvl`` to closure under all its generators.
 
     The orbit is closed under the first ``lvl.closed`` generators.  The
-    first round maps every stored point by the generators added since; each
-    later round maps the points the last one found by all of them.  Each
-    generator maps a batch of points at once, widened to int64; its images
-    are distinct, so only codes already in ``lvl.index`` are dropped, and
-    each new code enters the index at the row it will take.  Stops once at
-    least ``cap`` points are stored, keeping at most one batch of images
-    past the cap.  Returns the number of points then stored, and the new
-    points in chunks of the storage dtype; the step (first row, parent
-    rows, generator) that reached each chunk is appended to ``steps``, and
+    first round maps every stored point, read from the transversal, by the
+    generators added since; each later round maps the points the last one
+    found by all of them.  Each generator maps a batch of points at once,
+    widened to int64; its images are distinct, so only codes already in
+    ``lvl.index`` are dropped, and each new code enters the index at the
+    row it will take.  Stops once at least ``cap`` points are stored,
+    keeping at most one batch of images past the cap.  Returns the number
+    of points then stored; the step (first row, parent rows, generator)
+    that reached each batch of new points is appended to ``steps``, and
     the chain builds its transversal from them.
     """
-    gens, points, index = lvl.gens, lvl.points, lvl.index
-    batch = max(1, _BLOCK_ENTRIES // points.shape[1])
-    chunks = []
-    total = len(points)
-    frontier, first, movers = points, 0, range(lvl.closed, len(gens))
+    gens, index = lvl.gens, lvl.index
+    frontier = lvl.trans[:, :, lvl.col]
+    batch = max(1, _BLOCK_ENTRIES // frontier.shape[1])
+    total, first, movers = len(frontier), 0, range(lvl.closed, len(gens))
     while total < cap:
-        round_start, round_chunks = total, len(chunks)
+        round_start, chunks = total, []
         for a in range(0, len(frontier), batch):
             block = frontier[a : a + batch].astype(np.int64)
             for j in movers:
@@ -164,19 +168,19 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: list) -> tuple[int, list[np.nda
                 codes = _codes(images, p)
                 fresh = np.flatnonzero(index.find(codes) < 0)
                 if fresh.size:
-                    index.add(codes[fresh], np.arange(total, total + fresh.size))
-                    chunks.append(images[fresh].astype(points.dtype))
+                    index.add(codes[fresh])
+                    chunks.append(images[fresh].astype(frontier.dtype))
                     steps.append((total, first + a + fresh, j))
                     total += fresh.size
                 if total >= cap:
                     break
             if total >= cap:
                 break
-        if len(chunks) == round_chunks:
+        if not chunks:
             break
-        frontier, first = np.concatenate(chunks[round_chunks:]), round_start
+        frontier, first = np.concatenate(chunks), round_start
         movers = range(len(gens))
-    return total, chunks
+    return total
 
 
 def _check_codes(p: int, n: int) -> None:
@@ -218,7 +222,7 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
             table[codes[fresh]] = True
             return fresh
         fresh = (index.find(codes) < 0).nonzero()[0]
-        index.add(codes[fresh], fresh)  # any position marks a code seen
+        index.add(codes[fresh])
         return fresh
 
     powers = p ** np.arange(n, dtype=np.int64)
@@ -250,12 +254,12 @@ class _Level:
     The base point is the standard basis vector e_col, whose image under a
     matrix ``GeneratedGroup._sift`` reads as column ``col``.  ``gens`` is
     the stack of distinct strong generators and ``gens_inv[k]`` the inverse
-    of ``gens[k]``; ``admit`` fills both.  Row k of ``points`` is an orbit
-    vector (row 0 the base point), ``index``, a ``_CodeIndex``, maps vector
-    codes to rows, ``trans[k]`` maps the base point to ``points[k]`` and
-    ``trans_inv[k]`` is its inverse.  The orbit only grows: rows keep their
-    place and their transversal elements, and new rows are appended.  The
-    orbit is closed under ``gens[:closed]``.  ``points``, ``trans`` and
+    of ``gens[k]``; ``admit`` fills both.  ``trans[k]`` maps the base point
+    to orbit vector k, its column ``col`` (row 0 the identity, for the base
+    point itself), and ``trans_inv[k]`` is its inverse; ``index``, a
+    ``_CodeIndex``, maps vector codes to rows.  The orbit only grows: rows
+    keep their place and their transversal elements, and new rows are
+    appended.  The orbit is closed under ``gens[:closed]``.  ``trans`` and
     ``trans_inv`` hold residues in the chain's storage dtype, the narrowest
     signed integer type that holds p - 1; ``gens`` and ``gens_inv`` stay
     int64.  A block gathered from the stored residues is widened to int64
@@ -263,15 +267,14 @@ class _Level:
     once, when the group completes it (``GeneratedGroup._complete``).
     """
 
-    __slots__ = ("col", "gens", "gens_inv", "points", "index", "trans", "trans_inv", "closed")
+    __slots__ = ("col", "gens", "gens_inv", "index", "trans", "trans_inv", "closed")
 
     def __init__(self, col: int, n: int, p: int, dtype: np.dtype):
         self.col = col
         self.gens = self.gens_inv = np.zeros((0, n, n), dtype=np.int64)
         self.trans = self.trans_inv = np.eye(n, dtype=dtype)[None]
-        self.points = np.eye(n, dtype=dtype)[col : col + 1]
         self.index = _CodeIndex(p**n)
-        self.index.add(np.array([p**col]), np.zeros(1, dtype=np.int64))
+        self.index.add(np.array([p**col]))
         self.closed = 0
 
     def admit(self, g: np.ndarray, g_inv: np.ndarray) -> None:
@@ -300,35 +303,32 @@ class GeneratedGroup:
     caps the number of orbit vectors stored over all levels; it is checked
     after each batch of images, so storage never passes it by more than
     one batch before ``ResourceLimit`` is raised.  Each stored vector keeps
-    itself and two n x n transversal matrices in the narrowest integer
-    dtype that holds p - 1: n + 2 n^2 bytes at p <= 127 (twice that up to
-    p = 32767, four times below 2^31), plus its entry in the code index.
+    two n x n transversal matrices, whose column ``col`` is the vector, in
+    the narrowest integer dtype that holds p - 1: 2 n^2 bytes at p <= 127
+    (twice that up to p = 32767, four times below 2^31), plus its entry in
+    the code index.
     ``ResourceLimit`` is also raised when levels are to be built and p^n
     does not fit in 64 bits, so a vector code can never wrap.
 
-    ``bound`` is a callable that returns an upper bound on the order, or
-    None; it is called once, only when levels are about to be built, so a
-    costly bound is never computed for a chain that is empty or refused:
-    the derived-subgroup test passes the bound of a group of isometries,
-    and the CLI's ``order`` solves for the invariant forms only then (with
-    a lone pairing it hands the group to that test and abandons this build
-    before any level).  Without it the build stops at ``_det_bound``; the
-    bound used is kept as ``bound`` (None for an empty chain).  Each
-    level's generators fix the earlier base points, so its orbit lies in
-    the orbit of the true point stabilizer, and the product of the orbit
-    lengths never exceeds |G|.  Once that product equals the bound after an
-    orbit grows, every orbit is a full stabilizer orbit, so the build stops
-    there (``stopped``) with no more sifting: the order, every membership
-    answer and every stored orbit are those of the same build run to
-    completion, which is the build given a bound it cannot reach; a group
-    that never reaches its bound gets that full build.
+    ``bound`` is an upper bound on the order, an integer >= 1, or None;
+    the derived-subgroup test passes the bound of a group of isometries.
+    Without it the build stops at ``_det_bound``, computed only when levels
+    are about to be built; the bound used is kept as ``bound`` (None for
+    an empty chain).  Each level's generators fix the earlier base points,
+    so its orbit lies in the orbit of the true point stabilizer, and the
+    product of the orbit lengths never exceeds |G|.  Once that product
+    equals the bound after an orbit grows, every orbit is a full stabilizer
+    orbit, so the build stops there (``stopped``) with no more sifting: the
+    order, every membership answer and every stored orbit are those of the
+    same build run to completion, which is the build given a bound it cannot
+    reach; a group that never reaches its bound gets that full build.
     """
 
-    def __init__(
-        self, gens: Sequence[Matrix], limit: int = 10**7, bound: Optional[Callable[[], Optional[int]]] = None
-    ):
+    def __init__(self, gens: Sequence[Matrix], limit: int = 10**7, bound: Optional[int] = None):
         self.gens, self.dim, self.p, self._dets = _check_generators(gens)
         self._limit = _check_integer(limit, "limit", least=0)
+        if bound is not None:
+            bound = _check_integer(bound, "bound", least=1)
         self._dtype = np.min_scalar_type(-(self.p - 1))
         self._eye = np.eye(self.dim, dtype=np.int64)
         self.levels: list[_Level] = []
@@ -340,7 +340,7 @@ class GeneratedGroup:
             return
         arrays = np.array(list({g.tobytes(): g for g in arrays}.values()))
         _check_codes(self.p, self.dim)
-        self.bound = (bound and bound()) or self._det_bound()
+        self.bound = bound or self._det_bound()
         top = _Level(self._pick_base(arrays), self.dim, self.p, self._dtype)
         for g in arrays:
             top.admit(g, _inv(g, self.p))
@@ -369,7 +369,7 @@ class GeneratedGroup:
 
     def order(self) -> int:
         """The exact order: the product of the stored orbit lengths."""
-        return math.prod(len(lvl.points) for lvl in self.levels)
+        return math.prod(len(lvl.trans) for lvl in self.levels)
 
     def contains_array(self, a: np.ndarray) -> bool:
         """Membership of the n x n integer array ``a``, read mod p; other entries raise InvalidInput."""
@@ -405,26 +405,23 @@ class GeneratedGroup:
         lvl = self.levels[idx]
         if lvl.closed == len(lvl.gens):
             return
-        budget = self._limit - sum(
-            len(other.points) for k, other in enumerate(self.levels) if k != idx
-        )
+        budget = self._limit - sum(len(other.trans) for k, other in enumerate(self.levels) if k != idx)
         steps = []
-        stored, chunks = _orbit(lvl, self.p, budget + 1, steps)
+        stored = _orbit(lvl, self.p, budget + 1, steps)
         if stored > budget:
             raise _over_limit(self._limit)
         lvl.closed = len(lvl.gens)
-        if not chunks:
+        p, n, old = self.p, self.dim, len(lvl.trans)
+        if stored == old:
             return
-        p, n, old = self.p, self.dim, len(lvl.points)
-        points = np.concatenate([lvl.points, *chunks])
-        trans = np.empty((len(points), n, n), dtype=self._dtype)
+        trans = np.empty((stored, n, n), dtype=self._dtype)
         trans_inv = np.empty_like(trans)
         trans[:old], trans_inv[:old] = lvl.trans, lvl.trans_inv
         for first, parents, j in steps:
             rows = slice(first, first + parents.size)
             trans[rows] = (lvl.gens[j] @ trans[parents].astype(np.int64)) % p
             trans_inv[rows] = (trans_inv[parents].astype(np.int64) @ lvl.gens_inv[j]) % p
-        lvl.points, lvl.trans, lvl.trans_inv = points, trans, trans_inv
+        lvl.trans, lvl.trans_inv = trans, trans_inv
         if self.order() == self.bound:
             raise _Reached
 
@@ -468,13 +465,12 @@ class GeneratedGroup:
         for g0 in range(0, len(lvl.gens), per_block):
             gens = lvl.gens[g0 : g0 + per_block]
             batch = max(1, per_block // len(gens))
-            for a in range(0, len(lvl.points), batch):
+            for a in range(0, len(lvl.trans), batch):
                 # row i * len(gens) + j of each stack belongs to (v_i, s_j)
-                block = lvl.points[a : a + batch].astype(np.int64)
-                images = (gens @ block.T).transpose(2, 0, 1) % p
+                trans = lvl.trans[a : a + batch].astype(np.int64)
+                images = (gens @ trans[:, :, lvl.col].T).transpose(2, 0, 1) % p
                 found = lvl.index.find(_codes(images.reshape(-1, n), p))
-                trans = lvl.trans[a : a + batch, None].astype(np.int64)
-                moved = (gens[None] @ trans) % p
+                moved = (gens[None] @ trans[:, None]) % p
                 out = lvl.trans_inv[found].astype(np.int64) @ moved.reshape(-1, n, n)
                 np.remainder(out, p, out=out)
                 yield out
@@ -739,7 +735,7 @@ def element_order(a: Matrix) -> int:
     ``_ORDER_CAP`` powers.  A singular matrix raises InvalidInput (from
     ``jordan_type``).
     """
-    p = a.p
+    p = _check_type(a, Matrix, "a").p
     try:
         jd = jordan_type(a)
     except NonSplitSpectrum:

@@ -320,13 +320,13 @@ class TestOrderBound:
         # the identity tuple has an empty chain, which computes no bound
         t = parse_tuple(text)
         assert len(invariant_forms(t.matrices)) == forms
-        full = GeneratedGroup(t.matrices, bound=lambda: 2 * 372000 * 4)
+        full = GeneratedGroup(t.matrices, bound=2 * 372000 * 4)
         assert not full.stopped
         groups = _record_groups(monkeypatch)
         assert run_cli(["order"], text) == (0, f"ORDER: {full.order()}\n")
         chain = groups[0]
-        assert [(lvl.col, len(lvl.points)) for lvl in chain.levels] == [
-            (lvl.col, len(lvl.points)) for lvl in full.levels
+        assert [(lvl.col, len(lvl.trans)) for lvl in chain.levels] == [
+            (lvl.col, len(lvl.trans)) for lvl in full.levels
         ]
         if forms == 0:
             assert chain.bound == chain.order() == 372000 * 4 and chain.stopped

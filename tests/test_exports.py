@@ -331,6 +331,26 @@ BAD_ARGUMENTS = {
     "FormSpace gram [[1]]": lambda: FormSpace([[1]], "symmetric"),
     "is_isometry g [[1]]": lambda: monodromy.is_isometry([[1]], FormSpace.symplectic(2, 5)),
     "predict_rank finite [[[1]]]": lambda: monodromy.predict_rank([[[1]]], JordanData([(1, 1)], 5), 2),
+    "is_prime 7.5": lambda: monodromy.is_prime(7.5),
+    "jordan_type [[1]]": lambda: monodromy.jordan_type([[1]]),
+    "element_order [[1]]": lambda: monodromy.element_order([[1]]),
+    "isometry_group_orders [[1]]": lambda: monodromy.isometry_group_orders([[1]]),
+    "derived_containment space [[1]]": lambda: monodromy.derived_containment(_sp4_5().generators, [[1]]),
+    "Hypotheses space [[1]]": lambda: Hypotheses([[1]], _sp4_5().generators),
+    "certify [1]": lambda: monodromy.certify([1]),
+    "cross_validate [1]": lambda: monodromy.cross_validate([1]),
+    "middle_convolve tuple [[1]]": lambda: monodromy.middle_convolve([[1]], 2),
+    "twist_quadratic tuple [[1]]": lambda: monodromy.twist_quadratic([[1]], [2]),
+    "Matrix.identity n 2.5": lambda: Matrix.identity(2.5, 5),
+    "Matrix power 1.5": lambda: Matrix.identity(2, 5) ** 1.5,
+    "GeneratedGroup bound 2.5": lambda: monodromy.GeneratedGroup(_sp4_5().generators, bound=2.5),
+    "GeneratedGroup bound 0": lambda: monodromy.GeneratedGroup(_sp4_5().generators, bound=0),
+    "is_isometry space [[1]]": lambda: monodromy.is_isometry(Matrix.identity(2, 5), [[1]]),
+    "classify_element space [[1]]": lambda: monodromy.classify_element(Matrix.identity(2, 5), [[1]]),
+    "spinor_norm space [[1]]": lambda: monodromy.spinor_norm(Matrix.identity(2, 5), [[1]]),
+    "Matrix.zeros rows 2.5": lambda: Matrix.zeros(2.5, 2, 5),
+    "Matrix.scalar n 2.5": lambda: Matrix.scalar(1, 2.5, 5),
+    "Matrix.diagonal entry 2.5": lambda: Matrix.diagonal([2.5, 1], 5),
 }
 
 

@@ -847,7 +847,7 @@ class TestStorageDtype:
         group = GeneratedGroup(gens)
         assert group.order() == order, name
         for lvl in group.levels:
-            assert lvl.trans.dtype == lvl.trans_inv.dtype == lvl.points.dtype == dtype, name
+            assert lvl.trans.dtype == lvl.trans_inv.dtype == dtype, name
         reference = ReferenceGroup(gens)
         assert reference.order() == order, name
         cands = _membership_candidates(gens, Random(gens[0].p))
@@ -855,10 +855,28 @@ class TestStorageDtype:
         assert answers == [reference.contains_array(c.array) for c in cands], name
         assert answers[:10] == [True] * 10, name
 
+    @pytest.mark.parametrize(
+        "name,make",
+        [("Sp(6,5)", lambda: hyperelliptic_system(3, 5)), ("O(8,5)", lambda: twist_family_system([2, 3, 4], 5))],
+    )
+    def test_each_orbit_vector_stores_2n2_entries(self, name, make):
+        # a level is based at e_col, so its orbit vectors are column col of
+        # its transversal: the transversal and its inverse are all it keeps
+        # per vector (the generators and the code index aside)
+        system = make()
+        gens = list(system.generators)
+        chain = GeneratedGroup(gens, bound=_order_bound(system.space, gens)[0])
+        assert chain.stopped, name
+        n = chain.dim
+        for lvl in chain.levels:
+            arrays = [getattr(lvl, slot) for slot in lvl.__slots__ if slot not in ("gens", "gens_inv")]
+            entries = sum(a.size for a in arrays if isinstance(a, np.ndarray))
+            assert entries == 2 * n * n * len(lvl.trans), name
+
     def test_order_peak_memory(self):
-        # Sp(6,5) stores 19527 orbit vectors over six levels, 6 + 2 * 36 bytes
-        # each in int8 (1.5 MB), next to a 62 kB code table per level; int64
-        # storage would take 12 MB (a traced peak of 13.4 MB)
+        # Sp(6,5) stores 19527 orbit vectors over six levels, 2 * 36 bytes
+        # each in int8 (1.4 MB), next to a 62 kB code table per level; int64
+        # storage would take 11 MB
         gens = hyperelliptic_system(3, 5).generators
         tracemalloc.start()
         try:
@@ -867,7 +885,7 @@ class TestStorageDtype:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(lvl.points) for lvl in group.levels) == 19527
+        assert sum(len(lvl.trans) for lvl in group.levels) == 19527
         assert peak < 4_000_000
 
 
@@ -881,7 +899,7 @@ _BOUNDED_SYSTEMS = {
 
 
 def _levels(chain) -> list[tuple[int, int]]:
-    return [(lvl.col, len(lvl.points)) for lvl in chain.levels]
+    return [(lvl.col, len(lvl.trans)) for lvl in chain.levels]
 
 
 def _membership_candidates(gens: list[Matrix], rng: Random) -> list[Matrix]:
@@ -920,10 +938,10 @@ class TestKnownOrderStop:
         system = _BOUNDED_SYSTEMS[name]()
         gens = list(system.generators)
         bound, _ = _order_bound(system.space, gens)
-        group = GeneratedGroup(gens, bound=lambda: bound)
+        group = GeneratedGroup(gens, bound=bound)
         assert group.stopped
         # the same top-down build, given a bound it can never reach
-        full = GeneratedGroup(gens, bound=lambda: 2 * bound)
+        full = GeneratedGroup(gens, bound=2 * bound)
         assert not full.stopped
         # the same base, stored orbits and strong generators as that build
         assert _levels(group) == _levels(full)
@@ -952,7 +970,7 @@ class TestKnownOrderStop:
         reducible = 0
         for space, gens in cases:
             bound, _ = _order_bound(space, gens)
-            group = GeneratedGroup(gens, bound=lambda: bound)
+            group = GeneratedGroup(gens, bound=bound)
             reference = ReferenceGroup(gens)
             assert not group.stopped
             assert group.order() == reference.order() < bound
@@ -967,7 +985,7 @@ class TestKnownOrderStop:
         # every build completes its levels top-down; a bound only stops it
         system = _BOUNDED_SYSTEMS["O(5,5)"]()
         bound, _ = _order_bound(system.space, list(system.generators))
-        bounded = GeneratedGroup(system.generators, bound=lambda: bound)
+        bounded = GeneratedGroup(system.generators, bound=bound)
         assert _levels(bounded) == [(0, 650), (1, 120), (2, 12), (4, 10)]
         unbounded = GeneratedGroup(system.generators)
         assert _levels(unbounded) == _levels(bounded)
@@ -1068,7 +1086,7 @@ def _assert_walks_agree(gens: list[Matrix], base: np.ndarray, size: int, limits,
 
 def _chain_contains_derived(gens: list[Matrix], space) -> bool:
     bound, _ = _order_bound(space, gens)
-    return GeneratedGroup(gens, 10**7, lambda: bound).order() == bound
+    return GeneratedGroup(gens, 10**7, bound).order() == bound
 
 
 def _reflection_groups(space, rng: Random) -> list[list[Matrix]]:
@@ -1348,7 +1366,7 @@ class TestDeterminantBound:
         group = GeneratedGroup(gens)
         order = group.order()
         # the same build, given a bound it can never reach
-        full = GeneratedGroup(gens, bound=lambda: 2 * bound)
+        full = GeneratedGroup(gens, bound=2 * bound)
         # the vector-at-a-time reference takes seconds on GL(4,11); there the
         # full build, checked against it on the smaller groups, stands in
         n, p = gens[0].n, gens[0].p
@@ -1426,9 +1444,9 @@ class TestLevelGenerators:
         admitted = 0
         for name, gens, bound, _ in _incremental_cases():
             # a bound the chain cannot reach forces the full build
-            chains = [GeneratedGroup(gens + gens[::-1], bound=lambda: 2 * _gl_det_bound(gens))]
+            chains = [GeneratedGroup(gens + gens[::-1], bound=2 * _gl_det_bound(gens))]
             if bound is not None:
-                chains.append(GeneratedGroup(gens, bound=lambda: bound))
+                chains.append(GeneratedGroup(gens, bound=bound))
             for chain in chains:
                 for lvl in chain.levels:
                     assert len({g.tobytes() for g in lvl.gens}) == len(lvl.gens), name
@@ -1456,16 +1474,14 @@ def _incremental_cases() -> list[tuple[str, list[Matrix], object, int]]:
 
 
 def _assert_level_invariants(chain: GeneratedGroup, name: str) -> None:
-    """Each transversal element maps the base point to its row and has its inverse; the index finds every row."""
+    """Each transversal element has its inverse; the index finds the base image of every row at that row."""
     p, n = chain.p, chain.dim
     eye = np.eye(n, dtype=np.int64)
     for lvl in chain.levels:
-        points = lvl.points.astype(np.int64)
         trans = lvl.trans.astype(np.int64)
-        assert np.array_equal(trans[:, :, lvl.col], points), name
         assert np.all((lvl.trans_inv.astype(np.int64) @ trans) % p == eye), name
-        codes = _codes(points, p)
-        assert np.array_equal(lvl.index.find(codes), np.arange(len(points))), name
+        codes = _codes(trans[:, :, lvl.col], p)
+        assert np.array_equal(lvl.index.find(codes), np.arange(len(trans))), name
 
 
 class TestIncrementalChain:
@@ -1479,17 +1495,17 @@ class TestIncrementalChain:
 
         def checked_grow(chain, idx):
             lvl = chain.levels[idx]
-            before = lvl.points.copy(), lvl.trans.copy(), lvl.trans_inv.copy()
+            before = lvl.trans.copy(), lvl.trans_inv.copy()
             grow(chain, idx)
             # old rows keep their place, their transversal and their inverse
             m = len(before[0])
-            for old, new in zip(before, (lvl.points, lvl.trans, lvl.trans_inv)):
+            for old, new in zip(before, (lvl.trans, lvl.trans_inv)):
                 assert np.array_equal(new[:m], old)
-            regrown.append(1 < m < len(lvl.points))
+            regrown.append(1 < m < len(lvl.trans))
 
         monkeypatch.setattr(engine.GeneratedGroup, "_grow", checked_grow)
         for name, gens, bound, order in _incremental_cases():
-            chain = GeneratedGroup(gens, bound=lambda: bound)
+            chain = GeneratedGroup(gens, bound=bound)
             assert chain.order() == order, name
             _assert_level_invariants(chain, name)
         assert any(regrown)
@@ -1513,9 +1529,9 @@ class TestIncrementalChain:
         for name, gens in cases:
             rows.clear()
             # a bound the chain cannot reach forces the full build
-            chain = GeneratedGroup(gens, bound=lambda: 2 * _gl_det_bound(gens))
+            chain = GeneratedGroup(gens, bound=2 * _gl_det_bound(gens))
             assert not chain.stopped, name
-            pairs = sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels)
+            pairs = sum(len(lvl.trans) * len(lvl.gens) for lvl in chain.levels)
             assert sum(rows) == pairs, name
             # the default bound stops the same build, sifting at most those pairs
             rows.clear()
@@ -1526,9 +1542,19 @@ class TestIncrementalChain:
         for name, system in systems.items():
             rows.clear()
             bound, _ = _order_bound(system.space, list(system.generators))
-            chain = GeneratedGroup(system.generators, bound=lambda: bound)
+            chain = GeneratedGroup(system.generators, bound=bound)
             assert chain.stopped, name
-            assert sum(rows) <= sum(len(lvl.points) * len(lvl.gens) for lvl in chain.levels), name
+            assert sum(rows) <= sum(len(lvl.trans) * len(lvl.gens) for lvl in chain.levels), name
+
+
+class _ArrivalSortedIndex(SortedIndex):
+    """A ``SortedIndex`` that numbers its codes in order of arrival, as ``_CodeIndex.add`` does."""
+
+    count = 0
+
+    def add(self, codes: np.ndarray) -> None:
+        super().add(codes, np.arange(self.count, self.count + codes.size))
+        self.count += codes.size
 
 
 class TestDenseSwitch:
@@ -1538,11 +1564,11 @@ class TestDenseSwitch:
         size = 1 << 21
         index = _CodeIndex(size)
         codes = np.arange(0, size, 32, dtype=np.int64)[::-1].copy()
-        index.add(codes[:-1], np.arange(len(codes) - 1))
-        index.add(codes[:0], np.arange(0))  # an empty add stores nothing
+        index.add(codes[:-1])
+        index.add(codes[:0])  # an empty add stores nothing
         assert index.table is None and len(index.runs) == 1
         sorted_answers = index.find(np.arange(size))
-        index.add(codes[-1:], np.array([len(codes) - 1]))
+        index.add(codes[-1:])
         assert index.table is not None and index.runs == []
         expected = np.full(size, -1)
         expected[codes] = np.arange(len(codes))
@@ -1569,7 +1595,7 @@ class TestDenseSwitch:
         cands = _membership_candidates(gens, Random(31))
         answers = [group.contains_array(c.array) for c in cands]
         assert answers[:10] == [True] * 10, name
-        monkeypatch.setattr(engine, "_CodeIndex", SortedIndex)
+        monkeypatch.setattr(engine, "_CodeIndex", _ArrivalSortedIndex)
         sorted_only = GeneratedGroup(gens)
         assert all(isinstance(lvl.index, SortedIndex) for lvl in sorted_only.levels), name
         _assert_level_invariants(sorted_only, name)
@@ -1602,7 +1628,7 @@ class TestTopDownChain:
         rows, _ = self._count_schreier_rows(monkeypatch)
         system = hyperelliptic_system(4, 3)
         bound, _ = _order_bound(system.space, list(system.generators))
-        chain = GeneratedGroup(system.generators, bound=lambda: bound)
+        chain = GeneratedGroup(system.generators, bound=bound)
         assert chain.stopped and chain.order() == bound
         # a build that completed each lower level whenever it gained a generator formed 21,697
         assert sum(rows) < 1000
@@ -1631,13 +1657,13 @@ class TestTopDownChain:
             rows.clear()
             passes.clear()
             done.clear()
-            group = GeneratedGroup(gens, bound=lambda: 2 * order)
+            group = GeneratedGroup(gens, bound=2 * order)
             assert not group.stopped, name
             assert done == set(range(len(group.levels))), name
             # one pass over the Schreier generators of each level
             assert sorted(map(id, passes)) == sorted(map(id, group.levels)), name
             # each pair (point, generator) is sifted once
-            assert sum(rows) == sum(len(lvl.points) * len(lvl.gens) for lvl in group.levels), name
+            assert sum(rows) == sum(len(lvl.trans) * len(lvl.gens) for lvl in group.levels), name
             reference = ReferenceGroup(gens)
             assert group.order() == reference.order() == order, name
             cands = _membership_candidates(gens, Random(order % 997))
@@ -1701,7 +1727,7 @@ class TestChainRobustness:
         space = system.space
         member = gens[0] @ gens[1] @ gens[2]
         outsider = Matrix.scalar(2, 4, 5)
-        group = GeneratedGroup(gens, bound=lambda: _order_bound(space, gens)[0])  # |Sp(4,5)|
+        group = GeneratedGroup(gens, bound=_order_bound(space, gens)[0])  # |Sp(4,5)|
 
         def query():
             derived = derived_containment(gens, space)[0]
