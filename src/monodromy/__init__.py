@@ -9,7 +9,6 @@ from .errors import (
     BadLocus,
     DegenerateQuotient,
     FamilyCheckFailed,
-    Inconclusive,
     InvalidInput,
     MonodromyError,
     NegativeDimension,

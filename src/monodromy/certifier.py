@@ -30,7 +30,7 @@ from .classical_groups import (
     _derived_containment,
     _witness,
 )
-from .errors import Inconclusive, InvalidInput, OrderOverflow
+from .errors import InvalidInput, OrderOverflow, ResourceLimit
 from .ff_linalg import Matrix, _check_integer, _check_type, _least_factor
 from .group_engine import element_order, is_irreducible
 
@@ -122,7 +122,7 @@ def _has_prime_factor_at_most(m: int, k: int) -> bool:
     return 1 < _least_factor(m, k) <= k
 
 
-def certify(h: Hypotheses, seed: int = 0) -> Certificate:
+def certify(h: Hypotheses) -> Certificate:
     """Evaluate the generator criterion and return the certificate.
 
     Witness elements are only searched among the generators themselves,
@@ -130,7 +130,9 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     inertia generators, and a missing witness comes back as
     NotCertified(no-witness) rather than a group search.  An orthogonal
     certificate is left "unrefined"; ``cross_validate`` fills in the exact
-    subgroup class.
+    subgroup class.  When ``is_irreducible`` cannot decide (ResourceLimit:
+    too many lines and no generator of drop one), the irreducibility check
+    fails with the error as its detail.
     """
     space = _check_type(h, Hypotheses, "h").space
     checks: list[CheckResult] = []
@@ -147,7 +149,7 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
     )
 
     try:
-        report = is_irreducible(h.generators, seed)
+        report = is_irreducible(h.generators)
         checks.append(
             CheckResult(
                 "irreducibility",
@@ -156,10 +158,8 @@ def certify(h: Hypotheses, seed: int = 0) -> Certificate:
                 + ("" if report.irreducible else f" witness_dim={report.witness.dim}"),
             )
         )
-    except Inconclusive as exc:
-        checks.append(
-            CheckResult("irreducibility", False, f"inconclusive after {exc.trials} trials")
-        )
+    except ResourceLimit as exc:
+        checks.append(CheckResult("irreducibility", False, f"undecided: {exc}"))
 
     drops = [c.drop for c in classes]
     checks.append(
@@ -229,7 +229,7 @@ class CrossReport:
     agreement: bool
 
 
-def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossReport:
+def cross_validate(h: Hypotheses, limit: int = 10**7) -> CrossReport:
     """Exact subgroup computation set against the certificate.
 
     Disagreement means the certificate claimed big monodromy and the exact
@@ -242,7 +242,7 @@ def cross_validate(h: Hypotheses, seed: int = 0, limit: int = 10**7) -> CrossRep
     """
     witness = _witness(_check_type(h, Hypotheses, "h").space, h.generators, h.classes)
     derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit, witness)
-    cert = certify(h, seed=seed)
+    cert = certify(h)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))
 

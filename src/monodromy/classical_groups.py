@@ -119,7 +119,7 @@ class FormSpace:
     @staticmethod
     def symplectic(dim: int, p: int) -> "FormSpace":
         """Standard alternating space: <e_i, f_j> = delta_ij on e's then f's."""
-        if dim % 2 != 0:
+        if _check_integer(dim, "symplectic dimension", least=0) % 2 != 0:
             raise InvalidInput("symplectic dimension must be even")
         m = dim // 2
         g = np.zeros((dim, dim), dtype=np.int64)
@@ -129,7 +129,7 @@ class FormSpace:
 
     @staticmethod
     def from_gram(gram: Matrix) -> "FormSpace":
-        if gram.T == gram:
+        if _check_type(gram, Matrix, "gram").T == gram:
             return FormSpace(gram, "symmetric")
         if gram.T == -gram:
             return FormSpace(gram, "alternating")

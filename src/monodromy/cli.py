@@ -14,8 +14,9 @@ pipeline is a shell one-liner:
 Labels are decimal residues or bare symbols; the matrix at infinity is
 never stored (it is always derived from the product).  Reports are
 line-oriented ``KEY: value`` text and are byte-identical across runs with
-the same seed and flags.  Exit status: 0 on success, 1 on NotCertified or
-cross-validation disagreement, 2 on input errors.
+the same flags; nothing in them is random, and ``--seed`` is accepted and
+ignored.  Exit status: 0 on success, 1 on NotCertified or cross-validation
+disagreement, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -282,14 +283,14 @@ def _hypotheses_from(args, stdin) -> tuple[Hypotheses, FormSpace]:
 
 def _cmd_certify(args, stdin, stdout) -> int:
     h, space = _hypotheses_from(args, stdin)
-    cert = certify(h, seed=args.seed)
+    cert = certify(h)
     _print_certificate(cert, space, stdout)
     return 0 if cert.certified else 1
 
 
 def _cmd_cross_validate(args, stdin, stdout) -> int:
     h, space = _hypotheses_from(args, stdin)
-    report = cross_validate(h, seed=args.seed, limit=args.limit)
+    report = cross_validate(h, limit=args.limit)
     _print_cross(report, space, stdout)
     return 0 if report.certificate.certified and report.agreement else 1
 
@@ -299,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="monodromy",
         description="middle convolution and big-monodromy certificates over F_p",
     )
-    parser.add_argument("--seed", type=int, default=0, help="randomness seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: no command is randomized"
+    )
     parser.add_argument(
         "--limit", type=int, default=10**7, help="orbit storage cap (vectors)"
     )

@@ -120,6 +120,8 @@ class PuncturedTuple:
     def matrix_at(self, label: Label) -> Matrix:
         if label == INFINITY:
             return self.infinity_matrix
+        if label not in self.punctures:
+            raise InvalidInput(f"no puncture labelled {label!r}")
         return self.matrices[self.punctures.index(label)]
 
     def local_data(self) -> dict[Label, JordanData]:

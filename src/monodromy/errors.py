@@ -7,7 +7,6 @@ __all__ = [
     "NotAnIsometry",
     "ResourceLimit",
     "OrderOverflow",
-    "Inconclusive",
     "NotInCategory",
     "DegenerateQuotient",
     "BadLocus",
@@ -36,19 +35,12 @@ class NotAnIsometry(MonodromyError):
 
 
 class ResourceLimit(MonodromyError):
-    """Orbit storage exceeded the configured cap, or p^n does not fit in 64 bits."""
+    """Orbit storage exceeded the configured cap, p^n does not fit in 64 bits, or
+    irreducibility is undecided: too many lines and no generator of drop one."""
 
 
 class OrderOverflow(MonodromyError):
     """Element order exceeded the configured cap."""
-
-
-class Inconclusive(MonodromyError):
-    """A randomized search exhausted its trials without a definite answer."""
-
-    def __init__(self, message, trials=0):
-        super().__init__(message)
-        self.trials = trials
 
 
 class NotInCategory(MonodromyError):

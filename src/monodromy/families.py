@@ -15,6 +15,7 @@ point and an isotropic shear at each root.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .classical_groups import (
 )
 from .convolution import Label, PuncturedTuple, middle_convolve, twist_quadratic
 from .errors import BadLocus, FamilyCheckFailed, InvalidInput, NegativeDimension
-from .ff_linalg import Matrix, invariant_forms, _check_integer, _check_modulus
+from .ff_linalg import Matrix, invariant_forms, _check_integer, _check_modulus, _check_type
 
 __all__ = [
     "MonodromySystem",
@@ -70,9 +71,10 @@ def _family_space(out: PuncturedTuple, family: str, parity: str) -> FormSpace:
 def kummer_tuple(points: Sequence[Label], p: int) -> PuncturedTuple:
     """Rank-one tuple with local monodromy -1 at each given point."""
     minus_one = Matrix([[p - 1]], p)
+    points = list(_check_type(points, Iterable, "points"))
     if len(points) < 2:
         raise InvalidInput("need at least two points")
-    return PuncturedTuple(list(points), [minus_one] * len(points))
+    return PuncturedTuple(points, [minus_one] * len(points))
 
 
 def _default_branch_points(count: int, p: int) -> list[Label]:
@@ -93,6 +95,7 @@ def hyperelliptic_system(
     p = _check_modulus(p)
     if points is None:
         points = _default_branch_points(2 * genus, p)
+    points = list(_check_type(points, Iterable, "points"))
     if len(points) != 2 * genus:
         raise InvalidInput(f"need exactly {2 * genus} branch points")
     base = kummer_tuple(points, p)
@@ -119,7 +122,7 @@ def twist_family_system(g_roots: Sequence[Label], p: int) -> MonodromySystem:
     """
     if _check_modulus(p) < 5:
         raise InvalidInput(f"modulus must be a prime >= 5, got {p}")
-    roots = list(g_roots)
+    roots = list(_check_type(g_roots, Iterable, "g_roots"))
     if not roots:
         raise BadLocus("need at least one root (d >= 2)")
     if len(set(roots)) != len(roots):

@@ -71,7 +71,8 @@ def _check_integer(value, name: str, least: Optional[int] = None) -> int:
 def _check_type(value, kind: type, name: str):
     """``value``, or InvalidInput unless it is a ``kind``."""
     if not isinstance(value, kind):
-        raise InvalidInput(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidInput(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -284,6 +285,14 @@ def _int64_entries(entries, name: str) -> np.ndarray:
     return arr
 
 
+def _int64_rows(entries, ambient: int, name: str) -> np.ndarray:
+    """``entries`` as int64 rows of length ``ambient``, or InvalidInput (see ``_int64_entries``)."""
+    arr = _int64_entries(entries, name)
+    if arr.size % ambient:
+        raise InvalidInput(f"{name} must be rows of length {ambient}, got shape {arr.shape}")
+    return arr.reshape(-1, ambient)
+
+
 class Matrix:
     """An immutable matrix over F_p.
 
@@ -454,8 +463,9 @@ class Subspace:
 
     def __init__(self, basis, ambient: int, p: int):
         p = _check_modulus(p)
+        ambient = _check_integer(ambient, "ambient", least=1)
         _check_products(ambient, p)
-        arr = _int64_entries(basis, "subspace basis").reshape(-1, ambient) % p
+        arr = _int64_rows(basis, ambient, "subspace basis") % p
         reduced, pivots = _rref(arr, p)
         self._set(reduced[: len(pivots)], pivots, ambient, p)
 
@@ -508,7 +518,7 @@ class Subspace:
         ``Subspace(np.concatenate([self.basis, rows]), ambient, p)``.
         """
         p = self.p
-        extra = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient)
+        extra = _int64_rows(rows, self.ambient, "subspace rows")
         new, new_pivots = _rref(self.reduce(extra), p)
         if not new_pivots:
             return self

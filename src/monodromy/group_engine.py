@@ -40,14 +40,13 @@ products are exact under the guards ``ff_linalg._check_products`` (on
 every ``Matrix``) and p^n < 2^63 (on every chain).
 
 Irreducibility is decided on small spaces from the G-orbits on lines and
-above that by a meataxe-style search with Norton's certificate.  Each
+above that from one generator g with rank(g - 1) = 1, by two spins.  Each
 generator permutes the lines, and one pass of label propagation over those
 permutations labels every line with the least line of its orbit.  The span
 of an orbit is the spin of each of its lines, so V is reducible exactly
 when some orbit spans a proper subspace; an orbit of more lines than a
 hyperplane holds spans V, and only the smaller orbits are spanned, as one
-``Subspace`` each.  Everything is exact; randomized searches take an
-explicit seed.
+``Subspace`` each.  Everything is exact and nothing is random.
 """
 
 from __future__ import annotations
@@ -55,15 +54,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Inconclusive, InvalidInput, NonSplitSpectrum, OrderOverflow, ResourceLimit
+from .errors import InvalidInput, NonSplitSpectrum, OrderOverflow, ResourceLimit
 from .ff_linalg import (
     Matrix, Subspace, jordan_type, _check_generators, _check_integer, _check_type, _codes, _inv,
-    _kernel_basis, _prime_factors, _vectors,
+    _kernel_basis, _prime_factors, _rank, _vectors,
 )
 
 __all__ = [
@@ -527,28 +525,32 @@ def group_order(group: GeneratedGroup) -> int:
 
 
 # Spaces with at most this many lines are decided by walking the lines;
-# larger ones by the meataxe, which gives up after _MAX_TRIALS random
-# group-algebra elements.
+# larger ones by two spins from a generator of drop one.
 _EXHAUSTIVE_CAP = 3000
-_MAX_TRIALS = 64
 
 
 @dataclass(frozen=True)
 class IrreducibilityReport:
+    """The verdict, a proper nonzero invariant subspace when reducible, and the method.
+
+    ``trials`` is always 0, since no method draws random elements; it is
+    kept because the benchmark's span recorder reads it (``perfbench/spans.py``).
+    """
+
     irreducible: bool
     witness: Optional[Subspace]
     method: str
     trials: int = 0
 
 
-def _spin(seed: np.ndarray, gens: np.ndarray, p: int) -> Subspace:
-    """Smallest subspace containing the rows of ``seed`` and closed under ``gens``.
+def _spin(start: np.ndarray, gens: np.ndarray, p: int) -> Subspace:
+    """Smallest subspace containing the rows of ``start`` and closed under ``gens``.
 
     Each round maps the basis rows added by the last round by every
     generator at once and adds the images that leave the span.
     """
-    n = seed.shape[-1]
-    space = Subspace(seed, n, p)
+    n = start.shape[-1]
+    space = Subspace(start, n, p)
     frontier = space.basis
     while len(frontier) and space.dim < n:
         grown = space.extend(frontier @ gens.transpose(0, 2, 1))
@@ -617,7 +619,7 @@ def _line_orbits(gens: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             return label, np.bincount(label, minlength=len(lines))
 
 
-def is_irreducible(generators: Sequence[Matrix], seed: int = 0) -> IrreducibilityReport:
+def is_irreducible(generators: Sequence[Matrix]) -> IrreducibilityReport:
     """Decide whether the natural module of the group the generators generate is irreducible.
 
     Small spaces (at most ``_EXHAUSTIVE_CAP`` lines) are settled exactly from
@@ -634,13 +636,22 @@ def is_irreducible(generators: Sequence[Matrix], seed: int = 0) -> Irreducibilit
     in order would first find a proper span at the least line of that same
     orbit, so the witness is the one that walk returns.
 
-    Larger spaces use the meataxe search: spin kernel vectors of singular
-    elements of the group algebra, with Norton's criterion giving an
-    unconditional certificate when a nullity-one element is found; a group
-    of scalars, where that search finds nothing, is reported reducible with
-    the witness span(e_1) before any trial.  The meataxe draws its
-    group-algebra elements from a ``Random(seed)``.  Raises Inconclusive if
-    ``_MAX_TRIALS`` trials pass without a verdict.  No chain is built;
+    Larger spaces take the first generator g of drop one, rank(g - 1) = 1,
+    and Norton's criterion with theta = g - 1 (method "drop-one"): theta is
+    w w*^T for a nonzero column w and a nonzero row w* of theta.  For a
+    proper nonzero G-invariant U, theta U lies in U and in the line of w,
+    so U lies in ker(g - 1) or w lies in U.  If the spin of w is proper it
+    is the witness.  Otherwise every such U lies in ker(g - 1), so w*
+    annihilates U; the annihilator U° is G^T-invariant (for x in U° and u
+    in U, (g^T x) u = x (g u) = 0), proper and nonzero, and holds the spin
+    of w* under G^T.  So if that spin is V, V is irreducible; else its
+    annihilator, G-invariant by the same identity, is the witness.  The
+    spins are the same over every extension of F_p, so with a generator of
+    drop one, irreducible means absolutely irreducible.
+
+    A group of scalars with no such generator is reported reducible with
+    the witness span(e_1), since every line is invariant.  Any other group
+    above the cap raises ResourceLimit.  No chain is built;
     ``_check_generators`` checks the generators.
     """
     generators, n, p, _ = _check_generators(generators)
@@ -659,49 +670,24 @@ def is_irreducible(generators: Sequence[Matrix], seed: int = 0) -> Irreducibilit
         return IrreducibilityReport(True, None, "exhaustive")
 
     eye = np.eye(n, dtype=np.int64)
+    theta = next((t for t in (gens - eye) % p if _rank(t, p) == 1), None)
+    if theta is not None:
+        w = theta.T[theta.T.any(axis=1)][0]
+        space = _spin(w, gens, p)
+        if space.dim < n:
+            return IrreducibilityReport(False, space, "drop-one")
+        w_star = theta[theta.any(axis=1)][0]
+        dual = _spin(w_star, gens.transpose(0, 2, 1), p)
+        if dual.dim == n:
+            return IrreducibilityReport(True, None, "drop-one")
+        return IrreducibilityReport(False, Subspace(_kernel_basis(dual.basis, p), n, p), "drop-one")
+
     if all(np.array_equal(g, g[0, 0] * eye) for g in gens):
-        # every group-algebra element is then scalar, so the meataxe would
-        # never spin a vector; every line is invariant
         return IrreducibilityReport(False, Subspace(eye[:1], n, p), "scalar")
-
-    gens_t = gens.transpose(0, 2, 1)
-    rng = Random(seed)
-    for trial in range(1, _MAX_TRIALS + 1):
-        theta = _random_algebra_element(gens, p, rng)
-        for a in range(p):
-            shifted = (theta - a * eye) % p
-            nullspace = _kernel_basis(shifted, p)
-            nullity = nullspace.shape[0]
-            if nullity == 0 or nullity == n:
-                continue
-            for v in nullspace:
-                space = _spin(v, gens, p)
-                if space.dim < n:
-                    return IrreducibilityReport(False, space, "meataxe", trial)
-            if nullity == 1:
-                # Norton: the kernel vector spins to V; check the transpose side
-                conull = _kernel_basis(shifted.T, p)
-                tspace = _spin(conull[0], gens_t, p)
-                if tspace.dim == n:
-                    return IrreducibilityReport(True, None, "meataxe-norton", trial)
-                ann = _kernel_basis(tspace.basis, p)
-                return IrreducibilityReport(
-                    False, Subspace(ann, n, p), "meataxe-dual", trial
-                )
-    raise Inconclusive(
-        f"no irreducibility verdict after {_MAX_TRIALS} random trials", _MAX_TRIALS
+    raise ResourceLimit(
+        f"F_{p}^{n} has {(p**n - 1) // (p - 1)} lines, above the cap of {_EXHAUSTIVE_CAP} for line orbits,"
+        " and no generator g has rank(g - 1) = 1"
     )
-
-
-def _random_algebra_element(gens, p: int, rng: Random) -> np.ndarray:
-    n = gens[0].shape[0]
-    theta = (rng.randrange(p) * np.eye(n, dtype=np.int64)) % p
-    for _ in range(rng.randrange(2, 4)):
-        word = np.eye(n, dtype=np.int64)
-        for _ in range(rng.randrange(1, 4)):
-            word = (word @ gens[rng.randrange(len(gens))]) % p
-        theta = (theta + rng.randrange(1, p) * word) % p
-    return theta
 
 
 # ---------------------------------------------------------------------------

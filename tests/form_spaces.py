@@ -3,13 +3,16 @@
 ``dot``, ``diagonal`` and ``hyperbolic`` make the standard symmetric
 spaces from their Gram matrices.  ``reflection``, ``transvection`` and
 ``siegel_shear`` build the drop-1 and isotropic-shear isometries of a
-space, and ``random_isometry`` multiplies seeded random ones.  The vectors
-come in a fixed scan order (``vector_stream``: sparse vectors first, then
-every nonzero vector by code), so a seeded test builds the same group on
-every run.  The library does not import this module.
+space, and ``random_isometry`` multiplies seeded random ones;
+``without_drop_one`` is a fixed set of such products with no generator of
+drop one.  The vectors come in a fixed scan order (``vector_stream``:
+sparse vectors first, then every nonzero vector by code), so a seeded
+test builds the same group on every run.  The library does not import this module.
 """
 
 from __future__ import annotations
+
+from random import Random
 
 import numpy as np
 
@@ -159,3 +162,16 @@ def random_isometry(space: FormSpace, rng, length: int = 6) -> Matrix:
                 v[rng.randrange(n)] = 1
             out = out @ transvection(space, v, rng.randrange(1, p))
     return out
+
+
+def without_drop_one() -> tuple[FormSpace, list[Matrix]]:
+    """Sp(8, 3) and two products of six seeded random transvections, each of drop more than one.
+
+    F_3^8 has 3280 lines, more than ``is_irreducible`` walks, so with no
+    generator g of rank(g - 1) = 1 it cannot decide this group.
+    """
+    space = FormSpace.symplectic(8, 3)
+    rng = Random(8)
+    gens = [random_isometry(space, rng) for _ in range(2)]
+    assert all((g - Matrix.identity(8, 3)).rank() > 1 for g in gens)
+    return space, gens

@@ -310,16 +310,30 @@ class TestCrossValidate:
         assert report.agreement  # not-certified cannot disagree
 
 
-class TestInconclusive:
-    def test_irreducibility_without_a_verdict_fails_its_check(self, monkeypatch):
-        import monodromy.group_engine as engine
-
-        # F_3^8 has 3280 lines, above the exhaustive cap, so the meataxe decides
-        monkeypatch.setattr(engine, "_MAX_TRIALS", 0)
-        cert = certify(family_hypotheses(hyperelliptic_system(4, 3), 1))
+class TestIrreducibilityAboveTheCap:
+    def test_undecided_irreducibility_fails_its_check(self):
+        # no generator of drop one on 3280 lines: is_irreducible raises ResourceLimit
+        space, gens = form_spaces.without_drop_one()
+        cert = certify(Hypotheses(space, gens, frozenset(), 8))
         check = next(c for c in cert.checks if c.name == "irreducibility")
-        assert not check.passed and check.detail == "inconclusive after 0 trials"
+        assert not check.passed
+        assert check.detail.startswith("undecided: F_3^8 has 3280 lines, above the cap of 3000")
         assert str(cert.conclusion) == "NotCertified(irreducibility)"
+
+    @pytest.mark.parametrize(
+        "system,r,kind",
+        [
+            (lambda: hyperelliptic_system(2, 1000003), 1, "FullSp"),
+            (lambda: twist_family_system([2, 3, 4], 1000003), 2, "OrthogonalBig"),
+        ],
+        ids=["Sp(4)", "O(8)"],
+    )
+    def test_large_prime_is_decided_by_two_spins(self, system, r, kind):
+        # a generator of drop one decides irreducibility in time independent of p
+        cert = certify(family_hypotheses(system(), r))
+        check = next(c for c in cert.checks if c.name == "irreducibility")
+        assert check.passed and check.detail == "method=drop-one"
+        assert cert.conclusion.kind == kind
 
 
 class TestCommutatorProbe:

@@ -19,6 +19,7 @@ from monodromy.families import hyperelliptic_system, twist_family_system
 from monodromy.ff_linalg import Matrix, invariant_forms
 from monodromy.group_engine import GeneratedGroup
 from pairing_reference import pair_form_full_scan
+import form_spaces
 
 
 def run_cli(argv, stdin_text=""):
@@ -406,6 +407,19 @@ class TestDeterminism:
         _, first = run_cli(["--seed", "0", "cross-validate", "--r", "2"], tuple_text)
         _, second = run_cli(["--seed", "0", "cross-validate", "--r", "2"], tuple_text)
         assert first == second
+
+    def test_seed_is_ignored(self):
+        _, tuple_text = run_cli(["twist-family", "--roots", "2,3,4", "--prime", "1000003"])
+        first, second = (run_cli(["--seed", seed, "certify", "--r", "2"], tuple_text) for seed in ("0", "7"))
+        assert first == second
+        assert first[0] == 0 and "CHECK irreducibility: PASS method=drop-one\n" in first[1]
+
+    def test_undecided_irreducibility_exits_1(self):
+        _, gens = form_spaces.without_drop_one()
+        rc, out = run_cli(["certify", "--r", "8"], emit_tuple(PuncturedTuple([0, 1], gens)))
+        assert rc == 1
+        assert "CHECK irreducibility: FAIL undecided: F_3^8 has 3280 lines" in out
+        assert out.endswith("CONCLUSION: NotCertified(irreducibility)\n")
 
     def test_family_emission_deterministic(self):
         a = run_cli(["hyperelliptic", "--genus", "2", "--prime", "3"])

@@ -351,6 +351,15 @@ BAD_ARGUMENTS = {
     "Matrix.zeros rows 2.5": lambda: Matrix.zeros(2.5, 2, 5),
     "Matrix.scalar n 2.5": lambda: Matrix.scalar(1, 2.5, 5),
     "Matrix.diagonal entry 2.5": lambda: Matrix.diagonal([2.5, 1], 5),
+    "Subspace ambient 2.5": lambda: Subspace([[1, 0]], 2.5, 5),
+    "Subspace row of length 2 in F_5^3": lambda: Subspace([[1, 0]], 3, 5),
+    "Subspace.extend 2.5": lambda: VALUES["Subspace"].extend(2.5),
+    "kummer_tuple points 1": lambda: monodromy.kummer_tuple(1, 5),
+    "hyperelliptic_system points 3": lambda: monodromy.hyperelliptic_system(2, 5, 3),
+    "twist_family_system roots 2": lambda: monodromy.twist_family_system(2, 5),
+    "FormSpace.from_gram [[1]]": lambda: FormSpace.from_gram([[1]]),
+    "FormSpace.symplectic dim 2.5": lambda: FormSpace.symplectic(2.5, 5),
+    "PuncturedTuple.matrix_at unknown label": lambda: VALUES["PuncturedTuple"].matrix_at(2),
 }
 
 
@@ -358,3 +367,8 @@ BAD_ARGUMENTS = {
 def test_bad_arguments_raise_invalid_input(name):
     with pytest.raises(monodromy.InvalidInput):
         BAD_ARGUMENTS[name]()
+
+
+def test_a_fractional_symplectic_dimension_is_not_called_odd():
+    with pytest.raises(monodromy.InvalidInput, match="symplectic dimension must be an integer"):
+        FormSpace.symplectic(2.5, 5)

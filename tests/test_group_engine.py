@@ -215,22 +215,10 @@ class TestIrreducibility:
                     assert w.contains((g.array @ row) % p)
         assert reducible_found > 0
 
-    def test_meataxe_path_on_larger_space(self, monkeypatch):
-        # dim 5 over F_7 exceeds the exhaustive cap; Norton's certificate kicks in
-        import monodromy.group_engine as engine
-
-        space = form_spaces.dot(5, 7)
-        rng = Random(2)
-        gens = [random_isometry(space, rng, length=8) for _ in range(3)]
-        monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 100)
-        report = is_irreducible(gens, seed=3)
-        if report.irreducible:
-            assert report.method == "meataxe-norton"
-        else:
-            w = report.witness
-            for g in gens:
-                for row in w.basis:
-                    assert w.contains((g.array @ row) % 7)
+    def test_refuses_a_group_without_a_drop_one_generator_above_the_cap(self):
+        gens = form_spaces.without_drop_one()[1]
+        with pytest.raises(ResourceLimit, match="F_3\\^8 has 3280 lines, above the cap of 3000"):
+            is_irreducible(gens)
 
     def test_schur_check(self):
         # irreducible implies at most a line of invariant forms
@@ -249,22 +237,12 @@ class TestIrreducibility:
         # within the cap the exhaustive walk finds the same first line
         report = is_irreducible([Matrix.scalar(2, 3, 5)])
         assert report.method == "exhaustive" and report.witness.dim == 1
-        # one non-scalar generator sends the group to the meataxe as before
+        # a generator of drop one decides the group by two spins
         gens = [Matrix.scalar(2, 6, 5)] + list(hyperelliptic_system(3, 5).generators)
-        report = is_irreducible(gens, seed=1)
-        assert report.irreducible and report.method.startswith("meataxe")
-
-    def test_inconclusive_when_trials_exhausted(self, monkeypatch):
-        import monodromy.group_engine as engine
-        from monodromy.errors import Inconclusive
-
-        space = form_spaces.dot(5, 7)
-        gens = [random_isometry(space, Random(5))]
-        monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 10)
-        monkeypatch.setattr(engine, "_MAX_TRIALS", 0)
-        with pytest.raises(Inconclusive) as excinfo:
-            is_irreducible(gens)
-        assert excinfo.value.trials == 0
+        assert is_irreducible(gens) == IrreducibilityReport(True, None, "drop-one")
+        # a non-scalar group with no such generator is refused
+        with pytest.raises(ResourceLimit, match="no generator g has rank"):
+            is_irreducible([Matrix.scalar(2, 8, 3)] + form_spaces.without_drop_one()[1])
 
 
 class TestGeneratorCheck:
@@ -541,29 +519,107 @@ class TestIrreducibilityOracle:
         assert report == exhaustive_irreducibility(gens)
         assert report == IrreducibilityReport(True, None, "exhaustive")
 
-    def test_meataxe_agrees_with_orbits_above_the_cap(self, monkeypatch):
-        # F_5^6 has 3906 lines: the meataxe by default, the orbit path at 4000
+    def test_drop_one_agrees_with_orbits_above_the_cap(self, monkeypatch):
+        # F_5^6 has 3906 lines: two spins by default, the orbit path at 4000
         import monodromy.group_engine as engine
 
         n, p = 6, 5
         rng = Random(6)
         cases = [hyperelliptic_system(3, p).generators]
-        cases += [[random_invertible(n, p, rng) for _ in range(2)] for _ in range(2)]
-        cases += [_block_triangular_generators(rng, p, n) for _ in range(3)]
         cases += [_isometry_generators(rng, p, n) for _ in range(3)]
+        cases += [_drop_one_generators(rng, p, n, kind) for kind in DROP_ONE_KINDS for _ in range(2)]
         verdicts = set()
         for gens in cases:
-            meataxe = is_irreducible(gens, seed=1)
+            spun = is_irreducible(gens)
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "_EXHAUSTIVE_CAP", 4000)
                 exact = is_irreducible(gens)
-            assert meataxe.method.startswith("meataxe") and exact.method == "exhaustive"
-            assert meataxe.irreducible == exact.irreducible, gens
-            for report in (meataxe, exact):
+            assert spun.method == "drop-one" and exact.method == "exhaustive"
+            assert spun.irreducible == exact.irreducible, gens
+            for report in (spun, exact):
                 if not report.irreducible:
                     _assert_invariant_witness(report, gens, n, p)
             verdicts.add(exact.irreducible)
         assert verdicts == {True, False}
+
+
+DROP_ONE_KINDS = ("free", "w in U", "U in ker")
+
+
+def _drop_one_generators(rng: Random, p: int, n: int, kind: str, transpose: bool = False) -> list[Matrix]:
+    """Generators, the first g = 1 + w v^T of drop one, conjugated by a random matrix.
+
+    "free" adds two random invertible matrices.  "w in U" and "U in ker"
+    add two random matrices that fix U = span(e_1 .. e_k), so that U is
+    most often the only proper invariant subspace, and put w in U, or make
+    v vanish on U, so that U lies in ker(g - 1).  ``transpose`` transposes
+    every generator, which swaps the roles of w and v.
+    """
+    k = rng.randrange(1, n)
+    while True:
+        w, v = (np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64) for _ in range(2))
+        if kind == "w in U":
+            w[k:] = 0
+        if kind == "U in ker":
+            v[:k] = 0
+        if w.any() and v.any() and (1 + v @ w) % p:  # det g = 1 + v.w
+            break
+    gens = [Matrix(np.eye(n, dtype=np.int64) + np.outer(w, v), p)]
+    while len(gens) < 3:
+        a = random_invertible(n, p, rng).array.copy()
+        if kind != "free":
+            a[k:, :k] = 0
+        if Matrix(a, p).det():
+            gens.append(Matrix(a, p))
+    conj = random_invertible(n, p, rng)
+    gens = [conj @ g @ conj.inv() for g in gens]
+    return [g.T for g in gens] if transpose else gens
+
+
+def _assert_drop_one_matches(gens: list[Matrix], n: int, p: int) -> str:
+    """Check two spins against spinning every line; name the step that decided.
+
+    The first spin starts at a nonzero column w of g - 1 for the first g of
+    drop one, so its witness holds w.  The transposed spin runs only when
+    the spin of w is V, so then no proper invariant subspace holds w.
+    """
+    report = is_irreducible(gens)
+    assert report.method == "drop-one"
+    assert report.irreducible == exhaustive_irreducibility(gens).irreducible, gens
+    if report.irreducible:
+        return "irreducible"
+    _assert_invariant_witness(report, gens, n, p)
+    theta = next(t for t in (g - Matrix.identity(n, p) for g in gens) if t.rank() == 1).array
+    w = theta.T[theta.T.any(axis=1)][0]
+    return "first spin" if report.witness.contains(w) else "transposed spin"
+
+
+class TestDropOne:
+    """Two spins from a generator of drop one against spinning every line."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_the_reference_below_the_cap(self, monkeypatch, p):
+        import monodromy.group_engine as engine
+
+        monkeypatch.setattr(engine, "_EXHAUSTIVE_CAP", 0)
+        rng = Random(100 + p)
+        steps = set()
+        for n in range(2, 5):
+            for kind in DROP_ONE_KINDS:
+                for transpose in (False, True):
+                    for _ in range(3):
+                        steps.add(_assert_drop_one_matches(_drop_one_generators(rng, p, n, kind, transpose), n, p))
+        assert steps == {"irreducible", "first spin", "transposed spin"}
+
+    @pytest.mark.parametrize("n,p", [(6, 5), (8, 3)])
+    def test_matches_the_reference_above_the_cap(self, n, p):
+        # F_5^6 has 3906 lines and F_3^8 has 3280, above the cap of 3000
+        rng = Random(n * p)
+        steps = set()
+        for kind in DROP_ONE_KINDS:
+            for transpose in (False, True):
+                steps.add(_assert_drop_one_matches(_drop_one_generators(rng, p, n, kind, transpose), n, p))
+        assert steps == {"irreducible", "first spin", "transposed spin"}
 
 
 class TestElementOrder:
