@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -63,8 +64,8 @@ class Hypotheses:
 
     def __post_init__(self):
         _check_type(self.space, FormSpace, "space")
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "s0", frozenset(self.s0))
+        object.__setattr__(self, "generators", tuple(_check_type(self.generators, Iterable, "generators")))
+        object.__setattr__(self, "s0", frozenset(_check_type(self.s0, Iterable, "s0")))
         if not self.generators:
             raise InvalidInput("need at least one generator")
         _check_integer(self.r, "r", least=1)

@@ -24,6 +24,7 @@ image, stops the build of the ``GeneratedGroup`` chain.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -154,6 +155,7 @@ def invariant_pairing(forms: Sequence[Matrix]) -> Optional[FormSpace]:
     ``_greedy_nondegenerate``); a transpose of an invariant form is
     invariant, so both parts are.
     """
+    forms = list(_check_type(forms, Iterable, "forms"))
     if not all(isinstance(form, Matrix) for form in forms):
         raise InvalidInput("invariant forms must each be a Matrix")
     if not forms:

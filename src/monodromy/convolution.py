@@ -15,6 +15,7 @@ than a silently wrong answer.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Sequence, Union
 
 import numpy as np
@@ -79,6 +80,8 @@ class PuncturedTuple:
     __slots__ = ("p", "rank", "punctures", "matrices", "infinity_matrix")
 
     def __init__(self, punctures: Sequence[Label], matrices: Sequence[Matrix]):
+        punctures = list(_check_type(punctures, Iterable, "punctures"))
+        matrices = list(_check_type(matrices, Iterable, "matrices"))
         if len(punctures) != len(matrices):
             raise InvalidInput("one matrix per puncture")
         if not punctures:
@@ -317,7 +320,7 @@ def twist_quadratic(t: PuncturedTuple, points: Sequence[Label]) -> PuncturedTupl
     picks up a sign (-1)^(number of points).
     """
     _check_type(t, PuncturedTuple, "t")
-    labels = [_validate_label(lab, t.p) for lab in points]
+    labels = [_validate_label(lab, t.p) for lab in _check_type(points, Iterable, "points")]
     if len(set(labels)) != len(labels):
         raise InvalidInput("twist points repeat")
     new_punctures = list(t.punctures)

@@ -13,8 +13,9 @@ subspace equality is representation equality.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -389,9 +390,7 @@ class Matrix:
         return Matrix(-self.array, self.p)
 
     def __mul__(self, c: int) -> "Matrix":
-        if not isinstance(c, (int, np.integer)):
-            return NotImplemented
-        return Matrix(self.array * (int(c) % self.p), self.p)
+        return Matrix(self.array * (_check_integer(c, "scalar") % self.p), self.p)
 
     __rmul__ = __mul__
 
@@ -560,7 +559,7 @@ class JordanData:
     def __init__(self, blocks: Iterable[tuple[int, int]], p: int):
         p = _check_modulus(p)
         norm = []
-        for eig, size in blocks:
+        for eig, size in _check_type(blocks, Iterable, "blocks"):
             eig = _check_integer(eig, "eigenvalue") % p
             if eig == 0:
                 raise InvalidInput("eigenvalue 0 is not allowed (invertible matrices only)")
@@ -662,7 +661,7 @@ def jordan_type(a: Matrix) -> JordanData:
 
 def _check_generators(gens: Iterable[Matrix]) -> tuple[tuple[Matrix, ...], int, int, tuple[int, ...]]:
     """(gens, n, p, dets), or InvalidInput unless gens are one or more invertible n x n matrices mod p."""
-    gens = tuple(gens)
+    gens = tuple(_check_type(gens, Iterable, "generators"))
     if not gens or not all(isinstance(g, Matrix) for g in gens):
         raise InvalidInput("need at least one generator, each a Matrix")
     n, p = gens[0].n, gens[0].p
@@ -678,15 +677,20 @@ def invariant_forms(gens: Sequence[Matrix]) -> list[Matrix]:
     """Basis of the space of bilinear forms fixed by every generator.
 
     Returns all M with A^T M A = M for each A, found by solving the linear
-    system on the n^2 matrix entries.  The empty list means there is no
-    nonzero invariant form.
+    system on the n^2 matrix entries.  Each generator's block of equations,
+    A^T (x) A^T - 1, is formed in place as one n^2 x n^2 array, and only its
+    nonzero rows join the system: dropping zero rows keeps the row space,
+    so the kernel basis in reduced echelon form is the same.  The empty list
+    means there is no nonzero invariant form.
     """
     gens, n, p, _ = _check_generators(gens)
-    eye = np.eye(n * n, dtype=np.int64)
     rows = []
     for g in gens:
         at = g.array.T
-        rows.append((np.kron(at, at) - eye) % p)
+        block = (at[:, None, :, None] * at[None, :, None, :]).reshape(n * n, n * n)
+        block.flat[:: n * n + 1] -= 1
+        np.remainder(block, p, out=block)
+        rows.append(block[block.any(axis=1)])
     system = np.concatenate(rows, axis=0)
     basis = _kernel_basis(system, p)
     return [Matrix(row.reshape(n, n), p) for row in basis]

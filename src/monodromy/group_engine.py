@@ -34,10 +34,10 @@ gathered from them is widened to int64 just before it enters a product:
 each frontier block in ``_orbit`` and ``_orbit_reaches``, the parent
 transversals in ``GeneratedGroup._grow``, the transversal inverses in
 ``GeneratedGroup._sift``, and the transversals and inverses in
-``GeneratedGroup._schreier_blocks``.  Vector
-codes, strong generators, their inverses and every product stay int64, so
-products are exact under the guards ``ff_linalg._check_products`` (on
-every ``Matrix``) and p^n < 2^63 (on every chain).
+``GeneratedGroup._schreier_blocks``.  Vector codes, strong generators,
+their inverses and every product stay int64, so products are exact under
+the guards ``ff_linalg._check_products`` (on every ``Matrix``) and
+p^n < 2^63 (on every chain).
 
 Irreducibility is decided on small spaces from the G-orbits on lines and
 above that from one generator g with rank(g - 1) = 1, by two spins.  Each
@@ -78,16 +78,19 @@ __all__ = [
 # 128 KiB raised the peak resident memory of a process building many small
 # chains, and did not make large chains faster.
 _BLOCK_ENTRIES = 1 << 13
-# Orbits in spaces with at most this many vectors index codes by a dense
-# table from the start (at most 4 MiB per level); larger spaces use sorted
-# codes.  The dense table made both benchmark workloads 16-27 % faster than
-# sorted codes alone (their spaces have at most 5^6 vectors); the cutoff
-# itself bounds memory and was not tuned.
 _DENSE_CODES = 1 << 20
-# Sorted codes turn dense once they hold one code in this many: the table then
-# costs at most 8 times the runs.  Bounded O(8,7) chain, 2-CPU x86 host: sorted
-# only 7.2-7.9 s; dense at 1/8, 1/32, 1/64: 5.0, 3.5, 2.6 s at 194, 194, 213 MB.
-_DENSE_SHARE = 32
+
+
+def _table_pays(size: int, count: int, itemsize: int) -> bool:
+    """Whether a table of ``itemsize`` bytes per code over ``size`` codes replaces sorted runs.
+
+    Yes from the start when size <= ``_DENSE_CODES`` (untuned; 16-27 % faster
+    than runs alone on both benchmark workloads, at most 5^6 codes), else once
+    it holds ``count`` codes with itemsize * size <= 128 * count: at most 8
+    times the 16 bytes per code of runs.  Bounded O(8,7) chain, 2-CPU x86 host,
+    runs only 7.2-7.9 s; int32 table at 1/8, 1/32, 1/64: 5.0, 3.5, 2.6 s, 194-213 MB.
+    """
+    return size <= _DENSE_CODES or itemsize * size <= 128 * count
 
 
 class _CodeIndex:
@@ -95,12 +98,11 @@ class _CodeIndex:
 
     ``add`` numbers its codes in order of arrival: the first code added
     takes position 0, and each batch takes the next ``codes.size``
-    positions.  Dense, ``table`` holds the position of every code.
-    Sorted, ``runs`` are sorted runs of codes with their positions, binary
-    searched; a new run is merged into the last one while that one is at
-    most twice its size, so m codes sit in O(log m) runs.  The index is
-    dense from its first code when size <= ``_DENSE_CODES``, else once it
-    holds size / ``_DENSE_SHARE``.
+    positions.  Dense, ``table`` holds the position of every code, as
+    int32 (int64 above 2^31 codes).  Sorted, ``runs`` are sorted runs of
+    codes with their positions, binary searched; a new run is merged into
+    the last one while that one is at most twice its size, so m codes sit
+    in O(log m) runs.  ``add`` turns it dense once ``_table_pays``.
     """
 
     __slots__ = ("size", "count", "runs", "table")
@@ -121,9 +123,9 @@ class _CodeIndex:
     def add(self, codes: np.ndarray) -> None:
         positions = np.arange(self.count, self.count + codes.size)
         self.count += codes.size
-        if self.table is None and (self.size <= _DENSE_CODES or _DENSE_SHARE * self.count >= self.size):
-            # every position is below size
-            self.table = np.full(self.size, -1, dtype=np.int32 if self.size <= 2**31 else np.int64)
+        itemsize = 4 if self.size <= 2**31 else 8  # every position is below size
+        if self.table is None and _table_pays(self.size, self.count, itemsize):
+            self.table = np.full(self.size, -1, dtype=f"i{itemsize}")
             for keys, old in self.runs:
                 self.table[keys] = old
             self.runs = []
@@ -197,30 +199,30 @@ def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: i
 
     The caller knows that the orbit has at most ``size`` vectors.  With
     cap = min(size, limit + 1), seen codes are marked in a bool table over
-    all p^n codes when p^n <= 16 cap (no more than the 16 bytes per code of
-    sorted runs), else in a ``_CodeIndex``, so a small ``limit`` on a large
-    space never allocates p^n bytes.  Only the last round's vectors are
-    kept, in the narrowest signed dtype that holds p - 1, widened to int64 a
-    block at a time; a generator's images of a block are distinct, so only
-    codes already seen are dropped.  The walk stops once ``cap`` vectors
-    are seen.  ResourceLimit is raised as a ``GeneratedGroup`` raises it:
-    when p^n >= 2^63, and when more than ``limit`` vectors are seen,
-    checked after each batch of images.
+    all p^n codes when ``_table_pays`` for cap codes of 1 byte, else in a
+    ``_CodeIndex``, so a small ``limit`` on a large space never allocates
+    p^n bytes; that index stays sorted, as the walk adds fewer than 2 cap
+    codes and p^n > 128 cap.  Only the last round's vectors are kept, in
+    the narrowest signed dtype that holds p - 1, widened to int64 a block
+    at a time; a generator's images of a block are distinct, so only codes
+    already seen are dropped.  The walk stops once ``cap`` vectors are
+    seen.  ResourceLimit is raised as a ``GeneratedGroup`` raises it: when
+    p^n >= 2^63, and when more than ``limit`` vectors are seen, checked
+    after each batch of images.
     """
     limit = _check_integer(limit, "limit", least=0)
     p, n = gens[0].p, len(base)
     _check_codes(p, n)
     cap = min(size, limit + 1)
-    table = np.zeros(p**n, dtype=bool) if p**n <= 16 * cap else None
-    index = _CodeIndex(p**n)  # allocates nothing unless used
+    seen = np.zeros(p**n, dtype=bool) if _table_pays(p**n, cap, 1) else _CodeIndex(p**n)
 
     def unseen(codes: np.ndarray) -> np.ndarray:
-        if table is not None:
-            fresh = (~table[codes]).nonzero()[0]
-            table[codes[fresh]] = True
-            return fresh
-        fresh = (index.find(codes) < 0).nonzero()[0]
-        index.add(codes[fresh])
+        if isinstance(seen, _CodeIndex):
+            fresh = (seen.find(codes) < 0).nonzero()[0]
+            seen.add(codes[fresh])
+        else:
+            fresh = (~seen[codes]).nonzero()[0]
+            seen[codes[fresh]] = True
         return fresh
 
     powers = p ** np.arange(n, dtype=np.int64)
@@ -304,9 +306,8 @@ class GeneratedGroup:
     two n x n transversal matrices, whose column ``col`` is the vector, in
     the narrowest integer dtype that holds p - 1: 2 n^2 bytes at p <= 127
     (twice that up to p = 32767, four times below 2^31), plus its entry in
-    the code index.
-    ``ResourceLimit`` is also raised when levels are to be built and p^n
-    does not fit in 64 bits, so a vector code can never wrap.
+    the code index.  ``ResourceLimit`` is also raised when levels are to be
+    built and p^n does not fit in 64 bits, so a vector code can never wrap.
 
     ``bound`` is an upper bound on the order, an integer >= 1, or None;
     the derived-subgroup test passes the bound of a group of isometries.
@@ -325,8 +326,7 @@ class GeneratedGroup:
     def __init__(self, gens: Sequence[Matrix], limit: int = 10**7, bound: Optional[int] = None):
         self.gens, self.dim, self.p, self._dets = _check_generators(gens)
         self._limit = _check_integer(limit, "limit", least=0)
-        if bound is not None:
-            bound = _check_integer(bound, "bound", least=1)
+        bound = None if bound is None else _check_integer(bound, "bound", least=1)
         self._dtype = np.min_scalar_type(-(self.p - 1))
         self._eye = np.eye(self.dim, dtype=np.int64)
         self.levels: list[_Level] = []

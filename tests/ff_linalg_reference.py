@@ -13,6 +13,9 @@ p - 1 with a^d = 1.  ``nonzero_vectors_per_index`` is
 ``form_spaces.nonzero_vectors`` before it decoded blocks of codes:
 one vector per index, its digits taken one Python division at a time.
 ``primes_below`` is a sieve of Eratosthenes for ``is_prime``.
+``stacked_invariant_forms`` is ``invariant_forms`` as it was before it
+dropped the zero rows of each generator's block: it stacks every full
+n^2 x n^2 block A^T (x) A^T - 1 and solves the stacked system.
 
 Two helpers build test inputs: ``random_invertible`` draws a seeded random
 invertible matrix, and ``kernel`` is the solution space of M x = 0 as a
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from monodromy.errors import NonSplitSpectrum
-from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_rows, _rank
+from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_basis, _kernel_rows, _rank
 
 
 def jordan_type_full_scan(a: Matrix) -> JordanData:
@@ -81,6 +84,13 @@ def det_numpy_loop(a: np.ndarray, p: int) -> int:
             factors = (m[rows, j] * inv) % p
             m[rows] = (m[rows] - np.outer(factors, m[j])) % p
     return det % p
+
+
+def stacked_invariant_forms(gens: list[Matrix]) -> list[Matrix]:
+    n, p = gens[0].n, gens[0].p
+    eye = np.eye(n * n, dtype=np.int64)
+    system = np.concatenate([(np.kron(g.array.T, g.array.T) - eye) % p for g in gens], axis=0)
+    return [Matrix(row.reshape(n, n), p) for row in _kernel_basis(system, p)]
 
 
 def sorted_divisors(n: int) -> list[int]:

@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import monodromy.convolution as convolution
 import monodromy.ff_linalg as ff
 from monodromy.convolution import (
     INFINITY,
@@ -14,7 +15,7 @@ from monodromy.convolution import (
     predict_rank,
     twist_quadratic,
 )
-from monodromy.errors import InvalidInput, NotInCategory
+from monodromy.errors import DegenerateQuotient, InvalidInput, NotInCategory
 from monodromy.families import hyperelliptic_system, kummer_tuple
 from monodromy.ff_linalg import (
     JordanData,
@@ -457,3 +458,38 @@ def test_junk_space_is_not_echelon_formed_whole(monkeypatch):
     wide = [rows for rows, cols in shapes if cols == len(t.punctures) * t.rank]
     assert wide and max(wide) <= 7
     assert out == reference_middle_convolve(t, -1)
+
+
+def _coordinate_rows(t: PuncturedTuple, lam: int) -> np.ndarray:
+    """Every coordinate row of the block space, in place of its fixed rows."""
+    return np.eye(len(t.punctures) * t.rank, dtype=np.int64)
+
+
+def _rolled_kernel(a: np.ndarray, p: int) -> np.ndarray:
+    """The kernel basis with its columns rotated, which leaves the kernel of a shear."""
+    return np.roll(ff._kernel_basis(a, p), 1, axis=1)
+
+
+_init = PuncturedTuple.__init__
+
+
+def _zeroed_matrices(self, punctures, matrices):
+    """A tuple built from the zero matrix at each puncture, which is singular."""
+    _init(self, punctures, [m * 0 for m in matrices])
+
+
+@pytest.mark.parametrize(
+    "target,name,mutation,message",
+    [
+        (convolution, "_fixed_rows", _coordinate_rows, "fixed space is not fixed"),
+        (convolution, "_kernel_basis", _rolled_kernel, "quotient subspace is not invariant"),
+        (PuncturedTuple, "__init__", _zeroed_matrices, "quotient matrices are degenerate"),
+    ],
+    ids=["fixed rows", "blockwise kernels", "quotient matrices"],
+)
+def test_each_quotient_guard_trips_on_its_mutation(target, name, mutation, message, monkeypatch):
+    t = hyperelliptic_system(2, 5).tuple
+    assert middle_convolve(t, -1) == reference_middle_convolve(t, -1)
+    monkeypatch.setattr(target, name, mutation)
+    with pytest.raises(DegenerateQuotient, match=message):
+        middle_convolve(t, -1)

@@ -360,6 +360,27 @@ BAD_ARGUMENTS = {
     "FormSpace.from_gram [[1]]": lambda: FormSpace.from_gram([[1]]),
     "FormSpace.symplectic dim 2.5": lambda: FormSpace.symplectic(2.5, 5),
     "PuncturedTuple.matrix_at unknown label": lambda: VALUES["PuncturedTuple"].matrix_at(2),
+    # a non-iterable where a list is expected
+    "PuncturedTuple punctures 5": lambda: PuncturedTuple(5, [_SHEAR]),
+    "PuncturedTuple matrices 5": lambda: PuncturedTuple([0], 5),
+    "Hypotheses generators 5": lambda: Hypotheses(_sp4_5().space, 5),
+    "Hypotheses s0 5": lambda: Hypotheses(_sp4_5().space, _sp4_5().generators, 5),
+    "GeneratedGroup generators 5": lambda: monodromy.GeneratedGroup(5),
+    "invariant_forms generators 5": lambda: monodromy.invariant_forms(5),
+    "is_irreducible generators 5": lambda: monodromy.is_irreducible(5),
+    "twist_quadratic points 5": lambda: monodromy.twist_quadratic(_kummer_0123(), 5),
+    "JordanData blocks 5": lambda: JordanData(5, 5),
+    "invariant_pairing forms 5": lambda: monodromy.invariant_pairing(5),
+    # a scalar factor that is not an integer
+    "Matrix * 1.5": lambda: _SHEAR * 1.5,
+    "1.5 * Matrix": lambda: 1.5 * _SHEAR,
+    "Matrix * 'a'": lambda: _SHEAR * "a",
+    # values of the right type outside the domain
+    "Hypotheses no generators": lambda: Hypotheses(_sp4_5().space, []),
+    "FormSpace.from_gram neither symmetric nor alternating": lambda: FormSpace.from_gram(_SHEAR),
+    "square_class a 0": lambda: square_class(0, 5),
+    "PuncturedTuple label 0.5": lambda: PuncturedTuple([0.5], [_SHEAR]),
+    "dim_formula deg_m -1": lambda: monodromy.dim_formula(-1, 0, 0),
 }
 
 

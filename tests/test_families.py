@@ -10,6 +10,7 @@ from monodromy.classical_groups import (
     TRANSVECTION,
     invariant_pairing,
 )
+from monodromy.convolution import twist_quadratic
 from monodromy.errors import BadLocus, FamilyCheckFailed, MonodromyError, NegativeDimension
 from monodromy.families import (
     dim_formula,
@@ -261,6 +262,12 @@ class TestFamilyChecks:
                 "classify_element",
                 lambda m, space: ElementClass("Other", 0),
                 "every finite local matrix must be a transvection",
+            ),
+            (
+                lambda: twist_family_system([2, 3], 5),
+                "twist_quadratic",
+                lambda t, points: twist_quadratic(t, points[:1]),
+                "twist family rank 4 != expected 5",
             ),
             (
                 lambda: twist_family_system([2, 3], 5),

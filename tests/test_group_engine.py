@@ -29,6 +29,7 @@ from monodromy.group_engine import (
     IrreducibilityReport,
     _CodeIndex,
     _orbit_reaches,
+    _table_pays,
     element_order,
     group_order,
     is_irreducible,
@@ -1269,9 +1270,9 @@ class TestWitnessOrbit:
         + [("symmetric-nonsquare", 4, p) for p in (5, 7, 17)],
     )
     def test_matches_the_chain_on_random_groups(self, kind, n, p, monkeypatch):
-        # a norm class has about p^(n-1) vectors, so from p = 11 on (with a
-        # limit of half the class) or p = 17 (with none) the walk marks
-        # codes in a _CodeIndex, not in a bool table over p^n codes
+        # every space here has at most 17^4 < 2^20 codes, so at both limits
+        # the walk marks codes in a bool table over p^n codes; walks in
+        # sorted runs are compared on Sp(4,101) and O(8,11) below
         space, rng = _random_form_space(kind, n, p)
         make = _transvection_groups if kind == "alternating" else _reflection_groups
         outcomes = []
@@ -1298,6 +1299,9 @@ class TestWitnessOrbit:
         for w in witnesses:
             base, size = _walk_arguments(gens, space, w, monkeypatch)
             small = [0, 1, 100, 5000]
+            if name in ("Sp(4,101)", "O(8,11)"):
+                # under each small limit the walk marks codes in sorted runs
+                assert not _table_pays(gens[0].p ** len(base), 5001, 1), name
             _assert_walks_agree(gens, base, size, small if size > 10**5 else small + [size - 1, size, 10**7], name)
 
     @pytest.mark.parametrize("kind", ["symmetric", "symmetric-nonsquare"])
@@ -1370,6 +1374,25 @@ class TestWitnessOrbit:
         finally:
             tracemalloc.stop()
         assert peak < 14 * 2**20
+
+    def test_walk_on_the_twist_family_at_29(self, monkeypatch):
+        # 29^5 codes and a norm class of 708,122 vectors: a 19.6 MiB bool
+        # table marks them (peak 23.1 MiB); in a _CodeIndex, which turned
+        # into an int32 table at 29^5 / 32 codes, the walk peaked at 90.2 MiB
+        system = twist_family_system([2, 3], 29)
+        gens, space = list(system.generators), system.space
+        witness = _witness(space, gens, [classify_element(g, space) for g in gens])
+        tracemalloc.start()
+        try:
+            assert _witness_orbit_is_full(gens, space, witness, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        base, size = _walk_arguments(gens, space, witness, monkeypatch)
+        assert size == 708_122
+        assert _table_pays(29**5, size + 1, 1) and not _table_pays(29**5, 101, 1)
+        _assert_walks_agree(gens, base, size, (100, 10**7), "twist (2,3) at 29")
 
     def test_small_limit_on_a_large_space_allocates_no_table(self):
         # the shear I + E_01 and the coordinate cycle generate SL(20, 3)
@@ -1611,6 +1634,33 @@ class _ArrivalSortedIndex(SortedIndex):
     def add(self, codes: np.ndarray) -> None:
         super().add(codes, np.arange(self.count, self.count + codes.size))
         self.count += codes.size
+
+
+class TestTablePays:
+    """A table of k bytes per code over p^n codes pays when p^n <= 2^20 or k p^n <= 128 count."""
+
+    @pytest.mark.parametrize("itemsize", [1, 4, 8])
+    def test_every_space_up_to_2_to_the_20_takes_a_table(self, itemsize):
+        assert _table_pays(1 << 20, 0, itemsize)
+        assert not _table_pays((1 << 20) + 1, 0, itemsize)
+
+    @pytest.mark.parametrize(
+        "itemsize,size,least",
+        [
+            # a bool seen table over 2^21 codes pays at 2^21 / 128 codes
+            (1, 1 << 21, 1 << 14),
+            (1, (1 << 21) + 1, (1 << 14) + 1),
+            # an int32 position table at one code in 32
+            (4, 1 << 21, 1 << 16),
+            (4, 2**31, 2**26),
+            # an int64 position table, above 2^31 codes, at one code in 16
+            (8, 2**31 + 16, 2**27 + 1),
+            (8, 3**20, -(-(3**20) // 16)),
+        ],
+    )
+    def test_a_larger_space_at_128_bytes_per_code_held(self, itemsize, size, least):
+        assert _table_pays(size, least, itemsize)
+        assert not _table_pays(size, least - 1, itemsize)
 
 
 class TestDenseSwitch:
