@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotAnIsometry
-from .ff_linalg import Matrix, _check_integer, _check_modulus, _check_type, _det, _rref
+from .ff_linalg import Matrix, _check_integer, _check_modulus, _check_type, _det, _pivots, _rref
 from .group_engine import GeneratedGroup, _orbit_reaches
 
 __all__ = [
@@ -87,6 +87,8 @@ class FormSpace:
         g = _check_type(self.gram, Matrix, "gram")
         if g.rows != g.cols:
             raise InvalidInput("gram matrix must be square")
+        if g.rows == 0:
+            raise InvalidInput("gram matrix must be at least 1 x 1")
         if self.parity == "symmetric":
             if g.T != g:
                 raise InvalidInput("gram matrix is not symmetric")
@@ -298,7 +300,7 @@ def _spinor_norm(g: Matrix, space: FormSpace) -> int:
     """``spinor_norm`` of an isometry ``g`` of the symmetric ``space``, unchecked."""
     p = space.p
     shift = (np.eye(space.dim, dtype=np.int64) - g.array) % p
-    pivots = list(_rref(shift, p)[1])
+    pivots = _pivots(shift, p)
     wall = (space.gram.array @ shift) % p
     chi = wall[pivots][:, pivots]
     return square_class(pow(2, len(pivots), p) * _det(chi, p), p)

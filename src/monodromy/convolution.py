@@ -90,6 +90,8 @@ class PuncturedTuple:
             raise InvalidInput("puncture matrices must each be a Matrix")
         p = matrices[0].p
         n = matrices[0].n
+        if n == 0:
+            raise InvalidInput("puncture matrices must be at least 1 x 1")
         labels = [_validate_label(lab, p) for lab in punctures]
         if len(set(labels)) != len(labels):
             raise InvalidInput("puncture labels repeat")

@@ -2,13 +2,17 @@
 
 Everything is integer arithmetic modulo an odd prime; there is no floating
 point anywhere.  Matrices and subspaces are held in numpy int64 arrays.
-Determinants, and echelon forms of inputs with fewer than ``_SMALL_ENTRIES``
-entries, are computed on lists of Python ints, where numpy's per-call cost
-would outweigh the arithmetic; larger echelon forms use a numpy loop, and
-both give the same int64 arrays.  Matrices are immutable and hashable so
-they can be used as dict keys and set members (group closures,
-orbit transversals).  Subspaces are kept in reduced row echelon form, so
-subspace equality is representation equality.
+Each exact answer is one elimination: rank and determinant by forward
+elimination, the inverse by one Gauss-Jordan pass on [A | I], and the
+kernel by one elimination of the column-reversed matrix.  Determinants,
+and eliminations of fewer than ``_SMALL_ENTRIES`` entries, run on lists of
+Python ints, where numpy's per-call cost would outweigh the arithmetic;
+larger ones use a numpy loop, and both give the same int64 arrays.  The
+results of exact ``Matrix`` operations are wrapped without the
+constructor's checks, which their inputs passed.  Matrices are immutable
+and hashable so they can be used as dict keys and set members (group
+closures, orbit transversals).  Subspaces are kept in reduced row echelon
+form, so subspace equality is representation equality.
 """
 
 from __future__ import annotations
@@ -115,15 +119,18 @@ def _vectors(codes: np.ndarray, n: int, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # array-level routines (int64 arrays, entries reduced mod p)
 
-# Inputs with fewer entries than this are eliminated on lists of Python
-# ints; larger ones by the numpy loop, whose ~13 array calls per pivot cost
-# more than the arithmetic on a small matrix.  Median time per ``_rref``
-# call on random matrices mod 5 (2-CPU x86 host), numpy loop against Python
-# ints: 2x2 38 / 10 us, 4x4 72 / 19 us, 5x5 101 / 43 us, 8x16 207 / 136 us,
-# 13x13 345 / 309 us, 20x20 538 / 951 us, 64x64 3.2 / 18.2 ms.  The two
-# cross between 160 and 200 entries mod 5 and 7.  ``_det`` always runs on
-# Python ints: its inputs are n x n for n the rank of a tuple, generator or
-# form, at most 14 rows on the benchmark's workloads.
+# Eliminations of fewer entries than this run on lists of Python ints;
+# larger ones on the numpy loop, whose ~13 array calls per pivot cost more
+# than the arithmetic on a small matrix.  Median time per call on random
+# matrices mod 5 and 7 (2-CPU x86 host), numpy loop against Python ints:
+# kernel 4x4 51 / 24 us, 8x8 116 / 59 us, 8x16 247 / 131 us, 12x13 165 /
+# 196 us, 20x20 316 / 494 us; inverse, which eliminates the 2n^2 entries of
+# [A | I], 4x4 56 / 21 us, 8x8 113 / 110 us, 13x13 203 / 315 us, 20x20 356
+# / 1056 us.  Rank clears only below each pivot, about half the work, and
+# crosses over near twice the cutoff: 8x8 93 / 29 us, 14x14 226 / 126 us,
+# 18x18 300 / 255 us, 20x20 334 / 321 us, 24x24 412 / 525 us.  ``_det``
+# always runs on Python ints: its inputs are n x n for n the rank of a
+# tuple, generator or form, at most 14 rows on the benchmark's workloads.
 _SMALL_ENTRIES = 160
 
 
@@ -207,8 +214,20 @@ def _echelon_reduce(
     return (v - v[..., pivots] @ rows) % p
 
 
+def _pivots(a: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of the reduced echelon form of ``a`` mod ``p``.
+
+    Column j is a pivot when it is not in the span of the columns before
+    it, which forward elimination finds without clearing above the pivots;
+    being the cheaper pass, it stays on Python ints up to twice the cutoff.
+    """
+    if a.size < 2 * _SMALL_ENTRIES:
+        return _eliminate((np.asarray(a, dtype=np.int64) % p).tolist(), p, full=False)[0]
+    return list(_rref(a, p)[1])
+
+
 def _rank(a: np.ndarray, p: int) -> int:
-    return len(_rref(a, p)[1])
+    return len(_pivots(a, p))
 
 
 def _kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
@@ -230,34 +249,39 @@ def _kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of the right kernel {x : a x = 0}, rows are solutions.
+    """RREF basis of the right kernel {x : a x = 0}, rows are solutions, from one elimination.
 
-    The rows of ``_kernel_rows``, canonicalized so that equality of kernels
-    is equality of arrays.
+    ``_kernel_rows`` of ``a`` with its columns reversed, reversed back.  In
+    reversed columns, the solution for the free column f is nonzero only at
+    f and at pivots left of f; reversed back, its leading entry is that 1,
+    in a free column where every other solution is 0.  Ordered by that
+    column, the rows are already the reduced echelon basis, so equality of
+    kernels is equality of arrays.
     """
-    basis = _kernel_rows(a, p)
-    return _rref(basis, p)[0] if len(basis) else basis
-
-
-def _solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """A solution x of a x = b mod ``p``, column by column, with every free variable 0.
-
-    None when some column of the matrix ``b`` lies outside the column span of ``a``.
-    """
-    k = a.shape[1]
-    reduced, pivots = _rref(np.concatenate([a, b], axis=1), p)
-    if pivots and pivots[-1] >= k:
-        return None
-    x = np.zeros((k, b.shape[1]), dtype=np.int64)
-    x[list(pivots)] = reduced[: len(pivots), k:]
-    return x
+    return np.ascontiguousarray(_kernel_rows(a[:, ::-1], p)[::-1, ::-1])
 
 
 def _inv(a: np.ndarray, p: int) -> np.ndarray:
-    x = _solve(a, np.eye(a.shape[0], dtype=np.int64), p)
-    if x is None:
+    """Inverse of the square ``a`` mod ``p``, or InvalidInput if it is singular.
+
+    One Gauss-Jordan pass on the rows [a | I]: ``a`` is invertible exactly
+    when every pivot lies in its n columns, and then the right half is the
+    inverse.
+    """
+    n = a.shape[0]
+    if 2 * a.size < _SMALL_ENTRIES:
+        rows = (np.asarray(a, dtype=np.int64) % p).tolist()
+        for i, row in enumerate(rows):
+            row += [0] * n
+            row[n + i] = 1
+        pivots, _ = _eliminate(rows, p, full=True)
+        right = [row[n:] for row in rows]
+    else:
+        reduced, pivots = _rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+        right = reduced[:, n:]
+    if pivots and pivots[-1] >= n:
         raise InvalidInput("matrix is singular")
-    return x
+    return np.array(right, dtype=np.int64).reshape(n, n)
 
 
 def _det(a: np.ndarray, p: int) -> int:
@@ -276,8 +300,14 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _int64_entries(entries, name: str) -> np.ndarray:
-    """``entries`` as an int64 array, or InvalidInput unless they are integers or booleans fitting in int64."""
-    arr = np.asarray(entries)
+    """``entries`` as an int64 array, or InvalidInput unless they are integers or booleans fitting in int64.
+
+    Ragged rows are refused too: numpy cannot make an array of them.
+    """
+    try:
+        arr = np.asarray(entries)
+    except ValueError:
+        raise InvalidInput(f"{name} entries must form a rectangular array") from None
     if arr.dtype is not _INT64:
         kind = arr.dtype.kind
         if arr.size and (kind not in "iub" or (kind == "u" and arr.max() > _INT64_MAX)):
@@ -325,6 +355,20 @@ class Matrix:
         # restore writes through ``__setattr__``, which refuses
         return Matrix, (self.array, self.p)
 
+    @classmethod
+    def _exact(cls, arr: np.ndarray, p: int) -> "Matrix":
+        """Wrap an int64 array of residues mod the checked ``p``, made read-only, not copied.
+
+        For the results of exact operations on matrices that passed the
+        constructor: a product's rows and columns each count no more than
+        an input's, so the int64 guard of the inputs covers it.
+        """
+        arr.setflags(write=False)
+        m = cls.__new__(cls)
+        object.__setattr__(m, "array", arr)
+        object.__setattr__(m, "p", p)
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -362,7 +406,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.array.T, self.p)
+        return Matrix._exact(self.array.T, self.p)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -376,21 +420,21 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._coerce(other, "@")
-        return Matrix(self.array @ other.array, self.p)
+        return Matrix._exact((self.array @ other.array) % self.p, self.p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._coerce(other, "+")
-        return Matrix(self.array + other.array, self.p)
+        return Matrix._exact((self.array + other.array) % self.p, self.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._coerce(other, "-")
-        return Matrix(self.array - other.array, self.p)
+        return Matrix._exact((self.array - other.array) % self.p, self.p)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(-self.array, self.p)
+        return Matrix._exact(-self.array % self.p, self.p)
 
     def __mul__(self, c: int) -> "Matrix":
-        return Matrix(self.array * (_check_integer(c, "scalar") % self.p), self.p)
+        return Matrix._exact(self.array * (_check_integer(c, "scalar") % self.p) % self.p, self.p)
 
     __rmul__ = __mul__
 
@@ -406,7 +450,7 @@ class Matrix:
                 result = (result @ base) % self.p
             base = (base @ base) % self.p
             k >>= 1
-        return Matrix(result, self.p)
+        return Matrix._exact(result, self.p)
 
     # -- queries -------------------------------------------------------------
 
@@ -426,7 +470,7 @@ class Matrix:
     def inv(self) -> "Matrix":
         if self.rows != self.cols:  # a wide matrix may have right inverses
             raise InvalidInput("matrix is not square")
-        return Matrix(_inv(self.array, self.p), self.p)
+        return Matrix._exact(_inv(self.array, self.p), self.p)
 
     def rank(self) -> int:
         return _rank(self.array, self.p)
@@ -660,11 +704,13 @@ def jordan_type(a: Matrix) -> JordanData:
 
 
 def _check_generators(gens: Iterable[Matrix]) -> tuple[tuple[Matrix, ...], int, int, tuple[int, ...]]:
-    """(gens, n, p, dets), or InvalidInput unless gens are one or more invertible n x n matrices mod p."""
+    """(gens, n, p, dets), or InvalidInput unless gens are one or more invertible n x n matrices mod p, n >= 1."""
     gens = tuple(_check_type(gens, Iterable, "generators"))
     if not gens or not all(isinstance(g, Matrix) for g in gens):
         raise InvalidInput("need at least one generator, each a Matrix")
     n, p = gens[0].n, gens[0].p
+    if n == 0:
+        raise InvalidInput("generators must be at least 1 x 1")
     if any(g.p != p or g.n != n for g in gens):
         raise InvalidInput("generators must share size and modulus")
     dets = tuple(g.det() for g in gens)

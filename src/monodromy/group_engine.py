@@ -722,6 +722,8 @@ def element_order(a: Matrix) -> int:
     ``jordan_type``).
     """
     p = _check_type(a, Matrix, "a").p
+    if a.n == 0:
+        raise InvalidInput("element order needs a matrix of size at least 1")
     try:
         jd = jordan_type(a)
     except NonSplitSpectrum:

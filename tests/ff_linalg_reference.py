@@ -16,6 +16,11 @@ one vector per index, its digits taken one Python division at a time.
 ``stacked_invariant_forms`` is ``invariant_forms`` as it was before it
 dropped the zero rows of each generator's block: it stacks every full
 n^2 x n^2 block A^T (x) A^T - 1 and solves the stacked system.
+``kernel_basis_two_eliminations`` is ``_kernel_basis`` as it was before it
+eliminated the column-reversed matrix: the rows of ``_kernel_rows``, put
+in reduced echelon form by a second ``_rref``.  ``solve`` is the general
+solver ``_inv`` ran through before it became one pass on [A | I]: a
+solution of a x = b with every free variable 0, or None.
 
 Two helpers build test inputs: ``random_invertible`` draws a seeded random
 invertible matrix, and ``kernel`` is the solution space of M x = 0 as a
@@ -25,11 +30,12 @@ invertible matrix, and ``kernel`` is the solution space of M x = 0 as a
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from monodromy.errors import NonSplitSpectrum
-from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_basis, _kernel_rows, _rank
+from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_basis, _kernel_rows, _rank, _rref
 
 
 def jordan_type_full_scan(a: Matrix) -> JordanData:
@@ -91,6 +97,25 @@ def stacked_invariant_forms(gens: list[Matrix]) -> list[Matrix]:
     eye = np.eye(n * n, dtype=np.int64)
     system = np.concatenate([(np.kron(g.array.T, g.array.T) - eye) % p for g in gens], axis=0)
     return [Matrix(row.reshape(n, n), p) for row in _kernel_basis(system, p)]
+
+
+def kernel_basis_two_eliminations(a: np.ndarray, p: int) -> np.ndarray:
+    basis = _kernel_rows(a, p)
+    return _rref(basis, p)[0] if len(basis) else basis
+
+
+def solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """A solution x of a x = b mod ``p``, column by column, with every free variable 0.
+
+    None when some column of the matrix ``b`` lies outside the column span of ``a``.
+    """
+    k = a.shape[1]
+    reduced, pivots = _rref(np.concatenate([a, b], axis=1), p)
+    if pivots and pivots[-1] >= k:
+        return None
+    x = np.zeros((k, b.shape[1]), dtype=np.int64)
+    x[list(pivots)] = reduced[: len(pivots), k:]
+    return x
 
 
 def sorted_divisors(n: int) -> list[int]:

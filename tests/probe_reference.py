@@ -20,8 +20,10 @@ import numpy as np
 from monodromy.certifier import Hypotheses
 from monodromy.classical_groups import ISOTROPIC_SHEAR, REFLECTION
 from monodromy.errors import InvalidInput
-from monodromy.ff_linalg import Matrix, _kernel_basis, _rref, _solve
+from monodromy.ff_linalg import Matrix, _kernel_basis, _rref
 from monodromy.group_engine import element_order
+
+from ff_linalg_reference import solve
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def commutator_probe(h: Hypotheses) -> Optional[ProbeWitness]:
             # span(x, y, z) is invariant under rho and sigma, so each solve succeeds;
             # column b holds the coordinates of m applied to basis row b
             restrictions = {
-                name: Matrix(_solve(basis_rows.T, (m.array @ basis_rows.T) % p, p), p)
+                name: Matrix(solve(basis_rows.T, (m.array @ basis_rows.T) % p, p), p)
                 for name, m in (("reflection", rho), ("shear", sigma), ("commutator", comm))
             }
             return ProbeWitness(

@@ -68,6 +68,40 @@ def test_every_exported_name_has_a_caller_or_is_an_entry_point():
     assert not stale, f"ENTRY_POINTS names that are called in src/ or no longer exported: {stale}"
 
 
+def _unread_private_helpers() -> list[str]:
+    """``module.name`` for each module-level private function, class or constant no module reads.
+
+    A name counts as read as in ``_uncalled_exports``, anywhere in ``src/``
+    including its own module; dunder names are not private helpers.
+    """
+    trees = _src_modules()
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+    defined = []
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names if name.startswith("_") and not name.startswith("__")]
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_helper_is_read_in_src():
+    # a helper whose last caller was folded away, or moved to the tests,
+    # leaves the library with code nothing runs
+    unread = _unread_private_helpers()
+    assert not unread, f"private helpers that nothing in src/ reads: {unread}"
+
+
 def _package_imports():
     """(module, name) for every ``from .module import name`` in ``monodromy/__init__.py``."""
     tree = ast.parse(Path(monodromy.__file__).read_text(encoding="utf-8"))
@@ -381,6 +415,24 @@ BAD_ARGUMENTS = {
     "square_class a 0": lambda: square_class(0, 5),
     "PuncturedTuple label 0.5": lambda: PuncturedTuple([0.5], [_SHEAR]),
     "dim_formula deg_m -1": lambda: monodromy.dim_formula(-1, 0, 0),
+    # zero-dimensional inputs: a 0 x 0 gram gave full_order=0, the others
+    # raised numpy's or a builtin ValueError
+    "FormSpace.from_gram 0 x 0": lambda: FormSpace.from_gram(Matrix.identity(0, 5)),
+    "FormSpace 0 x 0": lambda: FormSpace(Matrix.identity(0, 5), "symmetric"),
+    "isometry_group_orders 0 x 0": lambda: monodromy.isometry_group_orders(
+        FormSpace.from_gram(Matrix.identity(0, 5))
+    ),
+    "is_irreducible 0 x 0": lambda: monodromy.is_irreducible([Matrix.identity(0, 5)]),
+    "GeneratedGroup 0 x 0": lambda: monodromy.GeneratedGroup([Matrix.identity(0, 5)]),
+    "invariant_forms 0 x 0": lambda: monodromy.invariant_forms([Matrix.identity(0, 5)]),
+    "element_order 0 x 0": lambda: monodromy.element_order(Matrix.identity(0, 5)),
+    "PuncturedTuple 0 x 0": lambda: PuncturedTuple([0, 1], [Matrix.identity(0, 5)] * 2),
+    "middle_convolve rank 0": lambda: monodromy.middle_convolve(
+        PuncturedTuple([0, 1], [Matrix.identity(0, 5)] * 2), 2
+    ),
+    # ragged rows
+    "Matrix ragged rows": lambda: Matrix([[1, 2], [3]], 5),
+    "Subspace ragged rows": lambda: Subspace([[1, 2], [3]], 2, 5),
 }
 
 

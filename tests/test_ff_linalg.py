@@ -23,9 +23,9 @@ from monodromy.ff_linalg import (
     _echelon_reduce,
     _inv,
     _kernel_basis,
+    _pivots,
     _rank,
     _rref,
-    _solve,
     invariant_forms,
     is_prime,
     jordan_type,
@@ -34,8 +34,10 @@ from ff_linalg_reference import (
     det_numpy_loop,
     jordan_type_full_scan,
     kernel,
+    kernel_basis_two_eliminations,
     primes_below,
     random_invertible,
+    solve,
     stacked_invariant_forms,
 )
 
@@ -46,7 +48,7 @@ SMALL_ENTRIES = ff._SMALL_ENTRIES
 
 @pytest.fixture(params=[PYTHON_INTS, NUMPY], ids=["python-ints", "numpy"])
 def elimination_path(request, monkeypatch):
-    """Run the test with every ``_rref`` on one kernel."""
+    """Run the test with every elimination on one kernel."""
     monkeypatch.setattr(ff, "_SMALL_ENTRIES", request.param)
 
 
@@ -118,6 +120,19 @@ def on_each_kernel(monkeypatch, fn, *args):
         except ValueError as exc:
             out.append(("ValueError", str(exc)))
     return out
+
+
+def counted_eliminations(monkeypatch):
+    """A list that gains one entry per ``_eliminate`` call from here on."""
+    calls = []
+    eliminate = ff._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(ff, "_eliminate", counted)
+    return calls
 
 
 def python_det(a, p):
@@ -225,6 +240,44 @@ class TestMatrix:
         with pytest.raises(InvalidInput, match=re.escape(message)):
             apply(Matrix(np.ones(a, dtype=np.int64), 5), Matrix(np.ones(b, dtype=np.int64), 5))
 
+    def test_exact_operations_match_the_checking_constructor(self):
+        # results of exact operations skip the constructor's checks: each
+        # must be what the constructor builds from the same entries
+        rng = Random(12)
+
+        def residues(rows, cols, p):
+            return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
+                            dtype=np.int64).reshape(rows, cols)
+
+        # the last modulus is the largest a 3-term int64 product allows
+        for p in (3, 7, 131, prime_under_int64_bound(3)[0]):
+            for _ in range(20):
+                rows, cols = rng.randrange(0, 4), rng.randrange(0, 4)
+                a, b, c = residues(rows, cols, p), residues(rows, cols, p), residues(cols, rows, p)
+                ma, mb, mc = Matrix(a, p), Matrix(b, p), Matrix(c, p)
+                k = rng.randrange(-3, 4)
+                wide = a.astype(object)  # Python ints: no overflow in the expected entries
+                results = {
+                    "@": (ma @ mc, wide @ c.astype(object)),
+                    "+": (ma + mb, wide + b),
+                    "-": (ma - mb, wide - b),
+                    "neg": (-ma, -wide),
+                    "*": (k * ma, k * wide),
+                    ".T": (ma.T, a.T),
+                }
+                if rows == cols:
+                    results["**"] = (ma ** 2, wide @ wide)
+                    if ma.det():
+                        inv = ma.inv()
+                        assert (ma @ inv).is_identity()
+                        results["inv"] = (inv, inv.array)
+                for op, (got, entries) in results.items():
+                    want = Matrix(np.array(entries % p, dtype=np.int64).reshape(got.array.shape), p)
+                    assert got == want and hash(got) == hash(want), op
+                    assert got.array.dtype == np.int64 and got.p == p, op
+                    with pytest.raises(ValueError, match="read-only"):
+                        got.array[...] = 0
+
     def test_product_of_fitting_rectangles(self):
         wide, tall = Matrix([[1, 2, 3]], 5), Matrix([[1], [1], [1]], 5)
         assert wide @ tall == Matrix([[1]], 5)
@@ -248,14 +301,7 @@ class TestMatrix:
             assert (a @ b).det() == (a.det() * b.det()) % 7
 
     def test_det_is_eliminated_once(self, monkeypatch):
-        calls = []
-        eliminate = ff._eliminate
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eliminate(*args, **kwargs)
-
-        monkeypatch.setattr(ff, "_eliminate", counted)
+        calls = counted_eliminations(monkeypatch)
         a = Matrix([[2, 1], [1, 1]], 7)
         assert a.det() == 1 and len(calls) == 1
         assert a.det() == 1 and len(calls) == 1
@@ -265,6 +311,18 @@ class TestMatrix:
         assert Matrix([[1, 1], [1, 1]], 3).det() == 0 and len(calls) == 2
         with pytest.raises(AttributeError, match="immutable"):
             a._det = 3
+
+    @pytest.mark.parametrize("name", ["_rank", "_inv", "_kernel_basis"])
+    def test_small_answers_are_eliminated_once(self, monkeypatch, name):
+        calls = counted_eliminations(monkeypatch)
+        fn = getattr(ff, name)
+        for a in (np.array([[2, 1], [1, 1]]), np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])):
+            calls.clear()
+            try:
+                fn(a, 7)
+            except InvalidInput:
+                assert name == "_inv"
+            assert len(calls) == 1, name
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
@@ -328,13 +386,34 @@ class TestKernel:
             a = (left.reshape(rows, rank) @ right.reshape(rank, cols)) % p
             assert np.array_equal(_kernel_basis(a, p), kernel_basis_reference(a, p))
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 131])
+    def test_kernel_basis_matches_two_eliminations(self, p):
+        # one elimination of the column-reversed matrix against the rows of
+        # one elimination put in echelon form by a second; the zero columns
+        # and repeated rows give free columns on both sides of each pivot
+        rng = Random(p + 40)
+        dims = set()
+        for _ in range(400):
+            rows, cols = rng.randrange(0, 8), rng.randrange(0, 10)
+            a = np.array([[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                          for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
+            if rows >= 2:
+                a[-1] = (a[0] * rng.randrange(p)) % p
+            basis = _kernel_basis(a, p)
+            assert basis.shape == (cols - _rank(a, p), cols)
+            assert np.array_equal(basis, kernel_basis_two_eliminations(a, p))
+            assert not ((a @ basis.T) % p).any()
+            dims.add(min(basis.shape[0], 2))
+        assert dims == {0, 1, 2}
+
 
 class TestEliminationKernels:
     """The Python-int and numpy eliminations give the same arrays and values."""
 
-    # both sides of the cutoff: 12x13 has 156 entries, 13x13 has 169
-    SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (1, 6), (6, 1), (3, 7), (7, 3),
-              (2, 2), (4, 4), (5, 5), (4, 8), (12, 13), (13, 13), (5, 40), (20, 20)]
+    # both sides of the cutoff: 12x13 has 156 entries, 13x13 has 169; and
+    # of rank's doubled cutoff: 17x18 has 306, 18x18 has 324
+    SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (1, 6), (6, 1), (3, 7), (7, 3), (2, 2), (4, 4),
+              (5, 5), (4, 8), (12, 13), (13, 13), (17, 18), (18, 18), (5, 40), (20, 20)]
 
     @staticmethod
     def _inputs(rng, shape, p):
@@ -364,6 +443,12 @@ class TestEliminationKernels:
                 for r, _ in (default, ints):
                     assert r.dtype == np.int64 and r.shape == a.shape
                     assert np.array_equal(r, numpy[0])
+                for pivots in on_each_kernel(monkeypatch, _pivots, a, p):
+                    assert pivots == list(numpy[1])
+                assert on_each_kernel(monkeypatch, _rank, a, p) == [len(numpy[1])] * 3
+                want = kernel_basis_two_eliminations(a, p)
+                for basis in on_each_kernel(monkeypatch, _kernel_basis, a, p):
+                    assert basis.dtype == np.int64 and np.array_equal(basis, want)
                 if shape[0] != shape[1]:
                     continue
                 det = _det(a, p)
@@ -731,7 +816,7 @@ def test_solve_returns_a_solution_with_free_variables_zero(p):
         # half the systems are consistent, b = a y; the others mostly not
         b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(rows + cols)])
         b = (wide @ b[rows:]) % p if rng.randrange(2) else b[:rows]
-        x = _solve(a, b, p)
+        x = solve(a, b, p)
         outcomes.add(x is None)
         if _rank(np.concatenate([wide, b], axis=1), p) > _rank(a, p):
             assert x is None
