@@ -29,7 +29,6 @@ from .classical_groups import (
     TRANSVECTION,
     classify_element,
     _derived_containment,
-    _witness,
 )
 from .errors import InvalidInput, OrderOverflow, ResourceLimit
 from .ff_linalg import Matrix, _check_integer, _check_type, _least_factor
@@ -241,8 +240,8 @@ def cross_validate(h: Hypotheses, limit: int = 10**7) -> CrossReport:
     a certified orthogonal group that contains Omega has class FullO,
     KerSpinor or KerSpinorDet.
     """
-    witness = _witness(_check_type(h, Hypotheses, "h").space, h.generators, h.classes)
-    derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit, witness)
+    _check_type(h, Hypotheses, "h")
+    derived, exact_class, exact_order = _derived_containment(h.generators, h.space, limit, h.classes)
     cert = certify(h)
     if exact_class is not None and cert.conclusion.kind == "OrthogonalBig":
         cert = replace(cert, conclusion=replace(cert.conclusion, refinement=exact_class))

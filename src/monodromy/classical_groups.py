@@ -31,7 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotAnIsometry
-from .ff_linalg import Matrix, _check_integer, _check_modulus, _check_type, _det, _pivots, _rref
+from .ff_linalg import (
+    Matrix, _check_integer, _check_modulus, _check_type, _det, _int64_vectors, _pivots, _rref,
+)
 from .group_engine import GeneratedGroup, _orbit_reaches
 
 __all__ = [
@@ -109,9 +111,15 @@ class FormSpace:
         return self.gram.p
 
     def pair(self, u, v) -> int:
+        """<u, v> mod p.
+
+        Entries that are not integers fitting in int64, or anything but two
+        vectors whose length is the dimension, raise InvalidInput.
+        """
         p = self.p
-        u = np.asarray(u, dtype=np.int64) % p
-        v = np.asarray(v, dtype=np.int64) % p
+        u, v = _int64_vectors(u, self.dim, "u") % p, _int64_vectors(v, self.dim, "v") % p
+        if u.ndim + v.ndim != 2:
+            raise InvalidInput(f"pair takes two vectors, got shapes {u.shape} and {v.shape}")
         return int((((u @ self.gram.array) % p) @ v) % p)
 
     def q(self, v) -> int:
@@ -436,7 +444,7 @@ def derived_containment(
     gens = tuple(gens)
     # classify_element raises NotAnIsometry on a generator that is not one
     classes = [classify_element(g, space) for g in gens]
-    return _derived_containment(gens, space, limit, _witness(space, gens, classes))[:2]
+    return _derived_containment(gens, space, limit, classes)[:2]
 
 
 def _witness(space: FormSpace, gens: Sequence[Matrix], classes: Sequence[ElementClass]) -> Optional[Matrix]:
@@ -466,14 +474,15 @@ def _witness(space: FormSpace, gens: Sequence[Matrix], classes: Sequence[Element
 
 
 def _derived_containment(
-    gens: Sequence[Matrix], space: FormSpace, limit: int, witness: Optional[Matrix]
+    gens: Sequence[Matrix], space: FormSpace, limit: int, classes: Sequence[ElementClass]
 ) -> tuple[bool, Optional[str], int]:
     """``derived_containment`` and |<gens>|, unchecked: every generator must be an isometry of ``space``.
 
-    ``witness`` is None or a generator chosen by ``_witness``: a
-    transvection t_v, or a reflection r_v, with v a nonzero column of
-    witness - 1.  Since g t_v g^-1 = t_gv and g r_v g^-1 = r_gv, G holds the
-    transvection, or the reflection, of every vector in the orbit G v.
+    ``classes`` are the classes of the generators.  The witness is the
+    generator ``_witness`` picks from them, or None: a transvection t_v,
+    or a reflection r_v, with v a nonzero column of witness - 1.  Since
+    g t_v g^-1 = t_gv and g r_v g^-1 = r_gv, G holds the transvection, or
+    the reflection, of every vector in the orbit G v.
     Only one direction is used: a full orbit proves G contains the derived
     subgroup, and then |G| is the bound of ``_order_bound`` and no chain is
     built.  A shorter orbit, or no witness, leaves the decision to the
@@ -510,6 +519,7 @@ def _derived_containment(
     like a chain, it raises ResourceLimit past ``limit`` vectors.
     """
     bound, image = _order_bound(space, gens)
+    witness = _witness(space, gens, classes)
     if witness is None or not _witness_orbit_is_full(gens, space, witness, limit):
         order = GeneratedGroup(gens, limit, bound).order()
         if order != bound:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, TextIO
 
 from .certifier import Certificate, CrossReport, Hypotheses, certify, cross_validate
 from .classical_groups import (
-    FormSpace, classify_element, invariant_pairing, _derived_containment, _witness,
+    FormSpace, classify_element, invariant_pairing, _derived_containment,
 )
 from .convolution import (
     INFINITY,
@@ -215,12 +215,12 @@ def _cmd_order(args, stdin, stdout) -> int:
     A tuple of identities, or one whose vector codes do not fit in 64
     bits, never solves the n^2 x n^2 form system: the first has the empty
     chain, the second is refused first.  With a lone invariant pairing
-    the order is that of ``_derived_containment``: a full witness orbit,
-    or else a chain that stops at the isometry bound.  A witness is a
-    transvection of an alternating space, or a reflection of a symmetric
-    space of dimension n >= 5, or n = 3 or 4 at p >= 5 (``_witness``), so
-    Sp(2, 3) and O+(4, p) for p >= 5 walk the orbit too.  Without a lone
-    pairing the chain stops at its determinant bound.
+    the order is that of ``_derived_containment``, given the classes of
+    the matrices: a full witness orbit, or else a chain that stops at the
+    isometry bound.  A witness is a transvection of an alternating space,
+    or a reflection of a symmetric space of dimension n >= 5, or n = 3 or
+    4 at p >= 5, so Sp(2, 3) and O+(4, p) for p >= 5 walk the orbit too.
+    Without a lone pairing the chain stops at its determinant bound.
     """
     t = _read_tuple(args, stdin)
     limit = _check_integer(args.limit, "limit", least=0)
@@ -232,8 +232,8 @@ def _cmd_order(args, stdin, stdout) -> int:
     if space is None:
         order = GeneratedGroup(t.matrices, limit).order()
     else:
-        witness = _witness(space, t.matrices, [classify_element(g, space) for g in t.matrices])
-        order = _derived_containment(t.matrices, space, limit, witness)[2]
+        classes = [classify_element(g, space) for g in t.matrices]
+        order = _derived_containment(t.matrices, space, limit, classes)[2]
     print(f"ORDER: {order}", file=stdout)
     return 0
 

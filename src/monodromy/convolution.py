@@ -29,7 +29,6 @@ from .ff_linalg import (
     _check_products,
     _check_type,
     _kernel_basis,
-    _kernel_rows,
     jordan_type,
 )
 
@@ -190,18 +189,17 @@ def _fixed_rows(t: PuncturedTuple, lam: int) -> np.ndarray:
     (A_2...A_r c, ..., A_r c, c) for c in a basis of
     ker(lambda^-1 A_infinity - 1), and dim L is the dimension of that kernel.
     For lambda = 1 every row block of B_k - 1 is [A_1 - 1 | ... | A_r - 1],
-    and L is the kernel of that n x r*n matrix.  The rows are independent
-    but not in echelon form; ``middle_convolve`` echelons them only against
-    the blockwise kernels.
+    and L is the kernel of that n x r*n matrix.  The rows are independent;
+    ``middle_convolve`` echelons them only against the blockwise kernels.
     """
     p = t.p
     lam = int(lam) % p
     n = t.rank
     eye_n = np.eye(n, dtype=np.int64)
     if lam == 1:
-        return _kernel_rows(np.concatenate([m.array - eye_n for m in t.matrices], axis=1) % p, p)
+        return _kernel_basis(np.concatenate([m.array - eye_n for m in t.matrices], axis=1) % p, p)
     inf_shift = (pow(lam, -1, p) * t.infinity_matrix.array - eye_n) % p
-    blocks = [_kernel_rows(inf_shift, p)]
+    blocks = [_kernel_basis(inf_shift, p)]
     for m in t.matrices[:0:-1]:
         blocks.append(blocks[-1] @ m.array.T % p)
     return np.concatenate(blocks[::-1], axis=1)

@@ -230,14 +230,18 @@ def _rank(a: np.ndarray, p: int) -> int:
     return len(_pivots(a, p))
 
 
-def _kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
-    """A basis of the right kernel {x : a x = 0} from one ``_rref``, rows are solutions.
+def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """RREF basis of the right kernel {x : a x = 0}, rows are solutions, from one elimination.
 
-    Row i is the solution with a 1 in the i-th free column and 0 in the
-    other free columns; it is not in reduced echelon form, so it suits a
-    caller that echelons the rows anyway.
+    ``a`` is eliminated with its columns reversed.  There, the solution for
+    the free column f has a 1 at f, 0 at the other free columns, and minus
+    the pivot rows' entries in column f at the pivots, all left of f.
+    Reversed back, its leading entry is that 1, in a free column where
+    every other solution is 0.  Ordered by that column, the rows are
+    already the reduced echelon basis, so equality of kernels is equality
+    of arrays.
     """
-    r, pivots = _rref(a, p)
+    r, pivots = _rref(a[:, ::-1], p)
     cols = a.shape[1]
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
@@ -245,20 +249,7 @@ def _kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
     if free:
         basis[np.arange(len(free)), free] = 1
         basis[:, list(pivots)] = (-r[: len(pivots), free].T) % p
-    return basis
-
-
-def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of the right kernel {x : a x = 0}, rows are solutions, from one elimination.
-
-    ``_kernel_rows`` of ``a`` with its columns reversed, reversed back.  In
-    reversed columns, the solution for the free column f is nonzero only at
-    f and at pivots left of f; reversed back, its leading entry is that 1,
-    in a free column where every other solution is 0.  Ordered by that
-    column, the rows are already the reduced echelon basis, so equality of
-    kernels is equality of arrays.
-    """
-    return np.ascontiguousarray(_kernel_rows(a[:, ::-1], p)[::-1, ::-1])
+    return np.ascontiguousarray(basis[::-1, ::-1])
 
 
 def _inv(a: np.ndarray, p: int) -> np.ndarray:
@@ -322,6 +313,14 @@ def _int64_rows(entries, ambient: int, name: str) -> np.ndarray:
     if arr.size % ambient:
         raise InvalidInput(f"{name} must be rows of length {ambient}, got shape {arr.shape}")
     return arr.reshape(-1, ambient)
+
+
+def _int64_vectors(entries, dim: int, name: str) -> np.ndarray:
+    """``entries`` as int64 vectors (last axis) of length ``dim``, or InvalidInput (``_int64_entries``)."""
+    arr = _int64_entries(entries, name)
+    if arr.ndim == 0 or arr.shape[-1] != dim:
+        raise InvalidInput(f"{name} must have length {dim} on its last axis, got shape {arr.shape}")
+    return arr
 
 
 class Matrix:
@@ -544,8 +543,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reduce(self, vecs: np.ndarray) -> np.ndarray:
-        """Residues of the vectors (last axis) after subtracting their projection."""
+    def reduce(self, vecs) -> np.ndarray:
+        """Residues of the vectors (last axis) after subtracting their projection.
+
+        Entries that are not integers fitting in int64, or a last axis
+        other than the ambient dimension, raise InvalidInput.
+        """
+        vecs = _int64_vectors(vecs, self.ambient, "vector")
         return _echelon_reduce(vecs, self.basis, self.pivots, self.p)
 
     def contains(self, vec) -> bool:
@@ -562,7 +566,7 @@ class Subspace:
         """
         p = self.p
         extra = _int64_rows(rows, self.ambient, "subspace rows")
-        new, new_pivots = _rref(self.reduce(extra), p)
+        new, new_pivots = _rref(_echelon_reduce(extra, self.basis, self.pivots, p), p)
         if not new_pivots:
             return self
         new = new[: len(new_pivots)]

@@ -22,17 +22,19 @@ residue that sifts out only joins the levels below, whose orbits grow at
 once, so the orbit product grows early and no level gains a generator
 after it is completed; each level is completed once (bounded Sp(8,3)
 forms 384 Schreier generators, where completing each lower level again
-whenever it gained a generator formed 21,697).  ``_orbit_reaches`` walks
-the orbit of any vector up to a given size with no level, marking codes
-only as seen and keeping only its frontier; ``classical_groups`` decides
-derived containment from one such witness orbit.
+whenever it gained a generator formed 21,697).  ``_orbit`` is the one
+loop that grows an orbit, a frontier at a time: a level's, on its code
+index, and the witness walk of ``_orbit_reaches``, which is ``_orbit``
+on a seen table from one vector up to a given size, with no level,
+keeping only its frontier; ``classical_groups`` decides derived
+containment from one such witness orbit.
 
 Transversal elements and their inverses are stored in the narrowest
 signed integer dtype that holds p - 1 (int8 for p <= 127, int16 up to
 32767, then int32 and int64), 2 n^2 entries per orbit vector.  A block
 gathered from them is widened to int64 just before it enters a product:
-each frontier block in ``_orbit`` and ``_orbit_reaches``, the parent
-transversals in ``GeneratedGroup._grow``, the transversal inverses in
+each frontier block in ``_orbit``, the parent transversals in
+``GeneratedGroup._grow``, the transversal inverses in
 ``GeneratedGroup._sift``, and the transversals and inverses in
 ``GeneratedGroup._schreier_blocks``.  Vector codes, strong generators,
 their inverses and every product stay int64, so products are exact under
@@ -140,25 +142,28 @@ class _CodeIndex:
             self.runs.append((codes[order], positions[order]))
 
 
-def _orbit(lvl: _Level, p: int, cap: int, steps: list) -> int:
-    """Grow the stored orbit of ``lvl`` to closure under all its generators.
+def _orbit(frontier: np.ndarray, gens: np.ndarray, p: int, seen, cap: int, closed: int = 0, steps=None) -> int:
+    """Grow an orbit from its stored points ``frontier`` to closure under ``gens``, or to ``cap`` points.
 
-    The orbit is closed under the first ``lvl.closed`` generators.  The
-    first round maps every stored point, read from the transversal, by the
-    generators added since; each later round maps the points the last one
-    found by all of them.  Each generator maps a batch of points at once,
-    widened to int64; its images are distinct, so only codes already in
-    ``lvl.index`` are dropped, and each new code enters the index at the
-    row it will take.  Stops once at least ``cap`` points are stored,
-    keeping at most one batch of images past the cap.  Returns the number
-    of points then stored; the step (first row, parent rows, generator)
-    that reached each batch of new points is appended to ``steps``, and
-    the chain builds its transversal from them.
+    ``frontier`` holds the stored points (rows), in the narrowest signed
+    dtype that holds p - 1; ``gens`` is an int64 stack, and the stored
+    points are closed under its first ``closed`` generators.  ``seen`` is
+    a level's ``_CodeIndex``, or a bool table over all p^n codes, and
+    already holds every stored point.  The first round maps every stored
+    point by the generators from ``closed`` on; each later round maps the
+    points the last one found by all of them.  Each generator maps a batch
+    of points at once, widened to int64; its images are distinct, so only
+    codes already seen are dropped, and each new code is marked in
+    ``seen``, taking the next position of an index.  Only the last round's
+    points are kept.  Stops once at least ``cap`` points are seen, keeping
+    at most one batch of images past the cap, and returns that number.
+    When ``steps`` is a list, the step (first position, parent positions,
+    generator) that reached each batch of new points is appended to it,
+    and the chain builds its transversal from them.
     """
-    gens, index = lvl.gens, lvl.index
-    frontier = lvl.trans[:, :, lvl.col]
     batch = max(1, _BLOCK_ENTRIES // frontier.shape[1])
-    total, first, movers = len(frontier), 0, range(lvl.closed, len(gens))
+    table = isinstance(seen, np.ndarray)
+    total, first, movers = len(frontier), 0, range(closed, len(gens))
     while total < cap:
         round_start, chunks = total, []
         for a in range(0, len(frontier), batch):
@@ -166,11 +171,15 @@ def _orbit(lvl: _Level, p: int, cap: int, steps: list) -> int:
             for j in movers:
                 images = (block @ gens[j].T) % p
                 codes = _codes(images, p)
-                fresh = np.flatnonzero(index.find(codes) < 0)
+                fresh = np.flatnonzero(~seen[codes] if table else seen.find(codes) < 0)
                 if fresh.size:
-                    index.add(codes[fresh])
+                    if table:
+                        seen[codes[fresh]] = True
+                    else:
+                        seen.add(codes[fresh])
                     chunks.append(images[fresh].astype(frontier.dtype))
-                    steps.append((total, first + a + fresh, j))
+                    if steps is not None:
+                        steps.append((total, first + a + fresh, j))
                     total += fresh.size
                 if total >= cap:
                     break
@@ -197,52 +206,31 @@ def _over_limit(limit: int) -> ResourceLimit:
 def _orbit_reaches(gens: Sequence[Matrix], base: np.ndarray, size: int, limit: int) -> bool:
     """Whether the orbit of the nonzero vector ``base`` under ``gens`` has ``size`` vectors.
 
-    The caller knows that the orbit has at most ``size`` vectors.  With
-    cap = min(size, limit + 1), seen codes are marked in a bool table over
+    The caller knows that the orbit has at most ``size`` vectors.  The walk
+    is ``_orbit`` from ``base`` alone, on a seen table, with cap =
+    min(size, limit + 1) and no steps, so it keeps no transversal and only
+    the last round's vectors.  Seen codes are marked in a bool table over
     all p^n codes when ``_table_pays`` for cap codes of 1 byte, else in a
     ``_CodeIndex``, so a small ``limit`` on a large space never allocates
     p^n bytes; that index stays sorted, as the walk adds fewer than 2 cap
-    codes and p^n > 128 cap.  Only the last round's vectors are kept, in
-    the narrowest signed dtype that holds p - 1, widened to int64 a block
-    at a time; a generator's images of a block are distinct, so only codes
-    already seen are dropped.  The walk stops once ``cap`` vectors are
-    seen.  ResourceLimit is raised as a ``GeneratedGroup`` raises it: when
-    p^n >= 2^63, and when more than ``limit`` vectors are seen, checked
-    after each batch of images.
+    codes and p^n > 128 cap.  ResourceLimit is raised as a
+    ``GeneratedGroup`` raises it: when p^n >= 2^63, and when more than
+    ``limit`` vectors are seen, which ``_orbit`` stops at after a batch of
+    images.
     """
     limit = _check_integer(limit, "limit", least=0)
     p, n = gens[0].p, len(base)
     _check_codes(p, n)
     cap = min(size, limit + 1)
-    seen = np.zeros(p**n, dtype=bool) if _table_pays(p**n, cap, 1) else _CodeIndex(p**n)
-
-    def unseen(codes: np.ndarray) -> np.ndarray:
-        if isinstance(seen, _CodeIndex):
-            fresh = (seen.find(codes) < 0).nonzero()[0]
-            seen.add(codes[fresh])
-        else:
-            fresh = (~seen[codes]).nonzero()[0]
-            seen[codes[fresh]] = True
-        return fresh
-
-    powers = p ** np.arange(n, dtype=np.int64)
-    batch = max(1, _BLOCK_ENTRIES // n)
+    code = _codes(base[None], p)
+    if _table_pays(p**n, cap, 1):
+        seen = np.zeros(p**n, dtype=bool)
+        seen[code] = True
+    else:
+        seen = _CodeIndex(p**n)
+        seen.add(code)
     frontier = base[None].astype(np.min_scalar_type(-(p - 1)))
-    stored = len(unseen(base[None] @ powers))
-    while stored < cap and len(frontier):
-        chunks = []
-        for a in range(0, len(frontier), batch):
-            block = frontier[a : a + batch].astype(np.int64)
-            for g in gens:
-                images = (block @ g.array.T) % p
-                fresh = unseen(images @ powers)
-                chunks.append(images[fresh].astype(frontier.dtype))
-                stored += fresh.size
-                if stored >= cap:
-                    break
-            if stored >= cap:
-                break
-        frontier = np.concatenate(chunks)
+    stored = _orbit(frontier, np.array([g.array for g in gens], dtype=np.int64), p, seen, cap)
     if stored > limit:
         raise _over_limit(limit)
     return stored == size
@@ -405,7 +393,7 @@ class GeneratedGroup:
             return
         budget = self._limit - sum(len(other.trans) for k, other in enumerate(self.levels) if k != idx)
         steps = []
-        stored = _orbit(lvl, self.p, budget + 1, steps)
+        stored = _orbit(lvl.trans[:, :, lvl.col], lvl.gens, self.p, lvl.index, budget + 1, lvl.closed, steps)
         if stored > budget:
             raise _over_limit(self._limit)
         lvl.closed = len(lvl.gens)

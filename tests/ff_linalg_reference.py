@@ -17,8 +17,10 @@ one vector per index, its digits taken one Python division at a time.
 dropped the zero rows of each generator's block: it stacks every full
 n^2 x n^2 block A^T (x) A^T - 1 and solves the stacked system.
 ``kernel_basis_two_eliminations`` is ``_kernel_basis`` as it was before it
-eliminated the column-reversed matrix: the rows of ``_kernel_rows``, put
-in reduced echelon form by a second ``_rref``.  ``solve`` is the general
+eliminated the column-reversed matrix: the rows of ``kernel_rows``, put
+in reduced echelon form by a second ``_rref``.  ``kernel_rows`` is the
+library's former ``_kernel_rows``: one ``_rref`` of ``a`` itself, and the
+solution for each free column, not in echelon form.  ``solve`` is the general
 solver ``_inv`` ran through before it became one pass on [A | I]: a
 solution of a x = b with every free variable 0, or None.
 
@@ -35,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from monodromy.errors import NonSplitSpectrum
-from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_basis, _kernel_rows, _rank, _rref
+from monodromy.ff_linalg import JordanData, Matrix, Subspace, _det, _kernel_basis, _rank, _rref
 
 
 def jordan_type_full_scan(a: Matrix) -> JordanData:
@@ -99,8 +101,25 @@ def stacked_invariant_forms(gens: list[Matrix]) -> list[Matrix]:
     return [Matrix(row.reshape(n, n), p) for row in _kernel_basis(system, p)]
 
 
+def kernel_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """A basis of the right kernel {x : a x = 0} from one ``_rref``, rows are solutions.
+
+    Row i is the solution with a 1 in the i-th free column and 0 in the
+    other free columns.
+    """
+    r, pivots = _rref(a, p)
+    cols = a.shape[1]
+    pivot_set = set(pivots)
+    free = [j for j in range(cols) if j not in pivot_set]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    if free:
+        basis[np.arange(len(free)), free] = 1
+        basis[:, list(pivots)] = (-r[: len(pivots), free].T) % p
+    return basis
+
+
 def kernel_basis_two_eliminations(a: np.ndarray, p: int) -> np.ndarray:
-    basis = _kernel_rows(a, p)
+    basis = kernel_rows(a, p)
     return _rref(basis, p)[0] if len(basis) else basis
 
 
@@ -166,4 +185,4 @@ def random_invertible(n: int, p: int, rng) -> Matrix:
 
 def kernel(m: Matrix) -> Subspace:
     """The full solution space of M x = 0, in echelon form."""
-    return Subspace(_kernel_rows(m.array, m.p), m.cols, m.p)
+    return Subspace(kernel_rows(m.array, m.p), m.cols, m.p)

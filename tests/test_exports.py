@@ -260,6 +260,28 @@ def test_only_group_engine_reaches_into_the_chain():
     assert not imported, f"the level class or groups imported where they should not be: {imported}"
 
 
+# each of these decisions is made in one module, which alone reads its name:
+# the pick of the generator whose vector orbit decides derived containment,
+# and the loop that grows an orbit, for chain levels and the witness walk
+_DECISION_HOMES = {"_witness": "classical_groups", "_orbit": "group_engine"}
+
+
+def test_each_decision_is_read_in_one_module():
+    readers = {
+        (module, name)
+        for module, tree in _src_modules()
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else []
+        )
+        if name in _DECISION_HOMES
+    }
+    assert readers == {(home, name) for name, home in _DECISION_HOMES.items()}, sorted(readers)
+
+
 def _functions(tree: ast.Module):
     """(qualified name, node) for every function and method in ``tree``."""
     stack = [("", node) for node in tree.body]
@@ -433,6 +455,18 @@ BAD_ARGUMENTS = {
     # ragged rows
     "Matrix ragged rows": lambda: Matrix([[1, 2], [3]], 5),
     "Subspace ragged rows": lambda: Subspace([[1, 2], [3]], 2, 5),
+    # vectors: floats were truncated (q gave 0, pair 1, contains True), and
+    # a wrong length raised numpy's bare ValueError
+    "FormSpace.q [2.9, 0.2]": lambda: FormSpace.symplectic(2, 5).q([2.9, 0.2]),
+    "FormSpace.pair u [1.5, 0]": lambda: FormSpace.symplectic(2, 5).pair([1.5, 0], [0, 1]),
+    "FormSpace.pair v [0, 1.5]": lambda: FormSpace.symplectic(2, 5).pair([1, 0], [0, 1.5]),
+    "FormSpace.q vector of length 3": lambda: FormSpace.symplectic(2, 5).q([1, 0, 0]),
+    "FormSpace.pair scalar": lambda: FormSpace.symplectic(2, 5).pair(1, [0, 1]),
+    "FormSpace.pair stack of vectors": lambda: FormSpace.symplectic(2, 5).pair([[1, 0], [0, 1]], [0, 1]),
+    "Subspace.contains [0.5, 0, 0]": lambda: Subspace([[1, 0, 0]], 3, 5).contains([0.5, 0, 0]),
+    "Subspace.contains vector of length 2": lambda: Subspace([[1, 0, 0]], 3, 5).contains([1, 0]),
+    "Subspace.reduce [[0, 0.5, 0]]": lambda: Subspace([[1, 0, 0]], 3, 5).reduce([[0, 0.5, 0]]),
+    "Subspace.reduce rows of length 4": lambda: Subspace([[1, 0, 0]], 3, 5).reduce([[1, 0, 0, 0]]),
 }
 
 

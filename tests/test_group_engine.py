@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from monodromy.classical_groups import (
+    OTHER,
+    ElementClass,
     FormSpace,
     derived_containment,
     isometry_group_orders,
@@ -28,6 +30,7 @@ from monodromy.group_engine import (
     GeneratedGroup,
     IrreducibilityReport,
     _CodeIndex,
+    _orbit,
     _orbit_reaches,
     _table_pays,
     element_order,
@@ -1065,12 +1068,12 @@ class TestKnownOrderStop:
             system = _BOUNDED_SYSTEMS[name]()
             gens, space = list(system.generators), system.space
             built.clear()
-            derived, cls, order = _derived_containment(gens, space, 10**7, None)
+            derived, cls, order = _derived_containment(gens, space, 10**7, _untagged(gens, space))
             assert derived and len(built) == 1 and built[0].stopped, name
             assert order == built[0].order() == _order_bound(space, gens)[0]
             built.clear()
-            witness = _witness(space, gens, [classify_element(g, space) for g in gens])
-            assert _derived_containment(gens, space, 10**7, witness) == (derived, cls, order)
+            classes = [classify_element(g, space) for g in gens]
+            assert _derived_containment(gens, space, 10**7, classes) == (derived, cls, order)
             assert derived_containment(gens, space) == (True, cls)
             assert built == [], name
             assert order == GeneratedGroup(gens).order(), name
@@ -1099,6 +1102,11 @@ _FAMILY_SYSTEMS = {
     "O(5,5)": lambda: twist_family_system([2, 3], 5),
     "O(5,7)": lambda: twist_family_system([2, 3], 7),
 }
+
+
+def _untagged(gens: list[Matrix], space) -> list[ElementClass]:
+    """The classes of ``gens`` tagged Other, so that ``_witness`` picks none and the chain decides."""
+    return [ElementClass(OTHER, classify_element(g, space).drop) for g in gens]
 
 
 def _witnesses(gens: list[Matrix], space) -> list[Matrix]:
@@ -1246,7 +1254,7 @@ class TestWitnessOrbit:
         assert witnesses
         # the first witness decides with no group, at the order of the full build
         built = _record_groups(monkeypatch)
-        order = _derived_containment(gens, space, 10**7, witnesses[0])[2]
+        order = _derived_containment(gens, space, 10**7, [classify_element(g, space) for g in gens])[2]
         assert built == []
         assert order == GeneratedGroup(gens).order()
         expected = _chain_contains_derived(gens, space)
@@ -1277,14 +1285,15 @@ class TestWitnessOrbit:
         make = _transvection_groups if kind == "alternating" else _reflection_groups
         outcomes = []
         for gens in make(space, rng):
-            witness = _witness(space, gens, [classify_element(g, space) for g in gens])
+            classes = [classify_element(g, space) for g in gens]
+            witness = _witness(space, gens, classes)
             assert witness is gens[0]
             expected = _chain_contains_derived(gens, space)
             assert _witness_orbit_is_full(gens, space, witness, 10**7) == expected
             base, size = _walk_arguments(gens, space, witness, monkeypatch)
             _assert_walks_agree(gens, base, size, (size // 2, 10**7), (kind, n, p))
-            assert _derived_containment(gens, space, 10**7, witness) == _derived_containment(
-                gens, space, 10**7, None
+            assert _derived_containment(gens, space, 10**7, classes) == _derived_containment(
+                gens, space, 10**7, _untagged(gens, space)
             )
             outcomes.append(expected)
         # groups that contain the derived subgroup and groups that do not
@@ -1421,6 +1430,73 @@ class TestWitnessOrbit:
         base[0] = 1
         with pytest.raises(ResourceLimit):
             _orbit_reaches([Matrix(a, 3)], base, 2, 10**7)
+
+
+# the four spaces of the benchmark's library sweep
+_SWEEP_SPACES = {
+    "Sp4(3)": lambda: FormSpace.symplectic(4, 3),
+    "Sp2(5)": lambda: FormSpace.symplectic(2, 5),
+    "O4+(5)": lambda: form_spaces.hyperbolic(4, 5),
+    "O5(5)": lambda: form_spaces.dot(5, 5),
+}
+
+
+class TestOneOrbitLoop:
+    """The witness walk is the chain's ``_orbit`` on a seen table: it measures every level's orbit exactly."""
+
+    @pytest.mark.parametrize("name", sorted(_SWEEP_SPACES))
+    def test_walk_measures_each_level_orbit_in_both_modes(self, name, monkeypatch):
+        # a level's stored orbit is the orbit of its base vector under its
+        # strong generators, so the walk from that vector reaches its length
+        # and not one more: on a bool table, and on the sorted runs that a
+        # limit below p^n / 128 takes on a large space, here forced by a
+        # ``_table_pays`` that refuses every table; a limit one vector
+        # short of the length raises
+        import monodromy.group_engine as engine
+
+        space = _SWEEP_SPACES[name]()
+        n, p = space.dim, space.p
+        rng = Random(34)
+        orbit, kinds = engine._orbit, []
+
+        def recorded(frontier, gens, p, seen, *rest):
+            kinds.append(type(seen))
+            return orbit(frontier, gens, p, seen, *rest)
+
+        monkeypatch.setattr(engine, "_orbit", recorded)
+        lengths = []
+        make = _transvection_groups if space.parity == "alternating" else _reflection_groups
+        for gens in make(space, rng):
+            for lvl in GeneratedGroup(gens).levels:
+                strong = [Matrix(g, p) for g in lvl.gens]
+                base, size = np.eye(n, dtype=np.int64)[lvl.col], len(lvl.trans)
+                kinds.clear()
+                assert _orbit_reaches(strong, base, size, 10**7), name
+                assert not _orbit_reaches(strong, base, size + 1, 10**7), name
+                assert kinds == [np.ndarray] * 2, name
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_table_pays", lambda size, count, itemsize: False)
+                    kinds.clear()
+                    assert _orbit_reaches(strong, base, size, size), name
+                    assert not _orbit_reaches(strong, base, size + 1, size + 1), name
+                    with pytest.raises(ResourceLimit):
+                        _orbit_reaches(strong, base, size, size - 1)
+                    assert kinds == [_CodeIndex] * 3, name
+                lengths.append(size)
+        assert len(lengths) >= 10 and max(lengths) > 2 * min(lengths), (name, lengths)
+
+    def test_first_round_maps_by_the_generators_past_closed(self):
+        # the stored points are taken to be closed under gens[:closed]: the
+        # first round maps them by the others only.  Here e_0 is not closed
+        # under the swap, which the first generator is; the second fixes e_0,
+        # so the walk told that the swap is done finds nothing new
+        p = 5
+        gens = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 2]]], dtype=np.int64)
+        for closed, size in ((0, 8), (1, 1)):
+            seen = np.zeros(p**2, dtype=bool)
+            seen[1] = True
+            assert _orbit(np.eye(2, dtype=np.int8)[:1], gens, p, seen, 100, closed) == size
+            assert np.count_nonzero(seen) == size
 
 
 def _gl_det_bound(gens: list[Matrix]) -> int:
